@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Reproduce the portfolio benchmark comparison.
 
-Generates the benchmark instance, solves it with the exact baseline and the
-four inexact variants (200 sampled paths per iteration, 5% gap rule), and
-writes per-run CSV logs plus the CPU-ratio comparison table.
+Generates the benchmark instance, solves it once with each of the exact
+baseline and the four inexact variants (200 sampled paths per iteration, 5%
+gap rule) through ``isddp compare``, which writes the per-run CSV logs and
+summaries next to the CPU-ratio comparison table.
 
     python scripts/run_portfolio_experiment.py --outdir results/ [--T 6 --n 4]
 """
@@ -44,18 +45,6 @@ def run(argv=None) -> int:
         "--paths", str(args.paths), "--gap-tol", str(args.gap_tol),
         "--max-iter", str(args.max_iter), "--seed", str(args.run_seed),
     ]
-    summaries = {}
-    for preset in PRESET_ORDER:
-        out_csv = str(outdir / f"{preset}.csv")
-        rc = cli_main([
-            "solve", "--instance", instance, "--preset", preset,
-            *run_flags, "--out", out_csv,
-        ])
-        if rc:
-            return rc
-        with open(outdir / f"{preset}.summary.json") as fh:
-            summaries[preset] = json.load(fh)
-
     rc = cli_main([
         "compare", "--instance", instance, "--presets", ",".join(PRESET_ORDER),
         *run_flags, "--out", str(outdir / "compare.csv"),
@@ -64,7 +53,9 @@ def run(argv=None) -> int:
         return rc
 
     print("\nfinal bounds (per preset):")
-    for preset, s in summaries.items():
+    for preset in PRESET_ORDER:
+        with open(outdir / f"{preset}.summary.json") as fh:
+            s = json.load(fh)
         print(
             f"  {preset:>8}: it={s['iterations']:>2}  lb={s['lb']:.4f}  "
             f"ub={s['ub']:.4f}  gap={s['gap']:.4f}  cpu_ms={s['total_wall_ms']:.0f}"

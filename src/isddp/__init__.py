@@ -6,8 +6,8 @@ forward passes may likewise accept delta-suboptimal basic decisions.  Exact
 runs are the special case of zero error budgets.
 """
 
-from .cuts import Cut, CutPool, build_middle_cut, build_terminal_cut, evaluate_pool
-from .ddp_engine import backward_pass, forward_pass, make_pools, run_iddp
+from .cuts import Cut, CutPool, build_middle_cut, build_terminal_cut
+from .ddp_engine import backward_pass, forward_pass, run_iddp
 from .lp_core import (
     DualCertificate,
     LinearProgram,
@@ -33,6 +33,7 @@ from .sddp_engine import (
     backward_pass_sddp,
     evaluate_policy,
     forward_pass_sddp,
+    make_pools,
     run_isddp,
     sample_paths,
     upper_bound_ci,
@@ -64,7 +65,6 @@ __all__ = [
     "build_terminal_cut",
     "dual_feasibility_residual",
     "evaluate_policy",
-    "evaluate_pool",
     "exact_recourse",
     "extensive_form",
     "forward_pass",

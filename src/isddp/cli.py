@@ -20,10 +20,10 @@ from .ddp_engine import run_iddp
 from .lp_core import LpError
 from .models import (
     AnyModel,
-    DeterministicModel,
     ModelError,
     RunLog,
     StochasticModel,
+    as_stochastic,
     load_model,
     save_model,
 )
@@ -66,16 +66,8 @@ class RunConfig:
     max_iter: int
     seed: int
     instance: str
-    out: Optional[str]
+    out: str            # run CSV; the summary JSON goes next to it
     tol: float
-
-
-def max_threads() -> int:
-    """Parallelism cap from the environment (execution is currently serial)."""
-    try:
-        return max(1, int(os.environ.get("ISDDP_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _build_parser() -> _Parser:
@@ -114,7 +106,8 @@ def _build_parser() -> _Parser:
     s = sub.add_parser("solve", help="run one algorithm on one instance")
     add_solve_flags(s)
 
-    c = sub.add_parser("compare", help="run several presets and report CPU ratios")
+    c = sub.add_parser("compare", help="run several presets and report CPU ratios; "
+                       "each preset's run CSV and summary go next to --out")
     c.add_argument("--presets", required=True,
                    help="comma-separated preset list; first entry is the baseline")
     add_solve_flags(c, with_algo=False)
@@ -158,6 +151,14 @@ def _single_instance(args) -> str:
     return paths[0]
 
 
+def _config_from_args(args, algorithm: str, schedule: ScheduleSpec, out: str) -> RunConfig:
+    return RunConfig(
+        algorithm=algorithm, schedule=schedule, n_paths=args.paths,
+        gap_tol=args.gap_tol, max_iter=args.max_iter, seed=args.seed,
+        instance=_single_instance(args), out=out, tol=args.tol,
+    )
+
+
 def _run_config(config: RunConfig, model: AnyModel) -> RunLog:
     if config.algorithm in ("ddp", "iddp"):
         if isinstance(model, StochasticModel):
@@ -165,23 +166,37 @@ def _run_config(config: RunConfig, model: AnyModel) -> RunLog:
                 f"--algo {config.algorithm} needs a deterministic instance"
             )
         log = run_iddp(model, config.schedule, tol=config.tol, max_iter=config.max_iter)
-        log.algorithm = config.algorithm
-        return log
-    smodel = (
-        StochasticModel.from_deterministic(model)
-        if isinstance(model, DeterministicModel)
-        else model
-    )
-    log = run_isddp(
-        smodel,
-        config.schedule,
-        n_paths=config.n_paths,
-        gap_tol=config.gap_tol,
-        max_iter=config.max_iter,
-        seed=config.seed,
-    )
+    else:
+        log = run_isddp(
+            as_stochastic(model),
+            config.schedule,
+            n_paths=config.n_paths,
+            gap_tol=config.gap_tol,
+            max_iter=config.max_iter,
+            seed=config.seed,
+        )
     log.algorithm = config.algorithm
     return log
+
+
+def _solve_to_files(config: RunConfig, model: AnyModel) -> tuple[RunLog, dict]:
+    """Run one config, then write its CSV and, next to it, its summary JSON.
+
+    A solver fault writes the completed iterations' CSV and re-raises.
+    """
+    try:
+        log = _run_config(config, model)
+    except (StageSolveError, LpError) as exc:
+        partial = getattr(exc, "partial_log", None)
+        if partial is not None:
+            partial.algorithm = config.algorithm
+            partial.write_csv(config.out)
+        raise
+    log.write_csv(config.out)
+    summary = dict(log.summary(), instance=config.instance, csv=config.out)
+    with open(os.path.splitext(config.out)[0] + ".summary.json", "w") as fh:
+        json.dump(summary, fh, indent=1, sort_keys=True)
+    return log, summary
 
 
 def cmd_gen(args) -> int:
@@ -214,33 +229,14 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     instance = _single_instance(args)
-    config = RunConfig(
-        algorithm=args.algo,
-        schedule=_schedule_from_args(args),
-        n_paths=args.paths,
-        gap_tol=args.gap_tol,
-        max_iter=args.max_iter,
-        seed=args.seed,
-        instance=instance,
-        out=args.out,
-        tol=args.tol,
-    )
+    out = args.out or (os.path.splitext(instance)[0] + ".runlog.csv")
+    config = _config_from_args(args, args.algo, _schedule_from_args(args), out)
     model = load_model(instance)
-    out_csv = config.out or (os.path.splitext(instance)[0] + ".runlog.csv")
     try:
-        log = _run_config(config, model)
+        _log, summary = _solve_to_files(config, model)
     except (StageSolveError, LpError) as exc:
-        partial = getattr(exc, "partial_log", None)
-        if partial is not None:
-            partial.algorithm = config.algorithm
-            partial.write_csv(out_csv)
         print(f"solver fault: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    log.write_csv(out_csv)
-    summary = dict(log.summary(), instance=instance, csv=out_csv, threads=max_threads())
-    summary_path = os.path.splitext(out_csv)[0] + ".summary.json"
-    with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 
@@ -254,24 +250,19 @@ def cmd_compare(args) -> int:
             raise UsageError(f"unknown preset {name!r}")
     instance = _single_instance(args)
     model = load_model(instance)
+    out_csv = args.out or (os.path.splitext(instance)[0] + ".compare.csv")
+    out_dir = os.path.dirname(out_csv)
     runs: dict[str, RunLog] = {}
     try:
         for name in names:
             if name in runs:
                 continue  # identical config: reuse the run
             eps_bar, eps0 = PRESETS[name]
-            config = RunConfig(
-                algorithm="isddp",
-                schedule=ScheduleSpec(eps_bar=eps_bar, eps0=eps0, mode=ScheduleMode.RELATIVE),
-                n_paths=args.paths,
-                gap_tol=args.gap_tol,
-                max_iter=args.max_iter,
-                seed=args.seed,
-                instance=instance,
-                out=None,
-                tol=args.tol,
+            schedule = ScheduleSpec(eps_bar=eps_bar, eps0=eps0, mode=ScheduleMode.RELATIVE)
+            config = _config_from_args(
+                args, "isddp", schedule, os.path.join(out_dir, f"{name}.csv")
             )
-            runs[name] = _run_config(config, model)
+            runs[name], _summary = _solve_to_files(config, model)
     except (StageSolveError, LpError) as exc:
         print(f"solver fault: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -291,7 +282,6 @@ def cmd_compare(args) -> int:
                 base.iterations,
             ]
         )
-    out_csv = args.out or (os.path.splitext(instance)[0] + ".compare.csv")
     with open(out_csv, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:

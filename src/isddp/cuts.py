@@ -145,10 +145,6 @@ class CutPool:
         )
 
 
-def evaluate_pool(pool: CutPool, x: np.ndarray) -> float:
-    return pool.evaluate(x)
-
-
 def _check_realizations(
     realizations: Sequence[tuple[np.ndarray, np.ndarray, float]],
     duals: Sequence[DualCertificate],

@@ -1,55 +1,37 @@
 """Deterministic dual dynamic programming with inexact stage solves.
 
-Each iteration runs a forward pass (budget-suboptimal stage decisions along
-the single trajectory, yielding an upper bound) and a backward pass (one
-inexact cut per stage from certified dual points, then an exact first-stage
-solve for the lower bound).  Lower bounds are monotone because pools only
-gain cuts and the first-stage solve is always exact.
+A deterministic chain is the one-realization case of a stochastic model, and
+one sampled path per iteration is then its single trajectory.  The passes
+and the run loop here lift the model with
+``StochasticModel.from_deterministic`` and run the SDDP engine on one path:
+the forward cost is the exact upper bound, and the run stops on the absolute
+gap ``Ub - Lb <= tol``.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .cuts import Cut, CutPool, build_middle_cut, build_terminal_cut
-from .models import (
-    AnyModel,
-    DeterministicModel,
-    IterationRecord,
-    RunLog,
-    RunStatus,
-    StochasticModel,
-)
-from .schedules import ErrorBudget, ScheduleSpec, backward_budget, forward_budgets
-from .stage_solver import (
-    solve_backward_stage,
-    solve_forward_stage,
-    stage_value_exact,
+from .cuts import CutPool
+from .models import DeterministicModel, RunLog, StochasticModel
+from .schedules import ScheduleSpec
+from .sddp_engine import (
+    BudgetLike,
+    SamplePath,
+    SddpBackwardResult,
+    backward_pass_sddp,
+    forward_pass_sddp,
+    iterate,
+    make_pools,
+    run_until,
 )
 
-BudgetLike = Union[float, ErrorBudget]
-
-
-def _as_budget(b: BudgetLike) -> ErrorBudget:
-    return b if isinstance(b, ErrorBudget) else ErrorBudget(absolute=float(b))
-
-
-def make_pools(model: AnyModel) -> dict[int, CutPool]:
-    """Fresh pools for stages 2..T+1; the T+1 pool is identically zero."""
-    T = model.horizon
-    pools: dict[int, CutPool] = {}
-    if isinstance(model, StochasticModel):
-        dims = [model.stage1.var_dim] + [s.var_dim for s in model.stages]
-    else:
-        dims = [s.var_dim for s in model.stages]
-    for t in range(2, T + 1):
-        pools[t] = CutPool(stage=t, state_dim=dims[t - 2], floor=float(model.floors[t - 2]))
-    pools[T + 1] = CutPool(stage=T + 1, state_dim=dims[T - 1], floor=0.0)
-    return pools
+# Unused here; kept importable because the per-layer tracer wraps them on this module.
+from .cuts import build_middle_cut, build_terminal_cut  # noqa: F401
+from .stage_solver import solve_backward_stage, solve_forward_stage, stage_value_exact  # noqa: F401
 
 
 @dataclass
@@ -60,38 +42,17 @@ class ForwardPassResult:
     deltas_resolved: tuple
 
 
-@dataclass
-class BackwardPassResult:
-    new_cuts: list[Cut]
-    lb: float
-    eps_resolved: tuple
-
-
 def forward_pass(
     model: DeterministicModel,
     pools: dict[int, CutPool],
     deltas: Sequence[BudgetLike],
 ) -> ForwardPassResult:
     """Simulate the current policy; returns the trajectory and its cost."""
-    T = model.horizon
-    budgets = [_as_budget(d) for d in deltas]
-    if len(budgets) != T:
-        raise ValueError(f"need {T} deltas, got {len(budgets)}")
-    trajectory: list[np.ndarray] = []
-    stage_values = np.zeros(T)
-    resolved = []
-    ub = 0.0
-    x_prev = model.x0
-    for t in range(1, T + 1):
-        res = solve_forward_stage(
-            model.stages[t - 1], x_prev, pools[t + 1], budgets[t - 1], t=t
-        )
-        trajectory.append(res.x)
-        stage_values[t - 1] = res.optimum
-        resolved.append(res.budget_resolved)
-        ub += float(model.stages[t - 1].c @ res.x)
-        x_prev = res.x
-    return ForwardPassResult(trajectory, ub, stage_values, tuple(resolved))
+    path = SamplePath(indices=(0,) * (model.horizon - 1), iteration=0, path_id=0)
+    fwd = forward_pass_sddp(StochasticModel.from_deterministic(model), pools, [path], deltas)
+    return ForwardPassResult(
+        fwd.trajectories[0], float(fwd.cost_samples[0]), fwd.stage_values[0], fwd.deltas_resolved
+    )
 
 
 def backward_pass(
@@ -101,51 +62,15 @@ def backward_pass(
     epsilons: Sequence[BudgetLike],
     *,
     iteration: int = 0,
-) -> BackwardPassResult:
+) -> SddpBackwardResult:
     """Append one cut per stage T..2 and recompute the exact lower bound.
 
     ``epsilons`` has one entry per stage 2..T (index t-2).
     """
-    T = model.horizon
-    budgets = [_as_budget(e) for e in epsilons]
-    if len(budgets) != max(0, T - 1):
-        raise ValueError(f"need {T - 1} epsilons, got {len(budgets)}")
-    new_cuts: list[Cut] = []
-    resolved: list[float] = [0.0] * max(0, T - 1)
-    for t in range(T, 1, -1):
-        stage = model.stages[t - 1]
-        pool_next = pools[t + 1]
-        cert, _opt = solve_backward_stage(
-            stage, trajectory[t - 2], pool_next, budgets[t - 2], t=t
-        )
-        resolved[t - 2] = cert.eps_certified
-        realizations = [(stage.b, stage.B, 1.0)]
-        if t == T:
-            cut = build_terminal_cut(
-                realizations,
-                [cert],
-                stage=t,
-                iteration=iteration,
-                eps_used=budgets[t - 2].nominal,
-            )
-        else:
-            cut = build_middle_cut(
-                realizations,
-                [cert],
-                pool_next.thetas_with_floor(),
-                stage=t,
-                iteration=iteration,
-                eps_used=budgets[t - 2].nominal,
-            )
-        pools[t].add(cut)
-        new_cuts.append(cut)
-    lb = stage_value_exact(model.stages[0], model.x0, pools[2], t=1)
-    return BackwardPassResult(new_cuts, lb, tuple(resolved))
-
-
-def relative_gap(ub: float, lb: float) -> float:
-    """Sign-safe relative gap (Ub - Lb) / max(|Ub|, 1e-6)."""
-    return (ub - lb) / max(abs(ub), 1e-6)
+    return backward_pass_sddp(
+        StochasticModel.from_deterministic(model), pools, [trajectory], epsilons,
+        iteration=iteration,
+    )
 
 
 def run_iddp(
@@ -159,45 +84,11 @@ def run_iddp(
     """Alternate forward/backward passes until Ub - Lb <= tol."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    T = model.horizon
     pools = initial_pools if initial_pools is not None else make_pools(model)
     log = RunLog(
         algorithm="iddp",
         meta={"schedule_mode": schedule.mode.value, "eps_bar": schedule.eps_bar,
               "eps0": schedule.eps0, "tol": tol},
     )
-    try:
-        for k in range(1, max_iter + 1):
-            t_start = time.perf_counter()
-            deltas = forward_budgets(schedule, k, T)
-            fwd = forward_pass(model, pools, deltas)
-            if T == 1:
-                lb = fwd.ub
-                eps_resolved: tuple = ()
-            else:
-                eps = [
-                    backward_budget(schedule, t, k, T, prev_value=fwd.stage_values[t - 1])
-                    for t in range(2, T + 1)
-                ]
-                bwd = backward_pass(model, pools, fwd.trajectory, eps, iteration=k)
-                lb = bwd.lb
-                eps_resolved = bwd.eps_resolved
-            wall_ms = (time.perf_counter() - t_start) * 1e3
-            log.records.append(
-                IterationRecord(
-                    k=k,
-                    lb=lb,
-                    ub=fwd.ub,
-                    gap=relative_gap(fwd.ub, lb),
-                    wall_ms=wall_ms,
-                    eps_used=eps_resolved,
-                    delta_used=fwd.deltas_resolved,
-                )
-            )
-            if fwd.ub - lb <= tol:
-                log.status = RunStatus.CONVERGED
-                break
-    except Exception as exc:
-        exc.partial_log = log  # completed iterations survive the fault
-        raise
-    return log
+    records = iterate(StochasticModel.from_deterministic(model), schedule, 1, 0, pools)
+    return run_until(log, records, max_iter, lambda r: r.ub - r.lb <= tol)

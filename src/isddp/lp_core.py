@@ -404,6 +404,26 @@ def _dual_point(lp: LinearProgram, z: np.ndarray) -> tuple[np.ndarray, np.ndarra
 # Public operations
 
 
+def _solve_primal(
+    lp: LinearProgram, want_trail: bool, **kernel_opts
+) -> tuple[PrimalDualSolution, list[tuple[float, np.ndarray]]]:
+    A, b, c = _standard_primal(lp)
+    res = _simplex_standard_form(
+        A, b, c, want_trail=want_trail, trail_cols=np.arange(lp.num_vars), **kernel_opts
+    )
+    if res.status is not SolveStatus.OPTIMAL:
+        return PrimalDualSolution(status=res.status), []
+    sol = PrimalDualSolution(
+        status=SolveStatus.OPTIMAL,
+        x=res.z[: lp.num_vars].copy(),
+        obj=res.obj,
+        lam=res.y[: lp.num_eq].copy(),
+        mu=res.y[lp.num_eq :].copy(),
+        basis=tuple(int(i) for i in res.basis),
+    )
+    return sol, res.trail
+
+
 def solve_exact(
     lp: LinearProgram,
     *,
@@ -412,23 +432,9 @@ def solve_exact(
     max_pivots: Optional[int] = None,
 ) -> PrimalDualSolution:
     """Solve to optimality, returning a vertex solution with exact duals."""
-    A, b, c = _standard_primal(lp)
-    res = _simplex_standard_form(
-        A, b, c, feas_tol=feas_tol, pivot_tol=pivot_tol, max_pivots=max_pivots
-    )
-    if res.status is not SolveStatus.OPTIMAL:
-        return PrimalDualSolution(status=res.status)
-    x = res.z[: lp.num_vars].copy()
-    lam = res.y[: lp.num_eq].copy()
-    mu = res.y[lp.num_eq :].copy()
-    return PrimalDualSolution(
-        status=SolveStatus.OPTIMAL,
-        x=x,
-        obj=res.obj,
-        lam=lam,
-        mu=mu,
-        basis=tuple(int(i) for i in res.basis),
-    )
+    return _solve_primal(
+        lp, False, feas_tol=feas_tol, pivot_tol=pivot_tol, max_pivots=max_pivots
+    )[0]
 
 
 def solve_with_primal_trail(
@@ -444,28 +450,9 @@ def solve_with_primal_trail(
     final entry is the optimum.  Used for certified delta-suboptimal forward
     solves: pick the earliest iterate whose value is within budget.
     """
-    A, b, c = _standard_primal(lp)
-    res = _simplex_standard_form(
-        A,
-        b,
-        c,
-        feas_tol=feas_tol,
-        pivot_tol=pivot_tol,
-        max_pivots=max_pivots,
-        want_trail=True,
-        trail_cols=np.arange(lp.num_vars),
+    return _solve_primal(
+        lp, True, feas_tol=feas_tol, pivot_tol=pivot_tol, max_pivots=max_pivots
     )
-    if res.status is not SolveStatus.OPTIMAL:
-        return PrimalDualSolution(status=res.status), []
-    sol = PrimalDualSolution(
-        status=SolveStatus.OPTIMAL,
-        x=res.z[: lp.num_vars].copy(),
-        obj=res.obj,
-        lam=res.y[: lp.num_eq].copy(),
-        mu=res.y[lp.num_eq :].copy(),
-        basis=tuple(int(i) for i in res.basis),
-    )
-    return sol, res.trail
 
 
 def solve_dual_inexact(
@@ -493,6 +480,7 @@ def solve_dual_inexact(
     D, rhs, cost = _explicit_dual(lp)
     relative = float(rel_eps) if rel_eps else 0.0
     exact_call = eps == 0.0 and relative == 0.0
+    tols = dict(feas_tol=feas_tol, pivot_tol=pivot_tol, max_pivots=max_pivots)
 
     if primal_upper_hint is not None:
         budget = eps + relative * max(1.0, abs(primal_upper_hint))
@@ -500,15 +488,7 @@ def solve_dual_inexact(
         def stop(kernel_obj: float) -> bool:
             return primal_upper_hint - (-kernel_obj) <= budget
 
-        res = _simplex_standard_form(
-            D,
-            rhs,
-            cost,
-            feas_tol=feas_tol,
-            pivot_tol=pivot_tol,
-            max_pivots=max_pivots,
-            early_stop=stop,
-        )
+        res = _simplex_standard_form(D, rhs, cost, early_stop=stop, **tols)
         _check_dual_solvable(res)
         lam, mu = _dual_point(lp, res.z)
         dual_obj = -res.obj
@@ -520,14 +500,8 @@ def solve_dual_inexact(
         return DualCertificate(lam, mu, dual_obj, certified, mode)
 
     res = _simplex_standard_form(
-        D,
-        rhs,
-        cost,
-        feas_tol=feas_tol,
-        pivot_tol=pivot_tol,
-        max_pivots=max_pivots,
-        want_trail=True,
-        trail_cols=np.arange(2 * lp.num_eq + lp.num_cuts),
+        D, rhs, cost, want_trail=True,
+        trail_cols=np.arange(2 * lp.num_eq + lp.num_cuts), **tols,
     )
     _check_dual_solvable(res)
     optimum = -res.obj

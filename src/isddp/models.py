@@ -249,6 +249,13 @@ class StochasticModel:
 AnyModel = Union[DeterministicModel, StochasticModel]
 
 
+def as_stochastic(model: AnyModel) -> StochasticModel:
+    """The model itself if stochastic, else its single-realization lift."""
+    if isinstance(model, DeterministicModel):
+        return StochasticModel.from_deterministic(model)
+    return model
+
+
 def model_to_json(model: AnyModel) -> str:
     return json.dumps(model.to_dict(), sort_keys=True, indent=1)
 

@@ -3,7 +3,7 @@
 Assembles the full scenario-tree LP (deterministic equivalent) and solves it
 exactly; also evaluates exact expected cost-to-go at an arbitrary state via
 the same construction restricted to a subtree.  Oracles never approximate:
-trees beyond the size guard are a hard fault.
+trees whose dense tableau exceeds the size guard are a hard fault.
 """
 
 from __future__ import annotations
@@ -11,32 +11,39 @@ from __future__ import annotations
 import numpy as np
 
 from .lp_core import LinearProgram, SolveStatus, solve_exact
-from .models import AnyModel, DeterministicModel, StageModel, StochasticModel
+from .models import AnyModel, StageModel, StochasticModel, as_stochastic
 
-TREE_SIZE_GUARD = 10_000
+# Cap on the kernel's dense tableau, rows x (cols + rows + 1) float64 cells
+# (256 MiB); the tree LP's own matrix is smaller.
+TABLEAU_CELL_GUARD = 2**25
 
 
 class OracleGuardError(RuntimeError):
-    """Scenario tree exceeds the brute-force size guard."""
+    """Scenario-tree LP exceeds the brute-force size guard."""
 
 
 class OracleInfeasibleError(RuntimeError):
     pass
 
 
-def _as_stochastic(model: AnyModel) -> StochasticModel:
-    if isinstance(model, DeterministicModel):
-        return StochasticModel.from_deterministic(model)
-    return model
-
-
 def _check_guard(model: StochasticModel, from_stage: int) -> None:
-    leaves = 1
+    """Reject a subtree whose dense tableau would exceed the guard.
+
+    Counted from the tree levels (every realization of a stage shares its
+    dimensions), before anything is allocated.
+    """
+    levels = [(1, model.stage1)] if from_stage == 1 else []
+    nodes = 1
     for st in model.stages[max(0, from_stage - 2) :]:
-        leaves *= st.num_realizations
-    if leaves > TREE_SIZE_GUARD:
+        nodes *= st.num_realizations
+        levels.append((nodes, st.realizations[0]))
+    rows = sum(n * s.num_eq for n, s in levels)
+    cols = sum(n * s.var_dim for n, s in levels)
+    cells = rows * (cols + rows + 1)
+    if cells > TABLEAU_CELL_GUARD:
         raise OracleGuardError(
-            f"scenario tree has {leaves} leaves, oracle guard is {TREE_SIZE_GUARD}"
+            f"scenario-tree LP is {rows} x {cols}: its tableau needs {cells} "
+            f"dense cells, oracle guard is {TABLEAU_CELL_GUARD}"
         )
 
 
@@ -64,8 +71,7 @@ def _assemble_tree_lp(
         st = model.stages[t - 2]
         prev = levels[-1]
         level = []
-        for parent_idx, _ in enumerate(prev):
-            _pp, _pm, pprob = prev[parent_idx]
+        for parent_idx, (_pp, _pm, pprob) in enumerate(prev):
             for r, p in zip(st.realizations, st.probs):
                 level.append((parent_idx, r, pprob * float(p)))
         levels.append(level)
@@ -109,7 +115,7 @@ def _assemble_tree_lp(
 
 def extensive_form(model: AnyModel) -> float:
     """Exact optimum of the whole problem via one scenario-tree LP."""
-    smodel = _as_stochastic(model)
+    smodel = as_stochastic(model)
     _check_guard(smodel, 1)
     lp = _assemble_tree_lp(smodel, 1, smodel.x0)
     sol = solve_exact(lp)
@@ -120,7 +126,7 @@ def extensive_form(model: AnyModel) -> float:
 
 def exact_recourse(model: AnyModel, t: int, x: np.ndarray) -> float:
     """Exact expected cost-to-go entering stage t at state x (0 beyond T)."""
-    smodel = _as_stochastic(model)
+    smodel = as_stochastic(model)
     T = smodel.horizon
     if t == T + 1:
         return 0.0
@@ -146,7 +152,7 @@ def sample_reachable_states(
     realization draws in the stochastic case), so every returned state is a
     feasible previous-stage decision vector.
     """
-    smodel = _as_stochastic(model)
+    smodel = as_stochastic(model)
     if not (2 <= t <= smodel.horizon + 1):
         raise ValueError("reachable states are defined for stages 2..T+1")
     rng = np.random.default_rng(seed)

@@ -7,7 +7,11 @@ all realization subproblems.  Pools are frozen while a stage is being
 processed and cuts are appended in fixed path order, so the serial result
 is what any parallel schedule must reproduce.  An exact first-stage solve
 yields the lower bound; the upper bound is a one-sided confidence bound on
-sampled policy costs.
+sampled policy costs, or the cost of the path itself when there is one.
+
+This is the only place where passes and iterations run: a deterministic
+model is the one-realization case, and ``ddp_engine`` lifts it and runs one
+path per iteration through the same loop.
 
 Sampling is counter-based (one block cipher stream per (seed, iteration,
 path)), so runs are reproducible and paths independent across iterations.
@@ -15,20 +19,51 @@ path)), so runs are reproducible and paths independent across iterations.
 
 from __future__ import annotations
 
+import itertools
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .cuts import Cut, CutPool, build_middle_cut, build_terminal_cut
-from .ddp_engine import BudgetLike, _as_budget, make_pools, relative_gap
-from .models import IterationRecord, RunLog, RunStatus, StochasticModel
+from .models import (
+    AnyModel,
+    IterationRecord,
+    RunLog,
+    RunStatus,
+    StochasticModel,
+    as_stochastic,
+)
 from .schedules import ErrorBudget, ScheduleSpec, backward_budget, forward_budgets
 from .stage_solver import solve_backward_stage, solve_forward_stage, stage_value_exact
 
 _EVAL_STREAM = 1  # counter word separating policy-evaluation draws from training
+
+BudgetLike = Union[float, ErrorBudget]
+
+
+def _as_budget(b: BudgetLike) -> ErrorBudget:
+    return b if isinstance(b, ErrorBudget) else ErrorBudget(absolute=float(b))
+
+
+def make_pools(model: AnyModel) -> dict[int, CutPool]:
+    """Fresh pools for stages 2..T+1; the T+1 pool is identically zero."""
+    model = as_stochastic(model)
+    T = model.horizon
+    dims = [model.stage1.var_dim] + [s.var_dim for s in model.stages]
+    pools = {
+        t: CutPool(stage=t, state_dim=dims[t - 2], floor=float(model.floors[t - 2]))
+        for t in range(2, T + 1)
+    }
+    pools[T + 1] = CutPool(stage=T + 1, state_dim=dims[T - 1], floor=0.0)
+    return pools
+
+
+def relative_gap(ub: float, lb: float) -> float:
+    """Sign-safe relative gap (Ub - Lb) / max(|Ub|, 1e-6)."""
+    return (ub - lb) / max(abs(ub), 1e-6)
 
 
 @dataclass(frozen=True)
@@ -49,18 +84,19 @@ def _path_rng(seed: int, iteration: int, path_id: int, stream: int = 0) -> np.ra
 
 
 def sample_paths(
-    model: StochasticModel, n: int, iteration: int, seed: int
+    model: StochasticModel, n: int, iteration: int, seed: int, *, stream: int = 0
 ) -> list[SamplePath]:
-    """N independent scenario paths; deterministic given (seed, iteration)."""
+    """N independent scenario paths; deterministic given (seed, iteration, stream)."""
     if n < 1:
         raise ValueError("need at least one path")
     cum = [np.cumsum(st.probs) for st in model.stages]
     paths = []
     for p in range(n):
-        rng = _path_rng(seed, iteration, p)
+        rng = _path_rng(seed, iteration, p, stream)
         u = rng.random(len(model.stages))
-        idx = tuple(int(np.searchsorted(cum[i], u[i], side="right")) for i in range(len(cum)))
-        idx = tuple(min(j, len(model.stages[i].probs) - 1) for i, j in enumerate(idx))
+        idx = tuple(
+            min(int(np.searchsorted(c, ui, side="right")), len(c) - 1) for c, ui in zip(cum, u)
+        )
         paths.append(SamplePath(indices=idx, iteration=iteration, path_id=p))
     return paths
 
@@ -176,22 +212,12 @@ def backward_pass_sddp(
             eps_resolved[t - 2] = max(
                 eps_resolved[t - 2], max(c.eps_certified for c in certs)
             )
+            tags = dict(stage=t, iteration=iteration, eps_used=budget.nominal)
             if t == T:
-                cut = build_terminal_cut(
-                    realizations,
-                    certs,
-                    stage=t,
-                    iteration=iteration,
-                    eps_used=budget.nominal,
-                )
+                cut = build_terminal_cut(realizations, certs, **tags)
             else:
                 cut = build_middle_cut(
-                    realizations,
-                    certs,
-                    pool_next.thetas_with_floor(),
-                    stage=t,
-                    iteration=iteration,
-                    eps_used=budget.nominal,
+                    realizations, certs, pool_next.thetas_with_floor(), **tags
                 )
             stage_cuts.append(cut)
         for cut in stage_cuts:
@@ -215,6 +241,69 @@ def upper_bound_ci(cost_samples: np.ndarray, z: float = 1.96) -> float:
     return mean + z * std / np.sqrt(n)
 
 
+def iterate(
+    model: StochasticModel,
+    schedule: ScheduleSpec,
+    n_paths: int,
+    seed: int,
+    pools: dict[int, CutPool],
+) -> Iterator[IterationRecord]:
+    """Forward/backward iterations k = 1, 2, ... on ``pools``; the caller stops.
+
+    Ub is the one path's cost when ``n_paths == 1`` (exact for a
+    deterministic model) and the confidence bound otherwise.
+    """
+    T = model.horizon
+    for k in itertools.count(1):
+        t_start = time.perf_counter()
+        paths = sample_paths(model, n_paths, k, seed)
+        fwd = forward_pass_sddp(model, pools, paths, forward_budgets(schedule, k, T))
+        ub = upper_bound_ci(fwd.cost_samples) if n_paths > 1 else float(fwd.cost_samples[0])
+        lb, eps_resolved = ub, ()
+        if T > 1:
+            eps = [
+                [
+                    backward_budget(schedule, t, k, T, prev_value=fwd.stage_values[p, t - 1])
+                    for p in range(n_paths)
+                ]
+                for t in range(2, T + 1)
+            ]
+            bwd = backward_pass_sddp(model, pools, fwd.trajectories, eps, iteration=k)
+            lb, eps_resolved = bwd.lb, bwd.eps_resolved
+        yield IterationRecord(
+            k=k,
+            lb=lb,
+            ub=ub,
+            gap=relative_gap(ub, lb),
+            wall_ms=(time.perf_counter() - t_start) * 1e3,
+            n_paths=n_paths,
+            eps_used=eps_resolved,
+            delta_used=fwd.deltas_resolved,
+        )
+
+
+def run_until(
+    log: RunLog,
+    records: Iterator[IterationRecord],
+    max_iter: int,
+    converged: Callable[[IterationRecord], bool],
+) -> RunLog:
+    """Append up to ``max_iter`` records to ``log``, stopping once converged.
+
+    A fault carries the completed iterations as ``partial_log``.
+    """
+    try:
+        for rec in itertools.islice(records, max_iter):
+            log.records.append(rec)
+            if converged(rec):
+                log.status = RunStatus.CONVERGED
+                break
+    except Exception as exc:
+        exc.partial_log = log
+        raise
+    return log
+
+
 def run_isddp(
     model: StochasticModel,
     schedule: ScheduleSpec,
@@ -228,7 +317,6 @@ def run_isddp(
     """Iterate sampled forward/backward passes until the relative gap closes."""
     if not (0.0 < gap_tol < 1.0):
         raise ValueError("gap_tol must lie in (0, 1)")
-    T = model.horizon
     pools = initial_pools if initial_pools is not None else make_pools(model)
     log = RunLog(
         algorithm="isddp",
@@ -241,72 +329,14 @@ def run_isddp(
             "seed": seed,
         },
     )
-    try:
-        for k in range(1, max_iter + 1):
-            t_start = time.perf_counter()
-            paths = sample_paths(model, n_paths, k, seed)
-            deltas = forward_budgets(schedule, k, T)
-            fwd = forward_pass_sddp(model, pools, paths, deltas)
-            ub = upper_bound_ci(fwd.cost_samples) if n_paths > 1 else float(fwd.cost_samples[0])
-            if T == 1:
-                lb = ub
-                eps_resolved: tuple = ()
-            else:
-                eps = [
-                    [
-                        backward_budget(schedule, t, k, T, prev_value=fwd.stage_values[p, t - 1])
-                        for p in range(n_paths)
-                    ]
-                    for t in range(2, T + 1)
-                ]
-                bwd = backward_pass_sddp(model, pools, fwd.trajectories, eps, iteration=k)
-                lb = bwd.lb
-                eps_resolved = bwd.eps_resolved
-            gap = relative_gap(ub, lb)
-            wall_ms = (time.perf_counter() - t_start) * 1e3
-            log.records.append(
-                IterationRecord(
-                    k=k,
-                    lb=lb,
-                    ub=ub,
-                    gap=gap,
-                    wall_ms=wall_ms,
-                    n_paths=n_paths,
-                    eps_used=eps_resolved,
-                    delta_used=fwd.deltas_resolved,
-                )
-            )
-            if gap < gap_tol:
-                log.status = RunStatus.CONVERGED
-                break
-    except Exception as exc:
-        exc.partial_log = log  # completed iterations survive the fault
-        raise
-    return log
+    records = iterate(model, schedule, n_paths, seed, pools)
+    return run_until(log, records, max_iter, lambda r: r.gap < gap_tol)
 
 
 def evaluate_policy(
     model: StochasticModel, pools: dict[int, CutPool], n: int, seed: int
 ) -> np.ndarray:
     """Realized costs of the pool-induced policy on n fresh exact rollouts."""
-    T = model.horizon
-    cum = [np.cumsum(st.probs) for st in model.stages]
-    exact = ErrorBudget()
-    cache: dict = {}
-    costs = np.zeros(n)
-    for p in range(n):
-        rng = _path_rng(seed, 0, p, stream=_EVAL_STREAM)
-        u = rng.random(len(model.stages))
-        idx = [int(np.searchsorted(cum[i], u[i], side="right")) for i in range(len(cum))]
-        idx = [min(j, len(model.stages[i].probs) - 1) for i, j in enumerate(idx)]
-        x_prev = model.x0
-        for t in range(1, T + 1):
-            stage = model.stage1 if t == 1 else model.stages[t - 2].realizations[idx[t - 2]]
-            key = (t, x_prev.tobytes(), idx[t - 2] if t > 1 else 0)
-            hit = cache.get(key)
-            if hit is None:
-                hit = solve_forward_stage(stage, x_prev, pools[t + 1], exact, t=t, path=p)
-                cache[key] = hit
-            costs[p] += float(stage.c @ hit.x)
-            x_prev = hit.x
-    return costs
+    paths = sample_paths(model, n, 0, seed, stream=_EVAL_STREAM)
+    exact = [ErrorBudget()] * model.horizon
+    return forward_pass_sddp(model, pools, paths, exact).cost_samples

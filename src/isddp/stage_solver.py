@@ -20,6 +20,7 @@ from .cuts import CutPool
 from .lp_core import (
     DualCertificate,
     LinearProgram,
+    LpError,
     PrimalDualSolution,
     SolveStatus,
     solve_dual_inexact,
@@ -73,10 +74,13 @@ def stage_lp(
     )
 
 
-def _raise_bad_status(status: SolveStatus, t: Optional[int], path: Optional[int]) -> None:
+def _where(t: Optional[int], path: Optional[int]) -> str:
     where = f"stage {t}" if t is not None else "stage subproblem"
-    if path is not None:
-        where += f" (path {path})"
+    return where if path is None else f"{where} (path {path})"
+
+
+def _raise_bad_status(status: SolveStatus, t: Optional[int], path: Optional[int]) -> None:
+    where = _where(t, path)
     if status is SolveStatus.INFEASIBLE:
         raise StageSolveError(f"{where} is infeasible", stage=t, path=path)
     raise StageSolveError(f"{where} is unbounded", stage=t, path=path)
@@ -98,10 +102,12 @@ def _row_generation(
     betas = pool.beta_matrix()
     for _ in range(len(pool) + 2):
         lp = stage_lp(stage, x_prev, pool, cut_subset=working)
-        if want_trail:
-            sol, trail = solve_with_primal_trail(lp)
-        else:
-            sol, trail = solve_exact(lp), []
+        try:
+            sol, trail = solve_with_primal_trail(lp) if want_trail else (solve_exact(lp), [])
+        except LpError as exc:  # kernel faults carry no stage context
+            raise StageSolveError(
+                f"{_where(t, path)} failed in the kernel: {exc}", stage=t, path=path
+            ) from exc
         if sol.status is not SolveStatus.OPTIMAL:
             _raise_bad_status(sol.status, t, path)
         x = sol.x

@@ -7,6 +7,7 @@ own verbose output gives the per-criterion pass/fail summary.
 """
 
 import csv
+import itertools
 import json
 import time
 
@@ -15,7 +16,7 @@ import pytest
 
 from isddp import oracle
 from isddp.cli import main as cli_main
-from isddp.ddp_engine import make_pools, run_iddp
+from isddp.ddp_engine import run_iddp
 from isddp.lp_core import (
     SolveStatus,
     dual_feasibility_residual,
@@ -23,24 +24,10 @@ from isddp.lp_core import (
     solve_dual_inexact,
     solve_exact,
 )
-from isddp.models import RunStatus
-from isddp.schedules import (
-    EXACT_SCHEDULE,
-    ScheduleMode,
-    ScheduleSpec,
-    backward_budget,
-    forward_budgets,
-    rel_err,
-)
-from isddp.sddp_engine import (
-    backward_pass_sddp,
-    forward_pass_sddp,
-    run_isddp,
-    sample_paths,
-    upper_bound_ci,
-)
+from isddp.models import DeterministicModel, RunStatus
+from isddp.schedules import EXACT_SCHEDULE, ScheduleMode, ScheduleSpec, rel_err
+from isddp.sddp_engine import iterate, make_pools, run_isddp
 from isddp.toys import TOYS
-from isddp.models import DeterministicModel
 
 from conftest import enumerate_vertices, random_feasible_bounded_lp
 
@@ -50,34 +37,6 @@ STATE_SEED = 424242
 PORTFOLIO_GEN = ["--T", "6", "--n", "4", "--M", "10", "--seed", "2024"]
 PORTFOLIO_RUN = ["--paths", "200", "--gap-tol", "0.05", "--max-iter", "50", "--seed", "9"]
 PRESET_NAMES = ["sddp", "isddp1", "isddp2", "isddp3", "isddp4"]
-
-
-def _drive_isddp(model, schedule, n_paths, seed, max_iter, stop=None):
-    """Minimal sampled-run driver with an arbitrary stopping predicate."""
-    T = model.horizon
-    pools = make_pools(model)
-    records = []
-    for k in range(1, max_iter + 1):
-        paths = sample_paths(model, n_paths, k, seed)
-        deltas = forward_budgets(schedule, k, T)
-        fwd = forward_pass_sddp(model, pools, paths, deltas)
-        ub = (
-            upper_bound_ci(fwd.cost_samples)
-            if n_paths > 1
-            else float(fwd.cost_samples[0])
-        )
-        eps = [
-            [
-                backward_budget(schedule, t, k, T, prev_value=fwd.stage_values[p, t - 1])
-                for p in range(n_paths)
-            ]
-            for t in range(2, T + 1)
-        ]
-        bwd = backward_pass_sddp(model, pools, fwd.trajectories, eps, iteration=k)
-        records.append((k, bwd.lb, ub))
-        if stop is not None and stop(k, bwd.lb, ub):
-            break
-    return records, pools
 
 
 @pytest.fixture(scope="session")
@@ -117,9 +76,10 @@ def bounded_runs():
                      pools=det_pools))
     sto = TOYS["sto_t3_m2"]()
     for seed in range(20):
-        records, pools = _drive_isddp(sto, sched, n_paths=1, seed=seed, max_iter=200)
+        pools = make_pools(sto)
+        records = itertools.islice(iterate(sto, sched, 1, seed, pools), 200)
         runs.append(dict(name=f"sto_t3_m2/seed{seed}", model=sto,
-                         lbs=[lb for _, lb, _ in records], pools=pools))
+                         lbs=[r.lb for r in records], pools=pools))
     return runs, bar
 
 
@@ -141,27 +101,24 @@ def recourse_cache():
 
 @pytest.fixture(scope="session")
 def portfolio_experiment(tmp_path_factory):
-    """Criterion-9 experiment: five presets on the benchmark instance."""
+    """Criterion-9 experiment: five presets on the benchmark instance.
+
+    ``compare`` writes each preset's run CSV and summary next to its table.
+    """
     workdir = tmp_path_factory.mktemp("portfolio")
     instance = str(workdir / "portfolio.json")
     t_start = time.perf_counter()
     assert cli_main(["gen", *PORTFOLIO_GEN, "--out", instance]) == 0
-    summaries = {}
-    for preset in PRESET_NAMES:
-        out = str(workdir / f"{preset}.csv")
-        rc = cli_main([
-            "solve", "--instance", instance, "--preset", preset,
-            *PORTFOLIO_RUN, "--out", out,
-        ])
-        assert rc == 0
-        with open(str(workdir / f"{preset}.summary.json")) as fh:
-            summaries[preset] = json.load(fh)
     compare_csv = str(workdir / "compare.csv")
     rc = cli_main([
         "compare", "--instance", instance, "--presets", ",".join(PRESET_NAMES),
         *PORTFOLIO_RUN, "--out", compare_csv,
     ])
     assert rc == 0
+    summaries = {}
+    for preset in PRESET_NAMES:
+        with open(str(workdir / f"{preset}.summary.json")) as fh:
+            summaries[preset] = json.load(fh)
     elapsed = time.perf_counter() - t_start
     return dict(
         workdir=workdir,
@@ -288,14 +245,12 @@ def test_criterion_07_vanishing_noise_finite_convergence():
             tol = 1e-6 * max(1.0, abs(v))
             worst = 0
             for seed in range(20):
-                records, _pools = _drive_isddp(
-                    model, sched, n_paths=4, seed=seed, max_iter=200,
-                    stop=lambda k, lb, ub: (v - lb) <= tol,
-                )
-                k_final, lb_final, _ = records[-1]
-                assert (v - lb_final) <= tol, (name, seed)
-                assert k_final <= 200
-                worst = max(worst, k_final)
+                for rec in itertools.islice(iterate(model, sched, 4, seed, make_pools(model)), 200):
+                    if (v - rec.lb) <= tol:
+                        break
+                assert (v - rec.lb) <= tol, (name, seed)
+                assert rec.k <= 200
+                worst = max(worst, rec.k)
             iters[name] = worst
     print(f"\nPASS criterion 7: relative schedule closes the gap finitely, iterations {iters}")
 

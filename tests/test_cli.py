@@ -123,6 +123,31 @@ class TestSolve:
         # the partial log is flushed (header at minimum)
         assert open(out).readline().startswith("iter,lb,ub,gap")
 
+    def test_forward_kernel_fault_keeps_partial_log(self, det_instance, tmp_path,
+                                                    monkeypatch, capsys):
+        import isddp.stage_solver as ss
+        from isddp.lp_core import LpError
+
+        real = ss.solve_with_primal_trail
+        calls = []
+
+        def fails_in_iteration_two(lp):
+            # iteration 1 runs against empty pools: one forward solve per
+            # stage, so call T + 1 is stage 1 of iteration 2
+            calls.append(lp)
+            if len(calls) > toy_det_t3().horizon:
+                raise LpError("phase-1 subproblem unbounded: numerical failure")
+            return real(lp)
+
+        monkeypatch.setattr(ss, "solve_with_primal_trail", fails_in_iteration_two)
+        out = str(tmp_path / "fault.csv")
+        rc = main(["solve", "--instance", det_instance, "--algo", "ddp",
+                   "--max-iter", "5", "--out", out])
+        assert rc == EXIT_SOLVER
+        assert "stage 1 (path 0)" in capsys.readouterr().err
+        rows = list(csv.DictReader(open(out)))
+        assert [r["iter"] for r in rows] == ["1"]
+
 
 class TestCompare:
     def test_self_comparison_ratio_one(self, instance, tmp_path, capsys):
@@ -194,6 +219,13 @@ class TestOracleCmd:
         path = str(tmp_path / "big.json")
         save_model(big, path)
         assert main(["oracle", "--instance", path]) == EXIT_GUARD
+
+    def test_dense_tableau_too_large_exits_three(self, tmp_path, capsys):
+        # 3,125 leaves, but a 35,154 x 66,402 tree LP: a 3.6e9-cell tableau
+        path = str(tmp_path / "p.json")
+        assert main(["gen", "--T", "6", "--n", "4", "--M", "5", "--out", path]) == EXIT_OK
+        assert main(["oracle", "--instance", path]) == EXIT_GUARD
+        assert "oracle guard" in capsys.readouterr().err
 
 
 class TestRoundTrip:

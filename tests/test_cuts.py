@@ -9,12 +9,12 @@ from isddp.cuts import (
     CutPool,
     build_middle_cut,
     build_terminal_cut,
-    evaluate_pool,
 )
 from isddp.lp_core import CertMode, DualCertificate, LinearProgram, solve_exact
 from isddp import oracle
-from isddp.ddp_engine import make_pools, run_iddp
+from isddp.ddp_engine import run_iddp
 from isddp.schedules import EXACT_SCHEDULE
+from isddp.sddp_engine import make_pools
 from isddp.toys import toy_det_t3
 
 
@@ -92,7 +92,7 @@ class TestBuildMiddleCut:
 class TestCutPool:
     def test_floor_only(self):
         pool = CutPool(stage=2, state_dim=2, floor=-10.0)
-        assert evaluate_pool(pool, np.array([3.0, -1.0])) == -10.0
+        assert pool.evaluate(np.array([3.0, -1.0])) == -10.0
 
     def test_max_of_two_lines(self):
         pool = CutPool(stage=2, state_dim=1, floor=-100.0)

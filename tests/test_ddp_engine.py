@@ -5,12 +5,13 @@ from isddp import oracle
 from isddp.ddp_engine import (
     backward_pass,
     forward_pass,
-    make_pools,
     run_iddp,
 )
 from isddp.models import DeterministicModel, RunStatus, StageModel
 from isddp.schedules import EXACT_SCHEDULE, ErrorBudget, ScheduleMode, ScheduleSpec
-from isddp.stage_solver import StageSolveError
+from isddp.sddp_engine import make_pools
+from isddp.lp_core import LpError
+from isddp.stage_solver import StageSolveError, solve_forward_stage
 from isddp.toys import toy_det_t2, toy_det_t3, toy_det_t5
 
 DET_TOYS = (toy_det_t2, toy_det_t3, toy_det_t5)
@@ -73,6 +74,18 @@ class TestForwardPass:
         with pytest.raises(StageSolveError) as err:
             forward_pass(m, make_pools(m), deltas=[0.0, 0.0])
         assert err.value.stage == 2
+
+    def test_kernel_fault_names_stage_and_path(self, monkeypatch):
+        def broken(lp):
+            raise LpError("phase-1 subproblem unbounded: numerical failure")
+
+        monkeypatch.setattr("isddp.stage_solver.solve_with_primal_trail", broken)
+        m = toy_det_t3()
+        with pytest.raises(StageSolveError) as err:
+            solve_forward_stage(m.stages[1], np.zeros(m.stages[1].state_dim),
+                                make_pools(m)[3], ErrorBudget(), t=2, path=7)
+        assert (err.value.stage, err.value.path) == (2, 7)
+        assert isinstance(err.value.__cause__, LpError)
 
 
 class TestBackwardPass:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from isddp.cuts import CutPool
-from isddp.ddp_engine import make_pools, run_iddp
+from isddp.ddp_engine import run_iddp
 from isddp.models import (
     DeterministicModel,
     IterationRecord,
@@ -19,6 +19,7 @@ from isddp.models import (
     save_model,
 )
 from isddp.schedules import EXACT_SCHEDULE
+from isddp.sddp_engine import make_pools
 from isddp.toys import TOYS, toy_det_t3, toy_sto_t3_m2
 
 

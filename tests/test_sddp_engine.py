@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from isddp import oracle
-from isddp.ddp_engine import make_pools, run_iddp
+from isddp.ddp_engine import run_iddp
 from isddp.models import StochasticModel
 from isddp.schedules import EXACT_SCHEDULE, ScheduleMode, ScheduleSpec
 from isddp.sddp_engine import (
     backward_pass_sddp,
     evaluate_policy,
     forward_pass_sddp,
+    make_pools,
     run_isddp,
     sample_paths,
     upper_bound_ci,
