@@ -16,6 +16,12 @@ original LP whose objective increases monotonically to the optimum, so an
 early stop against a primal upper hint, or a retrospective scan of the
 recorded iterate trail, yields a point with a provable suboptimality bound.
 
+Phase 1 depends on the constraints alone.  Dual solves whose explicit duals
+share ``(A, b)`` (same ``eq_matrix``, ``cost`` and cut slopes; any
+``eq_rhs`` and cut intercepts) may share a ``phase1_memo`` dict: the first
+solve stores its phase 1, the others replay it bit for bit and run only
+phase 2.
+
 Dual convention for cut rows: weights mu >= 0 with sum(mu) == 1, entering
 the variable-wise constraint as  eq_matrix.T @ lam - sum_i mu_i * beta_i <= c.
 (The minus sign follows from writing a cut row as  f - beta_i . x >= theta_i.)
@@ -190,6 +196,7 @@ def _simplex_standard_form(
     want_trail: bool = False,
     trail_cols: Optional[np.ndarray] = None,
     early_stop: Optional[Callable[[float], bool]] = None,
+    phase1_memo: Optional[dict] = None,
 ) -> _KernelResult:
     """Two-phase tableau simplex for  min c.z  s.t. A z = b, z >= 0.
 
@@ -198,6 +205,14 @@ def _simplex_standard_form(
     requested) as ``(obj, z[trail_cols])`` snapshots, the optimum included;
     ``early_stop(obj)`` is checked at every phase-2 vertex and aborts the run
     with the current point when it returns True.
+
+    Phase 1 and the artificial drive-out depend on ``(A, b)`` and the
+    tolerances only; ``c`` is merely carried along in ``r2``.  With a
+    ``phase1_memo`` dict, a feasible phase 1 is stored under the exact bytes
+    of ``(A, b)``: the tableau and basis it ends in, and every row the
+    ``r2`` update subtracted.  A later call with the same ``(A, b)`` restores
+    the tableau and replays those ``r2`` updates in order (the same float
+    operations), so its result is bit-identical to a cold solve.
     """
     m, n = A.shape
     if max_pivots is None:
@@ -223,6 +238,7 @@ def _simplex_standard_form(
 
     pivots = 0
     trail: list = []
+    r2_updates: Optional[list] = None  # (pc, pivot row) of phase-1 pivots
 
     def pivot(pr: int, pc: int, phase: int) -> None:
         nonlocal pivots
@@ -237,11 +253,9 @@ def _simplex_standard_form(
                 r1[:-1] -= r1_pc * body[pr, :-1]
                 r1[-1] -= r1_pc * body[pr, -1]
                 r1[pc] = 0.0
-        r2_pc = r2[pc]
-        if r2_pc != 0.0:
-            r2[:-1] -= r2_pc * body[pr, :-1]
-            r2[-1] -= r2_pc * body[pr, -1]
-            r2[pc] = 0.0
+            if r2_updates is not None:
+                r2_updates.append((pc, body[pr].copy()))
+        update_r2(pc, body[pr])
         body[:, pc] = 0.0
         body[pr, pc] = 1.0
         leaving = basis[pr]
@@ -249,6 +263,13 @@ def _simplex_standard_form(
             allowed[leaving] = False  # artificial never re-enters
         basis[pr] = pc
         pivots += 1
+
+    def update_r2(pc: int, row: np.ndarray) -> None:
+        r2_pc = r2[pc]
+        if r2_pc != 0.0:
+            r2[:-1] -= r2_pc * row[:-1]
+            r2[-1] -= r2_pc * row[-1]
+            r2[pc] = 0.0
 
     def entering(r: np.ndarray, bland: bool) -> int:
         cand = np.flatnonzero(allowed & (r[:ncols] < -feas_tol))
@@ -310,18 +331,30 @@ def _simplex_standard_form(
             else:
                 degenerate = 0
 
-    run_phase(1)
-    if -r1[-1] > feas_tol * (1.0 + np.abs(body[:, -1]).sum()):
-        return _KernelResult(SolveStatus.INFEASIBLE, None, math.nan, None, None, pivots)
+    key = stored = None
+    if phase1_memo is not None:
+        key = (A.shape, A.tobytes(), b.tobytes(), feas_tol, pivot_tol, max_pivots)
+        stored = phase1_memo.get(key)
+    if stored is not None:
+        body[:], basis[:], pivots, replay = stored
+        for pc, row in replay:
+            update_r2(pc, row)
+    else:
+        r2_updates = [] if key is not None else None
+        run_phase(1)
+        if -r1[-1] > feas_tol * (1.0 + np.abs(body[:, -1]).sum()):
+            return _KernelResult(SolveStatus.INFEASIBLE, None, math.nan, None, None, pivots)
 
-    # Drive leftover artificials out of the basis where a structural pivot
-    # exists; rows without one are redundant and keep a zero-level artificial.
-    for pr in range(m):
-        if basis[pr] >= n:
-            row = body[pr, :n]
-            cand = np.flatnonzero(allowed[:n] & (np.abs(row) > pivot_tol))
-            if cand.size:
-                pivot(pr, int(cand[0]), phase=1)
+        # Drive leftover artificials out of the basis where a structural pivot
+        # exists; rows without one are redundant and keep a zero-level artificial.
+        for pr in range(m):
+            if basis[pr] >= n:
+                row = body[pr, :n]
+                cand = np.flatnonzero(allowed[:n] & (np.abs(row) > pivot_tol))
+                if cand.size:
+                    pivot(pr, int(cand[0]), phase=1)
+        if key is not None:
+            phase1_memo[key] = (body.copy(), basis.copy(), pivots, r2_updates)
     allowed[n:] = False
 
     outcome = run_phase(2)
@@ -464,6 +497,7 @@ def solve_dual_inexact(
     feas_tol: float = FEAS_TOL,
     pivot_tol: float = PIVOT_TOL,
     max_pivots: Optional[int] = None,
+    phase1_memo: Optional[dict] = None,
 ) -> DualCertificate:
     """Return a dual-feasible (lam, mu) with dual_obj >= optimum - eps.
 
@@ -474,13 +508,19 @@ def solve_dual_inexact(
     relative slack of ``rel_eps * max(1, |reference|)`` on top of ``eps``,
     where the reference is the hint (early stop) or the true optimum.
     With a zero budget both mechanisms reduce to an exact solve.
+    ``phase1_memo`` is handed to the kernel: LPs that share ``eq_matrix``,
+    ``cost`` and the cut slopes share the dual's feasible region, and so its
+    phase 1 (see ``_simplex_standard_form``).
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     D, rhs, cost = _explicit_dual(lp)
     relative = float(rel_eps) if rel_eps else 0.0
     exact_call = eps == 0.0 and relative == 0.0
-    tols = dict(feas_tol=feas_tol, pivot_tol=pivot_tol, max_pivots=max_pivots)
+    tols = dict(
+        feas_tol=feas_tol, pivot_tol=pivot_tol, max_pivots=max_pivots,
+        phase1_memo=phase1_memo,
+    )
 
     if primal_upper_hint is not None:
         budget = eps + relative * max(1.0, abs(primal_upper_hint))

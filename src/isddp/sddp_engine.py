@@ -5,9 +5,11 @@ along them (budget-suboptimal solves), then sweeps stages T..2 building one
 probability-aggregated cut per (path, stage) from certified dual points of
 all realization subproblems.  Pools are frozen while a stage is being
 processed and cuts are appended in fixed path order, so the serial result
-is what any parallel schedule must reproduce.  An exact first-stage solve
-yields the lower bound; the upper bound is a one-sided confidence bound on
-sampled policy costs, or the cost of the path itself when there is one.
+is what any parallel schedule must reproduce.  The dual solves of one stage
+share one phase-1 memo: against the frozen pool, duals that differ only in
+their cost share one feasible region.  An exact first-stage solve yields
+the lower bound; the upper bound is a one-sided confidence bound on sampled
+policy costs, or the cost of the path itself when there is one.
 
 This is the only place where passes and iterations run: a deterministic
 model is the one-realization case, and ``ddp_engine`` lifts it and runs one
@@ -197,6 +199,7 @@ def backward_pass_sddp(
             (r.b, r.B, float(p)) for r, p in zip(st.realizations, st.probs)
         ]
         cache: dict = {}
+        phase1_memo: dict = {}  # the duals against the frozen pool t+1 share it
         stage_cuts: list[Cut] = []
         for p in range(n_paths):
             x_prev = trajectories[p][t - 2]
@@ -205,7 +208,9 @@ def backward_pass_sddp(
             certs = cache.get(key)
             if certs is None:
                 certs = [
-                    solve_backward_stage(r, x_prev, pool_next, budget, t=t, path=p)[0]
+                    solve_backward_stage(
+                        r, x_prev, pool_next, budget, t=t, path=p, phase1_memo=phase1_memo
+                    )[0]
                     for r in st.realizations
                 ]
                 cache[key] = certs

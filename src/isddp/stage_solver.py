@@ -168,11 +168,14 @@ def solve_backward_stage(
     *,
     t: Optional[int] = None,
     path: Optional[int] = None,
+    phase1_memo: Optional[dict] = None,
 ) -> tuple[DualCertificate, float]:
     """Budget-certified dual point of one backward stage, plus its optimum.
 
     The certificate's ``mu`` covers the pool rows floor-first, matching
-    ``pool.thetas_with_floor()``.
+    ``pool.thetas_with_floor()``.  ``phase1_memo`` is passed to
+    ``solve_dual_inexact``; share one dict among the solves against one
+    frozen pool.
     """
     lp = stage_lp(stage, x_prev, pool)
     try:
@@ -180,6 +183,7 @@ def solve_backward_stage(
             lp,
             eps=budget.absolute,
             rel_eps=budget.relative or None,
+            phase1_memo=phase1_memo,
         )
     except Exception as exc:  # kernel faults carry no stage context
         raise StageSolveError(

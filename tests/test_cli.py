@@ -102,6 +102,15 @@ class TestSolve:
                    "--schedule-mode", "relative"])
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("max_iter", ["0", "-1"])
+    def test_max_iter_below_one_is_usage_error(self, det_instance, tmp_path, capsys, max_iter):
+        out = tmp_path / "run.csv"
+        rc = main(["solve", "--instance", det_instance, "--algo", "ddp",
+                   "--max-iter", max_iter, "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert "--max-iter must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_solver_fault_exits_two(self, tmp_path):
         # stage 2 infeasible for every state: 0 == 1
         from isddp.models import DeterministicModel, StageModel

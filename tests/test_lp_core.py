@@ -265,3 +265,47 @@ def test_duality_gap_property(seed):
         return
     dual_obj = float(lp.eq_rhs @ sol.lam)
     assert abs(sol.obj - dual_obj) <= 1e-7 * (1.0 + abs(sol.obj))
+
+
+def _bits(cert):
+    return (cert.lam.tobytes(), cert.mu.tobytes(), cert.dual_obj.hex(),
+            float(cert.eps_certified).hex(), cert.mode)
+
+
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=25, deadline=None)
+def test_phase1_memo_replays_bit_identical_certificates(seed):
+    # LPs sharing eq_matrix, cost and cut slopes share their dual's (A, b);
+    # only eq_rhs and the cut intercepts (the dual's cost) differ
+    rng = np.random.default_rng(seed)
+    base = random_feasible_bounded_lp(rng)
+    n = base.num_vars
+    betas = rng.normal(size=(3, n)).round(2)
+
+    def variant(cost):
+        xhat = rng.uniform(0.0, 2.0, size=n).round(3)
+        rows = [(np.zeros(n), -5.0)] + [(b, round(rng.normal(), 2)) for b in betas]
+        return LinearProgram(
+            num_vars=n, num_eq=base.num_eq, cost=cost, eq_matrix=base.eq_matrix,
+            eq_rhs=base.eq_matrix @ xhat, cut_rows=rows, has_epigraph=True,
+        )
+
+    memo: dict = {}
+    budgets = [dict(eps=0.0), dict(eps=0.05), dict(eps=0.0, rel_eps=0.01)]
+    for i in range(4):
+        lp = variant(base.cost)
+        for budget in budgets:
+            cold = solve_dual_inexact(lp, **budget)
+            warm = solve_dual_inexact(lp, **budget, phase1_memo=memo)
+            assert _bits(warm) == _bits(cold)
+        if i == 0:
+            (entry,) = memo.values()
+    # every later solve hit the first entry instead of storing its own
+    (kept,) = memo.values()
+    assert kept is entry
+
+    # a different cost is a different dual rhs: a miss, stored apart
+    other = variant(base.cost + 1.0)
+    cold = solve_dual_inexact(other, eps=0.05)
+    assert _bits(solve_dual_inexact(other, eps=0.05, phase1_memo=memo)) == _bits(cold)
+    assert len(memo) == 2 and any(v is entry for v in memo.values())

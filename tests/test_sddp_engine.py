@@ -1,10 +1,21 @@
+import copy
+
 import numpy as np
 import pytest
 
 from isddp import oracle
+from isddp import sddp_engine
+from isddp import stage_solver
 from isddp.ddp_engine import run_iddp
 from isddp.models import StochasticModel
-from isddp.schedules import EXACT_SCHEDULE, ScheduleMode, ScheduleSpec
+from isddp.portfolio import PortfolioSpec, generate_instance
+from isddp.schedules import (
+    EXACT_SCHEDULE,
+    ScheduleMode,
+    ScheduleSpec,
+    backward_budget,
+    forward_budgets,
+)
 from isddp.sddp_engine import (
     backward_pass_sddp,
     evaluate_policy,
@@ -137,6 +148,47 @@ class TestBackwardPassSddp:
         )
         gap = ref - cut.value(x2)
         assert -1e-8 <= gap <= eps + 1e-8
+
+    def test_phase1_memo_leaves_cuts_bit_identical(self, monkeypatch):
+        # the memo shared by one stage's dual solves must not change a bit
+        # of any cut: compare against memo-free solves over the same
+        # trajectories and the same pools, iteration by iteration
+        m = generate_instance(PortfolioSpec(T=3, n=2, M=3, seed=4))
+        spec = ScheduleSpec(eps_bar=0.1, eps0=1e-12, mode=ScheduleMode.RELATIVE)
+        T, n_paths = m.horizon, 3
+        hits = 0
+
+        def memo_free(*args, phase1_memo, **kwargs):
+            return stage_solver.solve_backward_stage(*args, **kwargs)
+
+        def counting(*args, phase1_memo, **kwargs):
+            nonlocal hits
+            before = len(phase1_memo)
+            out = stage_solver.solve_backward_stage(*args, phase1_memo=phase1_memo, **kwargs)
+            hits += len(phase1_memo) == before
+            return out
+
+        pools = make_pools(m)
+        for k in range(1, 5):
+            paths = sample_paths(m, n_paths, k, seed=9)
+            fwd = forward_pass_sddp(m, pools, paths, forward_budgets(spec, k, T))
+            eps = [
+                [backward_budget(spec, t, k, T, prev_value=fwd.stage_values[p, t - 1])
+                 for p in range(n_paths)]
+                for t in range(2, T + 1)
+            ]
+            ref_pools = copy.deepcopy(pools)
+            monkeypatch.setattr(sddp_engine, "solve_backward_stage", memo_free)
+            ref = backward_pass_sddp(m, ref_pools, fwd.trajectories, eps, iteration=k)
+            monkeypatch.setattr(sddp_engine, "solve_backward_stage", counting)
+            got = backward_pass_sddp(m, pools, fwd.trajectories, eps, iteration=k)
+            assert len(got.new_cuts) == len(ref.new_cuts) == n_paths * (T - 1)
+            for a, b in zip(got.new_cuts, ref.new_cuts):
+                assert a.theta.hex() == b.theta.hex()
+                assert a.beta.tobytes() == b.beta.tobytes()
+            assert got.lb.hex() == ref.lb.hex()
+            assert got.eps_resolved == ref.eps_resolved
+        assert hits > 0
 
 
 class TestUpperBoundCi:
