@@ -1,0 +1,215 @@
+"""The dense simplex kernel as it was before its single-tableau rewrite.
+
+Test-only reference: ``_simplex_standard_form`` below is the kernel that
+kept the constraint rows and the two reduced-cost rows in separate arrays
+and updated the whole tableau with ``np.outer`` at every pivot.  The tests
+check that ``isddp.lp_core._simplex_standard_form`` returns the same result
+bit for bit (up to the sign of an exact zero).
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Callable, Optional
+
+import numpy as np
+
+from isddp.lp_core import (
+    FEAS_TOL,
+    PIVOT_TOL,
+    LpError,
+    PivotLimitError,
+    SolveStatus,
+    _KernelResult,
+)
+
+
+def _simplex_standard_form(
+    A: np.ndarray,
+    b: np.ndarray,
+    c: np.ndarray,
+    *,
+    feas_tol: float = FEAS_TOL,
+    pivot_tol: float = PIVOT_TOL,
+    max_pivots: Optional[int] = None,
+    want_trail: bool = False,
+    trail_cols: Optional[np.ndarray] = None,
+    early_stop: Optional[Callable[[float], bool]] = None,
+    phase1_memo: Optional[dict] = None,
+) -> _KernelResult:
+    """Two-phase tableau simplex for  min c.z  s.t. A z = b, z >= 0.
+
+    Dantzig pricing with an automatic switch to Bland's rule after a long
+    degenerate streak.  Phase-2 iterates are appended to the trail (if
+    requested) as ``(obj, z[trail_cols])`` snapshots, the optimum included;
+    ``early_stop(obj)`` is checked at every phase-2 vertex and aborts the run
+    with the current point when it returns True.
+
+    Phase 1 and the artificial drive-out depend on ``(A, b)`` and the
+    tolerances only; ``c`` is merely carried along in ``r2``.  With a
+    ``phase1_memo`` dict, a feasible phase 1 is stored under the exact bytes
+    of ``(A, b)``: the tableau and basis it ends in, and every row the
+    ``r2`` update subtracted.  A later call with the same ``(A, b)`` restores
+    the tableau and replays those ``r2`` updates in order (the same float
+    operations), so its result is bit-identical to a cold solve.
+    """
+    m, n = A.shape
+    if max_pivots is None:
+        max_pivots = 10_000 + 50 * (m + n)
+    bland_after = 50 * (n + m)
+
+    sign = np.where(b < 0, -1.0, 1.0)
+    ncols = n + m
+    body = np.empty((m, ncols + 1))
+    body[:, :n] = A * sign[:, None]
+    body[:, n:ncols] = np.eye(m)
+    body[:, -1] = b * sign
+
+    basis = np.arange(n, ncols)
+    allowed = np.ones(ncols, dtype=bool)
+
+    # Reduced-cost rows; last entry is -objective.
+    r1 = np.zeros(ncols + 1)
+    r1[:n] = -body[:, :n].sum(axis=0)
+    r1[-1] = -body[:, -1].sum()
+    r2 = np.zeros(ncols + 1)
+    r2[:n] = c
+
+    pivots = 0
+    trail: list = []
+    r2_updates: Optional[list] = None  # (pc, pivot row) of phase-1 pivots
+
+    def pivot(pr: int, pc: int, phase: int) -> None:
+        nonlocal pivots
+        piv = body[pr, pc]
+        body[pr] /= piv
+        colv = body[:, pc].copy()
+        colv[pr] = 0.0
+        body[:, :] -= np.outer(colv, body[pr])
+        if phase == 1:
+            r1_pc = r1[pc]
+            if r1_pc != 0.0:
+                r1[:-1] -= r1_pc * body[pr, :-1]
+                r1[-1] -= r1_pc * body[pr, -1]
+                r1[pc] = 0.0
+            if r2_updates is not None:
+                r2_updates.append((pc, body[pr].copy()))
+        update_r2(pc, body[pr])
+        body[:, pc] = 0.0
+        body[pr, pc] = 1.0
+        leaving = basis[pr]
+        if leaving >= n:
+            allowed[leaving] = False  # artificial never re-enters
+        basis[pr] = pc
+        pivots += 1
+
+    def update_r2(pc: int, row: np.ndarray) -> None:
+        r2_pc = r2[pc]
+        if r2_pc != 0.0:
+            r2[:-1] -= r2_pc * row[:-1]
+            r2[-1] -= r2_pc * row[-1]
+            r2[pc] = 0.0
+
+    def entering(r: np.ndarray, bland: bool) -> int:
+        cand = np.flatnonzero(allowed & (r[:ncols] < -feas_tol))
+        if cand.size == 0:
+            return -1
+        if bland:
+            return int(cand[0])
+        return int(cand[np.argmin(r[cand])])
+
+    def leaving_row(pc: int, bland: bool) -> int:
+        colv = body[:, pc]
+        pos = np.flatnonzero(colv > pivot_tol)
+        if pos.size == 0:
+            return -1
+        ratios = body[pos, -1] / colv[pos]
+        rmin = ratios.min()
+        tie = pos[ratios <= rmin + 1e-9 * (1.0 + abs(rmin))]
+        if bland:
+            return int(tie[np.argmin(basis[tie])])
+        return int(tie[np.argmax(colv[tie])])
+
+    def snapshot() -> np.ndarray:
+        z = np.zeros(ncols)
+        z[basis] = body[:, -1]
+        return z[trail_cols] if trail_cols is not None else z[:n]
+
+    def run_phase(phase: int) -> str:
+        nonlocal pivots
+        r = r1 if phase == 1 else r2
+        bland = False
+        degenerate = 0
+        while True:
+            obj = -r2[-1]
+            if phase == 2:
+                if want_trail:
+                    trail.append((obj, snapshot()))
+                if early_stop is not None and early_stop(obj):
+                    return "early"
+            pc = entering(r, bland)
+            if pc < 0:
+                return "optimal"
+            pr = leaving_row(pc, bland)
+            if pr < 0:
+                if phase == 1:
+                    raise LpError("phase-1 subproblem unbounded: numerical failure")
+                return "unbounded"
+            prev = r[-1]
+            pivot(pr, pc, phase)
+            if pivots > max_pivots:
+                z = np.zeros(ncols)
+                z[basis] = body[:, -1]
+                raise PivotLimitError(
+                    f"pivot limit {max_pivots} exceeded", z[:n], -r2[-1]
+                )
+            if abs(r[-1] - prev) <= 1e-13 * (1.0 + abs(prev)):
+                degenerate += 1
+                if degenerate > bland_after:
+                    bland = True
+            else:
+                degenerate = 0
+
+    key = stored = None
+    if phase1_memo is not None:
+        key = (A.shape, A.tobytes(), b.tobytes(), feas_tol, pivot_tol, max_pivots)
+        stored = phase1_memo.get(key)
+    if stored is not None:
+        body[:], basis[:], pivots, replay = stored
+        for pc, row in replay:
+            update_r2(pc, row)
+    else:
+        r2_updates = [] if key is not None else None
+        run_phase(1)
+        if -r1[-1] > feas_tol * (1.0 + np.abs(body[:, -1]).sum()):
+            return _KernelResult(SolveStatus.INFEASIBLE, None, math.nan, None, None, pivots)
+
+        # Drive leftover artificials out of the basis where a structural pivot
+        # exists; rows without one are redundant and keep a zero-level artificial.
+        for pr in range(m):
+            if basis[pr] >= n:
+                row = body[pr, :n]
+                cand = np.flatnonzero(allowed[:n] & (np.abs(row) > pivot_tol))
+                if cand.size:
+                    pivot(pr, int(cand[0]), phase=1)
+        if key is not None:
+            phase1_memo[key] = (body.copy(), basis.copy(), pivots, r2_updates)
+    allowed[n:] = False
+
+    outcome = run_phase(2)
+    if outcome == "unbounded":
+        return _KernelResult(SolveStatus.UNBOUNDED, None, math.nan, None, None, pivots)
+
+    z = np.zeros(ncols)
+    z[basis] = body[:, -1]
+    y = -r2[n:ncols] * sign
+    return _KernelResult(
+        SolveStatus.OPTIMAL,
+        z[:n],
+        -r2[-1],
+        y,
+        basis.copy(),
+        pivots,
+        early_stopped=(outcome == "early"),
+        trail=trail,
+    )

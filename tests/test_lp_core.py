@@ -1,8 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _reference_kernel
+from isddp import lp_core
 from isddp.lp_core import (
     CertMode,
     LinearProgram,
@@ -15,7 +19,12 @@ from isddp.lp_core import (
     solve_dual_inexact,
     solve_exact,
     solve_with_primal_trail,
+    _explicit_dual,
+    _simplex_standard_form,
+    _standard_primal,
 )
+from isddp.oracle import _assemble_tree_lp
+from isddp.portfolio import PortfolioSpec, generate_instance
 
 from conftest import enumerate_vertices, random_feasible_bounded_lp
 
@@ -24,6 +33,13 @@ def single_var_lp():
     # min y  s.t. y = 2, y >= 0
     return LinearProgram(
         num_vars=1, num_eq=1, cost=[1.0], eq_matrix=[[1.0]], eq_rhs=[2.0]
+    )
+
+
+def no_rows_lp(cost):
+    n = len(cost)
+    return LinearProgram(
+        num_vars=n, num_eq=0, cost=cost, eq_matrix=np.zeros((0, n)), eq_rhs=[]
     )
 
 
@@ -40,6 +56,12 @@ class TestSolveExact:
             num_vars=1, num_eq=0, cost=[-1.0], eq_matrix=np.zeros((0, 1)), eq_rhs=[]
         )
         assert solve_exact(lp).status is SolveStatus.UNBOUNDED
+
+    def test_no_rows_nonnegative_cost_optimal_at_origin(self):
+        sol = solve_exact(no_rows_lp([1.0, 0.0]))
+        assert sol.status is SolveStatus.OPTIMAL
+        assert np.array_equal(sol.x, [0.0, 0.0])
+        assert sol.obj == 0.0
 
     def test_segment_vertex(self):
         lp = LinearProgram(
@@ -309,3 +331,116 @@ def test_phase1_memo_replays_bit_identical_certificates(seed):
     cold = solve_dual_inexact(other, eps=0.05)
     assert _bits(solve_dual_inexact(other, eps=0.05, phase1_memo=memo)) == _bits(cold)
     assert len(memo) == 2 and any(v is entry for v in memo.values())
+
+
+# ---------------------------------------------------------------------------
+# The kernel against its pre-rewrite reference (tests/_reference_kernel.py):
+# every _KernelResult field must match bit for bit.  The one tolerated
+# difference is the sign of an exact zero, which the restricted update can
+# leave where a dense update would have subtracted a zero product.
+
+
+def _result_bits(res):
+    def bits(a):
+        return None if a is None else (np.asarray(a, dtype=float) + 0.0).tobytes()
+
+    basis = None if res.basis is None else res.basis.tobytes()
+    return (res.status, bits(res.z), bits(res.obj), bits(res.y), basis,
+            res.pivots, res.early_stopped,
+            [(bits(obj), bits(point)) for obj, point in res.trail])
+
+
+def _stop_at_vertex(k):
+    seen = []
+
+    def stop(obj):
+        seen.append(obj)
+        return len(seen) >= k
+    return stop
+
+
+def _kernel_calls(ncols):
+    """Keyword sets of the kernel calls compared on one standard form."""
+    return [
+        {},
+        dict(want_trail=True),
+        dict(want_trail=True, trail_cols=np.arange(ncols)[::2]),
+        dict(want_trail=True, early_stop=_stop_at_vertex(2)),
+    ]
+
+
+def _assert_matches_reference(A, b, c, memo=None):
+    ncols = A.shape[1]
+    for ref_kwargs, kwargs in zip(_kernel_calls(ncols), _kernel_calls(ncols)):
+        ref = _reference_kernel._simplex_standard_form(A, b, c, **ref_kwargs)
+        got = _simplex_standard_form(A, b, c, **kwargs, phase1_memo=memo)
+        assert _result_bits(got) == _result_bits(ref)
+
+
+def _chain_tree_lp():
+    """Tree LP of a T=14, n=3 chain: a tableau above the restricted-update size."""
+    model = generate_instance(PortfolioSpec(T=14, n=3, M=1, seed=0))
+    return _assemble_tree_lp(model, 1, model.x0)
+
+
+# Both update paths on every input: the real size threshold, and 0 (every
+# pivot takes the restricted update).
+UPDATE_THRESHOLDS = [lp_core.RESTRICTED_UPDATE_CELLS, 0]
+
+
+@pytest.mark.parametrize("threshold", UPDATE_THRESHOLDS)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=20, deadline=None)
+def test_kernel_matches_reference_on_random_lps(threshold, seed):
+    rng = np.random.default_rng(seed)
+    base = random_feasible_bounded_lp(rng)
+    n = base.num_vars
+    betas = rng.normal(size=(3, n)).round(2)
+    memo: dict = {}  # the explicit duals below share (A, b)
+    with mock.patch.object(lp_core, "RESTRICTED_UPDATE_CELLS", threshold):
+        _assert_matches_reference(*_standard_primal(base))
+        for _ in range(3):
+            xhat = rng.uniform(0.0, 2.0, size=n).round(3)
+            rows = [(np.zeros(n), -5.0)] + [(b, round(rng.normal(), 2)) for b in betas]
+            lp = LinearProgram(
+                num_vars=n, num_eq=base.num_eq, cost=base.cost,
+                eq_matrix=base.eq_matrix, eq_rhs=base.eq_matrix @ xhat,
+                cut_rows=rows, has_epigraph=True,
+            )
+            _assert_matches_reference(*_standard_primal(lp))
+            _assert_matches_reference(*_explicit_dual(lp), memo=memo)
+    assert len(memo) == 1
+
+
+EDGE_LPS = {
+    "no_rows_optimal": lambda: no_rows_lp([1.0, 0.0]),
+    "no_rows_unbounded": lambda: no_rows_lp([-1.0]),
+    "infeasible": lambda: LinearProgram(
+        num_vars=1, num_eq=2, cost=[1.0], eq_matrix=[[1.0], [1.0]], eq_rhs=[1.0, 2.0]
+    ),
+    "dependent_rows": lambda: LinearProgram(
+        num_vars=3, num_eq=3, cost=[-1.0, -2.0, -1.0],
+        eq_matrix=[[2.0, 2.0, 2.0], [-2.0, 0.0, 0.0], [-2.0, 1.0, 1.0]],
+        eq_rhs=[4.0, 0.0, 2.0],
+    ),
+    "duplicated_row": lambda: LinearProgram(
+        num_vars=2, num_eq=2, cost=[1.0, 2.0],
+        eq_matrix=[[1.0, 1.0], [1.0, 1.0]], eq_rhs=[1.0, 1.0],
+    ),
+    "chain_tree": _chain_tree_lp,
+}
+
+
+@pytest.mark.parametrize("threshold", UPDATE_THRESHOLDS)
+@pytest.mark.parametrize("name", list(EDGE_LPS))
+def test_kernel_matches_reference_on_edge_lps(name, threshold):
+    lp = EDGE_LPS[name]()
+    with mock.patch.object(lp_core, "RESTRICTED_UPDATE_CELLS", threshold):
+        _assert_matches_reference(*_standard_primal(lp))
+        _assert_matches_reference(*_explicit_dual(lp))
+
+
+def test_chain_tree_lp_takes_the_restricted_update():
+    A, _, _ = _standard_primal(_chain_tree_lp())
+    m, n = A.shape
+    assert (m + 2) * (n + m + 1) >= lp_core.RESTRICTED_UPDATE_CELLS
