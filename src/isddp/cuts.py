@@ -4,7 +4,8 @@ A cut is an affine lower bound ``theta + beta . x`` on a stage's expected
 cost-to-go.  A pool is the running outer approximation: the max of all cuts
 collected so far and a constant floor.  When a pool enters a stage LP the
 floor is encoded as cut row 0 (beta = 0, theta = floor) so that the dual
-weight vector covers it uniformly.
+weight vector covers it uniformly; the pool keeps its rows in that
+floor-first layout as read-only arrays, which stage LPs alias.
 """
 
 from __future__ import annotations
@@ -68,8 +69,7 @@ class CutPool:
         self.state_dim = state_dim
         self.floor = float(floor)
         self._cuts: list[Cut] = []
-        self._beta_cache: Optional[np.ndarray] = None
-        self._theta_cache: Optional[np.ndarray] = None
+        self._rows: Optional[tuple[np.ndarray, np.ndarray]] = None
         for cut in cuts:
             self.add(cut)
 
@@ -87,27 +87,31 @@ class CutPool:
                 f"({self.state_dim},)"
             )
         self._cuts.append(cut)
-        self._beta_cache = None
-        self._theta_cache = None
+        self._rows = None
 
-    def beta_matrix(self) -> np.ndarray:
-        if self._beta_cache is None:
-            if self._cuts:
-                self._beta_cache = np.stack([c.beta for c in self._cuts])
-            else:
-                self._beta_cache = np.zeros((0, self.state_dim))
-        return self._beta_cache
-
-    def thetas(self) -> np.ndarray:
-        if self._theta_cache is None:
-            self._theta_cache = np.asarray([c.theta for c in self._cuts])
-        return self._theta_cache
-
-    def thetas_with_floor(self) -> np.ndarray:
-        return np.concatenate([[self.floor], self.thetas()])
+    def _floor_first(self) -> tuple[np.ndarray, np.ndarray]:
+        """(betas, thetas) with the floor as row 0, rebuilt after an ``add``."""
+        if self._rows is None:
+            betas = np.vstack([np.zeros(self.state_dim)] + [c.beta for c in self._cuts])
+            thetas = np.array([self.floor] + [c.theta for c in self._cuts], dtype=float)
+            betas.flags.writeable = False
+            thetas.flags.writeable = False
+            self._rows = betas, thetas
+        return self._rows
 
     def betas_with_floor(self) -> np.ndarray:
-        return np.vstack([np.zeros((1, self.state_dim)), self.beta_matrix()])
+        """Cut slopes, floor first: shape (K + 1, state_dim), read-only."""
+        return self._floor_first()[0]
+
+    def thetas_with_floor(self) -> np.ndarray:
+        """Cut intercepts, floor first: shape (K + 1,), read-only."""
+        return self._floor_first()[1]
+
+    def beta_matrix(self) -> np.ndarray:
+        return self.betas_with_floor()[1:]
+
+    def thetas(self) -> np.ndarray:
+        return self.thetas_with_floor()[1:]
 
     def evaluate(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)

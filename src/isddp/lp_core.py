@@ -17,9 +17,10 @@ float operations either way, so results are bit-identical (see
 
 Certified eps-optimal dual solutions come from solving the *explicit dual*
 with the same kernel: its phase-2 iterates are dual-feasible points of the
-original LP whose objective increases monotonically to the optimum, so an
-early stop against a primal upper hint, or a retrospective scan of the
-recorded iterate trail, yields a point with a provable suboptimality bound.
+original LP whose objective increases monotonically to the optimum, so a
+retrospective scan of the recorded iterate trail, once the optimum is known,
+yields the earliest point within budget together with its exact
+suboptimality.
 
 Phase 1 depends on the constraints alone.  Dual solves whose explicit duals
 share ``(A, b)`` (same ``eq_matrix``, ``cost`` and cut slopes; any
@@ -37,7 +38,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -77,21 +78,18 @@ class SolveStatus(enum.Enum):
     UNBOUNDED = "unbounded"
 
 
-class CertMode(enum.Enum):
-    EXACT = "exact"
-    EARLY_STOP = "early_stop"
-    RETROSPECTIVE = "retrospective"
-
-
 @dataclass
 class LinearProgram:
     """Stage LP in equality form with optional epigraph cut rows.
 
     ``eq_rhs`` is the already-shifted right-hand side (the caller subtracts
-    the coupling term of the previous stage's decision).  ``cut_rows`` is a
-    sequence of ``(beta, theta)`` pairs, each imposing ``f >= theta + beta.x``
-    on the free epigraph variable ``f``; the objective is ``c.x + f`` when
-    ``has_epigraph`` is set and ``c.x`` otherwise.
+    the coupling term of the previous stage's decision).  Row ``i`` of
+    ``cut_beta`` (shape ``(K, num_vars)``) and entry ``i`` of ``cut_theta``
+    (shape ``(K,)``) impose ``f >= cut_theta[i] + cut_beta[i].x`` on the free
+    epigraph variable ``f``; the objective is ``c.x + f`` when
+    ``has_epigraph`` is set and ``c.x`` otherwise.  The cut arrays are kept
+    as given, not copied, and nothing writes to them: stage LPs alias their
+    pool's read-only arrays.
     """
 
     num_vars: int
@@ -99,7 +97,8 @@ class LinearProgram:
     cost: np.ndarray
     eq_matrix: np.ndarray
     eq_rhs: np.ndarray
-    cut_rows: Sequence[tuple[np.ndarray, float]] = ()
+    cut_beta: Optional[np.ndarray] = None
+    cut_theta: Optional[np.ndarray] = None
     has_epigraph: bool = False
 
     def __post_init__(self):
@@ -110,6 +109,10 @@ class LinearProgram:
         self.eq_rhs = np.asarray(self.eq_rhs, dtype=float)
         if self.eq_matrix.size == 0:
             self.eq_matrix = self.eq_matrix.reshape(self.num_eq, self.num_vars)
+        self.cut_beta = (np.zeros((0, self.num_vars)) if self.cut_beta is None
+                         else np.asarray(self.cut_beta, dtype=float))
+        self.cut_theta = (np.zeros(0) if self.cut_theta is None
+                          else np.asarray(self.cut_theta, dtype=float))
         self.validate()
 
     def validate(self) -> None:
@@ -126,26 +129,24 @@ class LinearProgram:
             raise LpDimensionError(
                 f"eq_rhs has shape {self.eq_rhs.shape}, expected ({self.num_eq},)"
             )
-        if self.cut_rows and not self.has_epigraph:
+        K = len(self.cut_theta) if self.cut_theta.ndim == 1 else -1
+        if self.cut_beta.shape != (K, self.num_vars):
+            raise LpDimensionError(
+                f"cut_beta has shape {self.cut_beta.shape} and cut_theta "
+                f"{self.cut_theta.shape}, expected (K, {self.num_vars}) and (K,)"
+            )
+        if K and not self.has_epigraph:
             raise LpDimensionError("cut rows require has_epigraph")
-        for i, (beta, _theta) in enumerate(self.cut_rows):
-            if np.shape(beta) != (self.num_vars,):
-                raise LpDimensionError(
-                    f"cut row {i} beta has shape {np.shape(beta)}, expected "
-                    f"({self.num_vars},)"
-                )
 
     @property
     def num_cuts(self) -> int:
-        return len(self.cut_rows)
+        return len(self.cut_theta)
 
     def cut_beta_matrix(self) -> np.ndarray:
-        if not self.cut_rows:
-            return np.zeros((0, self.num_vars))
-        return np.asarray([np.asarray(b, dtype=float) for b, _ in self.cut_rows])
+        return self.cut_beta
 
     def cut_thetas(self) -> np.ndarray:
-        return np.asarray([t for _, t in self.cut_rows], dtype=float)
+        return self.cut_theta
 
 
 @dataclass
@@ -171,16 +172,15 @@ class PrimalDualSolution:
 class DualCertificate:
     """Dual-feasible point with a certified suboptimality bound.
 
-    ``dual_obj >= (true optimum) - eps_certified`` is guaranteed; for
-    retrospective certificates ``dual_obj + eps_certified`` equals the true
-    optimum exactly.
+    The point is the earliest phase-2 iterate of the explicit dual within
+    budget of its optimum, so ``dual_obj + eps_certified`` is the optimum
+    the kernel reached.
     """
 
     lam: np.ndarray
     mu: np.ndarray
     dual_obj: float
     eps_certified: float
-    mode: CertMode
 
 
 @dataclass
@@ -191,7 +191,6 @@ class _KernelResult:
     y: Optional[np.ndarray]
     basis: Optional[np.ndarray]
     pivots: int
-    early_stopped: bool = False
     trail: list = field(default_factory=list)
 
 
@@ -200,21 +199,16 @@ def _simplex_standard_form(
     b: np.ndarray,
     c: np.ndarray,
     *,
-    feas_tol: float = FEAS_TOL,
-    pivot_tol: float = PIVOT_TOL,
     max_pivots: Optional[int] = None,
     want_trail: bool = False,
     trail_cols: Optional[np.ndarray] = None,
-    early_stop: Optional[Callable[[float], bool]] = None,
     phase1_memo: Optional[dict] = None,
 ) -> _KernelResult:
     """Two-phase tableau simplex for  min c.z  s.t. A z = b, z >= 0.
 
     Dantzig pricing with an automatic switch to Bland's rule after a long
     degenerate streak.  Phase-2 iterates are appended to the trail (if
-    requested) as ``(obj, z[trail_cols])`` snapshots, the optimum included;
-    ``early_stop(obj)`` is checked at every phase-2 vertex and aborts the run
-    with the current point when it returns True.
+    requested) as ``(obj, z[trail_cols])`` snapshots, the optimum included.
 
     One array ``tab`` of shape ``(m + 2, n + m + 1)`` holds the tableau:
     rows ``0..m-1`` are the constraints, row ``m`` is the phase-2 reduced
@@ -230,13 +224,13 @@ def _simplex_standard_form(
     of an exact zero in a skipped cell, which only had a zero product to
     lose; no comparison, ratio or argmin can see that sign.
 
-    Phase 1 and the artificial drive-out depend on ``(A, b)`` and the
-    tolerances only; ``c`` is merely carried along in ``r2``.  With a
-    ``phase1_memo`` dict, a feasible phase 1 is stored under the exact bytes
-    of ``(A, b)``: the constraint rows and basis it ends in, and every pivot
-    row the ``r2`` update subtracted.  A later call with the same ``(A, b)``
-    restores them and replays those ``r2`` updates in order (the same float
-    operations), so its result is bit-identical to a cold solve.
+    Phase 1 and the artificial drive-out depend on ``(A, b)`` only; ``c`` is
+    merely carried along in ``r2``.  With a ``phase1_memo`` dict, a feasible
+    phase 1 is stored under the exact bytes of ``(A, b)``: the constraint
+    rows and basis it ends in, and every pivot row the ``r2`` update
+    subtracted.  A later call with the same ``(A, b)`` restores them and
+    replays those ``r2`` updates in order (the same float operations), so
+    its result is bit-identical to a cold solve.
     """
     m, n = A.shape
     if max_pivots is None:
@@ -302,14 +296,14 @@ def _simplex_standard_form(
     def entering(r: np.ndarray, bland: bool) -> int:
         np.add(r, blocked, out=price)
         # Bland: the first eligible column; Dantzig: the first of the minima
-        pc = int((price < -feas_tol).argmax() if bland else price.argmin())
-        return pc if price[pc] < -feas_tol else -1
+        pc = int((price < -FEAS_TOL).argmax() if bland else price.argmin())
+        return pc if price[pc] < -FEAS_TOL else -1
 
     def leaving_row(pc: int, bland: bool) -> int:
         if not m:
             return -1
         colv = body[:, pc]
-        pos = colv > pivot_tol
+        pos = colv > PIVOT_TOL
         ratios.fill(np.inf)
         np.divide(rhs, colv, out=ratios, where=pos)
         rmin = ratios[ratios.argmin()]
@@ -333,12 +327,8 @@ def _simplex_standard_form(
         bland = False
         degenerate = 0
         while True:
-            if phase == 2:
-                obj = -r2[-1]
-                if want_trail:
-                    trail.append((obj, snapshot()))
-                if early_stop is not None and early_stop(obj):
-                    return "early"
+            if phase == 2 and want_trail:
+                trail.append((-r2[-1], snapshot()))
             pc = entering(r, bland)
             if pc < 0:
                 return "optimal"
@@ -364,7 +354,7 @@ def _simplex_standard_form(
 
     key = stored = None
     if phase1_memo is not None:
-        key = (A.shape, A.tobytes(), b.tobytes(), feas_tol, pivot_tol, max_pivots)
+        key = (A.shape, A.tobytes(), b.tobytes(), max_pivots)
         stored = phase1_memo.get(key)
     if stored is not None:
         body[:], basis[:], pivots, replay = stored
@@ -373,22 +363,21 @@ def _simplex_standard_form(
     else:
         r2_updates = [] if key is not None else None
         run_phase(1)
-        if -r1[-1] > feas_tol * (1.0 + np.abs(rhs).sum()):
+        if -r1[-1] > FEAS_TOL * (1.0 + np.abs(rhs).sum()):
             return _KernelResult(SolveStatus.INFEASIBLE, None, math.nan, None, None, pivots)
 
         # Drive leftover artificials out of the basis where a structural pivot
         # exists; rows without one are redundant and keep a zero-level artificial.
         for pr in range(m):
             if basis[pr] >= n:
-                cand = (np.abs(body[pr, :n]) > pivot_tol).nonzero()[0]
+                cand = (np.abs(body[pr, :n]) > PIVOT_TOL).nonzero()[0]
                 if cand.size:
                     pivot(pr, int(cand[0]), tab)
         if key is not None:
             phase1_memo[key] = (body.copy(), basis.copy(), pivots, r2_updates)
     blocked[n:] = np.inf
 
-    outcome = run_phase(2)
-    if outcome == "unbounded":
+    if run_phase(2) == "unbounded":
         return _KernelResult(SolveStatus.UNBOUNDED, None, math.nan, None, None, pivots)
 
     z = np.zeros(ncols)
@@ -401,7 +390,6 @@ def _simplex_standard_form(
         y,
         basis.copy(),
         pivots,
-        early_stopped=(outcome == "early"),
         trail=trail,
     )
 
@@ -468,11 +456,12 @@ def _dual_point(lp: LinearProgram, z: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _solve_primal(
-    lp: LinearProgram, want_trail: bool, **kernel_opts
+    lp: LinearProgram, want_trail: bool, max_pivots: Optional[int] = None
 ) -> tuple[PrimalDualSolution, list[tuple[float, np.ndarray]]]:
     A, b, c = _standard_primal(lp)
     res = _simplex_standard_form(
-        A, b, c, want_trail=want_trail, trail_cols=np.arange(lp.num_vars), **kernel_opts
+        A, b, c, max_pivots=max_pivots, want_trail=want_trail,
+        trail_cols=np.arange(lp.num_vars),
     )
     if res.status is not SolveStatus.OPTIMAL:
         return PrimalDualSolution(status=res.status), []
@@ -488,24 +477,14 @@ def _solve_primal(
 
 
 def solve_exact(
-    lp: LinearProgram,
-    *,
-    feas_tol: float = FEAS_TOL,
-    pivot_tol: float = PIVOT_TOL,
-    max_pivots: Optional[int] = None,
+    lp: LinearProgram, *, max_pivots: Optional[int] = None
 ) -> PrimalDualSolution:
     """Solve to optimality, returning a vertex solution with exact duals."""
-    return _solve_primal(
-        lp, False, feas_tol=feas_tol, pivot_tol=pivot_tol, max_pivots=max_pivots
-    )[0]
+    return _solve_primal(lp, False, max_pivots)[0]
 
 
 def solve_with_primal_trail(
     lp: LinearProgram,
-    *,
-    feas_tol: float = FEAS_TOL,
-    pivot_tol: float = PIVOT_TOL,
-    max_pivots: Optional[int] = None,
 ) -> tuple[PrimalDualSolution, list[tuple[float, np.ndarray]]]:
     """solve_exact plus the phase-2 trail of (objective, x) vertex iterates.
 
@@ -513,76 +492,42 @@ def solve_with_primal_trail(
     final entry is the optimum.  Used for certified delta-suboptimal forward
     solves: pick the earliest iterate whose value is within budget.
     """
-    return _solve_primal(
-        lp, True, feas_tol=feas_tol, pivot_tol=pivot_tol, max_pivots=max_pivots
-    )
+    return _solve_primal(lp, True)
 
 
 def solve_dual_inexact(
     lp: LinearProgram,
     eps: float,
-    primal_upper_hint: Optional[float] = None,
     *,
-    rel_eps: Optional[float] = None,
-    feas_tol: float = FEAS_TOL,
-    pivot_tol: float = PIVOT_TOL,
-    max_pivots: Optional[int] = None,
+    rel_eps: float = 0.0,
     phase1_memo: Optional[dict] = None,
 ) -> DualCertificate:
-    """Return a dual-feasible (lam, mu) with dual_obj >= optimum - eps.
+    """Return a dual-feasible (lam, mu) with dual_obj >= optimum - budget.
 
-    Mechanisms: with a ``primal_upper_hint`` the dual ascent halts as soon as
-    ``hint - dual_obj`` fits the budget (EarlyStop); otherwise the dual is
-    solved to optimality and the earliest trail iterate within budget of the
-    now-known optimum is returned (Retrospective).  ``rel_eps`` adds a
-    relative slack of ``rel_eps * max(1, |reference|)`` on top of ``eps``,
-    where the reference is the hint (early stop) or the true optimum.
-    With a zero budget both mechanisms reduce to an exact solve.
-    ``phase1_memo`` is handed to the kernel: LPs that share ``eq_matrix``,
-    ``cost`` and the cut slopes share the dual's feasible region, and so its
-    phase 1 (see ``_simplex_standard_form``).
+    The explicit dual is solved to optimality, recording its phase-2 trail;
+    the earliest trail iterate within budget of the now-known optimum is
+    returned (a retrospective certificate).  The budget is
+    ``eps + rel_eps * max(1, |optimum|)``; with a zero budget the certificate
+    is the first iterate at the optimum.  ``phase1_memo`` is handed to the
+    kernel: LPs that share ``eq_matrix``, ``cost`` and the cut slopes share
+    the dual's feasible region, and so its phase 1 (see
+    ``_simplex_standard_form``).
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     D, rhs, cost = _explicit_dual(lp)
-    relative = float(rel_eps) if rel_eps else 0.0
-    exact_call = eps == 0.0 and relative == 0.0
-    tols = dict(
-        feas_tol=feas_tol, pivot_tol=pivot_tol, max_pivots=max_pivots,
-        phase1_memo=phase1_memo,
-    )
-
-    if primal_upper_hint is not None:
-        budget = eps + relative * max(1.0, abs(primal_upper_hint))
-
-        def stop(kernel_obj: float) -> bool:
-            return primal_upper_hint - (-kernel_obj) <= budget
-
-        res = _simplex_standard_form(D, rhs, cost, early_stop=stop, **tols)
-        _check_dual_solvable(res)
-        lam, mu = _dual_point(lp, res.z)
-        dual_obj = -res.obj
-        if res.early_stopped:
-            certified = max(0.0, primal_upper_hint - dual_obj)
-        else:
-            certified = 0.0  # ascent ran to optimality
-        mode = CertMode.EXACT if exact_call else CertMode.EARLY_STOP
-        return DualCertificate(lam, mu, dual_obj, certified, mode)
-
     res = _simplex_standard_form(
         D, rhs, cost, want_trail=True,
-        trail_cols=np.arange(2 * lp.num_eq + lp.num_cuts), **tols,
+        trail_cols=np.arange(2 * lp.num_eq + lp.num_cuts), phase1_memo=phase1_memo,
     )
     _check_dual_solvable(res)
     optimum = -res.obj
-    budget = eps + relative * max(1.0, abs(optimum))
+    budget = eps + rel_eps * max(1.0, abs(optimum))
     for kernel_obj, zslice in res.trail:
         dual_obj = -kernel_obj
         if dual_obj >= optimum - budget:
             lam, mu = _dual_point(lp, zslice)
-            certified = max(0.0, optimum - dual_obj)
-            mode = CertMode.EXACT if exact_call else CertMode.RETROSPECTIVE
-            return DualCertificate(lam, mu, dual_obj, certified, mode)
+            return DualCertificate(lam, mu, dual_obj, max(0.0, optimum - dual_obj))
     raise LpError("retrospective trail scan found no qualifying iterate")
 
 

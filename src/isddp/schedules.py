@@ -13,6 +13,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 
+# Fixed, negligible budget of stage 1, and of every forward stage in the
+# absolute mode.
+DELTA1 = 1e-12
+
+
 class ScheduleError(ValueError):
     pass
 
@@ -28,15 +33,14 @@ class ScheduleMode(str, enum.Enum):
 class ScheduleSpec:
     """Knobs for one run's error schedule.
 
-    ``eps_bar``/``eps0`` drive the relative formula; ``delta1`` is the fixed,
-    negligible stage-1 budget; the ``constant_*`` fields feed the
-    CONSTANT_BOUNDED mode used to exercise the bounded-noise guarantees.
+    ``eps_bar``/``eps0`` drive the relative formula; the ``constant_*``
+    fields feed the CONSTANT_BOUNDED mode used to exercise the bounded-noise
+    guarantees.
     """
 
     eps_bar: float = 0.1
     eps0: float = 1e-12
     mode: ScheduleMode = ScheduleMode.RELATIVE
-    delta1: float = 1e-12
     constant_delta_bar: float = 0.0
     constant_eps_bar: float = 0.0
 
@@ -46,7 +50,7 @@ class ScheduleSpec:
                 f"need 0 < eps0 <= eps_bar < 1, got eps0={self.eps0}, "
                 f"eps_bar={self.eps_bar}"
             )
-        for name in ("delta1", "constant_delta_bar", "constant_eps_bar"):
+        for name in ("constant_delta_bar", "constant_eps_bar"):
             if getattr(self, name) < 0:
                 raise ScheduleError(f"{name} must be nonnegative")
 
@@ -110,12 +114,12 @@ class ErrorBudget:
 
 def forward_budgets(spec: ScheduleSpec, k: int, T: int) -> list[ErrorBudget]:
     """Stage-wise forward budgets for iteration k (stage 1 first)."""
-    out = [ErrorBudget(absolute=spec.delta1)]
+    out = [ErrorBudget(absolute=DELTA1)]
     for t in range(2, T + 1):
         if spec.mode in (ScheduleMode.RELATIVE, ScheduleMode.EXACT):
             out.append(ErrorBudget(relative=rel_err(t, k, T, spec)))
         elif spec.mode is ScheduleMode.ABSOLUTE:
-            out.append(ErrorBudget(absolute=spec.delta1))
+            out.append(ErrorBudget(absolute=DELTA1))
         else:
             out.append(ErrorBudget(absolute=spec.constant_delta_bar))
     return out

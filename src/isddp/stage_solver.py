@@ -54,22 +54,24 @@ def stage_lp(
     pool: CutPool,
     cut_subset: Optional[list[int]] = None,
 ) -> LinearProgram:
-    """Assemble the stage LP against a pool (floor always included as row 0)."""
+    """Assemble the stage LP against a pool (floor always included as row 0).
+
+    ``cut_subset`` picks pool cuts by index, in the order given; without it
+    the LP aliases the pool's read-only floor-first arrays.
+    """
     rhs = stage.b - stage.B @ x_prev
-    rows: list[tuple[np.ndarray, float]] = [
-        (np.zeros(stage.var_dim), pool.floor)
-    ]
-    cuts = pool.cuts
-    indices = range(len(cuts)) if cut_subset is None else cut_subset
-    for i in indices:
-        rows.append((cuts[i].beta, cuts[i].theta))
+    betas, thetas = pool.betas_with_floor(), pool.thetas_with_floor()
+    if cut_subset is not None:
+        rows = [0] + [i + 1 for i in cut_subset]
+        betas, thetas = betas[rows], thetas[rows]
     return LinearProgram(
         num_vars=stage.var_dim,
         num_eq=stage.num_eq,
         cost=stage.c,
         eq_matrix=stage.A,
         eq_rhs=rhs,
-        cut_rows=rows,
+        cut_beta=betas,
+        cut_theta=thetas,
         has_epigraph=True,
     )
 
@@ -100,7 +102,7 @@ def _row_generation(
     working: list[int] = []
     thetas = pool.thetas()
     betas = pool.beta_matrix()
-    for _ in range(len(pool) + 2):
+    while True:  # each round adds a cut not yet in ``working`` or ends
         lp = stage_lp(stage, x_prev, pool, cut_subset=working)
         try:
             sol, trail = solve_with_primal_trail(lp) if want_trail else (solve_exact(lp), [])
@@ -118,8 +120,13 @@ def _row_generation(
         worst = int(np.argmax(vals))
         if vals[worst] <= f_lp + gen_tol * (1.0 + abs(vals[worst])):
             return sol, trail
+        if worst in working:  # the LP's optimum violates one of its own rows
+            raise StageSolveError(
+                f"{_where(t, path)}: cut-row generation failed to converge "
+                f"(cut {worst} is violated although it is one of the LP's rows)",
+                stage=t, path=path,
+            )
         working.append(worst)
-    raise StageSolveError("cut-row generation failed to converge", stage=t, path=path)
 
 
 def solve_forward_stage(
@@ -182,7 +189,7 @@ def solve_backward_stage(
         cert = solve_dual_inexact(
             lp,
             eps=budget.absolute,
-            rel_eps=budget.relative or None,
+            rel_eps=budget.relative,
             phase1_memo=phase1_memo,
         )
     except Exception as exc:  # kernel faults carry no stage context

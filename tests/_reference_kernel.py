@@ -10,7 +10,7 @@ bit for bit (up to the sign of an exact zero).
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -34,16 +34,13 @@ def _simplex_standard_form(
     max_pivots: Optional[int] = None,
     want_trail: bool = False,
     trail_cols: Optional[np.ndarray] = None,
-    early_stop: Optional[Callable[[float], bool]] = None,
     phase1_memo: Optional[dict] = None,
 ) -> _KernelResult:
     """Two-phase tableau simplex for  min c.z  s.t. A z = b, z >= 0.
 
     Dantzig pricing with an automatic switch to Bland's rule after a long
     degenerate streak.  Phase-2 iterates are appended to the trail (if
-    requested) as ``(obj, z[trail_cols])`` snapshots, the optimum included;
-    ``early_stop(obj)`` is checked at every phase-2 vertex and aborts the run
-    with the current point when it returns True.
+    requested) as ``(obj, z[trail_cols])`` snapshots, the optimum included.
 
     Phase 1 and the artificial drive-out depend on ``(A, b)`` and the
     tolerances only; ``c`` is merely carried along in ``r2``.  With a
@@ -145,8 +142,6 @@ def _simplex_standard_form(
             if phase == 2:
                 if want_trail:
                     trail.append((obj, snapshot()))
-                if early_stop is not None and early_stop(obj):
-                    return "early"
             pc = entering(r, bland)
             if pc < 0:
                 return "optimal"
@@ -210,6 +205,5 @@ def _simplex_standard_form(
         y,
         basis.copy(),
         pivots,
-        early_stopped=(outcome == "early"),
         trail=trail,
     )

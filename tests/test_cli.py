@@ -157,6 +157,24 @@ class TestSolve:
         rows = list(csv.DictReader(open(out)))
         assert [r["iter"] for r in rows] == ["1"]
 
+    def test_row_generation_fault_names_stage_and_path(self, tmp_path, capsys):
+        # on this instance a forward LP comes back OPTIMAL at a point that
+        # violates one of its own cut rows (an open kernel fault); row
+        # generation stops there at once instead of re-adding the cut
+        inst = str(tmp_path / "u02.json")
+        assert main(["gen", "--T", "6", "--n", "8", "--M", "10", "--u", "0.2",
+                     "--seed", "0", "--out", inst]) == EXIT_OK
+        capsys.readouterr()
+        out = str(tmp_path / "rowgen.csv")
+        rc = main(["solve", "--instance", inst, "--preset", "isddp2", "--paths", "10",
+                   "--gap-tol", "1e-9", "--max-iter", "40", "--seed", "9", "--out", out])
+        assert rc == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert "stage 3 (path 0): cut-row generation failed to converge" in err
+        assert "cut 3 is violated" in err
+        rows = list(csv.DictReader(open(out)))
+        assert [r["iter"] for r in rows] == ["1"]
+
 
 class TestCompare:
     def test_self_comparison_ratio_one(self, instance, tmp_path, capsys):

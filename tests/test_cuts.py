@@ -10,7 +10,7 @@ from isddp.cuts import (
     build_middle_cut,
     build_terminal_cut,
 )
-from isddp.lp_core import CertMode, DualCertificate, LinearProgram, solve_exact
+from isddp.lp_core import DualCertificate, LinearProgram, solve_exact
 from isddp import oracle
 from isddp.ddp_engine import run_iddp
 from isddp.schedules import EXACT_SCHEDULE
@@ -24,7 +24,6 @@ def cert(lam, mu=(), dual_obj=0.0, eps=0.0):
         mu=np.asarray(mu, dtype=float),
         dual_obj=dual_obj,
         eps_certified=eps,
-        mode=CertMode.EXACT,
     )
 
 

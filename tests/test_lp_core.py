@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import _reference_kernel
 from isddp import lp_core
 from isddp.lp_core import (
-    CertMode,
     LinearProgram,
     LpDimensionError,
     NoFiniteOptimumError,
@@ -93,7 +92,8 @@ class TestSolveExact:
             cost=[1.0],
             eq_matrix=[[1.0]],
             eq_rhs=[2.0],
-            cut_rows=[(np.array([5.0]), 3.0)],
+            cut_beta=[[5.0]],
+            cut_theta=[3.0],
             has_epigraph=True,
         )
         sol = solve_exact(lp)
@@ -125,13 +125,16 @@ class TestSolveExact:
                 (rng.normal(size=lp0.num_vars).round(2), round(rng.normal(), 2))
                 for _ in range(3)
             ]
+            betas = np.array([b for b, _ in cuts])
+            thetas = np.array([t for _, t in cuts])
             lp = LinearProgram(
                 num_vars=lp0.num_vars,
                 num_eq=lp0.num_eq,
                 cost=lp0.cost,
                 eq_matrix=lp0.eq_matrix,
                 eq_rhs=lp0.eq_rhs,
-                cut_rows=cuts,
+                cut_beta=betas,
+                cut_theta=thetas,
                 has_epigraph=True,
             )
             sol = solve_exact(lp)
@@ -141,7 +144,7 @@ class TestSolveExact:
             # check optimality conditions instead.
             assert max(solution_residuals(lp, sol)) <= 1e-8 * (1 + abs(sol.obj))
             f = sol.obj - lp.cost @ sol.x
-            pool_val = max(th + be @ sol.x for be, th in cuts)
+            pool_val = max(thetas + betas @ sol.x)
             assert f == pytest.approx(pool_val, abs=1e-8)
             # vertex solution: nonzeros bounded by the row count
             assert np.count_nonzero(np.abs(sol.x) > 1e-9) <= lp.num_eq + lp.num_cuts
@@ -182,7 +185,6 @@ class TestRankDeficientSystems:
 class TestDualInexact:
     def test_exact_reduction(self):
         cert = solve_dual_inexact(single_var_lp(), eps=0.0)
-        assert cert.mode is CertMode.EXACT
         assert cert.dual_obj == pytest.approx(2.0)
         assert cert.eps_certified == 0.0
 
@@ -203,15 +205,6 @@ class TestDualInexact:
                 assert cert.dual_obj >= ref - eps - 1e-9 * scale
                 assert cert.dual_obj <= ref + 1e-9 * scale
                 assert cert.eps_certified <= eps + 1e-12
-
-    def test_early_stop_certificate_holds(self):
-        lp = single_var_lp()
-        opt = solve_exact(lp).obj
-        hint = opt + 0.1  # a loose but valid primal value
-        cert = solve_dual_inexact(lp, eps=0.3, primal_upper_hint=hint)
-        assert cert.mode is CertMode.EARLY_STOP
-        assert cert.dual_obj >= opt - cert.eps_certified - 1e-12
-        assert cert.eps_certified <= 0.3 + 1e-12
 
     def test_faults_on_unbounded(self):
         lp = LinearProgram(
@@ -253,7 +246,8 @@ class TestDualResidual:
             cost=[1.0],
             eq_matrix=[[1.0]],
             eq_rhs=[2.0],
-            cut_rows=[(np.array([0.0]), 0.0)],
+            cut_beta=[[0.0]],
+            cut_theta=[0.0],
             has_epigraph=True,
         )
         res = dual_feasibility_residual(lp, np.array([0.0]), np.array([0.5]))
@@ -289,9 +283,21 @@ def test_duality_gap_property(seed):
     assert abs(sol.obj - dual_obj) <= 1e-7 * (1.0 + abs(sol.obj))
 
 
+def _floor_and_cuts_lp(base, cost, xhat, betas, rng):
+    """``base`` with rhs ``A @ xhat``, a floor row at -5 and the cuts ``betas``."""
+    n = base.num_vars
+    return LinearProgram(
+        num_vars=n, num_eq=base.num_eq, cost=cost, eq_matrix=base.eq_matrix,
+        eq_rhs=base.eq_matrix @ xhat,
+        cut_beta=np.vstack([np.zeros(n), betas]),
+        cut_theta=[-5.0] + [round(rng.normal(), 2) for _ in betas],
+        has_epigraph=True,
+    )
+
+
 def _bits(cert):
     return (cert.lam.tobytes(), cert.mu.tobytes(), cert.dual_obj.hex(),
-            float(cert.eps_certified).hex(), cert.mode)
+            float(cert.eps_certified).hex())
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -306,11 +312,7 @@ def test_phase1_memo_replays_bit_identical_certificates(seed):
 
     def variant(cost):
         xhat = rng.uniform(0.0, 2.0, size=n).round(3)
-        rows = [(np.zeros(n), -5.0)] + [(b, round(rng.normal(), 2)) for b in betas]
-        return LinearProgram(
-            num_vars=n, num_eq=base.num_eq, cost=cost, eq_matrix=base.eq_matrix,
-            eq_rhs=base.eq_matrix @ xhat, cut_rows=rows, has_epigraph=True,
-        )
+        return _floor_and_cuts_lp(base, cost, xhat, betas, rng)
 
     memo: dict = {}
     budgets = [dict(eps=0.0), dict(eps=0.05), dict(eps=0.0, rel_eps=0.01)]
@@ -346,17 +348,8 @@ def _result_bits(res):
 
     basis = None if res.basis is None else res.basis.tobytes()
     return (res.status, bits(res.z), bits(res.obj), bits(res.y), basis,
-            res.pivots, res.early_stopped,
+            res.pivots,
             [(bits(obj), bits(point)) for obj, point in res.trail])
-
-
-def _stop_at_vertex(k):
-    seen = []
-
-    def stop(obj):
-        seen.append(obj)
-        return len(seen) >= k
-    return stop
 
 
 def _kernel_calls(ncols):
@@ -365,7 +358,6 @@ def _kernel_calls(ncols):
         {},
         dict(want_trail=True),
         dict(want_trail=True, trail_cols=np.arange(ncols)[::2]),
-        dict(want_trail=True, early_stop=_stop_at_vertex(2)),
     ]
 
 
@@ -401,12 +393,7 @@ def test_kernel_matches_reference_on_random_lps(threshold, seed):
         _assert_matches_reference(*_standard_primal(base))
         for _ in range(3):
             xhat = rng.uniform(0.0, 2.0, size=n).round(3)
-            rows = [(np.zeros(n), -5.0)] + [(b, round(rng.normal(), 2)) for b in betas]
-            lp = LinearProgram(
-                num_vars=n, num_eq=base.num_eq, cost=base.cost,
-                eq_matrix=base.eq_matrix, eq_rhs=base.eq_matrix @ xhat,
-                cut_rows=rows, has_epigraph=True,
-            )
+            lp = _floor_and_cuts_lp(base, base.cost, xhat, betas, rng)
             _assert_matches_reference(*_standard_primal(lp))
             _assert_matches_reference(*_explicit_dual(lp), memo=memo)
     assert len(memo) == 1

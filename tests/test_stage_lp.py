@@ -1,0 +1,137 @@
+"""Stage-LP assembly against a cut pool, and the benchmark's hold on it.
+
+``perfbench/`` wraps program functions by module attribute and reads LP and
+certificate fields by name; the first tests fail here, in the suite, when
+one of those names goes away.
+"""
+
+import os
+
+import numpy as np
+import pytest
+
+from isddp.cuts import Cut, CutPool
+from isddp.ddp_engine import run_iddp
+from isddp.lp_core import LinearProgram, LpDimensionError, SolveStatus, solve_exact
+from isddp.schedules import EXACT_SCHEDULE, ScheduleMode, ScheduleSpec
+from isddp.sddp_engine import make_pools, run_isddp
+from isddp.stage_solver import stage_lp
+from isddp.toys import toy_det_t3, toy_sto_t3_m2
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import tracing
+
+    return tracing
+
+
+def test_tracer_installs_and_unpatches(tracing):
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        patched = list(tracer._patches)
+        assert patched
+        for owner, attr, orig in patched:
+            assert getattr(owner, attr) is not orig
+    finally:
+        tracer.unpatch()
+    for owner, attr, orig in patched:
+        assert getattr(owner, attr) is orig
+
+
+def test_traced_run_passes_the_certificate_check(tracing):
+    # the hooks read LP, stage and certificate fields by parameter name
+    pytest.importorskip("scipy")
+    tracer = tracing.Tracer()
+    spec = ScheduleSpec(eps_bar=0.1, eps0=1e-12, mode=ScheduleMode.RELATIVE)
+    try:
+        tracing.install(tracer)
+        run_isddp(toy_sto_t3_m2(), spec, n_paths=2, gap_tol=1e-12, max_iter=3, seed=4)
+    finally:
+        tracer.unpatch()
+    assert tracer.failures == []
+    counts = tracer.counts
+    assert counts["backward_solves"] == counts["dual_solves"] > 0
+    assert counts["primal_solves"] > 0 and counts["lp_cut_rows"] > 0
+
+
+def _pooled_det_t3():
+    model = toy_det_t3()
+    pools = make_pools(model)
+    run_iddp(model, EXACT_SCHEDULE, tol=1e-9, max_iter=4, initial_pools=pools)
+    return model, pools
+
+
+def test_reference_stage_optimum_matches_kernel(tracing):
+    pytest.importorskip("scipy")
+    import reference
+
+    model, pools = _pooled_det_t3()
+    x = model.x0
+    for t, stage in enumerate(model.stages, start=1):
+        lp = stage_lp(stage, x, pools[t + 1])
+        if t < model.horizon:  # the floor and at least one cut
+            assert lp.num_cuts > 1
+        sol = solve_exact(lp)
+        assert sol.status is SolveStatus.OPTIMAL
+        ref = reference.stage_lp_optimum(lp)
+        assert abs(ref - sol.obj) <= 1e-9 * max(1.0, abs(ref))
+        x = sol.x
+
+
+def _lp(cut_beta, cut_theta, has_epigraph=True):
+    return LinearProgram(
+        num_vars=2, num_eq=1, cost=[1.0, 1.0], eq_matrix=[[1.0, 1.0]], eq_rhs=[1.0],
+        cut_beta=cut_beta, cut_theta=cut_theta, has_epigraph=has_epigraph,
+    )
+
+
+@pytest.mark.parametrize("cut_beta, cut_theta", [
+    (np.zeros((2, 2)), np.zeros(3)),   # row counts differ
+    (np.zeros((2, 3)), np.zeros(2)),   # wrong width
+    (np.zeros(2), np.zeros(1)),        # beta not a matrix
+    (np.zeros((1, 2)), np.zeros((1, 1))),  # theta not a vector
+])
+def test_mismatched_cut_arrays_raise(cut_beta, cut_theta):
+    with pytest.raises(LpDimensionError):
+        _lp(cut_beta, cut_theta)
+
+
+def test_cut_rows_need_the_epigraph():
+    with pytest.raises(LpDimensionError):
+        _lp(np.zeros((1, 2)), np.zeros(1), has_epigraph=False)
+    lp = _lp(None, None, has_epigraph=False)
+    assert lp.num_cuts == 0 and lp.cut_beta_matrix().shape == (0, 2)
+
+
+def _pool_of_three():
+    cuts = [Cut(theta=float(10 + i), beta=np.full(3, float(i + 1)), stage=2, iteration=i)
+            for i in range(3)]
+    return CutPool(stage=2, state_dim=3, floor=-7.0, cuts=cuts)
+
+
+def test_stage_lp_subset_keeps_floor_first_then_given_order():
+    model = toy_det_t3()
+    pool = _pool_of_three()
+    lp = stage_lp(model.stages[0], model.x0, pool, cut_subset=[2, 0])
+    assert lp.cut_thetas().tolist() == [-7.0, 12.0, 10.0]
+    assert lp.cut_beta_matrix().tolist() == [[0.0] * 3, [3.0] * 3, [1.0] * 3]
+
+
+def test_stage_lp_aliases_the_pools_read_only_rows():
+    model = toy_det_t3()
+    pool = _pool_of_three()
+    lp = stage_lp(model.stages[0], model.x0, pool)
+    assert lp.cut_beta_matrix() is pool.betas_with_floor()
+    assert lp.cut_thetas() is pool.thetas_with_floor()
+    assert not lp.cut_beta_matrix().flags.writeable
+    assert not lp.cut_thetas().flags.writeable
+    assert np.array_equal(pool.beta_matrix(), pool.betas_with_floor()[1:])
+    # an add rebuilds the pool's arrays and leaves the LP's rows as they were
+    pool.add(Cut(theta=20.0, beta=np.zeros(3), stage=2, iteration=3))
+    assert pool.thetas().tolist() == [10.0, 11.0, 12.0, 20.0]
+    assert lp.cut_thetas().tolist() == [-7.0, 10.0, 11.0, 12.0]
