@@ -22,11 +22,12 @@ retrospective scan of the recorded iterate trail, once the optimum is known,
 yields the earliest point within budget together with its exact
 suboptimality.
 
-Phase 1 depends on the constraints alone.  Dual solves whose explicit duals
-share ``(A, b)`` (same ``eq_matrix``, ``cost`` and cut slopes; any
-``eq_rhs`` and cut intercepts) may share a ``phase1_memo`` dict: the first
-solve stores its phase 1, the others replay it bit for bit and run only
-phase 2.
+Phase 1 depends on the constraints alone.  LPs that differ only in
+``eq_rhs`` have explicit duals that share ``(A, b)`` and differ only in
+their cost, so a ``DualBatch`` solves them together: phase 1 once, on one
+tableau that carries every LP's cost row, then phase 2 for all of them in
+lockstep, each LP with its own basis.  Every result is bit-identical to a
+lone solve (see ``_simplex_batch``).
 
 Dual convention for cut rows: weights mu >= 0 with sum(mu) == 1, entering
 the variable-wise constraint as  eq_matrix.T @ lam - sum_i mu_i * beta_i <= c.
@@ -49,6 +50,13 @@ PIVOT_TOL = 1e-11
 # numpy calls.  Measured break-even on chain tree LPs: 5k-9k cells for primal
 # forms, 34k-53k for their denser explicit duals.
 RESTRICTED_UPDATE_CELLS = 20_000
+# A phase switches from Dantzig's to Bland's rule after more than this many
+# degenerate pivots in a row, per row and column of the standard form.
+BLAND_STREAK = 50
+# LPs whose phase 2 runs in lockstep, at most; a larger stack of small
+# tableaux no longer fits the cache (per LP, a step costs about twice as
+# much at 1,000 LPs as at 125).
+BATCH_CHUNK = 128
 
 
 class LpError(Exception):
@@ -202,52 +210,70 @@ def _simplex_standard_form(
     max_pivots: Optional[int] = None,
     want_trail: bool = False,
     trail_cols: Optional[np.ndarray] = None,
-    phase1_memo: Optional[dict] = None,
 ) -> _KernelResult:
-    """Two-phase tableau simplex for  min c.z  s.t. A z = b, z >= 0.
+    """Two-phase tableau simplex for  min c.z  s.t. A z = b, z >= 0 (see ``_simplex_batch``)."""
+    (out,) = _simplex_batch(
+        A, b, np.asarray(c)[None, :], max_pivots=max_pivots, want_trail=want_trail,
+        trail_cols=trail_cols,
+    )
+    if isinstance(out, LpError):
+        raise out
+    return out
 
-    Dantzig pricing with an automatic switch to Bland's rule after a long
-    degenerate streak.  Phase-2 iterates are appended to the trail (if
-    requested) as ``(obj, z[trail_cols])`` snapshots, the optimum included.
 
-    One array ``tab`` of shape ``(m + 2, n + m + 1)`` holds the tableau:
-    rows ``0..m-1`` are the constraints, row ``m`` is the phase-2 reduced
-    cost row ``r2`` and row ``m + 1`` the phase-1 row ``r1``; the last
-    column is the right-hand side (``-objective`` in the cost rows).  A pivot
-    is one rank-1 update of rows ``:m+2`` in phase 1 and ``:m+1`` in phase 2.
-    On tableaux of at least ``RESTRICTED_UPDATE_CELLS`` cells it touches
+def _simplex_batch(
+    A: np.ndarray,
+    b: np.ndarray,
+    C: np.ndarray,
+    *,
+    max_pivots: Optional[int] = None,
+    want_trail: bool = False,
+    trail_cols: Optional[np.ndarray] = None,
+) -> list:
+    """Two-phase tableau simplex for  min C[k].z  s.t. A z = b, z >= 0,  per row k.
+
+    Returns one outcome per cost row ``C[k]``: a ``_KernelResult``, or the
+    ``LpError`` that a solve of that LP alone raises.  Dantzig pricing with
+    an automatic switch to Bland's rule after a long degenerate streak.
+    Phase-2 iterates are appended to the trail (if requested) as
+    ``(obj, z[trail_cols])`` snapshots, the optimum included.
+
+    One array ``tab`` of shape ``(m + K + 1, n + m + 1)`` holds the tableau:
+    rows ``0..m-1`` are the constraints, rows ``m..m+K-1`` the phase-2
+    reduced-cost rows (one per LP) and the last row the phase-1 row ``r1``;
+    the last column is the right-hand side (``-objective`` in the cost rows).
+    Phase 1 and the artificial drive-out depend on ``(A, b)`` only, so they
+    run once for all K LPs: each pivot is one rank-1 update of the whole
+    array, which gives every cost row the update a lone solve gives its own.
+    Phase 2 runs in place on rows ``:m+1`` when K == 1, and otherwise in
+    lockstep on a copy per LP (``_lockstep_phase2``).
+
+    On tableaux of at least ``RESTRICTED_UPDATE_CELLS`` cells a pivot touches
     only the rows where the pivot column is nonzero and the columns where
     the pivot row is nonzero.  Each cell that changes gets one product
-    ``colv[i] * row[j]`` and one subtraction whichever update runs, the same
-    operations a cost row kept in its own array would get, so results are
-    bit-identical between the two updates.  The one exception is the sign
-    of an exact zero in a skipped cell, which only had a zero product to
-    lose; no comparison, ratio or argmin can see that sign.
-
-    Phase 1 and the artificial drive-out depend on ``(A, b)`` only; ``c`` is
-    merely carried along in ``r2``.  With a ``phase1_memo`` dict, a feasible
-    phase 1 is stored under the exact bytes of ``(A, b)``: the constraint
-    rows and basis it ends in, and every pivot row the ``r2`` update
-    subtracted.  A later call with the same ``(A, b)`` restores them and
-    replays those ``r2`` updates in order (the same float operations), so
-    its result is bit-identical to a cold solve.
+    ``colv[i] * row[j]`` and one subtraction whichever update runs, so each
+    LP's result is bit-identical to a lone solve with either update.  The
+    one exception is the sign of an exact zero in a skipped cell, which only
+    had a zero product to lose; no comparison, ratio or argmin can see that
+    sign.
     """
     m, n = A.shape
+    K = len(C)
     if max_pivots is None:
         max_pivots = 10_000 + 50 * (m + n)
-    bland_after = 50 * (n + m)
+    bland_after = BLAND_STREAK * (n + m)
 
     sign = np.where(b < 0, -1.0, 1.0)
     ncols = n + m
-    tab = np.zeros((m + 2, ncols + 1))
-    body, r2, r1 = tab[:m], tab[m], tab[m + 1]
+    tab = np.zeros((m + K + 1, ncols + 1))
+    body, r2, r1 = tab[:m], tab[m], tab[m + K]
     body[:, :n] = A * sign[:, None]
     body[:, n:ncols] = np.eye(m)
     body[:, -1] = b * sign
     # Reduced-cost rows; last entry is -objective.
     r1[:n] = -body[:, :n].sum(axis=0)
     r1[-1] = -body[:, -1].sum()
-    r2[:n] = c
+    tab[m : m + K, :n] = C
     rhs = body[:, -1]
     restricted = tab.size >= RESTRICTED_UPDATE_CELLS
 
@@ -261,8 +287,6 @@ def _simplex_standard_form(
     ratios = np.empty(m)
 
     pivots = 0
-    trail: list = []
-    r2_updates: Optional[list] = None  # (pc, pivot row) of phase-1 pivots
 
     def pivot(pr: int, pc: int, live: np.ndarray) -> None:
         """Pivot on (pr, pc), updating the rows of ``live`` (a top slice of tab)."""
@@ -279,19 +303,11 @@ def _simplex_standard_form(
             live -= colv[:, None] * row
         live[:, pc] = 0.0
         row[pc] = 1.0
-        if r2_updates is not None and live is tab:  # a phase-1 pivot
-            r2_updates.append((pc, row.copy()))
         leaving = basis[pr]
         if leaving >= n:
             blocked[leaving] = np.inf  # artificial never re-enters
         basis[pr] = pc
         pivots += 1
-
-    def update_r2(pc: int, row: np.ndarray) -> None:
-        r2_pc = r2[pc]
-        if r2_pc != 0.0:
-            tab[m] -= r2_pc * row
-            r2[pc] = 0.0
 
     def entering(r: np.ndarray, bland: bool) -> int:
         np.add(r, blocked, out=price)
@@ -321,30 +337,23 @@ def _simplex_standard_form(
         z[basis] = rhs
         return z[trail_cols] if trail_cols is not None else z[:n]
 
-    def run_phase(phase: int) -> str:
-        # r1 is dead in phase 2: its pivots update the rows up to r2 only
-        r, live = (r1, tab) if phase == 1 else (r2, tab[: m + 1])
+    def run_phase(r: np.ndarray, live: np.ndarray, trail: Optional[list]) -> str:
+        """Pivot on ``live`` until cost row ``r`` prices out; the outcome."""
         bland = False
         degenerate = 0
         while True:
-            if phase == 2 and want_trail:
-                trail.append((-r2[-1], snapshot()))
+            if trail is not None:
+                trail.append((-r[-1], snapshot()))
             pc = entering(r, bland)
             if pc < 0:
                 return "optimal"
             pr = leaving_row(pc, bland)
             if pr < 0:
-                if phase == 1:
-                    raise LpError("phase-1 subproblem unbounded: numerical failure")
                 return "unbounded"
             prev = r[-1]
             pivot(pr, pc, live)
             if pivots > max_pivots:
-                z = np.zeros(ncols)
-                z[basis] = rhs
-                raise PivotLimitError(
-                    f"pivot limit {max_pivots} exceeded", z[:n], -r2[-1]
-                )
+                return "limit"
             if abs(r[-1] - prev) <= 1e-13 * (1.0 + abs(prev)):
                 degenerate += 1
                 if degenerate > bland_after:
@@ -352,46 +361,176 @@ def _simplex_standard_form(
             else:
                 degenerate = 0
 
-    key = stored = None
-    if phase1_memo is not None:
-        key = (A.shape, A.tobytes(), b.tobytes(), max_pivots)
-        stored = phase1_memo.get(key)
-    if stored is not None:
-        body[:], basis[:], pivots, replay = stored
-        for pc, row in replay:
-            update_r2(pc, row)
-    else:
-        r2_updates = [] if key is not None else None
-        run_phase(1)
-        if -r1[-1] > FEAS_TOL * (1.0 + np.abs(rhs).sum()):
-            return _KernelResult(SolveStatus.INFEASIBLE, None, math.nan, None, None, pivots)
+    def pivot_limit() -> list:
+        z = np.zeros(ncols)
+        z[basis] = rhs
+        msg = f"pivot limit {max_pivots} exceeded"
+        return [PivotLimitError(msg, z[:n], -tab[m + k, -1]) for k in range(K)]
 
-        # Drive leftover artificials out of the basis where a structural pivot
-        # exists; rows without one are redundant and keep a zero-level artificial.
-        for pr in range(m):
-            if basis[pr] >= n:
-                cand = (np.abs(body[pr, :n]) > PIVOT_TOL).nonzero()[0]
-                if cand.size:
-                    pivot(pr, int(cand[0]), tab)
-        if key is not None:
-            phase1_memo[key] = (body.copy(), basis.copy(), pivots, r2_updates)
+    outcome = run_phase(r1, tab, None)
+    if outcome == "unbounded":
+        return [LpError("phase-1 subproblem unbounded: numerical failure") for _ in range(K)]
+    if outcome == "limit":
+        return pivot_limit()
+    if -r1[-1] > FEAS_TOL * (1.0 + np.abs(rhs).sum()):
+        return [_KernelResult(SolveStatus.INFEASIBLE, None, math.nan, None, None, pivots)
+                for _ in range(K)]
+
+    # Drive leftover artificials out of the basis where a structural pivot
+    # exists; rows without one are redundant and keep a zero-level artificial.
+    for pr in range(m):
+        if basis[pr] >= n:
+            cand = (np.abs(body[pr, :n]) > PIVOT_TOL).nonzero()[0]
+            if cand.size:
+                pivot(pr, int(cand[0]), tab)
     blocked[n:] = np.inf
 
-    if run_phase(2) == "unbounded":
-        return _KernelResult(SolveStatus.UNBOUNDED, None, math.nan, None, None, pivots)
-
+    if K > 1:
+        return _lockstep_phase2(
+            tab[: m + K], n, basis, pivots, sign, max_pivots=max_pivots,
+            bland_after=bland_after, want_trail=want_trail, trail_cols=trail_cols,
+        )
+    # r1 is dead in phase 2: its pivots update the rows up to r2 only
+    trail: Optional[list] = [] if want_trail else None
+    outcome = run_phase(r2, tab[: m + 1], trail)
+    if outcome == "limit":
+        return pivot_limit()
+    if outcome == "unbounded":
+        return [_KernelResult(SolveStatus.UNBOUNDED, None, math.nan, None, None, pivots)]
     z = np.zeros(ncols)
     z[basis] = rhs
     y = -r2[n:ncols] * sign
-    return _KernelResult(
+    return [_KernelResult(
         SolveStatus.OPTIMAL,
         z[:n],
         -r2[-1],
         y,
         basis.copy(),
         pivots,
-        trail=trail,
-    )
+        trail=trail if trail is not None else [],
+    )]
+
+
+def _lockstep_phase2(
+    tab: np.ndarray,
+    n: int,
+    basis: np.ndarray,
+    pivots: int,
+    sign: np.ndarray,
+    *,
+    max_pivots: int,
+    bland_after: int,
+    want_trail: bool,
+    trail_cols: Optional[np.ndarray],
+) -> list:
+    """Phase 2 of K LPs that share the constraint rows and basis phase 1 left.
+
+    ``tab`` holds the m constraint rows, then one reduced-cost row per LP.
+    Each LP gets its own copy of the constraint rows, in one ``(K, m + 1,
+    n + m + 1)`` stack, and every unfinished LP takes its next pivot at each
+    step, with its own basis, Bland flag, degenerate streak, pivot count and
+    trail.  An LP leaves the stack when it finishes.  Pricing, the ratio
+    test, the tie-breaks and the rank-1 update are the lone solve's,
+    elementwise.
+    """
+    K = len(tab) - len(basis)
+    m, width = len(basis), tab.shape[1]
+    ncols = width - 1
+    stack = np.empty((K, m + 1, width))
+    stack[:, :m] = tab[:m]
+    stack[:, m] = tab[m:]
+    bases = np.tile(basis, (K, 1))
+    count = np.full(K, pivots)
+    bland = np.zeros(K, dtype=bool)
+    streak = np.zeros(K, dtype=np.int64)
+    lps = np.arange(K)  # the LP in each layer of the stack
+    out: list = [None] * K
+    trails: list[list] = [[] for _ in range(K)]
+    snap_cols = slice(0, n) if trail_cols is None else trail_cols
+    scratch = np.empty_like(stack)  # the rank-1 products of a step
+
+    def drop_layers(keep: np.ndarray, *arrays):
+        """Keep the layers of ``keep`` in the stack and in its per-LP state."""
+        nonlocal stack, bases, count, bland, streak, lps
+        kept = keep.nonzero()[0]
+        for i, j in enumerate(kept.tolist()):  # pack the stack in place
+            if i != j:
+                stack[i] = stack[j]
+        stack = stack[: len(kept)]
+        bases, count, bland, streak, lps = (
+            a[kept] for a in (bases, count, bland, streak, lps))
+        return [a[kept] for a in arrays]
+
+    while len(lps):
+        layers = np.arange(len(lps))
+        costs = stack[:, m]
+        if want_trail:
+            z = np.zeros((len(lps), ncols))
+            z[layers[:, None], bases] = stack[:, :m, -1]
+            points = z[:, snap_cols]
+            objs = -costs[:, -1]
+            for i, k in enumerate(lps.tolist()):
+                trails[k].append((objs[i], points[i]))
+        # every artificial is blocked in phase 2: only structural columns enter
+        price = costs[:, :n]
+        pc = price.argmin(axis=1)
+        for i in bland.nonzero()[0]:
+            pc[i] = (price[i] < -FEAS_TOL).argmax()
+        optimal = ~(price[layers, pc] < -FEAS_TOL)
+        colv = stack[layers, :, pc]
+        ratios = np.full((len(lps), m), np.inf)
+        np.divide(stack[:, :m, -1], colv[:, :m], out=ratios, where=colv[:, :m] > PIVOT_TOL)
+        rmin = ratios.min(axis=1, initial=np.inf)
+        done = optimal | (rmin == np.inf)
+        if done.any():
+            for i in done.nonzero()[0]:
+                k = lps[i]
+                if optimal[i]:
+                    z = np.zeros(ncols)
+                    z[bases[i]] = stack[i, :m, -1]
+                    out[k] = _KernelResult(
+                        SolveStatus.OPTIMAL, z[:n], -stack[i, m, -1],
+                        -stack[i, m, n:ncols] * sign, bases[i].copy(), int(count[i]),
+                        trail=trails[k],
+                    )
+                else:
+                    out[k] = _KernelResult(
+                        SolveStatus.UNBOUNDED, None, math.nan, None, None, int(count[i]))
+            pc, colv, ratios, rmin = drop_layers(~done, pc, colv, ratios, rmin)
+            if not len(lps):
+                break
+            layers = np.arange(len(lps))
+
+        # leaving rows: ties within 1e-9 of the minimum ratio go to the
+        # largest pivot entry (Dantzig) or the smallest basic index (Bland)
+        tie = ratios <= (rmin + 1e-9 * (1.0 + np.abs(rmin)))[:, None]
+        pr = np.where(tie, colv[:, :m], -np.inf).argmax(axis=1)
+        if bland.any():
+            pr = np.where(bland, np.where(tie, bases, ncols).argmin(axis=1), pr)
+
+        prev = stack[:, m, -1].copy()
+        row = stack[layers, pr] / stack[layers, pr, pc][:, None]
+        colv[layers, pr] = 0.0
+        stack[layers, pr] = row
+        products = scratch[: len(lps)]
+        np.multiply(colv[:, :, None], row[:, None, :], out=products)
+        stack -= products
+        stack[layers, :, pc] = 0.0
+        stack[layers, pr, pc] = 1.0
+        bases[layers, pr] = pc
+        count += 1
+        over = count > max_pivots
+        if over.any():
+            for i in over.nonzero()[0]:
+                z = np.zeros(ncols)
+                z[bases[i]] = stack[i, :m, -1]
+                out[lps[i]] = PivotLimitError(
+                    f"pivot limit {max_pivots} exceeded", z[:n], -stack[i, m, -1])
+            (prev,) = drop_layers(~over, prev)
+        obj = stack[:, m, -1]
+        streak = np.where(np.abs(obj - prev) <= 1e-13 * (1.0 + np.abs(prev)), streak + 1, 0)
+        bland |= streak > bland_after
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +561,8 @@ def _standard_primal(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndar
     return A, b, c
 
 
-def _explicit_dual(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dual LP in standard form; columns [lam+ | lam- | mu | slacks]."""
+def _dual_constraints(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
+    """Constraints of the explicit dual; columns [lam+ | lam- | mu | slacks]."""
     nv, m, K = lp.num_vars, lp.num_eq, lp.num_cuts
     nrows = nv + (1 if lp.has_epigraph else 0)
     ncols = 2 * m + K + nv
@@ -438,8 +577,14 @@ def _explicit_dual(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarra
     if lp.has_epigraph:
         D[nv, 2 * m : 2 * m + K] = 1.0
         rhs[nv] = 1.0
+    return D, rhs
+
+
+def _explicit_dual(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dual LP in standard form; its cost is [-eq_rhs | eq_rhs | -thetas | 0]."""
+    D, rhs = _dual_constraints(lp)
     cost = np.concatenate(
-        [-lp.eq_rhs, lp.eq_rhs, -lp.cut_thetas(), np.zeros(nv)]
+        [-lp.eq_rhs, lp.eq_rhs, -lp.cut_thetas(), np.zeros(lp.num_vars)]
     )
     return D, rhs, cost
 
@@ -495,12 +640,47 @@ def solve_with_primal_trail(
     return _solve_primal(lp, True)
 
 
+class DualBatch:
+    """The explicit duals of LPs that differ only in ``eq_rhs``, solved together.
+
+    Such duals share their constraints ``(D, rhs)``, which depend on
+    ``eq_matrix``, ``cost`` and the cut slopes, and differ only in their
+    cost row ``[-eq_rhs | eq_rhs | -thetas | 0]``.  Member ``i`` is ``lp``
+    with row ``i`` of ``eq_rhs`` in its place.  Members are solved on first
+    use, ``BATCH_CHUNK`` at a time (``_simplex_batch``): phase 1 once per
+    chunk, phase 2 in lockstep.
+    """
+
+    def __init__(self, lp: LinearProgram, eq_rhs: np.ndarray):
+        m, K = lp.num_eq, lp.num_cuts
+        self.D, self.rhs = _dual_constraints(lp)
+        self.costs = np.zeros((len(eq_rhs), self.D.shape[1]))
+        self.costs[:, :m] = -eq_rhs
+        self.costs[:, m : 2 * m] = eq_rhs
+        self.costs[:, 2 * m : 2 * m + K] = -lp.cut_thetas()
+        self.trail_cols = np.arange(2 * m + K)
+        self._outcomes: list = [None] * len(eq_rhs)
+
+    def result(self, i: int) -> _KernelResult:
+        """Member ``i``'s kernel result; raises the LpError a lone solve raises."""
+        if self._outcomes[i] is None:
+            lo = i - i % BATCH_CHUNK
+            self._outcomes[lo : lo + BATCH_CHUNK] = _simplex_batch(
+                self.D, self.rhs, self.costs[lo : lo + BATCH_CHUNK],
+                want_trail=True, trail_cols=self.trail_cols,
+            )
+        out = self._outcomes[i]
+        if isinstance(out, LpError):
+            raise out
+        return out
+
+
 def solve_dual_inexact(
     lp: LinearProgram,
     eps: float,
     *,
     rel_eps: float = 0.0,
-    phase1_memo: Optional[dict] = None,
+    batch: Optional[tuple[DualBatch, int]] = None,
 ) -> DualCertificate:
     """Return a dual-feasible (lam, mu) with dual_obj >= optimum - budget.
 
@@ -508,18 +688,19 @@ def solve_dual_inexact(
     the earliest trail iterate within budget of the now-known optimum is
     returned (a retrospective certificate).  The budget is
     ``eps + rel_eps * max(1, |optimum|)``; with a zero budget the certificate
-    is the first iterate at the optimum.  ``phase1_memo`` is handed to the
-    kernel: LPs that share ``eq_matrix``, ``cost`` and the cut slopes share
-    the dual's feasible region, and so its phase 1 (see
-    ``_simplex_standard_form``).
+    is the first iterate at the optimum.  With ``batch = (dual_batch, i)``,
+    whose member ``i`` is ``lp``, the kernel result comes from that batch;
+    it is bit-identical to the lone solve's.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    D, rhs, cost = _explicit_dual(lp)
-    res = _simplex_standard_form(
-        D, rhs, cost, want_trail=True,
-        trail_cols=np.arange(2 * lp.num_eq + lp.num_cuts), phase1_memo=phase1_memo,
-    )
+    if batch is None:
+        D, rhs, cost = _explicit_dual(lp)
+        res = _simplex_standard_form(
+            D, rhs, cost, want_trail=True, trail_cols=np.arange(2 * lp.num_eq + lp.num_cuts)
+        )
+    else:
+        res = batch[0].result(batch[1])
     _check_dual_solvable(res)
     optimum = -res.obj
     budget = eps + rel_eps * max(1.0, abs(optimum))

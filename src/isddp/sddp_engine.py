@@ -6,8 +6,9 @@ probability-aggregated cut per (path, stage) from certified dual points of
 all realization subproblems.  Pools are frozen while a stage is being
 processed and cuts are appended in fixed path order, so the serial result
 is what any parallel schedule must reproduce.  The dual solves of one stage
-share one phase-1 memo: against the frozen pool, duals that differ only in
-their cost share one feasible region.  An exact first-stage solve yields
+are gathered into one ``DualSweep`` first: against the frozen pool, duals
+that differ only in their cost share one feasible region, and the kernel
+solves them in batches.  An exact first-stage solve yields
 the lower bound; the upper bound is a one-sided confidence bound on sampled
 policy costs, or the cost of the path itself when there is one.
 
@@ -39,7 +40,12 @@ from .models import (
     as_stochastic,
 )
 from .schedules import ErrorBudget, ScheduleSpec, backward_budget, forward_budgets
-from .stage_solver import solve_backward_stage, solve_forward_stage, stage_value_exact
+from .stage_solver import (
+    DualSweep,
+    solve_backward_stage,
+    solve_forward_stage,
+    stage_value_exact,
+)
 
 _EVAL_STREAM = 1  # counter word separating policy-evaluation draws from training
 
@@ -198,8 +204,9 @@ def backward_pass_sddp(
         realizations = [
             (r.b, r.B, float(p)) for r, p in zip(st.realizations, st.probs)
         ]
+        # every distinct trial point misses the cache below once
+        sweep = DualSweep(st.realizations, [traj[t - 2] for traj in trajectories], pool_next)
         cache: dict = {}
-        phase1_memo: dict = {}  # the duals against the frozen pool t+1 share it
         stage_cuts: list[Cut] = []
         for p in range(n_paths):
             x_prev = trajectories[p][t - 2]
@@ -209,7 +216,7 @@ def backward_pass_sddp(
             if certs is None:
                 certs = [
                     solve_backward_stage(
-                        r, x_prev, pool_next, budget, t=t, path=p, phase1_memo=phase1_memo
+                        r, x_prev, pool_next, budget, t=t, path=p, sweep=sweep
                     )[0]
                     for r in st.realizations
                 ]

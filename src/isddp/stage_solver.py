@@ -7,17 +7,21 @@ trail of the final solve then yields certified delta-suboptimal vertices.
 
 Backward (dual) solves hand the full pool to the kernel's explicit-dual
 path, which scales with the number of cuts only through matrix columns.
+A ``DualSweep`` gathers the backward duals of one stage against its frozen
+pool into kernel batches: realizations that share ``A`` and ``c`` give
+duals that share their constraints, at every trial point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .cuts import CutPool
 from .lp_core import (
+    DualBatch,
     DualCertificate,
     LinearProgram,
     LpError,
@@ -167,6 +171,40 @@ def solve_forward_stage(
     )
 
 
+class DualSweep:
+    """The backward duals of one stage at its trial points, against a frozen pool.
+
+    Realizations that share ``A`` and ``c`` give explicit duals that share
+    their constraints at every trial point; each such group is one
+    ``DualBatch`` over (trial point, realization), whose members differ in
+    ``eq_rhs = b - B x_prev`` only.  ``solve_backward_stage`` takes its
+    certificate from the batch with ``sweep=``.
+    """
+
+    def __init__(
+        self,
+        realizations: Sequence[StageModel],
+        x_prevs: Sequence[np.ndarray],
+        pool: CutPool,
+    ):
+        self._members: dict = {}
+        points = list({x.tobytes(): x for x in x_prevs}.items())
+        if not points:
+            return
+        groups: dict = {}
+        for r in realizations:
+            groups.setdefault((r.A.shape, r.A.tobytes(), r.c.tobytes()), []).append(r)
+        for group in groups.values():
+            keys = [(id(r), xb) for xb, _ in points for r in group]
+            eq_rhs = np.array([r.b - r.B @ x for _, x in points for r in group])
+            batch = DualBatch(stage_lp(group[0], points[0][1], pool), eq_rhs)
+            self._members.update((key, (batch, i)) for i, key in enumerate(keys))
+
+    def member(self, stage: StageModel, x_prev: np.ndarray) -> tuple[DualBatch, int]:
+        """The batch and index of ``stage``'s dual at ``x_prev``."""
+        return self._members[(id(stage), x_prev.tobytes())]
+
+
 def solve_backward_stage(
     stage: StageModel,
     x_prev: np.ndarray,
@@ -175,14 +213,13 @@ def solve_backward_stage(
     *,
     t: Optional[int] = None,
     path: Optional[int] = None,
-    phase1_memo: Optional[dict] = None,
+    sweep: Optional[DualSweep] = None,
 ) -> tuple[DualCertificate, float]:
     """Budget-certified dual point of one backward stage, plus its optimum.
 
     The certificate's ``mu`` covers the pool rows floor-first, matching
-    ``pool.thetas_with_floor()``.  ``phase1_memo`` is passed to
-    ``solve_dual_inexact``; share one dict among the solves against one
-    frozen pool.
+    ``pool.thetas_with_floor()``.  With a ``sweep`` that covers this stage
+    and ``x_prev``, the kernel result comes from the sweep's batch.
     """
     lp = stage_lp(stage, x_prev, pool)
     try:
@@ -190,11 +227,12 @@ def solve_backward_stage(
             lp,
             eps=budget.absolute,
             rel_eps=budget.relative,
-            phase1_memo=phase1_memo,
+            batch=None if sweep is None else sweep.member(stage, x_prev),
         )
-    except Exception as exc:  # kernel faults carry no stage context
+    except LpError as exc:  # kernel faults carry no stage context
         raise StageSolveError(
-            f"backward solve failed at stage {t}: {exc}", stage=t, path=path
+            f"{_where(t, path)}: backward solve failed in the kernel: {exc}",
+            stage=t, path=path,
         ) from exc
     # Retrospective certificates measure eps against the true optimum.
     optimum = cert.dual_obj + cert.eps_certified

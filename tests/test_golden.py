@@ -1,7 +1,7 @@
 """Golden run logs: `isddp solve` must keep every CSV column but `wall_ms`.
 
 The CSVs under ``tests/golden/`` were written by the program; a change that
-alters solver output on purpose regenerates them (``python
+alters solver output on purpose regenerates them (``PYTHONPATH=src python
 tests/test_golden.py`` rewrites them) and says so.  Two small runs:
 
 * a portfolio with ``--preset isddp1``: several paths and realizations, so
@@ -12,7 +12,6 @@ tests/test_golden.py`` rewrites them) and says so.  Two small runs:
 
 import csv
 import os
-import sys
 
 import pytest
 
@@ -68,9 +67,10 @@ def test_solve_log_matches_golden(name, tmp_path, capsys):
 
 
 if __name__ == "__main__":
+    import shutil
     import tempfile
 
     for name in RUNS:
         with tempfile.TemporaryDirectory() as tmp:
-            _solve(name, tmp, os.path.join(GOLDEN, f"{name}.csv"))
-    sys.exit(0)
+            _solve(name, tmp, os.path.join(tmp, "run.csv"))
+            shutil.copy(os.path.join(tmp, "run.csv"), os.path.join(GOLDEN, f"{name}.csv"))

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 import _reference_kernel
 from isddp import lp_core
 from isddp.lp_core import (
+    DualBatch,
     LinearProgram,
     LpDimensionError,
+    LpError,
     NoFiniteOptimumError,
     PivotLimitError,
     SolveStatus,
@@ -19,6 +21,7 @@ from isddp.lp_core import (
     solve_exact,
     solve_with_primal_trail,
     _explicit_dual,
+    _simplex_batch,
     _simplex_standard_form,
     _standard_primal,
 )
@@ -302,37 +305,29 @@ def _bits(cert):
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=25, deadline=None)
-def test_phase1_memo_replays_bit_identical_certificates(seed):
-    # LPs sharing eq_matrix, cost and cut slopes share their dual's (A, b);
-    # only eq_rhs and the cut intercepts (the dual's cost) differ
+def test_dual_batch_certificates_match_lone_solves(seed):
+    # LPs that differ only in eq_rhs share their dual's (A, b); a DualBatch
+    # solves them together, and every certificate must equal the lone one
     rng = np.random.default_rng(seed)
     base = random_feasible_bounded_lp(rng)
     n = base.num_vars
     betas = rng.normal(size=(3, n)).round(2)
-
-    def variant(cost):
-        xhat = rng.uniform(0.0, 2.0, size=n).round(3)
-        return _floor_and_cuts_lp(base, cost, xhat, betas, rng)
-
-    memo: dict = {}
+    lps = []
+    for _ in range(4):
+        lp = _floor_and_cuts_lp(base, base.cost, rng.uniform(0.0, 2.0, size=n).round(3),
+                                betas, rng)
+        if lps:  # the intercepts of the first LP's cuts
+            lp = LinearProgram(num_vars=n, num_eq=lp.num_eq, cost=lp.cost,
+                               eq_matrix=lp.eq_matrix, eq_rhs=lp.eq_rhs,
+                               cut_beta=lp.cut_beta, cut_theta=lps[0].cut_theta,
+                               has_epigraph=True)
+        lps.append(lp)
+    batch = DualBatch(lps[0], np.array([lp.eq_rhs for lp in lps]))
     budgets = [dict(eps=0.0), dict(eps=0.05), dict(eps=0.0, rel_eps=0.01)]
-    for i in range(4):
-        lp = variant(base.cost)
+    for i, lp in enumerate(lps):
         for budget in budgets:
             cold = solve_dual_inexact(lp, **budget)
-            warm = solve_dual_inexact(lp, **budget, phase1_memo=memo)
-            assert _bits(warm) == _bits(cold)
-        if i == 0:
-            (entry,) = memo.values()
-    # every later solve hit the first entry instead of storing its own
-    (kept,) = memo.values()
-    assert kept is entry
-
-    # a different cost is a different dual rhs: a miss, stored apart
-    other = variant(base.cost + 1.0)
-    cold = solve_dual_inexact(other, eps=0.05)
-    assert _bits(solve_dual_inexact(other, eps=0.05, phase1_memo=memo)) == _bits(cold)
-    assert len(memo) == 2 and any(v is entry for v in memo.values())
+            assert _bits(solve_dual_inexact(lp, **budget, batch=(batch, i))) == _bits(cold)
 
 
 # ---------------------------------------------------------------------------
@@ -361,12 +356,22 @@ def _kernel_calls(ncols):
     ]
 
 
-def _assert_matches_reference(A, b, c, memo=None):
+def _assert_matches_reference(A, b, c):
     ncols = A.shape[1]
     for ref_kwargs, kwargs in zip(_kernel_calls(ncols), _kernel_calls(ncols)):
         ref = _reference_kernel._simplex_standard_form(A, b, c, **ref_kwargs)
-        got = _simplex_standard_form(A, b, c, **kwargs, phase1_memo=memo)
+        got = _simplex_standard_form(A, b, c, **kwargs)
         assert _result_bits(got) == _result_bits(ref)
+
+
+def _assert_batch_matches_reference(A, b, C):
+    ncols = A.shape[1]
+    for ref_kwargs, kwargs in zip(_kernel_calls(ncols), _kernel_calls(ncols)):
+        got = _simplex_batch(A, b, C, **kwargs)
+        assert len(got) == len(C)
+        for c, res in zip(C, got):
+            ref = _reference_kernel._simplex_standard_form(A, b, c, **ref_kwargs)
+            assert _result_bits(res) == _result_bits(ref)
 
 
 def _chain_tree_lp():
@@ -388,15 +393,17 @@ def test_kernel_matches_reference_on_random_lps(threshold, seed):
     base = random_feasible_bounded_lp(rng)
     n = base.num_vars
     betas = rng.normal(size=(3, n)).round(2)
-    memo: dict = {}  # the explicit duals below share (A, b)
+    duals = []  # the explicit duals below share (A, b)
     with mock.patch.object(lp_core, "RESTRICTED_UPDATE_CELLS", threshold):
         _assert_matches_reference(*_standard_primal(base))
         for _ in range(3):
             xhat = rng.uniform(0.0, 2.0, size=n).round(3)
             lp = _floor_and_cuts_lp(base, base.cost, xhat, betas, rng)
             _assert_matches_reference(*_standard_primal(lp))
-            _assert_matches_reference(*_explicit_dual(lp), memo=memo)
-    assert len(memo) == 1
+            _assert_matches_reference(*_explicit_dual(lp))
+            duals.append(_explicit_dual(lp))
+        D, rhs, _ = duals[0]
+        _assert_batch_matches_reference(D, rhs, np.array([c for _, _, c in duals]))
 
 
 EDGE_LPS = {
@@ -431,3 +438,128 @@ def test_chain_tree_lp_takes_the_restricted_update():
     A, _, _ = _standard_primal(_chain_tree_lp())
     m, n = A.shape
     assert (m + 2) * (n + m + 1) >= lp_core.RESTRICTED_UPDATE_CELLS
+
+
+# ---------------------------------------------------------------------------
+# Batched solves: each LP of a batch against its lone solve, bit for bit.
+
+
+def _outcome_bits(out):
+    if isinstance(out, PivotLimitError):
+        return ("limit", out.iterate.tobytes(), float(out.obj).hex())
+    if isinstance(out, LpError):
+        return (type(out), str(out))
+    return _result_bits(out)
+
+
+def _lone(A, b, c, **kwargs):
+    try:
+        return _simplex_standard_form(A, b, c, **kwargs)
+    except LpError as exc:
+        return exc
+
+
+def _assert_batch_matches_lone(A, b, C, **extra):
+    """Every member of the batch, with and without a trail, equals its lone solve."""
+    outs = []
+    for kwargs in _kernel_calls(A.shape[1]):
+        got = _simplex_batch(A, b, C, **kwargs, **extra)
+        assert len(got) == len(C)
+        for k, (c, out) in enumerate(zip(C, got)):
+            want = _lone(A, b, c, **kwargs, **extra)
+            assert _outcome_bits(out) == _outcome_bits(want), f"member {k}"
+        outs.append(got)
+    return outs[0]
+
+
+def _dual_batch(rng, K):
+    """The explicit duals of K conftest LPs that differ in eq_rhs."""
+    base = random_feasible_bounded_lp(rng)
+    n = base.num_vars
+    betas = rng.normal(size=(3, n)).round(2)
+    lp = _floor_and_cuts_lp(base, base.cost, rng.uniform(0.0, 2.0, size=n).round(3), betas, rng)
+    eq_rhs = [base.eq_matrix @ rng.uniform(0.0, 2.0, size=n).round(3) for _ in range(K)]
+    return DualBatch(lp, np.array(eq_rhs))
+
+
+def _dual_group(rng, K):
+    """(A, b, C) of ``_dual_batch``: one (A, b), K costs."""
+    batch = _dual_batch(rng, K)
+    return batch.D, batch.rhs, batch.costs
+
+
+@pytest.mark.parametrize("K", [2, 5, 25, 130])
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=8, deadline=None)
+def test_batch_matches_lone_solves(K, seed):
+    rng = np.random.default_rng(seed)
+    # explicit duals that share (A, b), as in a backward sweep
+    _assert_batch_matches_lone(*_dual_group(rng, K))
+    # a conftest LP in standard form under K random costs
+    A, b, _ = _standard_primal(random_feasible_bounded_lp(rng))
+    _assert_batch_matches_lone(A, b, rng.normal(size=(K, A.shape[1])).round(3))
+
+
+def test_batch_member_unbounded_while_others_optimal(rng):
+    # column n repeats column 0 negated: x0 and x_n may grow together, so a
+    # cost with c0 + c_n < 0 is unbounded and one with c >= 0 is optimal
+    A, b, _ = _standard_primal(random_feasible_bounded_lp(rng))
+    A = np.hstack([A, -A[:, :1]])
+    C = rng.normal(size=(6, A.shape[1])).round(3)
+    C[0] = np.abs(C[0])
+    C[1, -1] = -C[1, 0] - 1.0
+    got = _assert_batch_matches_lone(A, b, C)
+    statuses = {res.status for res in got}
+    assert statuses == {SolveStatus.OPTIMAL, SolveStatus.UNBOUNDED}
+
+
+def test_batch_of_an_infeasible_group(rng):
+    A, b = np.array([[1.0], [1.0]]), np.array([1.0, 2.0])
+    got = _assert_batch_matches_lone(A, b, rng.normal(size=(5, 1)))
+    assert all(res.status is SolveStatus.INFEASIBLE for res in got)
+
+
+def test_batch_members_that_switch_to_blands_rule(rng):
+    # a zero streak switches every phase to Bland's rule at its first
+    # degenerate pivot; primal vertices with few positive entries are
+    # degenerate, so phase 2 takes such pivots
+    groups = []
+    for _ in range(20):
+        lp = random_feasible_bounded_lp(rng)
+        xhat = np.where(rng.random(lp.num_vars) < 0.7, 0.0, 1.0)
+        A, b = lp.eq_matrix, lp.eq_matrix @ xhat
+        groups.append((A, b, rng.normal(size=(8, lp.num_vars)).round(3)))
+    switched = 0
+    with mock.patch.object(lp_core, "BLAND_STREAK", 0):
+        for A, b, C in groups:
+            _assert_batch_matches_lone(A, b, C)
+            bland = [_result_bits(_simplex_standard_form(A, b, c)) for c in C]
+            with mock.patch.object(lp_core, "BLAND_STREAK", 50):
+                dantzig = [_result_bits(_simplex_standard_form(A, b, c)) for c in C]
+            switched += sum(x != y for x, y in zip(bland, dantzig))
+    assert switched  # some member's path did change under Bland's rule
+
+
+@pytest.mark.parametrize("max_pivots", range(8))
+def test_batch_pivot_limit_matches_lone_solves(max_pivots):
+    # the limit falls in phase 1 for the smallest values, in phase 2 after
+    rng = np.random.default_rng(max_pivots)
+    _assert_batch_matches_lone(*_dual_group(rng, 6), max_pivots=max_pivots)
+
+
+def test_dual_batch_solves_in_chunks_on_first_use(monkeypatch):
+    calls = []
+    orig = lp_core._simplex_batch
+
+    def counting(A, b, C, **kwargs):
+        calls.append(len(C))
+        return orig(A, b, C, **kwargs)
+
+    monkeypatch.setattr(lp_core, "_simplex_batch", counting)
+    batch = _dual_batch(np.random.default_rng(3), lp_core.BATCH_CHUNK + 2)
+    assert calls == []
+    first = batch.result(1)
+    assert calls == [lp_core.BATCH_CHUNK]
+    assert batch.result(lp_core.BATCH_CHUNK + 1).status is SolveStatus.OPTIMAL
+    assert batch.result(1) is first
+    assert calls == [lp_core.BATCH_CHUNK, 2]

@@ -1,9 +1,10 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
 
-from isddp import oracle
+from isddp import lp_core, oracle
 from isddp import sddp_engine
 from isddp import stage_solver
 from isddp.ddp_engine import run_iddp
@@ -11,6 +12,7 @@ from isddp.models import StochasticModel
 from isddp.portfolio import PortfolioSpec, generate_instance
 from isddp.schedules import (
     EXACT_SCHEDULE,
+    ErrorBudget,
     ScheduleMode,
     ScheduleSpec,
     backward_budget,
@@ -149,25 +151,35 @@ class TestBackwardPassSddp:
         gap = ref - cut.value(x2)
         assert -1e-8 <= gap <= eps + 1e-8
 
-    def test_phase1_memo_leaves_cuts_bit_identical(self, monkeypatch):
-        # the memo shared by one stage's dual solves must not change a bit
-        # of any cut: compare against memo-free solves over the same
-        # trajectories and the same pools, iteration by iteration
+    def test_dual_sweep_leaves_cuts_bit_identical(self, monkeypatch):
+        # the batched solves of one stage sweep must not change a bit of any
+        # cut: compare against unbatched solves over the same trajectories
+        # and the same pools, iteration by iteration
         m = generate_instance(PortfolioSpec(T=3, n=2, M=3, seed=4))
+        # every path starts stage 2 from the same x1; a realization with its
+        # own cost there makes a group of one dual
+        r0 = m.stages[0].realizations[0]
+        m.stages[0].realizations[0] = dataclasses.replace(r0, c=r0.c + 0.01)
         spec = ScheduleSpec(eps_bar=0.1, eps0=1e-12, mode=ScheduleMode.RELATIVE)
         T, n_paths = m.horizon, 3
-        hits = 0
+        sizes = []
 
-        def memo_free(*args, phase1_memo, **kwargs):
-            return stage_solver.solve_backward_stage(*args, **kwargs)
+        class CountingBatch(lp_core.DualBatch):
+            def __init__(self, lp, eq_rhs):
+                super().__init__(lp, eq_rhs)
+                sizes.append(len(eq_rhs))
 
-        def counting(*args, phase1_memo, **kwargs):
-            nonlocal hits
-            before = len(phase1_memo)
-            out = stage_solver.solve_backward_stage(*args, phase1_memo=phase1_memo, **kwargs)
-            hits += len(phase1_memo) == before
-            return out
+        def solver(certs, batched):
+            # records every certificate; the unbatched one drops the sweep
+            def solve(*args, sweep, **kwargs):
+                cert, optimum = stage_solver.solve_backward_stage(
+                    *args, sweep=sweep if batched else None, **kwargs)
+                certs.append((cert.lam.tobytes(), cert.mu.tobytes(), cert.dual_obj.hex(),
+                              float(cert.eps_certified).hex(), optimum.hex()))
+                return cert, optimum
+            return solve
 
+        monkeypatch.setattr(stage_solver, "DualBatch", CountingBatch)
         pools = make_pools(m)
         for k in range(1, 5):
             paths = sample_paths(m, n_paths, k, seed=9)
@@ -178,17 +190,49 @@ class TestBackwardPassSddp:
                 for t in range(2, T + 1)
             ]
             ref_pools = copy.deepcopy(pools)
-            monkeypatch.setattr(sddp_engine, "solve_backward_stage", memo_free)
+            ref_certs, got_certs = [], []
+            monkeypatch.setattr(sddp_engine, "solve_backward_stage", solver(ref_certs, False))
             ref = backward_pass_sddp(m, ref_pools, fwd.trajectories, eps, iteration=k)
-            monkeypatch.setattr(sddp_engine, "solve_backward_stage", counting)
+            monkeypatch.setattr(sddp_engine, "solve_backward_stage", solver(got_certs, True))
             got = backward_pass_sddp(m, pools, fwd.trajectories, eps, iteration=k)
+            assert got_certs == ref_certs
             assert len(got.new_cuts) == len(ref.new_cuts) == n_paths * (T - 1)
             for a, b in zip(got.new_cuts, ref.new_cuts):
                 assert a.theta.hex() == b.theta.hex()
                 assert a.beta.tobytes() == b.beta.tobytes()
             assert got.lb.hex() == ref.lb.hex()
             assert got.eps_resolved == ref.eps_resolved
-        assert hits > 0
+        assert 1 in sizes and max(sizes) > 1
+
+
+class TestBackwardStageFaults:
+    def _solve(self):
+        m = toy_sto_t3_m2()
+        pools = make_pools(m)
+        r = m.stages[0].realizations[0]
+        x1 = np.zeros(m.stage1.var_dim)
+        return stage_solver.solve_backward_stage(r, x1, pools[3], ErrorBudget(), t=2, path=4)
+
+    def test_kernel_fault_names_stage_and_path(self, monkeypatch):
+        fault = lp_core.LpError("phase-1 subproblem unbounded")
+
+        def failing(*args, **kwargs):
+            raise fault
+
+        monkeypatch.setattr(stage_solver, "solve_dual_inexact", failing)
+        with pytest.raises(stage_solver.StageSolveError) as err:
+            self._solve()
+        assert (err.value.stage, err.value.path) == (2, 4)
+        assert "stage 2 (path 4)" in str(err.value)
+        assert err.value.__cause__ is fault
+
+    def test_programming_error_propagates_unwrapped(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("not a kernel fault")
+
+        monkeypatch.setattr(stage_solver, "solve_dual_inexact", broken)
+        with pytest.raises(TypeError, match="not a kernel fault"):
+            self._solve()
 
 
 class TestUpperBoundCi:
