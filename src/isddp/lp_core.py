@@ -449,6 +449,12 @@ def _lockstep_phase2(
     snap_cols = slice(0, n) if trail_cols is None else trail_cols
     scratch = np.empty_like(stack)  # the rank-1 products of a step
 
+    def vertex(i: int) -> np.ndarray:
+        """The basic point of layer ``i``."""
+        z = np.zeros(ncols)
+        z[bases[i]] = stack[i, :m, -1]
+        return z
+
     def drop_layers(keep: np.ndarray, *arrays):
         """Keep the layers of ``keep`` in the stack and in its per-LP state."""
         nonlocal stack, bases, count, bland, streak, lps
@@ -486,10 +492,8 @@ def _lockstep_phase2(
             for i in done.nonzero()[0]:
                 k = lps[i]
                 if optimal[i]:
-                    z = np.zeros(ncols)
-                    z[bases[i]] = stack[i, :m, -1]
                     out[k] = _KernelResult(
-                        SolveStatus.OPTIMAL, z[:n], -stack[i, m, -1],
+                        SolveStatus.OPTIMAL, vertex(i)[:n], -stack[i, m, -1],
                         -stack[i, m, n:ncols] * sign, bases[i].copy(), int(count[i]),
                         trail=trails[k],
                     )
@@ -522,10 +526,8 @@ def _lockstep_phase2(
         over = count > max_pivots
         if over.any():
             for i in over.nonzero()[0]:
-                z = np.zeros(ncols)
-                z[bases[i]] = stack[i, :m, -1]
                 out[lps[i]] = PivotLimitError(
-                    f"pivot limit {max_pivots} exceeded", z[:n], -stack[i, m, -1])
+                    f"pivot limit {max_pivots} exceeded", vertex(i)[:n], -stack[i, m, -1])
             (prev,) = drop_layers(~over, prev)
         obj = stack[:, m, -1]
         streak = np.where(np.abs(obj - prev) <= 1e-13 * (1.0 + np.abs(prev)), streak + 1, 0)

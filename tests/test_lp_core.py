@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -312,17 +313,12 @@ def test_dual_batch_certificates_match_lone_solves(seed):
     base = random_feasible_bounded_lp(rng)
     n = base.num_vars
     betas = rng.normal(size=(3, n)).round(2)
-    lps = []
-    for _ in range(4):
-        lp = _floor_and_cuts_lp(base, base.cost, rng.uniform(0.0, 2.0, size=n).round(3),
-                                betas, rng)
-        if lps:  # the intercepts of the first LP's cuts
-            lp = LinearProgram(num_vars=n, num_eq=lp.num_eq, cost=lp.cost,
-                               eq_matrix=lp.eq_matrix, eq_rhs=lp.eq_rhs,
-                               cut_beta=lp.cut_beta, cut_theta=lps[0].cut_theta,
-                               has_epigraph=True)
-        lps.append(lp)
-    batch = DualBatch(lps[0], np.array([lp.eq_rhs for lp in lps]))
+    lp = _floor_and_cuts_lp(base, base.cost, rng.uniform(0.0, 2.0, size=n).round(3), betas, rng)
+    lps = [lp] + [
+        dataclasses.replace(lp, eq_rhs=base.eq_matrix @ rng.uniform(0.0, 2.0, size=n).round(3))
+        for _ in range(3)
+    ]
+    batch = DualBatch(lp, np.array([member.eq_rhs for member in lps]))
     budgets = [dict(eps=0.0), dict(eps=0.05), dict(eps=0.0, rel_eps=0.01)]
     for i, lp in enumerate(lps):
         for budget in budgets:
