@@ -270,20 +270,34 @@ def _simplex_batch(
     body[:, :n] = A * sign[:, None]
     body[:, n:ncols] = np.eye(m)
     body[:, -1] = b * sign
-    # Reduced-cost rows; last entry is -objective.
-    r1[:n] = -body[:, :n].sum(axis=0)
-    r1[-1] = -body[:, -1].sum()
     tab[m : m + K, :n] = C
     rhs = body[:, -1]
     restricted = tab.size >= RESTRICTED_UPDATE_CELLS
 
     basis = np.arange(n, ncols)
-    # Added to a cost row before pricing: 0 where the column may enter, inf
-    # where it may not (artificials that left the basis, every artificial in
-    # phase 2, and the rhs column).
-    blocked = np.zeros(ncols + 1)
-    blocked[-1] = np.inf
-    price = np.empty(ncols + 1)
+    # Crash basis: a row whose structural part holds a unit column (one
+    # nonzero entry, and that positive) starts with the lowest-indexed such
+    # column basic instead of its artificial.  The crash depends on (A, b)
+    # only, so every LP of a batch gets the same start.
+    structural = body[:, :n]
+    unit = (np.count_nonzero(structural, axis=0) == 1) & (
+        structural.max(axis=0, initial=0.0) > 0.0)
+    cols = unit.nonzero()[0]
+    rows, first = np.unique(structural.argmax(axis=0)[cols] if m else cols, return_index=True)
+    costs = tab[m : m + K]
+    for pr, pc in zip(rows.tolist(), cols[first].tolist()):
+        row = body[pr]
+        if row[pc] != 1.0:
+            row /= row[pc]
+        basis[pr] = pc
+        colv = costs[:, pc].copy()
+        if colv.any():  # price the cost rows out against the crash column
+            costs -= colv[:, None] * row
+            costs[:, pc] = 0.0
+    # the phase-1 row sums the rows that keep their artificial
+    keep = basis >= n
+    r1[:n] = -structural[keep].sum(axis=0)
+    r1[-1] = -rhs[keep].sum()
     ratios = np.empty(m)
 
     pivots = 0
@@ -303,15 +317,16 @@ def _simplex_batch(
             live -= colv[:, None] * row
         live[:, pc] = 0.0
         row[pc] = 1.0
-        leaving = basis[pr]
-        if leaving >= n:
-            blocked[leaving] = np.inf  # artificial never re-enters
         basis[pr] = pc
         pivots += 1
 
     def entering(r: np.ndarray, bland: bool) -> int:
-        np.add(r, blocked, out=price)
+        # Only structural columns enter: an artificial that left the basis
+        # never re-enters, and one that is basic prices at zero.
         # Bland: the first eligible column; Dantzig: the first of the minima
+        if not n:
+            return -1
+        price = r[:n]
         pc = int((price < -FEAS_TOL).argmax() if bland else price.argmin())
         return pc if price[pc] < -FEAS_TOL else -1
 
@@ -383,7 +398,6 @@ def _simplex_batch(
             cand = (np.abs(body[pr, :n]) > PIVOT_TOL).nonzero()[0]
             if cand.size:
                 pivot(pr, int(cand[0]), tab)
-    blocked[n:] = np.inf
 
     if K > 1:
         return _lockstep_phase2(

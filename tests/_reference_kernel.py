@@ -2,7 +2,8 @@
 
 Test-only reference: ``_simplex_standard_form`` below is the kernel that
 kept the constraint rows and the two reduced-cost rows in separate arrays
-and updated the whole tableau with ``np.outer`` at every pivot.  The tests
+and updated the whole tableau with ``np.outer`` at every pivot, with the
+crash start of unit columns written here on its own.  The tests
 check that ``isddp.lp_core._simplex_standard_form`` returns the same result
 bit for bit (up to the sign of an exact zero).
 """
@@ -67,8 +68,6 @@ def _simplex_standard_form(
 
     # Reduced-cost rows; last entry is -objective.
     r1 = np.zeros(ncols + 1)
-    r1[:n] = -body[:, :n].sum(axis=0)
-    r1[-1] = -body[:, -1].sum()
     r2 = np.zeros(ncols + 1)
     r2[:n] = c
 
@@ -164,6 +163,23 @@ def _simplex_standard_form(
                     bland = True
             else:
                 degenerate = 0
+
+    # Crash start: row i begins with its lowest-indexed unit column basic (a
+    # column of A whose one nonzero entry lies in row i and is positive after
+    # the sign flip); its artificial never enters.  r1 prices the rows that
+    # keep their artificial.
+    nonzeros = np.count_nonzero(body[:, :n], axis=0)
+    for i in range(m):
+        units = np.flatnonzero((nonzeros == 1) & (body[i, :n] > 0))
+        if units.size:
+            j = int(units[0])
+            body[i] /= body[i, j]
+            basis[i] = j
+            allowed[n + i] = False
+            update_r2(j, body[i])
+    keep = basis >= n
+    r1[:n] = -body[keep, :n].sum(axis=0)
+    r1[-1] = -body[keep, -1].sum()
 
     key = stored = None
     if phase1_memo is not None:

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from isddp import stage_solver
 from isddp.cli import EXIT_GUARD, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main
 from isddp.models import load_model, model_to_json, save_model
 from isddp.toys import toy_det_t3, toy_sto_t3_m2
@@ -157,17 +158,36 @@ class TestSolve:
         rows = list(csv.DictReader(open(out)))
         assert [r["iter"] for r in rows] == ["1"]
 
-    def test_row_generation_fault_names_stage_and_path(self, tmp_path, capsys):
-        # on this instance a forward LP comes back OPTIMAL at a point that
-        # violates one of its own cut rows (an open kernel fault); row
-        # generation stops there at once instead of re-adding the cut
+    def test_row_generation_fault_names_stage_and_path(self, tmp_path, capsys, monkeypatch):
+        # a forward LP that comes back OPTIMAL at a point violating one of its
+        # own cut rows: row generation stops there at once instead of
+        # re-adding the cut.  The fault is injected: every stage-3 forward
+        # LP that carries pool cuts returns its optimum with the epigraph
+        # value lowered below them.  In this run the first such LP (path 0,
+        # iteration 2) holds cut 3.
+        pools = {}
+        real_lp, real_solve = stage_solver.stage_lp, stage_solver.solve_with_primal_trail
+
+        def recording_lp(stage, x_prev, pool, cut_subset=None):
+            lp = real_lp(stage, x_prev, pool, cut_subset)
+            pools[id(lp)] = pool
+            return lp
+
+        def violating(lp):
+            sol, trail = real_solve(lp)
+            if pools[id(lp)].stage == 4 and lp.num_cuts > 1:  # stage 3's LPs
+                sol.obj -= 1.0
+            return sol, trail
+
+        monkeypatch.setattr(stage_solver, "stage_lp", recording_lp)
+        monkeypatch.setattr(stage_solver, "solve_with_primal_trail", violating)
         inst = str(tmp_path / "u02.json")
         assert main(["gen", "--T", "6", "--n", "8", "--M", "10", "--u", "0.2",
                      "--seed", "0", "--out", inst]) == EXIT_OK
         capsys.readouterr()
         out = str(tmp_path / "rowgen.csv")
         rc = main(["solve", "--instance", inst, "--preset", "isddp2", "--paths", "10",
-                   "--gap-tol", "1e-9", "--max-iter", "40", "--seed", "9", "--out", out])
+                   "--gap-tol", "1e-9", "--max-iter", "40", "--seed", "111", "--out", out])
         assert rc == EXIT_SOLVER
         err = capsys.readouterr().err
         assert "stage 3 (path 0): cut-row generation failed to converge" in err

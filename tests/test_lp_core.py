@@ -81,8 +81,10 @@ class TestSolveExact:
         assert solve_exact(lp).status is SolveStatus.INFEASIBLE
 
     def test_pivot_limit_fault_carries_iterate(self):
+        # no column is a unit column, so phase 1 must pivot
         lp = LinearProgram(
-            num_vars=2, num_eq=1, cost=[1.0, 1.0], eq_matrix=[[1.0, 1.0]], eq_rhs=[1.0]
+            num_vars=2, num_eq=2, cost=[1.0, 1.0], eq_matrix=[[1.0, 1.0], [1.0, -1.0]],
+            eq_rhs=[1.0, 0.0],
         )
         with pytest.raises(PivotLimitError) as err:
             solve_exact(lp, max_pivots=0)
@@ -324,6 +326,33 @@ def test_dual_batch_certificates_match_lone_solves(seed):
         for budget in budgets:
             cold = solve_dual_inexact(lp, **budget)
             assert _bits(solve_dual_inexact(lp, **budget, batch=(batch, i))) == _bits(cold)
+
+
+# ---------------------------------------------------------------------------
+# Crash start: a row that holds a unit column (one nonzero entry, positive
+# after the sign flip) starts with that column basic.
+
+
+def test_crash_start_with_a_unit_column_in_every_row_takes_no_phase1_pivot():
+    # row 0 holds columns 0 (entry 2) and 2 (entry 1): the lower index wins;
+    # row 1 (b < 0) holds column 3 once its sign is flipped
+    A = np.array([[2.0, 1.0, 1.0, 0.0], [0.0, 1.0, 0.0, -1.0]])
+    b = np.array([4.0, -2.0])
+    res = _simplex_standard_form(A, b, np.zeros(4))
+    assert res.pivots == 0
+    assert res.basis.tolist() == [0, 3]
+    assert res.z.tolist() == [2.0, 0.0, 0.0, 2.0]
+
+
+@pytest.mark.parametrize("entry, pivots", [(-1.0, 1), (1.0, 0)])
+def test_crash_start_skips_a_unit_column_with_a_negative_entry(entry, pivots):
+    # column 2 is row 1's only unit column; negative, it leaves row 1 its
+    # artificial, which phase 1 pivots out
+    A = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, entry]])
+    res = _simplex_standard_form(A, np.array([2.0, 1.0]), np.zeros(3))
+    assert res.status is SolveStatus.OPTIMAL
+    assert res.pivots == pivots
+    assert res.basis.tolist() == [1, 0 if entry < 0 else 2]
 
 
 # ---------------------------------------------------------------------------
