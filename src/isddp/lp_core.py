@@ -8,7 +8,14 @@ Handles LPs of the form
 
 Exact solves run a two-phase tableau simplex on the nonnegative standard
 form (f split into f+ - f-, one surplus variable per cut row) and return a
-basic (vertex) primal point together with exact row multipliers.  One
+basic (vertex) primal point together with exact row multipliers.  Every
+solve starts from a crash basis (Bixby, ORSA J. Computing 4(3), 1992): a
+row that holds a unit column (one nonzero entry, positive after the rows
+are signed to b >= 0) starts with that column basic, so only the other rows
+carry an artificial into phase 1.  Position-limit slacks, the surpluses of
+cuts with a negative intercept and, in an explicit dual, the slack of every
+row with c_j >= 0 are such columns.  The start also decides which of
+several optimal vertices a degenerate LP returns.  One
 array holds the constraint rows, then the phase-2 and phase-1 reduced-cost
 rows, so a pivot is one rank-1 update; on large tableaux it touches only
 the rows and columns the pivot changes.  Each changed cell gets the same
@@ -242,11 +249,13 @@ def _simplex_batch(
     rows ``0..m-1`` are the constraints, rows ``m..m+K-1`` the phase-2
     reduced-cost rows (one per LP) and the last row the phase-1 row ``r1``;
     the last column is the right-hand side (``-objective`` in the cost rows).
-    Phase 1 and the artificial drive-out depend on ``(A, b)`` only, so they
-    run once for all K LPs: each pivot is one rank-1 update of the whole
-    array, which gives every cost row the update a lone solve gives its own.
-    Phase 2 runs in place on rows ``:m+1`` when K == 1, and otherwise in
-    lockstep on a copy per LP (``_lockstep_phase2``).
+    The crash start, phase 1 and the artificial drive-out depend on
+    ``(A, b)`` only, so they run once for all K LPs.  The crash scales its
+    rows in place and prices the cost rows out against its columns; each
+    phase-1 pivot is one rank-1 update of the whole array, which gives
+    every cost row the update a lone solve gives its own.  Phase 2 runs in
+    place on rows ``:m+1`` when K == 1, and otherwise in lockstep on a copy
+    per LP (``_lockstep_phase2``).  Only structural columns enter.
 
     On tableaux of at least ``RESTRICTED_UPDATE_CELLS`` cells a pivot touches
     only the rows where the pivot column is nonzero and the columns where
@@ -254,8 +263,8 @@ def _simplex_batch(
     ``colv[i] * row[j]`` and one subtraction whichever update runs, so each
     LP's result is bit-identical to a lone solve with either update.  The
     one exception is the sign of an exact zero in a skipped cell, which only
-    had a zero product to lose; no comparison, ratio or argmin can see that
-    sign.
+    had a zero product to lose (the crash likewise skips a column whose cost
+    is zero in every LP); no comparison, ratio or argmin can see that sign.
     """
     m, n = A.shape
     K = len(C)
@@ -324,8 +333,6 @@ def _simplex_batch(
         # Only structural columns enter: an artificial that left the basis
         # never re-enters, and one that is basic prices at zero.
         # Bland: the first eligible column; Dantzig: the first of the minima
-        if not n:
-            return -1
         price = r[:n]
         pc = int((price < -FEAS_TOL).argmax() if bland else price.argmin())
         return pc if price[pc] < -FEAS_TOL else -1

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from isddp.lp_core import LinearProgram
+from isddp.models import DeterministicModel, save_model
+from isddp.portfolio import PortfolioSpec, generate_instance
 
 
 def random_feasible_bounded_lp(rng: np.random.Generator) -> LinearProgram:
@@ -21,6 +23,17 @@ def random_feasible_bounded_lp(rng: np.random.Generator) -> LinearProgram:
     b = A @ xhat
     c = rng.normal(size=n).round(3)
     return LinearProgram(num_vars=n, num_eq=m, cost=c, eq_matrix=A, eq_rhs=b)
+
+
+def save_chain(T: int, n: int, seed: int, path) -> str:
+    """Write the M=1 portfolio of ``gen`` seed ``seed`` as a deterministic chain."""
+    sto = generate_instance(PortfolioSpec(T=T, n=n, M=1, seed=seed))
+    det = DeterministicModel(
+        stages=[sto.stage1] + [st.realizations[0] for st in sto.stages],
+        x0=sto.x0, floors=sto.floors,
+    )
+    save_model(det, path)
+    return str(path)
 
 
 def enumerate_vertices(lp: LinearProgram) -> tuple[float, list[np.ndarray]]:

@@ -163,8 +163,8 @@ class TestSolve:
         # own cut rows: row generation stops there at once instead of
         # re-adding the cut.  The fault is injected: every stage-3 forward
         # LP that carries pool cuts returns its optimum with the epigraph
-        # value lowered below them.  In this run the first such LP (path 0,
-        # iteration 2) holds cut 3.
+        # value lowered below them.  With solve seed 111 the first such LP
+        # (path 0, iteration 2) holds cut 3.
         pools = {}
         real_lp, real_solve = stage_solver.stage_lp, stage_solver.solve_with_primal_trail
 

@@ -16,8 +16,8 @@ import os
 import pytest
 
 from isddp.cli import EXIT_OK, main
-from isddp.models import DeterministicModel, save_model
-from isddp.portfolio import PortfolioSpec, generate_instance
+
+from conftest import save_chain
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -31,13 +31,7 @@ def _portfolio(tmp):
 
 
 def _chain(tmp):
-    sto = generate_instance(PortfolioSpec(T=10, n=4, M=1, seed=2024))
-    det = DeterministicModel(
-        stages=[sto.stage1] + [st.realizations[0] for st in sto.stages],
-        x0=sto.x0, floors=sto.floors,
-    )
-    inst = os.path.join(tmp, "chain.json")
-    save_model(det, inst)
+    inst = save_chain(10, 4, 2024, os.path.join(tmp, "chain.json"))
     return inst, ["--algo", "ddp", "--tol", "1e-6", "--max-iter", "100"]
 
 

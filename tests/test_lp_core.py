@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 from unittest import mock
 
 import numpy as np
@@ -353,6 +354,43 @@ def test_crash_start_skips_a_unit_column_with_a_negative_entry(entry, pivots):
     assert res.status is SolveStatus.OPTIMAL
     assert res.pivots == pivots
     assert res.basis.tolist() == [1, 0 if entry < 0 else 2]
+
+
+# ---------------------------------------------------------------------------
+# The kernel against HiGHS (scipy, optional) on conftest LPs and variants that
+# add cut rows, make the LP infeasible or drop its bounding row.
+
+HIGHS_STATUS = {0: SolveStatus.OPTIMAL, 2: SolveStatus.INFEASIBLE, 3: SolveStatus.UNBOUNDED}
+
+
+@pytest.mark.skipif(importlib.util.find_spec("scipy") is None, reason="needs scipy")
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=40, deadline=None)
+def test_kernel_matches_highs_on_conftest_lps(seed):
+    from scipy.optimize import linprog
+
+    rng = np.random.default_rng(seed)
+    base = random_feasible_bounded_lp(rng)
+    n = base.num_vars
+    betas = rng.normal(size=(3, n)).round(2)
+    lps = [
+        base,
+        _floor_and_cuts_lp(base, base.cost, rng.uniform(0.0, 2.0, size=n).round(3), betas, rng),
+        # row 0 has positive coefficients: a negative rhs there is infeasible
+        dataclasses.replace(base, eq_rhs=np.r_[-base.eq_rhs[0], base.eq_rhs[1:]]),
+        # without row 0 the LP may be unbounded
+        dataclasses.replace(base, num_eq=base.num_eq - 1, eq_matrix=base.eq_matrix[1:],
+                            eq_rhs=base.eq_rhs[1:]),
+    ]
+    for lp in lps:
+        A, b, c = _standard_primal(lp)
+        ref = linprog(c, A_eq=A if len(b) else None, b_eq=b if len(b) else None,
+                      bounds=(0, None), method="highs")
+        sol = solve_exact(lp)
+        assert sol.status is HIGHS_STATUS[ref.status]
+        if sol.status is SolveStatus.OPTIMAL:
+            assert abs(sol.obj - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
+            assert max(solution_residuals(lp, sol)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
