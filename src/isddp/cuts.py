@@ -6,6 +6,11 @@ collected so far and a constant floor.  When a pool enters a stage LP the
 floor is encoded as cut row 0 (beta = 0, theta = floor) so that the dual
 weight vector covers it uniformly; the pool keeps its rows in that
 floor-first layout as read-only arrays, which stage LPs alias.
+
+A pool answers ``cut in pool`` for a bitwise copy of a cut it holds, so that
+callers store each cut once.  It also carries ``memo``, a dict in which the
+stage solver keeps solves against the pool's current contents; ``add``
+clears it, and nothing else does.
 """
 
 from __future__ import annotations
@@ -55,8 +60,17 @@ class Cut:
         )
 
 
+def _cut_key(cut: Cut) -> tuple[bytes, bytes]:
+    return np.float64(cut.theta).tobytes(), cut.beta.tobytes()
+
+
 class CutPool:
-    """Ordered cut collection with a constant floor; evaluates as their max."""
+    """Ordered cut collection with a constant floor; evaluates as their max.
+
+    ``memo`` holds results of stage solves against this pool, which depend
+    only on the stage, the trial point and the pool's contents; ``add``
+    replaces it with an empty dict.
+    """
 
     def __init__(
         self,
@@ -69,12 +83,18 @@ class CutPool:
         self.state_dim = state_dim
         self.floor = float(floor)
         self._cuts: list[Cut] = []
+        self._keys: set[tuple[bytes, bytes]] = set()
         self._rows: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self.memo: dict = {}
         for cut in cuts:
             self.add(cut)
 
     def __len__(self) -> int:
         return len(self._cuts)
+
+    def __contains__(self, cut: Cut) -> bool:
+        """Whether the pool holds a cut with bitwise the same theta and beta."""
+        return _cut_key(cut) in self._keys
 
     @property
     def cuts(self) -> tuple[Cut, ...]:
@@ -87,7 +107,9 @@ class CutPool:
                 f"({self.state_dim},)"
             )
         self._cuts.append(cut)
+        self._keys.add(_cut_key(cut))
         self._rows = None
+        self.memo = {}
 
     def _floor_first(self) -> tuple[np.ndarray, np.ndarray]:
         """(betas, thetas) with the floor as row 0, rebuilt after an ``add``."""

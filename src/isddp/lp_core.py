@@ -703,7 +703,7 @@ def solve_dual_inexact(
     eps: float,
     *,
     rel_eps: float = 0.0,
-    batch: Optional[tuple[DualBatch, int]] = None,
+    batch: Optional[tuple[object, object]] = None,
 ) -> DualCertificate:
     """Return a dual-feasible (lam, mu) with dual_obj >= optimum - budget.
 
@@ -711,9 +711,10 @@ def solve_dual_inexact(
     the earliest trail iterate within budget of the now-known optimum is
     returned (a retrospective certificate).  The budget is
     ``eps + rel_eps * max(1, |optimum|)``; with a zero budget the certificate
-    is the first iterate at the optimum.  With ``batch = (dual_batch, i)``,
-    whose member ``i`` is ``lp``, the kernel result comes from that batch;
-    it is bit-identical to the lone solve's.
+    is the first iterate at the optimum.  With ``batch = (source, i)``, the
+    kernel result is ``source.result(i)``: member ``i`` of a ``DualBatch``,
+    or an entry of a ``stage_solver.DualSweep``, whose member is ``lp``; it
+    is bit-identical to the lone solve's.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")

@@ -5,12 +5,16 @@ along them (budget-suboptimal solves), then sweeps stages T..2 building one
 probability-aggregated cut per (path, stage) from certified dual points of
 all realization subproblems.  Pools are frozen while a stage is being
 processed and cuts are appended in fixed path order, so the serial result
-is what any parallel schedule must reproduce.  The dual solves of one stage
-are gathered into one ``DualSweep`` first: against the frozen pool, duals
-that differ only in their cost share one feasible region, and the kernel
-solves them in batches.  An exact first-stage solve yields
-the lower bound; the upper bound is a one-sided confidence bound on sampled
-policy costs, or the cost of the path itself when there is one.
+is what any parallel schedule must reproduce.  A pool stores each cut once:
+a cut that is a bitwise copy of one the pool holds is not appended.  The
+dual solves of one stage are gathered into one ``DualSweep`` first: against
+the frozen pool, duals that differ only in their cost share one feasible
+region, and the kernel solves them in batches.  Forward solves and backward
+kernel results are kept in the pool's memo until the pool gets a cut, so a
+later pass at a trial point it has seen reads them instead of solving again.
+An exact first-stage solve yields the lower bound; the upper bound is a
+one-sided confidence bound on sampled policy costs, or the cost of the path
+itself when there is one.
 
 This is the only place where passes and iterations run: a deterministic
 model is the one-realization case, and ``ddp_engine`` lifts it and runs one
@@ -154,7 +158,7 @@ def forward_pass_sddp(
                 cache[key] = hit
             traj.append(hit.x)
             values[p, t - 1] = hit.optimum
-            resolved[t - 1] = hit.budget_resolved
+            resolved[t - 1] = max(resolved[t - 1], hit.budget_resolved)
             costs[p] += float(stage.c @ hit.x)
             x_prev = hit.x
         trajectories.append(traj)
@@ -177,7 +181,9 @@ def backward_pass_sddp(
     iteration: int = 0,
 ) -> SddpBackwardResult:
     """Stage-major backward sweep: all paths' cuts at stage t are built
-    against the frozen pool t+1, then appended to pool t in path order.
+    against the frozen pool t+1, then appended to pool t in path order,
+    each unless pool t already holds a bitwise copy of it.  ``new_cuts``
+    keeps one cut per (path, stage) all the same.
 
     ``epsilons`` has one entry per stage 2..T; an entry may be a single
     budget or one budget per path.
@@ -233,7 +239,8 @@ def backward_pass_sddp(
                 )
             stage_cuts.append(cut)
         for cut in stage_cuts:
-            pools[t].add(cut)
+            if cut not in pools[t]:
+                pools[t].add(cut)
         new_cuts.extend(stage_cuts)
     lb = stage_value_exact(model.stage1, model.x0, pools[2], t=1)
     return SddpBackwardResult(new_cuts, lb, tuple(eps_resolved))

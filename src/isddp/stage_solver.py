@@ -10,6 +10,11 @@ path, which scales with the number of cuts only through matrix columns.
 A ``DualSweep`` gathers the backward duals of one stage against its frozen
 pool into kernel batches: realizations that share ``A`` and ``c`` give
 duals that share their constraints, at every trial point.
+
+A stage solve depends only on the stage, the trial point and the pool's
+contents, and the kernel is deterministic, so both kinds of solve are kept
+in ``pool.memo`` (keyed on the stage object's id and the trial point's
+bytes) and read from there, bit-identical, until the pool gets a cut.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .lp_core import (
     LpError,
     PrimalDualSolution,
     SolveStatus,
+    _KernelResult,
     solve_dual_inexact,
     solve_exact,
     solve_with_primal_trail,
@@ -146,26 +152,34 @@ def solve_forward_stage(
 
     Solves to optimality (recording the vertex trail of the last
     row-generation round), evaluates each trail vertex against the full
-    pool, and returns the earliest one within budget of the optimum.
+    pool, and returns the earliest one within budget of the optimum.  The
+    solve and the evaluated trail do not depend on the budget; they are
+    kept in ``pool.memo`` until the pool changes.
     """
-    sol, trail = _row_generation(
-        stage, x_prev, pool, want_trail=True, t=t, path=path
-    )
-    x_star = sol.x
-    optimum = float(stage.c @ x_star) + pool.evaluate(x_star)
+    key = ("forward", id(stage), x_prev.tobytes())
+    hit = pool.memo.get(key)
+    if hit is None:
+        sol, trail = _row_generation(
+            stage, x_prev, pool, want_trail=True, t=t, path=path
+        )
+        optimum = float(stage.c @ sol.x) + pool.evaluate(sol.x)
+        xs, full_vals = [], []
+        if trail:
+            xs = np.stack([x for _, x in trail])
+            full_vals = xs @ stage.c + pool.evaluate_many(xs)
+        # the stage object is kept so that its id is not reused while the entry lives
+        hit = pool.memo[key] = (stage, sol.x, optimum, xs, full_vals)
+    _, x_star, optimum, xs, full_vals = hit
     resolved = budget.resolve(optimum)
     slack = 1e-12 * (1.0 + abs(optimum))
-    if trail:
-        xs = np.stack([x for _, x in trail])
-        full_vals = xs @ stage.c + pool.evaluate_many(xs)
-        for i in range(len(trail)):
-            if full_vals[i] <= optimum + resolved + slack:
-                return ForwardStageResult(
-                    x=xs[i].copy(),
-                    value=float(full_vals[i]),
-                    optimum=optimum,
-                    budget_resolved=resolved,
-                )
+    for i in range(len(xs)):
+        if full_vals[i] <= optimum + resolved + slack:
+            return ForwardStageResult(
+                x=xs[i].copy(),
+                value=float(full_vals[i]),
+                optimum=optimum,
+                budget_resolved=resolved,
+            )
     return ForwardStageResult(
         x=x_star.copy(), value=optimum, optimum=optimum, budget_resolved=resolved
     )
@@ -176,9 +190,12 @@ class DualSweep:
 
     Realizations that share ``A`` and ``c`` give explicit duals that share
     their constraints at every trial point; each such group is one
-    ``DualBatch`` over (trial point, realization), whose members differ in
-    ``eq_rhs = b - B x_prev`` only.  ``solve_backward_stage`` takes its
-    certificate from the batch with ``sweep=``.
+    ``DualBatch`` over the (trial point, realization) pairs whose kernel
+    result ``pool.memo`` does not hold yet; its members differ in
+    ``eq_rhs = b - B x_prev`` only.  Every result a batch computes goes into
+    the memo, trimmed to what the certificate scan reads.
+    ``solve_backward_stage`` takes its kernel result from here with
+    ``sweep=``.
     """
 
     def __init__(
@@ -187,22 +204,39 @@ class DualSweep:
         x_prevs: Sequence[np.ndarray],
         pool: CutPool,
     ):
+        self._memo = pool.memo
         self._members: dict = {}
-        points = list({x.tobytes(): x for x in x_prevs}.items())
-        if not points:
-            return
+        points = {x.tobytes(): x for x in x_prevs}
         groups: dict = {}
         for r in realizations:
             groups.setdefault((r.A.shape, r.A.tobytes(), r.c.tobytes()), []).append(r)
         for group in groups.values():
-            keys = [(id(r), xb) for xb, _ in points for r in group]
-            eq_rhs = np.array([r.b - r.B @ x for _, x in points for r in group])
-            batch = DualBatch(stage_lp(group[0], points[0][1], pool), eq_rhs)
-            self._members.update((key, (batch, i)) for i, key in enumerate(keys))
+            todo = [(_dual_key(r, xb), r, x) for xb, x in points.items() for r in group]
+            todo = [member for member in todo if member[0] not in self._memo]
+            if not todo:
+                continue
+            eq_rhs = np.array([r.b - r.B @ x for _, r, x in todo])
+            batch = DualBatch(stage_lp(group[0], todo[0][2], pool), eq_rhs)
+            self._members.update((key, (r, batch, i)) for i, (key, r, _) in enumerate(todo))
 
-    def member(self, stage: StageModel, x_prev: np.ndarray) -> tuple[DualBatch, int]:
-        """The batch and index of ``stage``'s dual at ``x_prev``."""
-        return self._members[(id(stage), x_prev.tobytes())]
+    def member(self, stage: StageModel, x_prev: np.ndarray) -> tuple["DualSweep", tuple]:
+        """``(self, key)``: ``solve_dual_inexact(batch=)`` reads ``stage``'s dual at ``x_prev``."""
+        return self, _dual_key(stage, x_prev.tobytes())
+
+    def result(self, key: tuple) -> _KernelResult:
+        """The kernel result of the dual ``key``, from the memo or from its batch."""
+        hit = self._memo.get(key)
+        if hit is None:
+            stage, batch, i = self._members[key]
+            res = batch.result(i)
+            res = _KernelResult(res.status, None, res.obj, None, None, res.pivots, res.trail)
+            # the stage object is kept so that its id is not reused while the entry lives
+            hit = self._memo[key] = (stage, res)
+        return hit[1]
+
+
+def _dual_key(stage: StageModel, x_bytes: bytes) -> tuple:
+    return "dual", id(stage), x_bytes
 
 
 def solve_backward_stage(

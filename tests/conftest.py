@@ -25,14 +25,18 @@ def random_feasible_bounded_lp(rng: np.random.Generator) -> LinearProgram:
     return LinearProgram(num_vars=n, num_eq=m, cost=c, eq_matrix=A, eq_rhs=b)
 
 
-def save_chain(T: int, n: int, seed: int, path) -> str:
-    """Write the M=1 portfolio of ``gen`` seed ``seed`` as a deterministic chain."""
+def chain_model(T: int, n: int, seed: int) -> DeterministicModel:
+    """The M=1 portfolio of ``gen`` seed ``seed`` as a deterministic chain."""
     sto = generate_instance(PortfolioSpec(T=T, n=n, M=1, seed=seed))
-    det = DeterministicModel(
+    return DeterministicModel(
         stages=[sto.stage1] + [st.realizations[0] for st in sto.stages],
         x0=sto.x0, floors=sto.floors,
     )
-    save_model(det, path)
+
+
+def save_chain(T: int, n: int, seed: int, path) -> str:
+    """Write ``chain_model(T, n, seed)`` to ``path``."""
+    save_model(chain_model(T, n, seed), path)
     return str(path)
 
 

@@ -121,6 +121,24 @@ class TestCutPool:
         with pytest.raises(CutDimensionError):
             pool.add(Cut(theta=0.0, beta=np.array([1.0]), stage=2, iteration=1))
 
+    def test_contains_bitwise_copies_only(self):
+        pool = CutPool(stage=2, state_dim=2, floor=-5.0)
+        pool.add(Cut(theta=0.0, beta=np.array([0.5, -2.0]), stage=2, iteration=1))
+
+        def cut(theta, beta):
+            return Cut(theta=theta, beta=np.array(beta), stage=2, iteration=7, eps_used=0.3)
+
+        assert cut(0.0, [0.5, -2.0]) in pool  # stage, iteration and eps are no part of it
+        assert cut(0.0, [0.5, np.nextafter(-2.0, 0.0)]) not in pool
+        assert cut(np.nextafter(0.0, 1.0), [0.5, -2.0]) not in pool
+        assert cut(-0.0, [0.5, -2.0]) not in pool  # the sign bit differs
+
+    def test_add_clears_the_memo(self):
+        pool = CutPool(stage=2, state_dim=1, floor=-5.0)
+        pool.memo["solve"] = "result"
+        pool.add(Cut(theta=1.0, beta=np.array([1.0]), stage=2, iteration=1))
+        assert pool.memo == {}
+
     def test_json_round_trip(self):
         pool = CutPool(stage=3, state_dim=2, floor=-7.5)
         pool.add(Cut(theta=1.5, beta=np.array([0.5, -2.0]), stage=3, iteration=4, eps_used=0.01))

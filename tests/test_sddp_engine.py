@@ -1,5 +1,5 @@
-import copy
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ import pytest
 from isddp import lp_core, oracle
 from isddp import sddp_engine
 from isddp import stage_solver
+from isddp.cuts import CutPool
 from isddp.ddp_engine import run_iddp
 from isddp.models import StochasticModel
 from isddp.portfolio import PortfolioSpec, generate_instance
@@ -19,6 +20,7 @@ from isddp.schedules import (
     forward_budgets,
 )
 from isddp.sddp_engine import (
+    SamplePath,
     backward_pass_sddp,
     evaluate_policy,
     forward_pass_sddp,
@@ -29,6 +31,8 @@ from isddp.sddp_engine import (
 )
 from isddp.stage_solver import stage_value_exact
 from isddp.toys import toy_det_t3, toy_sto_t3_m2, toy_sto_t4_m3
+
+from conftest import chain_model
 
 
 class TestSamplePaths:
@@ -86,6 +90,18 @@ class TestForwardPassSddp:
                 res = forward_pass_sddp(m, pools, [path], deltas=[0.0] * 3)
                 total += float(pi * pj) * res.cost_samples[0]
         assert total == pytest.approx(oracle.extensive_form(m), abs=1e-6)
+
+    def test_resolved_delta_is_the_max_over_paths(self):
+        # stage 3's optimum is -11.943 on path 0 and -6.46 on path 1, so a
+        # relative budget resolves to a larger delta on the first path
+        m = toy_sto_t3_m2()
+        paths = [SamplePath(indices=idx, iteration=0, path_id=p)
+                 for p, idx in enumerate([(1, 0), (0, 0)])]
+        budget = ErrorBudget(relative=0.1)
+        res = forward_pass_sddp(m, make_pools(m), paths, [budget] * 3)
+        per_path = [[budget.resolve(v) for v in row] for row in res.stage_values]
+        assert per_path[0][2] > per_path[1][2]
+        assert res.deltas_resolved == tuple(map(max, zip(*per_path)))
 
     def test_cost_never_below_lower_bound(self):
         m = toy_sto_t3_m2()
@@ -169,11 +185,15 @@ class TestBackwardPassSddp:
                 super().__init__(lp, eq_rhs)
                 sizes.append(len(eq_rhs))
 
+        asked = set()
+
         def solver(certs, batched):
             # records every certificate; the unbatched one drops the sweep
-            def solve(*args, sweep, **kwargs):
+            def solve(stage, x_prev, *args, sweep, **kwargs):
+                if batched:
+                    asked.add((kwargs["t"], id(stage), x_prev.tobytes()))
                 cert, optimum = stage_solver.solve_backward_stage(
-                    *args, sweep=sweep if batched else None, **kwargs)
+                    stage, x_prev, *args, sweep=sweep if batched else None, **kwargs)
                 certs.append((cert.lam.tobytes(), cert.mu.tobytes(), cert.dual_obj.hex(),
                               float(cert.eps_certified).hex(), optimum.hex()))
                 return cert, optimum
@@ -181,6 +201,7 @@ class TestBackwardPassSddp:
 
         monkeypatch.setattr(stage_solver, "DualBatch", CountingBatch)
         pools = make_pools(m)
+        served = []  # per iteration: duals the pool memo gave the sweep
         for k in range(1, 5):
             paths = sample_paths(m, n_paths, k, seed=9)
             fwd = forward_pass_sddp(m, pools, paths, forward_budgets(spec, k, T))
@@ -189,12 +210,16 @@ class TestBackwardPassSddp:
                  for p in range(n_paths)]
                 for t in range(2, T + 1)
             ]
-            ref_pools = copy.deepcopy(pools)
+            # the reference solves every dual: its pools start without a memo
+            ref_pools = {t: CutPool.from_dict(p.to_dict()) for t, p in pools.items()}
             ref_certs, got_certs = [], []
             monkeypatch.setattr(sddp_engine, "solve_backward_stage", solver(ref_certs, False))
             ref = backward_pass_sddp(m, ref_pools, fwd.trajectories, eps, iteration=k)
             monkeypatch.setattr(sddp_engine, "solve_backward_stage", solver(got_certs, True))
+            asked.clear()
+            batched_before = sum(sizes)
             got = backward_pass_sddp(m, pools, fwd.trajectories, eps, iteration=k)
+            served.append(len(asked) - (sum(sizes) - batched_before))
             assert got_certs == ref_certs
             assert len(got.new_cuts) == len(ref.new_cuts) == n_paths * (T - 1)
             for a, b in zip(got.new_cuts, ref.new_cuts):
@@ -203,6 +228,119 @@ class TestBackwardPassSddp:
             assert got.lb.hex() == ref.lb.hex()
             assert got.eps_resolved == ref.eps_resolved
         assert 1 in sizes and max(sizes) > 1
+        assert served[0] == 0 and max(served[1:]) > 0
+
+
+class TestStoreEachCutOnce:
+    def test_duplicate_cuts_are_skipped_before_add(self, monkeypatch):
+        m = generate_instance(PortfolioSpec(T=3, n=2, M=3, seed=4))
+        pools = make_pools(m)
+        added, batched = [], []
+        add = CutPool.add
+        monkeypatch.setattr(CutPool, "add", lambda pool, cut: added.append(cut) or add(pool, cut))
+
+        class CountingBatch(lp_core.DualBatch):
+            def __init__(self, lp, eq_rhs):
+                super().__init__(lp, eq_rhs)
+                batched.append(len(eq_rhs))
+
+        monkeypatch.setattr(stage_solver, "DualBatch", CountingBatch)
+        paths = sample_paths(m, 1, 1, seed=9)
+        (traj,) = forward_pass_sddp(m, pools, paths, [0.0] * 3).trajectories
+        # two paths at one trial point: the second path's cuts are copies
+        bwd = backward_pass_sddp(m, pools, [traj, traj], [0.0, 0.0], iteration=1)
+        assert len(bwd.new_cuts) == 4
+        assert bwd.new_cuts[0].theta == bwd.new_cuts[1].theta
+        assert len(added) == 2 and len(pools[3]) == len(pools[2]) == 1
+        # the same sweep again: every cut is a copy, so no pool changes
+        forward_pass_sddp(m, pools, paths, [0.0] * 3)  # fills pools[3].memo
+        rows = pools[3].betas_with_floor(), pools[3].thetas_with_floor()
+        memo = dict(pools[3].memo)
+        assert any(key[0] == "forward" for key in memo)
+        del batched[:]
+        bwd = backward_pass_sddp(m, pools, [traj], [0.0, 0.0], iteration=2)
+        assert len(bwd.new_cuts) == 2 and len(added) == 2
+        assert pools[3].betas_with_floor() is rows[0]
+        assert pools[3].thetas_with_floor() is rows[1]
+        assert memo.items() <= pools[3].memo.items()
+        assert batched == []  # every dual came from the memos of pools 3 and 4
+
+    def test_memo_results_match_fresh_solves(self, monkeypatch):
+        # a solve read from a pool's memo is bit for bit the solve against a
+        # copy of the pool without one
+        m = generate_instance(PortfolioSpec(T=3, n=2, M=3, seed=4))
+        spec = ScheduleSpec(eps_bar=0.1, eps0=1e-12, mode=ScheduleMode.RELATIVE)
+        T, n_paths = m.horizon, 3
+        solved = Counter()
+
+        def counting(kind, solve):
+            def wrapper(*args, **kwargs):
+                solved[kind] += 1
+                return solve(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(stage_solver, "solve_with_primal_trail", counting(
+            "forward", stage_solver.solve_with_primal_trail))
+        monkeypatch.setattr(lp_core.DualBatch, "result", counting(
+            "dual", lp_core.DualBatch.result))
+        pools = make_pools(m)
+        saved = Counter()
+        for k in range(1, 5):
+            fresh = {t: CutPool.from_dict(p.to_dict()) for t, p in pools.items()}
+            paths = sample_paths(m, n_paths, k, seed=9)
+            deltas = forward_budgets(spec, k, T)
+            runs = []
+            for run_pools in (pools, fresh):
+                before = solved.copy()
+                fwd = forward_pass_sddp(m, run_pools, paths, deltas)
+                eps = [
+                    [backward_budget(spec, t, k, T, prev_value=fwd.stage_values[p, t - 1])
+                     for p in range(n_paths)]
+                    for t in range(2, T + 1)
+                ]
+                bwd = backward_pass_sddp(m, run_pools, fwd.trajectories, eps, iteration=k)
+                runs.append((fwd, bwd, solved - before))
+            (got_f, got_b, got_n), (ref_f, ref_b, ref_n) = runs
+            for a, b in zip(got_f.trajectories, ref_f.trajectories):
+                assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
+            assert got_f.cost_samples.tobytes() == ref_f.cost_samples.tobytes()
+            assert got_f.stage_values.tobytes() == ref_f.stage_values.tobytes()
+            assert got_f.deltas_resolved == ref_f.deltas_resolved
+            for a, b in zip(got_b.new_cuts, ref_b.new_cuts):
+                assert (a.theta.hex(), a.beta.tobytes()) == (b.theta.hex(), b.beta.tobytes())
+            assert got_b.lb.hex() == ref_b.lb.hex()
+            assert got_b.eps_resolved == ref_b.eps_resolved
+            assert {t: p.to_dict() for t, p in pools.items()} == {
+                t: p.to_dict() for t, p in fresh.items()}
+            saved += ref_n - got_n
+        assert saved["forward"] > 0 and saved["dual"] > 0
+
+    @pytest.mark.parametrize("case", ["chain-iddp", "u0.2-isddp1"])
+    def test_bounds_match_a_run_that_keeps_every_copy(self, case, monkeypatch):
+        # skipping copies shortens the LPs, which may change the bounds in
+        # their last bits only
+        sched = ScheduleSpec(eps_bar=0.1, eps0=1e-12, mode=ScheduleMode.RELATIVE)
+        if case == "chain-iddp":
+            model = chain_model(20, 6, 2024)
+
+            def run(pools):
+                return run_iddp(model, sched, tol=1e-6, max_iter=30, initial_pools=pools)
+        else:
+            model = generate_instance(PortfolioSpec(T=4, n=4, M=4, u=0.2, seed=0))
+
+            def run(pools):
+                return run_isddp(model, sched, n_paths=5, gap_tol=1e-9, max_iter=10,
+                                 seed=9, initial_pools=pools)
+        pools = make_pools(model)
+        got = [(r.lb, r.ub) for r in run(pools).records]
+        monkeypatch.setattr(CutPool, "__contains__", lambda pool, cut: False)
+        all_pools = make_pools(model)
+        want = [(r.lb, r.ub) for r in run(all_pools).records]
+        assert sum(map(len, pools.values())) < sum(map(len, all_pools.values()))
+        assert len(got) == len(want)
+        for k, (a, b) in enumerate(zip(got, want), start=1):
+            for x, y in zip(a, b):
+                assert abs(x - y) <= 1e-9 * max(1.0, abs(y)), f"iteration {k}"
 
 
 class TestBackwardStageFaults:
