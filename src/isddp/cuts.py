@@ -8,9 +8,9 @@ weight vector covers it uniformly; the pool keeps its rows in that
 floor-first layout as read-only arrays, which stage LPs alias.
 
 A pool answers ``cut in pool`` for a bitwise copy of a cut it holds, so that
-callers store each cut once.  It also carries ``memo``, a dict in which the
-stage solver keeps solves against the pool's current contents; ``add``
-clears it, and nothing else does.
+callers store each cut once.  It also carries ``memo``, the one cache of
+stage solves: a dict in which the stage solver keeps solves against the
+pool's current contents; ``add`` clears it, and nothing else does.
 """
 
 from __future__ import annotations
@@ -68,8 +68,10 @@ class CutPool:
     """Ordered cut collection with a constant floor; evaluates as their max.
 
     ``memo`` holds results of stage solves against this pool, which depend
-    only on the stage, the trial point and the pool's contents; ``add``
-    replaces it with an empty dict.
+    only on the stage, the trial point and the pool's contents: each forward
+    solve with its evaluated vertex trail (the lower bound is one of them)
+    and each backward dual's trimmed kernel result; ``add`` replaces it
+    with an empty dict.
     """
 
     def __init__(

@@ -63,9 +63,11 @@ def backward_pass(
     *,
     iteration: int = 0,
 ) -> SddpBackwardResult:
-    """Append one cut per stage T..2 and recompute the exact lower bound.
+    """Build a cut per stage T..2, append the distinct ones, and recompute Lb.
 
-    ``epsilons`` has one entry per stage 2..T (index t-2).
+    A stage's pool gets its cut only when it does not hold a bitwise copy;
+    ``new_cuts`` keeps every one.  ``epsilons`` has one entry per stage
+    2..T (index t-2).
     """
     return backward_pass_sddp(
         StochasticModel.from_deterministic(model), pools, [trajectory], epsilons,

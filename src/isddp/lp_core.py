@@ -31,10 +31,10 @@ suboptimality.
 
 Phase 1 depends on the constraints alone.  LPs that differ only in
 ``eq_rhs`` have explicit duals that share ``(A, b)`` and differ only in
-their cost, so a ``DualBatch`` solves them together: phase 1 once, on one
-tableau that carries every LP's cost row, then phase 2 for all of them in
-lockstep, each LP with its own basis.  Every result is bit-identical to a
-lone solve (see ``_simplex_batch``).
+their cost, so ``solve_dual_batch`` solves them together: phase 1 once, on
+one tableau that carries every LP's cost row, then phase 2 for all of them
+in lockstep, each LP with its own basis.  Every result is bit-identical to
+a lone solve (see ``_simplex_batch``).
 
 Dual convention for cut rows: weights mu >= 0 with sum(mu) == 1, entering
 the variable-wise constraint as  eq_matrix.T @ lam - sum_i mu_i * beta_i <= c.
@@ -663,39 +663,31 @@ def solve_with_primal_trail(
     return _solve_primal(lp, True)
 
 
-class DualBatch:
-    """The explicit duals of LPs that differ only in ``eq_rhs``, solved together.
+def solve_dual_batch(lp: LinearProgram, eq_rhs: np.ndarray) -> list:
+    """Kernel outcomes of the explicit duals of ``lp`` with each row of ``eq_rhs``.
 
-    Such duals share their constraints ``(D, rhs)``, which depend on
-    ``eq_matrix``, ``cost`` and the cut slopes, and differ only in their
-    cost row ``[-eq_rhs | eq_rhs | -thetas | 0]``.  Member ``i`` is ``lp``
-    with row ``i`` of ``eq_rhs`` in its place.  Members are solved on first
-    use, ``BATCH_CHUNK`` at a time (``_simplex_batch``): phase 1 once per
-    chunk, phase 2 in lockstep.
+    LPs that differ only in ``eq_rhs`` have explicit duals that share their
+    constraints ``(D, rhs)``, which depend on ``eq_matrix``, ``cost`` and the
+    cut slopes, and differ only in their cost row
+    ``[-eq_rhs | eq_rhs | -thetas | 0]``.  They are solved ``BATCH_CHUNK`` at
+    a time (``_simplex_batch``): phase 1 once per chunk, phase 2 in lockstep.
+    Outcome ``i`` is a ``_KernelResult``, or the ``LpError`` that a lone
+    solve of member ``i`` raises.
     """
-
-    def __init__(self, lp: LinearProgram, eq_rhs: np.ndarray):
-        m, K = lp.num_eq, lp.num_cuts
-        self.D, self.rhs = _dual_constraints(lp)
-        self.costs = np.zeros((len(eq_rhs), self.D.shape[1]))
-        self.costs[:, :m] = -eq_rhs
-        self.costs[:, m : 2 * m] = eq_rhs
-        self.costs[:, 2 * m : 2 * m + K] = -lp.cut_thetas()
-        self.trail_cols = np.arange(2 * m + K)
-        self._outcomes: list = [None] * len(eq_rhs)
-
-    def result(self, i: int) -> _KernelResult:
-        """Member ``i``'s kernel result; raises the LpError a lone solve raises."""
-        if self._outcomes[i] is None:
-            lo = i - i % BATCH_CHUNK
-            self._outcomes[lo : lo + BATCH_CHUNK] = _simplex_batch(
-                self.D, self.rhs, self.costs[lo : lo + BATCH_CHUNK],
-                want_trail=True, trail_cols=self.trail_cols,
-            )
-        out = self._outcomes[i]
-        if isinstance(out, LpError):
-            raise out
-        return out
+    m, K = lp.num_eq, lp.num_cuts
+    D, rhs = _dual_constraints(lp)
+    costs = np.zeros((len(eq_rhs), D.shape[1]))
+    costs[:, :m] = -eq_rhs
+    costs[:, m : 2 * m] = eq_rhs
+    costs[:, 2 * m : 2 * m + K] = -lp.cut_thetas()
+    trail_cols = np.arange(2 * m + K)
+    return [
+        out
+        for lo in range(0, len(costs), BATCH_CHUNK)
+        for out in _simplex_batch(
+            D, rhs, costs[lo : lo + BATCH_CHUNK], want_trail=True, trail_cols=trail_cols
+        )
+    ]
 
 
 def solve_dual_inexact(
@@ -703,7 +695,7 @@ def solve_dual_inexact(
     eps: float,
     *,
     rel_eps: float = 0.0,
-    batch: Optional[tuple[object, object]] = None,
+    result: Optional[_KernelResult] = None,
 ) -> DualCertificate:
     """Return a dual-feasible (lam, mu) with dual_obj >= optimum - budget.
 
@@ -711,24 +703,21 @@ def solve_dual_inexact(
     the earliest trail iterate within budget of the now-known optimum is
     returned (a retrospective certificate).  The budget is
     ``eps + rel_eps * max(1, |optimum|)``; with a zero budget the certificate
-    is the first iterate at the optimum.  With ``batch = (source, i)``, the
-    kernel result is ``source.result(i)``: member ``i`` of a ``DualBatch``,
-    or an entry of a ``stage_solver.DualSweep``, whose member is ``lp``; it
-    is bit-identical to the lone solve's.
+    is the first iterate at the optimum.  A ``result`` given is used as the
+    explicit dual's kernel result in place of a lone solve; it must be
+    ``lp``'s, as from ``solve_dual_batch``, which is bit-identical to it.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    if batch is None:
+    if result is None:
         D, rhs, cost = _explicit_dual(lp)
-        res = _simplex_standard_form(
+        result = _simplex_standard_form(
             D, rhs, cost, want_trail=True, trail_cols=np.arange(2 * lp.num_eq + lp.num_cuts)
         )
-    else:
-        res = batch[0].result(batch[1])
-    _check_dual_solvable(res)
-    optimum = -res.obj
+    _check_dual_solvable(result)
+    optimum = -result.obj
     budget = eps + rel_eps * max(1.0, abs(optimum))
-    for kernel_obj, zslice in res.trail:
+    for kernel_obj, zslice in result.trail:
         dual_obj = -kernel_obj
         if dual_obj >= optimum - budget:
             lam, mu = _dual_point(lp, zslice)

@@ -7,14 +7,16 @@ all realization subproblems.  Pools are frozen while a stage is being
 processed and cuts are appended in fixed path order, so the serial result
 is what any parallel schedule must reproduce.  A pool stores each cut once:
 a cut that is a bitwise copy of one the pool holds is not appended.  The
-dual solves of one stage are gathered into one ``DualSweep`` first: against
-the frozen pool, duals that differ only in their cost share one feasible
-region, and the kernel solves them in batches.  Forward solves and backward
-kernel results are kept in the pool's memo until the pool gets a cut, so a
-later pass at a trial point it has seen reads them instead of solving again.
-An exact first-stage solve yields the lower bound; the upper bound is a
-one-sided confidence bound on sampled policy costs, or the cost of the path
-itself when there is one.
+dual solves of one stage are solved together first (``sweep_duals``):
+against the frozen pool, duals that differ only in their cost share one
+feasible region, and the kernel solves them in batches.  Forward solves and
+backward kernel results are kept in the pool's memo until the pool gets a
+cut, so a path, a pass or an iteration at a trial point already seen reads
+them instead of solving again; the passes keep no cache of their own.  An
+exact first-stage solve yields the lower bound, and shares the memo entry
+of the next iteration's first forward stage; the upper bound is a one-sided
+confidence bound on sampled policy costs, or the cost of the path itself
+when there is one.
 
 This is the only place where passes and iterations run: a deterministic
 model is the one-realization case, and ``ddp_engine`` lifts it and runs one
@@ -45,10 +47,10 @@ from .models import (
 )
 from .schedules import ErrorBudget, ScheduleSpec, backward_budget, forward_budgets
 from .stage_solver import (
-    DualSweep,
     solve_backward_stage,
     solve_forward_stage,
     stage_value_exact,
+    sweep_duals,
 )
 
 _EVAL_STREAM = 1  # counter word separating policy-evaluation draws from training
@@ -129,14 +131,13 @@ def forward_pass_sddp(
 ) -> SddpForwardResult:
     """Simulate the current policy along each sampled path.
 
-    Identical (stage, state) subproblems across paths are solved once; the
-    deterministic kernel makes the shared result exact for every path.
+    Every path of a pass uses the same budget per stage, so paths that meet
+    at one (stage, state) read one solve from the pool memo.
     """
     T = model.horizon
     budgets = [_as_budget(d) for d in deltas]
     if len(budgets) != T:
         raise ValueError(f"need {T} deltas, got {len(budgets)}")
-    cache: dict = {}
     trajectories: list[list[np.ndarray]] = []
     costs = np.zeros(len(paths))
     values = np.zeros((len(paths), T))
@@ -149,18 +150,12 @@ def forward_pass_sddp(
                 stage = model.stage1
             else:
                 stage = model.stages[t - 2].realizations[path.indices[t - 2]]
-            key = (t, x_prev.tobytes(), path.indices[t - 2] if t > 1 else 0)
-            hit = cache.get(key)
-            if hit is None:
-                hit = solve_forward_stage(
-                    stage, x_prev, pools[t + 1], budgets[t - 1], t=t, path=p
-                )
-                cache[key] = hit
-            traj.append(hit.x)
-            values[p, t - 1] = hit.optimum
-            resolved[t - 1] = max(resolved[t - 1], hit.budget_resolved)
-            costs[p] += float(stage.c @ hit.x)
-            x_prev = hit.x
+            res = solve_forward_stage(stage, x_prev, pools[t + 1], budgets[t - 1], t=t, path=p)
+            traj.append(res.x)
+            values[p, t - 1] = res.optimum
+            resolved[t - 1] = max(resolved[t - 1], res.budget_resolved)
+            costs[p] += float(stage.c @ res.x)
+            x_prev = res.x
         trajectories.append(traj)
     return SddpForwardResult(trajectories, costs, values, tuple(resolved))
 
@@ -183,7 +178,9 @@ def backward_pass_sddp(
     """Stage-major backward sweep: all paths' cuts at stage t are built
     against the frozen pool t+1, then appended to pool t in path order,
     each unless pool t already holds a bitwise copy of it.  ``new_cuts``
-    keeps one cut per (path, stage) all the same.
+    keeps one cut per (path, stage) all the same.  ``sweep_duals`` first
+    puts every dual of stage t that pool t+1's memo lacks there, so each
+    path's certificates read their kernel results from the memo.
 
     ``epsilons`` has one entry per stage 2..T; an entry may be a single
     budget or one budget per path.
@@ -210,23 +207,15 @@ def backward_pass_sddp(
         realizations = [
             (r.b, r.B, float(p)) for r, p in zip(st.realizations, st.probs)
         ]
-        # every distinct trial point misses the cache below once
-        sweep = DualSweep(st.realizations, [traj[t - 2] for traj in trajectories], pool_next)
-        cache: dict = {}
+        sweep_duals(st.realizations, [traj[t - 2] for traj in trajectories], pool_next)
         stage_cuts: list[Cut] = []
         for p in range(n_paths):
             x_prev = trajectories[p][t - 2]
             budget = budgets[t - 2][p]
-            key = (x_prev.tobytes(), budget)
-            certs = cache.get(key)
-            if certs is None:
-                certs = [
-                    solve_backward_stage(
-                        r, x_prev, pool_next, budget, t=t, path=p, sweep=sweep
-                    )[0]
-                    for r in st.realizations
-                ]
-                cache[key] = certs
+            certs = [
+                solve_backward_stage(r, x_prev, pool_next, budget, t=t, path=p)[0]
+                for r in st.realizations
+            ]
             eps_resolved[t - 2] = max(
                 eps_resolved[t - 2], max(c.eps_certified for c in certs)
             )

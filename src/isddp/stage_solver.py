@@ -4,17 +4,19 @@ Forward (primal) solves use lazy cut-row generation: solve against a small
 working subset of the pool, add the most violated cut at the incumbent, and
 repeat until the incumbent's epigraph value dominates the whole pool.  The
 trail of the final solve then yields certified delta-suboptimal vertices.
+The exact stage value of the lower bound is the zero-budget case.
 
 Backward (dual) solves hand the full pool to the kernel's explicit-dual
 path, which scales with the number of cuts only through matrix columns.
-A ``DualSweep`` gathers the backward duals of one stage against its frozen
-pool into kernel batches: realizations that share ``A`` and ``c`` give
-duals that share their constraints, at every trial point.
+``sweep_duals`` solves the backward duals of one stage against its frozen
+pool in kernel batches: realizations that share ``A`` and ``c`` give duals
+that share their constraints, at every trial point.
 
 A stage solve depends only on the stage, the trial point and the pool's
 contents, and the kernel is deterministic, so both kinds of solve are kept
 in ``pool.memo`` (keyed on the stage object's id and the trial point's
-bytes) and read from there, bit-identical, until the pool gets a cut.
+bytes) and read from there, bit-identical, until the pool gets a cut.  The
+memo is the only place a solve is kept between calls.
 """
 
 from __future__ import annotations
@@ -26,17 +28,19 @@ import numpy as np
 
 from .cuts import CutPool
 from .lp_core import (
-    DualBatch,
     DualCertificate,
     LinearProgram,
     LpError,
     PrimalDualSolution,
     SolveStatus,
     _KernelResult,
+    solve_dual_batch,
     solve_dual_inexact,
-    solve_exact,
     solve_with_primal_trail,
 )
+
+# Unused here; kept importable because the per-layer tracer wraps it on this module.
+from .lp_core import solve_exact  # noqa: F401
 from .models import StageModel
 from .schedules import ErrorBudget
 
@@ -103,11 +107,13 @@ def _row_generation(
     x_prev: np.ndarray,
     pool: CutPool,
     *,
-    want_trail: bool,
     t: Optional[int],
     path: Optional[int],
 ) -> tuple[PrimalDualSolution, list]:
-    """Solve the stage problem against the full pool via lazy cut rows."""
+    """Solve the stage problem against the full pool via lazy cut rows.
+
+    Returns the last round's solution and its vertex trail.
+    """
     gen_tol = 1e-9
     working: list[int] = []
     thetas = pool.thetas()
@@ -115,7 +121,7 @@ def _row_generation(
     while True:  # each round adds a cut not yet in ``working`` or ends
         lp = stage_lp(stage, x_prev, pool, cut_subset=working)
         try:
-            sol, trail = solve_with_primal_trail(lp) if want_trail else (solve_exact(lp), [])
+            sol, trail = solve_with_primal_trail(lp)
         except LpError as exc:  # kernel faults carry no stage context
             raise StageSolveError(
                 f"{_where(t, path)} failed in the kernel: {exc}", stage=t, path=path
@@ -159,9 +165,7 @@ def solve_forward_stage(
     key = ("forward", id(stage), x_prev.tobytes())
     hit = pool.memo.get(key)
     if hit is None:
-        sol, trail = _row_generation(
-            stage, x_prev, pool, want_trail=True, t=t, path=path
-        )
+        sol, trail = _row_generation(stage, x_prev, pool, t=t, path=path)
         optimum = float(stage.c @ sol.x) + pool.evaluate(sol.x)
         xs, full_vals = [], []
         if trail:
@@ -185,54 +189,36 @@ def solve_forward_stage(
     )
 
 
-class DualSweep:
-    """The backward duals of one stage at its trial points, against a frozen pool.
+def sweep_duals(
+    realizations: Sequence[StageModel], x_prevs: Sequence[np.ndarray], pool: CutPool
+) -> None:
+    """Solve the backward duals of one stage at its trial points into ``pool.memo``.
 
     Realizations that share ``A`` and ``c`` give explicit duals that share
-    their constraints at every trial point; each such group is one
-    ``DualBatch`` over the (trial point, realization) pairs whose kernel
-    result ``pool.memo`` does not hold yet; its members differ in
-    ``eq_rhs = b - B x_prev`` only.  Every result a batch computes goes into
-    the memo, trimmed to what the certificate scan reads.
-    ``solve_backward_stage`` takes its kernel result from here with
-    ``sweep=``.
+    their constraints at every trial point.  Each such group is one
+    ``solve_dual_batch`` over the (trial point, realization) pairs whose
+    kernel result the memo does not hold yet; they differ in
+    ``eq_rhs = b - B x_prev`` only.  Each result goes into the memo, trimmed
+    to what the certificate scan reads.  A member whose outcome is an
+    ``LpError`` is left out, so that its lone solve in
+    ``solve_backward_stage`` raises the error with stage and path.
     """
-
-    def __init__(
-        self,
-        realizations: Sequence[StageModel],
-        x_prevs: Sequence[np.ndarray],
-        pool: CutPool,
-    ):
-        self._memo = pool.memo
-        self._members: dict = {}
-        points = {x.tobytes(): x for x in x_prevs}
-        groups: dict = {}
-        for r in realizations:
-            groups.setdefault((r.A.shape, r.A.tobytes(), r.c.tobytes()), []).append(r)
-        for group in groups.values():
-            todo = [(_dual_key(r, xb), r, x) for xb, x in points.items() for r in group]
-            todo = [member for member in todo if member[0] not in self._memo]
-            if not todo:
-                continue
-            eq_rhs = np.array([r.b - r.B @ x for _, r, x in todo])
-            batch = DualBatch(stage_lp(group[0], todo[0][2], pool), eq_rhs)
-            self._members.update((key, (r, batch, i)) for i, (key, r, _) in enumerate(todo))
-
-    def member(self, stage: StageModel, x_prev: np.ndarray) -> tuple["DualSweep", tuple]:
-        """``(self, key)``: ``solve_dual_inexact(batch=)`` reads ``stage``'s dual at ``x_prev``."""
-        return self, _dual_key(stage, x_prev.tobytes())
-
-    def result(self, key: tuple) -> _KernelResult:
-        """The kernel result of the dual ``key``, from the memo or from its batch."""
-        hit = self._memo.get(key)
-        if hit is None:
-            stage, batch, i = self._members[key]
-            res = batch.result(i)
-            res = _KernelResult(res.status, None, res.obj, None, None, res.pivots, res.trail)
-            # the stage object is kept so that its id is not reused while the entry lives
-            hit = self._memo[key] = (stage, res)
-        return hit[1]
+    points = {x.tobytes(): x for x in x_prevs}
+    groups: dict = {}
+    for r in realizations:
+        groups.setdefault((r.A.shape, r.A.tobytes(), r.c.tobytes()), []).append(r)
+    for group in groups.values():
+        todo = [(_dual_key(r, xb), r, x) for xb, x in points.items() for r in group]
+        todo = [member for member in todo if member[0] not in pool.memo]
+        if not todo:
+            continue
+        eq_rhs = np.array([r.b - r.B @ x for _, r, x in todo])
+        outcomes = solve_dual_batch(stage_lp(group[0], todo[0][2], pool), eq_rhs)
+        for (key, r, _), res in zip(todo, outcomes):
+            if not isinstance(res, LpError):
+                res = _KernelResult(res.status, None, res.obj, None, None, res.pivots, res.trail)
+                # the stage object is kept so that its id is not reused while the entry lives
+                pool.memo[key] = (r, res)
 
 
 def _dual_key(stage: StageModel, x_bytes: bytes) -> tuple:
@@ -247,21 +233,22 @@ def solve_backward_stage(
     *,
     t: Optional[int] = None,
     path: Optional[int] = None,
-    sweep: Optional[DualSweep] = None,
 ) -> tuple[DualCertificate, float]:
     """Budget-certified dual point of one backward stage, plus its optimum.
 
     The certificate's ``mu`` covers the pool rows floor-first, matching
-    ``pool.thetas_with_floor()``.  With a ``sweep`` that covers this stage
-    and ``x_prev``, the kernel result comes from the sweep's batch.
+    ``pool.thetas_with_floor()``.  The kernel result comes from
+    ``pool.memo`` when ``sweep_duals`` put it there, and from a lone solve
+    otherwise.
     """
     lp = stage_lp(stage, x_prev, pool)
+    hit = pool.memo.get(_dual_key(stage, x_prev.tobytes()))
     try:
         cert = solve_dual_inexact(
             lp,
             eps=budget.absolute,
             rel_eps=budget.relative,
-            batch=None if sweep is None else sweep.member(stage, x_prev),
+            result=None if hit is None else hit[1],
         )
     except LpError as exc:  # kernel faults carry no stage context
         raise StageSolveError(
@@ -280,6 +267,9 @@ def stage_value_exact(
     *,
     t: Optional[int] = None,
 ) -> float:
-    """Exact optimal value of a stage problem against the full pool."""
-    sol, _ = _row_generation(stage, x_prev, pool, want_trail=False, t=t, path=None)
-    return float(stage.c @ sol.x) + pool.evaluate(sol.x)
+    """Exact optimal value of a stage problem against the full pool.
+
+    It is the optimum of a zero-budget forward solve, so it shares that
+    solve's entry in ``pool.memo``.
+    """
+    return solve_forward_stage(stage, x_prev, pool, ErrorBudget(), t=t).optimum

@@ -135,26 +135,38 @@ class TestSolve:
 
     def test_forward_kernel_fault_keeps_partial_log(self, det_instance, tmp_path,
                                                     monkeypatch, capsys):
+        import isddp.sddp_engine as engine
         import isddp.stage_solver as ss
         from isddp.lp_core import LpError
 
-        real = ss.solve_with_primal_trail
-        calls = []
+        real, lower_bound = ss.solve_with_primal_trail, engine.stage_value_exact
+        calls, in_lb = [], []
 
         def fails_in_iteration_two(lp):
             # iteration 1 runs against empty pools: one forward solve per
-            # stage, so call T + 1 is stage 1 of iteration 2
-            calls.append(lp)
+            # stage, so call T + 1 outside the lower bound is in iteration 2.
+            # The lower bound of iteration 1 fills the memo entry of stage 1,
+            # so that call is stage 2's.
+            if not in_lb:
+                calls.append(lp)
             if len(calls) > toy_det_t3().horizon:
                 raise LpError("phase-1 subproblem unbounded: numerical failure")
             return real(lp)
 
+        def flagged_lower_bound(*args, **kwargs):
+            in_lb.append(True)
+            try:
+                return lower_bound(*args, **kwargs)
+            finally:
+                in_lb.pop()
+
         monkeypatch.setattr(ss, "solve_with_primal_trail", fails_in_iteration_two)
+        monkeypatch.setattr(engine, "stage_value_exact", flagged_lower_bound)
         out = str(tmp_path / "fault.csv")
         rc = main(["solve", "--instance", det_instance, "--algo", "ddp",
                    "--max-iter", "5", "--out", out])
         assert rc == EXIT_SOLVER
-        assert "stage 1 (path 0)" in capsys.readouterr().err
+        assert "stage 2 (path 0)" in capsys.readouterr().err
         rows = list(csv.DictReader(open(out)))
         assert [r["iter"] for r in rows] == ["1"]
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import _reference_kernel
 from isddp import lp_core
 from isddp.lp_core import (
-    DualBatch,
     LinearProgram,
     LpDimensionError,
     LpError,
@@ -19,9 +18,11 @@ from isddp.lp_core import (
     SolveStatus,
     dual_feasibility_residual,
     solution_residuals,
+    solve_dual_batch,
     solve_dual_inexact,
     solve_exact,
     solve_with_primal_trail,
+    _dual_constraints,
     _explicit_dual,
     _simplex_batch,
     _simplex_standard_form,
@@ -310,7 +311,7 @@ def _bits(cert):
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=25, deadline=None)
 def test_dual_batch_certificates_match_lone_solves(seed):
-    # LPs that differ only in eq_rhs share their dual's (A, b); a DualBatch
+    # LPs that differ only in eq_rhs share their dual's (A, b); a batch
     # solves them together, and every certificate must equal the lone one
     rng = np.random.default_rng(seed)
     base = random_feasible_bounded_lp(rng)
@@ -321,12 +322,12 @@ def test_dual_batch_certificates_match_lone_solves(seed):
         dataclasses.replace(lp, eq_rhs=base.eq_matrix @ rng.uniform(0.0, 2.0, size=n).round(3))
         for _ in range(3)
     ]
-    batch = DualBatch(lp, np.array([member.eq_rhs for member in lps]))
+    batch = solve_dual_batch(lp, np.array([member.eq_rhs for member in lps]))
     budgets = [dict(eps=0.0), dict(eps=0.05), dict(eps=0.0, rel_eps=0.01)]
     for i, lp in enumerate(lps):
         for budget in budgets:
             cold = solve_dual_inexact(lp, **budget)
-            assert _bits(solve_dual_inexact(lp, **budget, batch=(batch, i))) == _bits(cold)
+            assert _bits(solve_dual_inexact(lp, **budget, result=batch[i])) == _bits(cold)
 
 
 # ---------------------------------------------------------------------------
@@ -535,20 +536,22 @@ def _assert_batch_matches_lone(A, b, C, **extra):
     return outs[0]
 
 
-def _dual_batch(rng, K):
-    """The explicit duals of K conftest LPs that differ in eq_rhs."""
+def _dual_members(rng, K):
+    """A conftest LP and K eq_rhs rows: K LPs whose explicit duals share (A, b)."""
     base = random_feasible_bounded_lp(rng)
     n = base.num_vars
     betas = rng.normal(size=(3, n)).round(2)
     lp = _floor_and_cuts_lp(base, base.cost, rng.uniform(0.0, 2.0, size=n).round(3), betas, rng)
     eq_rhs = [base.eq_matrix @ rng.uniform(0.0, 2.0, size=n).round(3) for _ in range(K)]
-    return DualBatch(lp, np.array(eq_rhs))
+    return lp, np.array(eq_rhs)
 
 
 def _dual_group(rng, K):
-    """(A, b, C) of ``_dual_batch``: one (A, b), K costs."""
-    batch = _dual_batch(rng, K)
-    return batch.D, batch.rhs, batch.costs
+    """(A, b, C) of ``_dual_members``' explicit duals: one (A, b), K costs."""
+    lp, eq_rhs = _dual_members(rng, K)
+    D, rhs = _dual_constraints(lp)
+    C = [_explicit_dual(dataclasses.replace(lp, eq_rhs=row))[2] for row in eq_rhs]
+    return D, rhs, np.array(C)
 
 
 @pytest.mark.parametrize("K", [2, 5, 25, 130])
@@ -610,7 +613,7 @@ def test_batch_pivot_limit_matches_lone_solves(max_pivots):
     _assert_batch_matches_lone(*_dual_group(rng, 6), max_pivots=max_pivots)
 
 
-def test_dual_batch_solves_in_chunks_on_first_use(monkeypatch):
+def test_dual_batch_solves_in_chunks(monkeypatch):
     calls = []
     orig = lp_core._simplex_batch
 
@@ -619,10 +622,8 @@ def test_dual_batch_solves_in_chunks_on_first_use(monkeypatch):
         return orig(A, b, C, **kwargs)
 
     monkeypatch.setattr(lp_core, "_simplex_batch", counting)
-    batch = _dual_batch(np.random.default_rng(3), lp_core.BATCH_CHUNK + 2)
-    assert calls == []
-    first = batch.result(1)
-    assert calls == [lp_core.BATCH_CHUNK]
-    assert batch.result(lp_core.BATCH_CHUNK + 1).status is SolveStatus.OPTIMAL
-    assert batch.result(1) is first
+    lp, eq_rhs = _dual_members(np.random.default_rng(3), lp_core.BATCH_CHUNK + 2)
+    outcomes = solve_dual_batch(lp, eq_rhs)
+    assert len(outcomes) == lp_core.BATCH_CHUNK + 2
+    assert outcomes[lp_core.BATCH_CHUNK + 1].status is SolveStatus.OPTIMAL
     assert calls == [lp_core.BATCH_CHUNK, 2]

@@ -179,27 +179,26 @@ class TestBackwardPassSddp:
         spec = ScheduleSpec(eps_bar=0.1, eps0=1e-12, mode=ScheduleMode.RELATIVE)
         T, n_paths = m.horizon, 3
         sizes = []
+        batch = stage_solver.solve_dual_batch
 
-        class CountingBatch(lp_core.DualBatch):
-            def __init__(self, lp, eq_rhs):
-                super().__init__(lp, eq_rhs)
-                sizes.append(len(eq_rhs))
+        def counting_batch(lp, eq_rhs):
+            sizes.append(len(eq_rhs))
+            return batch(lp, eq_rhs)
 
         asked = set()
 
         def solver(certs, batched):
-            # records every certificate; the unbatched one drops the sweep
-            def solve(stage, x_prev, *args, sweep, **kwargs):
+            # records every certificate, and the duals the batched pass asks for
+            def solve(stage, x_prev, *args, **kwargs):
                 if batched:
                     asked.add((kwargs["t"], id(stage), x_prev.tobytes()))
-                cert, optimum = stage_solver.solve_backward_stage(
-                    stage, x_prev, *args, sweep=sweep if batched else None, **kwargs)
+                cert, optimum = stage_solver.solve_backward_stage(stage, x_prev, *args, **kwargs)
                 certs.append((cert.lam.tobytes(), cert.mu.tobytes(), cert.dual_obj.hex(),
                               float(cert.eps_certified).hex(), optimum.hex()))
                 return cert, optimum
             return solve
 
-        monkeypatch.setattr(stage_solver, "DualBatch", CountingBatch)
+        monkeypatch.setattr(stage_solver, "solve_dual_batch", counting_batch)
         pools = make_pools(m)
         served = []  # per iteration: duals the pool memo gave the sweep
         for k in range(1, 5):
@@ -210,12 +209,15 @@ class TestBackwardPassSddp:
                  for p in range(n_paths)]
                 for t in range(2, T + 1)
             ]
-            # the reference solves every dual: its pools start without a memo
+            # the reference solves every dual alone: its pools start without a
+            # memo, and no sweep fills one
             ref_pools = {t: CutPool.from_dict(p.to_dict()) for t, p in pools.items()}
             ref_certs, got_certs = [], []
             monkeypatch.setattr(sddp_engine, "solve_backward_stage", solver(ref_certs, False))
+            monkeypatch.setattr(sddp_engine, "sweep_duals", lambda *args: None)
             ref = backward_pass_sddp(m, ref_pools, fwd.trajectories, eps, iteration=k)
             monkeypatch.setattr(sddp_engine, "solve_backward_stage", solver(got_certs, True))
+            monkeypatch.setattr(sddp_engine, "sweep_duals", stage_solver.sweep_duals)
             asked.clear()
             batched_before = sum(sizes)
             got = backward_pass_sddp(m, pools, fwd.trajectories, eps, iteration=k)
@@ -235,18 +237,27 @@ class TestStoreEachCutOnce:
     def test_duplicate_cuts_are_skipped_before_add(self, monkeypatch):
         m = generate_instance(PortfolioSpec(T=3, n=2, M=3, seed=4))
         pools = make_pools(m)
-        added, batched = [], []
+        added, batched, row_generations, lone = [], [], [], []
         add = CutPool.add
         monkeypatch.setattr(CutPool, "add", lambda pool, cut: added.append(cut) or add(pool, cut))
+        batch, row_generation = stage_solver.solve_dual_batch, stage_solver._row_generation
+        dual = stage_solver.solve_dual_inexact
 
-        class CountingBatch(lp_core.DualBatch):
-            def __init__(self, lp, eq_rhs):
-                super().__init__(lp, eq_rhs)
-                batched.append(len(eq_rhs))
+        def counting_dual(lp, eps, **kwargs):
+            if kwargs["result"] is None:
+                lone.append(lp)
+            return dual(lp, eps, **kwargs)
 
-        monkeypatch.setattr(stage_solver, "DualBatch", CountingBatch)
+        monkeypatch.setattr(stage_solver, "solve_dual_batch",
+                            lambda lp, eq_rhs: batched.append(len(eq_rhs)) or batch(lp, eq_rhs))
+        monkeypatch.setattr(stage_solver, "solve_dual_inexact", counting_dual)
+        monkeypatch.setattr(stage_solver, "_row_generation", lambda *args, **kwargs: (
+            row_generations.append(kwargs["t"]) or row_generation(*args, **kwargs)))
         paths = sample_paths(m, 1, 1, seed=9)
-        (traj,) = forward_pass_sddp(m, pools, paths, [0.0] * 3).trajectories
+        # two paths at one (stage, state): one row generation per stage
+        traj, twin = forward_pass_sddp(m, pools, paths * 2, [0.0] * 3).trajectories
+        assert row_generations == [1, 2, 3]
+        assert [x.tobytes() for x in traj] == [x.tobytes() for x in twin]
         # two paths at one trial point: the second path's cuts are copies
         bwd = backward_pass_sddp(m, pools, [traj, traj], [0.0, 0.0], iteration=1)
         assert len(bwd.new_cuts) == 4
@@ -264,6 +275,7 @@ class TestStoreEachCutOnce:
         assert pools[3].thetas_with_floor() is rows[1]
         assert memo.items() <= pools[3].memo.items()
         assert batched == []  # every dual came from the memos of pools 3 and 4
+        assert lone == []  # and in the first sweep from its batches
 
     def test_memo_results_match_fresh_solves(self, monkeypatch):
         # a solve read from a pool's memo is bit for bit the solve against a
@@ -272,19 +284,31 @@ class TestStoreEachCutOnce:
         spec = ScheduleSpec(eps_bar=0.1, eps0=1e-12, mode=ScheduleMode.RELATIVE)
         T, n_paths = m.horizon, 3
         solved = Counter()
+        in_lb = []  # the lower bound's kernel calls count apart
+        primal, batch, lower_bound = (stage_solver.solve_with_primal_trail,
+                                      stage_solver.solve_dual_batch, sddp_engine.stage_value_exact)
 
-        def counting(kind, solve):
-            def wrapper(*args, **kwargs):
-                solved[kind] += 1
-                return solve(*args, **kwargs)
-            return wrapper
+        def counting_primal(lp):
+            solved["lb" if in_lb else "forward"] += 1
+            return primal(lp)
 
-        monkeypatch.setattr(stage_solver, "solve_with_primal_trail", counting(
-            "forward", stage_solver.solve_with_primal_trail))
-        monkeypatch.setattr(lp_core.DualBatch, "result", counting(
-            "dual", lp_core.DualBatch.result))
+        def counting_batch(lp, eq_rhs):
+            solved["dual"] += len(eq_rhs)
+            return batch(lp, eq_rhs)
+
+        def flagged_lower_bound(*args, **kwargs):
+            in_lb.append(True)
+            try:
+                return lower_bound(*args, **kwargs)
+            finally:
+                in_lb.pop()
+
+        monkeypatch.setattr(stage_solver, "solve_with_primal_trail", counting_primal)
+        monkeypatch.setattr(stage_solver, "solve_dual_batch", counting_batch)
+        monkeypatch.setattr(sddp_engine, "stage_value_exact", flagged_lower_bound)
         pools = make_pools(m)
         saved = Counter()
+        lb_from_memo = 0  # iterations whose lower bound read the memo
         for k in range(1, 5):
             fresh = {t: CutPool.from_dict(p.to_dict()) for t, p in pools.items()}
             paths = sample_paths(m, n_paths, k, seed=9)
@@ -298,9 +322,17 @@ class TestStoreEachCutOnce:
                      for p in range(n_paths)]
                     for t in range(2, T + 1)
                 ]
+                pool2 = len(run_pools[2])
                 bwd = backward_pass_sddp(m, run_pools, fwd.trajectories, eps, iteration=k)
-                runs.append((fwd, bwd, solved - before))
-            (got_f, got_b, got_n), (ref_f, ref_b, ref_n) = runs
+                runs.append((fwd, bwd, solved - before, len(run_pools[2]) == pool2))
+            (got_f, got_b, got_n, pool2_kept), (ref_f, ref_b, ref_n, _) = runs
+            if pool2_kept:
+                # stage 1 was solved against this pool in the forward pass, so
+                # the lower bound is a memo read, bit for bit a solve without it
+                assert got_n["lb"] == 0
+                alone = stage_value_exact(m.stage1, m.x0, CutPool.from_dict(pools[2].to_dict()))
+                assert got_b.lb.hex() == alone.hex()
+                lb_from_memo += 1
             for a, b in zip(got_f.trajectories, ref_f.trajectories):
                 assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
             assert got_f.cost_samples.tobytes() == ref_f.cost_samples.tobytes()
@@ -313,7 +345,7 @@ class TestStoreEachCutOnce:
             assert {t: p.to_dict() for t, p in pools.items()} == {
                 t: p.to_dict() for t, p in fresh.items()}
             saved += ref_n - got_n
-        assert saved["forward"] > 0 and saved["dual"] > 0
+        assert saved["forward"] > 0 and saved["dual"] > 0 and lb_from_memo > 0
 
     @pytest.mark.parametrize("case", ["chain-iddp", "u0.2-isddp1"])
     def test_bounds_match_a_run_that_keeps_every_copy(self, case, monkeypatch):
@@ -363,6 +395,21 @@ class TestBackwardStageFaults:
         assert (err.value.stage, err.value.path) == (2, 4)
         assert "stage 2 (path 4)" in str(err.value)
         assert err.value.__cause__ is fault
+
+    def test_batch_fault_is_raised_by_the_lone_solve(self, monkeypatch):
+        # a dual whose batch outcome is a kernel fault is not memoized; its
+        # lone solve raises the fault with stage and path
+        m = toy_sto_t3_m2()
+        pools = make_pools(m)
+        fwd = forward_pass_sddp(m, pools, sample_paths(m, 2, 1, seed=1), [0.0] * 3)
+        fault = lp_core.LpError("phase-1 subproblem unbounded: numerical failure")
+        monkeypatch.setattr(lp_core, "_simplex_batch", lambda A, b, C, **kwargs: [fault] * len(C))
+        with pytest.raises(stage_solver.StageSolveError) as err:
+            backward_pass_sddp(m, pools, fwd.trajectories, [0.0, 0.0], iteration=1)
+        assert (err.value.stage, err.value.path) == (3, 0)
+        assert "stage 3 (path 0): backward solve failed in the kernel: phase-1" in str(err.value)
+        assert err.value.__cause__ is fault
+        assert not [key for key in pools[4].memo if key[0] == "dual"]
 
     def test_programming_error_propagates_unwrapped(self, monkeypatch):
         def broken(*args, **kwargs):
