@@ -28,7 +28,7 @@ from .models import (
     save_model,
 )
 from .oracle import OracleGuardError, OracleInfeasibleError, exact_recourse, extensive_form
-from .schedules import ScheduleError, ScheduleMode, ScheduleSpec
+from .schedules import EXACT_SCHEDULE, ScheduleError, ScheduleMode, ScheduleSpec
 from .sddp_engine import run_isddp
 from .stage_solver import StageSolveError
 
@@ -122,18 +122,16 @@ def _build_parser() -> _Parser:
 
 def _schedule_from_args(args) -> ScheduleSpec:
     if args.algo in ("ddp", "sddp"):
-        # exact algorithms tolerate only exact-equivalent schedule flags
-        if args.schedule_mode not in (None, ScheduleMode.EXACT.value):
-            raise UsageError(f"--algo {args.algo} forces the exact schedule mode")
+        # exact algorithms run the sddp preset and take no other schedule flag
+        if args.schedule_mode is not None:
+            raise UsageError(f"--algo {args.algo} forces the exact schedule")
         if args.preset not in (None, "sddp"):
             raise UsageError(f"--algo {args.algo} is incompatible with preset {args.preset}")
-        return ScheduleSpec(eps_bar=1e-12, eps0=1e-12, mode=ScheduleMode.EXACT)
+        return EXACT_SCHEDULE
     if args.preset is not None:
         eps_bar, eps0 = PRESETS[args.preset]
         return ScheduleSpec(eps_bar=eps_bar, eps0=eps0, mode=ScheduleMode.RELATIVE)
     mode = ScheduleMode(args.schedule_mode or ScheduleMode.RELATIVE.value)
-    if mode is ScheduleMode.EXACT:
-        return ScheduleSpec(eps_bar=1e-12, eps0=1e-12, mode=mode)
     if mode is ScheduleMode.CONSTANT_BOUNDED:
         # the constant noise levels reuse the --eps-bar knob
         return ScheduleSpec(

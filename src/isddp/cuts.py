@@ -186,37 +186,6 @@ def _check_realizations(
         raise CutDimensionError(f"realization probabilities sum to {total}, not 1")
 
 
-def build_terminal_cut(
-    realizations: Sequence[tuple[np.ndarray, np.ndarray, float]],
-    duals: Sequence[DualCertificate],
-    *,
-    stage: int = 0,
-    iteration: int = 0,
-    eps_used: float = 0.0,
-) -> Cut:
-    """Probability-weighted cut for a last-stage value function.
-
-    Each realization is a ``(b, B, prob)`` triple paired with a dual
-    certificate of the corresponding subproblem; the aggregated intercept is
-    ``sum_j p_j <b_j, lam_j>`` and the slope ``-sum_j p_j B_j.T lam_j``.
-    """
-    _check_realizations(realizations, duals)
-    b0, B0, _ = realizations[0]
-    state_dim = np.asarray(B0).shape[1]
-    theta = 0.0
-    beta = np.zeros(state_dim)
-    for (b, B, prob), cert in zip(realizations, duals):
-        b = np.asarray(b, dtype=float)
-        B = np.asarray(B, dtype=float)
-        if B.shape[1] != state_dim or b.shape[0] != B.shape[0]:
-            raise CutDimensionError("inconsistent realization dimensions")
-        if cert.lam.shape != (b.shape[0],):
-            raise CutDimensionError("dual lam does not match realization rows")
-        theta += prob * float(b @ cert.lam)
-        beta -= prob * (B.T @ cert.lam)
-    return Cut(theta=theta, beta=beta, stage=stage, iteration=iteration, eps_used=eps_used)
-
-
 def build_middle_cut(
     realizations: Sequence[tuple[np.ndarray, np.ndarray, float]],
     duals: Sequence[DualCertificate],
@@ -226,21 +195,28 @@ def build_middle_cut(
     iteration: int = 0,
     eps_used: float = 0.0,
 ) -> Cut:
-    """Aggregated cut for a middle stage, with the next-pool intercept term.
+    """Probability-weighted cut of a stage from its realizations' certificates.
 
-    Each dual certificate's ``mu`` must carry one weight per entry of
-    ``next_pool_thetas`` (floor first), in the same order; the intercept
-    gains ``sum_j p_j <mu_j, next_pool_thetas>``.
+    Each realization is a ``(b, B, prob)`` triple paired with a dual
+    certificate of the corresponding subproblem, whose ``mu`` carries one
+    weight per entry of ``next_pool_thetas`` (the next pool's intercepts,
+    floor first), in the same order.  The aggregated intercept is
+    ``sum_j p_j (<b_j, lam_j> + <mu_j, next_pool_thetas>)`` and the slope
+    ``-sum_j p_j B_j.T lam_j``.  The last stage's next pool is the zero pool
+    T+1 (``build_terminal_cut``).
     """
     _check_realizations(realizations, duals)
     next_pool_thetas = np.asarray(next_pool_thetas, dtype=float)
-    b0, B0, _ = realizations[0]
-    state_dim = np.asarray(B0).shape[1]
+    state_dim = np.asarray(realizations[0][1]).shape[1]
     theta = 0.0
     beta = np.zeros(state_dim)
     for (b, B, prob), cert in zip(realizations, duals):
         b = np.asarray(b, dtype=float)
         B = np.asarray(B, dtype=float)
+        if B.shape[1] != state_dim or b.shape[0] != B.shape[0]:
+            raise CutDimensionError("inconsistent realization dimensions")
+        if cert.lam.shape != (b.shape[0],):
+            raise CutDimensionError("dual lam does not match realization rows")
         if cert.mu.shape != next_pool_thetas.shape:
             raise CutDimensionError(
                 f"dual mu has shape {cert.mu.shape}, next pool has "
@@ -249,3 +225,19 @@ def build_middle_cut(
         theta += prob * (float(b @ cert.lam) + float(cert.mu @ next_pool_thetas))
         beta -= prob * (B.T @ cert.lam)
     return Cut(theta=theta, beta=beta, stage=stage, iteration=iteration, eps_used=eps_used)
+
+
+def build_terminal_cut(
+    realizations: Sequence[tuple[np.ndarray, np.ndarray, float]],
+    duals: Sequence[DualCertificate],
+    **tags,
+) -> Cut:
+    """Cut of the last stage: ``build_middle_cut`` against a zero next pool.
+
+    The cost-to-go after the horizon is zero, so every intercept of that
+    pool is zero; it has as many rows as the certificates' ``mu`` (one, the
+    floor, for a stage LP; none for an LP without epigraph).  ``tags`` are
+    ``build_middle_cut``'s ``stage``, ``iteration`` and ``eps_used``.
+    """
+    zero_pool = np.zeros(len(duals[0].mu) if duals else 0)
+    return build_middle_cut(realizations, duals, zero_pool, **tags)

@@ -27,7 +27,9 @@ with the same kernel: its phase-2 iterates are dual-feasible points of the
 original LP whose objective increases monotonically to the optimum, so a
 retrospective scan of the recorded iterate trail, once the optimum is known,
 yields the earliest point within budget together with its exact
-suboptimality.
+suboptimality.  A solve records a trail when it is given ``trail_len``: each
+phase-2 iterate's objective and the first ``trail_len`` entries of its
+vertex (the primal ``x``, or the dual's ``lam+ | lam- | mu``).
 
 Phase 1 depends on the constraints alone.  LPs that differ only in
 ``eq_rhs`` have explicit duals that share ``(A, b)`` and differ only in
@@ -215,13 +217,11 @@ def _simplex_standard_form(
     c: np.ndarray,
     *,
     max_pivots: Optional[int] = None,
-    want_trail: bool = False,
-    trail_cols: Optional[np.ndarray] = None,
+    trail_len: Optional[int] = None,
 ) -> _KernelResult:
     """Two-phase tableau simplex for  min c.z  s.t. A z = b, z >= 0 (see ``_simplex_batch``)."""
     (out,) = _simplex_batch(
-        A, b, np.asarray(c)[None, :], max_pivots=max_pivots, want_trail=want_trail,
-        trail_cols=trail_cols,
+        A, b, np.asarray(c)[None, :], max_pivots=max_pivots, trail_len=trail_len
     )
     if isinstance(out, LpError):
         raise out
@@ -234,16 +234,16 @@ def _simplex_batch(
     C: np.ndarray,
     *,
     max_pivots: Optional[int] = None,
-    want_trail: bool = False,
-    trail_cols: Optional[np.ndarray] = None,
+    trail_len: Optional[int] = None,
 ) -> list:
     """Two-phase tableau simplex for  min C[k].z  s.t. A z = b, z >= 0,  per row k.
 
     Returns one outcome per cost row ``C[k]``: a ``_KernelResult``, or the
     ``LpError`` that a solve of that LP alone raises.  Dantzig pricing with
     an automatic switch to Bland's rule after a long degenerate streak.
-    Phase-2 iterates are appended to the trail (if requested) as
-    ``(obj, z[trail_cols])`` snapshots, the optimum included.
+    With a ``trail_len``, each phase-2 iterate is appended to the trail as
+    an ``(obj, z[:trail_len])`` snapshot, the optimum included; a snapshot
+    is a compact copy, so a kept trail does not pin the whole vertex.
 
     One array ``tab`` of shape ``(m + K + 1, n + m + 1)`` holds the tableau:
     rows ``0..m-1`` are the constraints, rows ``m..m+K-1`` the phase-2
@@ -354,18 +354,13 @@ def _simplex_batch(
             return int(tie[basis[tie].argmin()])
         return int(tie[colv[tie].argmax()])
 
-    def snapshot() -> np.ndarray:
-        z = np.zeros(ncols)
-        z[basis] = rhs
-        return z[trail_cols] if trail_cols is not None else z[:n]
-
     def run_phase(r: np.ndarray, live: np.ndarray, trail: Optional[list]) -> str:
         """Pivot on ``live`` until cost row ``r`` prices out; the outcome."""
         bland = False
         degenerate = 0
         while True:
             if trail is not None:
-                trail.append((-r[-1], snapshot()))
+                trail.append((-r[-1], _vertex(basis, rhs, n)[:trail_len].copy()))
             pc = entering(r, bland)
             if pc < 0:
                 return "optimal"
@@ -384,10 +379,7 @@ def _simplex_batch(
                 degenerate = 0
 
     def pivot_limit() -> list:
-        z = np.zeros(ncols)
-        z[basis] = rhs
-        msg = f"pivot limit {max_pivots} exceeded"
-        return [PivotLimitError(msg, z[:n], -tab[m + k, -1]) for k in range(K)]
+        return [_pivot_limit(max_pivots, basis, rhs, n, -tab[m + k, -1]) for k in range(K)]
 
     outcome = run_phase(r1, tab, None)
     if outcome == "unbounded":
@@ -409,27 +401,42 @@ def _simplex_batch(
     if K > 1:
         return _lockstep_phase2(
             tab[: m + K], n, basis, pivots, sign, max_pivots=max_pivots,
-            bland_after=bland_after, want_trail=want_trail, trail_cols=trail_cols,
+            bland_after=bland_after, trail_len=trail_len,
         )
     # r1 is dead in phase 2: its pivots update the rows up to r2 only
-    trail: Optional[list] = [] if want_trail else None
+    trail: Optional[list] = None if trail_len is None else []
     outcome = run_phase(r2, tab[: m + 1], trail)
     if outcome == "limit":
         return pivot_limit()
     if outcome == "unbounded":
         return [_KernelResult(SolveStatus.UNBOUNDED, None, math.nan, None, None, pivots)]
-    z = np.zeros(ncols)
+    return [_optimal(r2, basis, rhs, n, sign, pivots, trail or [])]
+
+
+def _vertex(basis: np.ndarray, rhs: np.ndarray, n: int) -> np.ndarray:
+    """The basic point over the n structural and len(basis) artificial columns."""
+    z = np.zeros(n + len(basis))
     z[basis] = rhs
-    y = -r2[n:ncols] * sign
-    return [_KernelResult(
-        SolveStatus.OPTIMAL,
-        z[:n],
-        -r2[-1],
-        y,
-        basis.copy(),
-        pivots,
-        trail=trail if trail is not None else [],
-    )]
+    return z
+
+
+def _optimal(
+    cost_row: np.ndarray, basis: np.ndarray, rhs: np.ndarray, n: int, sign: np.ndarray,
+    pivots: int, trail: list,
+) -> _KernelResult:
+    """The OPTIMAL outcome of a phase 2 that ended with reduced costs ``cost_row``."""
+    return _KernelResult(
+        SolveStatus.OPTIMAL, _vertex(basis, rhs, n)[:n], -cost_row[-1],
+        -cost_row[n:-1] * sign, basis.copy(), pivots, trail=trail,
+    )
+
+
+def _pivot_limit(
+    max_pivots: int, basis: np.ndarray, rhs: np.ndarray, n: int, obj: float
+) -> PivotLimitError:
+    """The fault of an LP stopped at ``basis`` with objective ``obj``."""
+    return PivotLimitError(
+        f"pivot limit {max_pivots} exceeded", _vertex(basis, rhs, n)[:n], obj)
 
 
 def _lockstep_phase2(
@@ -441,8 +448,7 @@ def _lockstep_phase2(
     *,
     max_pivots: int,
     bland_after: int,
-    want_trail: bool,
-    trail_cols: Optional[np.ndarray],
+    trail_len: Optional[int],
 ) -> list:
     """Phase 2 of K LPs that share the constraint rows and basis phase 1 left.
 
@@ -467,14 +473,7 @@ def _lockstep_phase2(
     lps = np.arange(K)  # the LP in each layer of the stack
     out: list = [None] * K
     trails: list[list] = [[] for _ in range(K)]
-    snap_cols = slice(0, n) if trail_cols is None else trail_cols
     scratch = np.empty_like(stack)  # the rank-1 products of a step
-
-    def vertex(i: int) -> np.ndarray:
-        """The basic point of layer ``i``."""
-        z = np.zeros(ncols)
-        z[bases[i]] = stack[i, :m, -1]
-        return z
 
     def drop_layers(keep: np.ndarray, *arrays):
         """Keep the layers of ``keep`` in the stack and in its per-LP state."""
@@ -491,10 +490,10 @@ def _lockstep_phase2(
     while len(lps):
         layers = np.arange(len(lps))
         costs = stack[:, m]
-        if want_trail:
+        if trail_len is not None:
             z = np.zeros((len(lps), ncols))
             z[layers[:, None], bases] = stack[:, :m, -1]
-            points = z[:, snap_cols]
+            points = z[:, :trail_len].copy()
             objs = -costs[:, -1]
             for i, k in enumerate(lps.tolist()):
                 trails[k].append((objs[i], points[i]))
@@ -513,11 +512,8 @@ def _lockstep_phase2(
             for i in done.nonzero()[0]:
                 k = lps[i]
                 if optimal[i]:
-                    out[k] = _KernelResult(
-                        SolveStatus.OPTIMAL, vertex(i)[:n], -stack[i, m, -1],
-                        -stack[i, m, n:ncols] * sign, bases[i].copy(), int(count[i]),
-                        trail=trails[k],
-                    )
+                    out[k] = _optimal(stack[i, m], bases[i], stack[i, :m, -1], n, sign,
+                                      int(count[i]), trails[k])
                 else:
                     out[k] = _KernelResult(
                         SolveStatus.UNBOUNDED, None, math.nan, None, None, int(count[i]))
@@ -547,8 +543,8 @@ def _lockstep_phase2(
         over = count > max_pivots
         if over.any():
             for i in over.nonzero()[0]:
-                out[lps[i]] = PivotLimitError(
-                    f"pivot limit {max_pivots} exceeded", vertex(i)[:n], -stack[i, m, -1])
+                out[lps[i]] = _pivot_limit(
+                    max_pivots, bases[i], stack[i, :m, -1], n, -stack[i, m, -1])
             (prev,) = drop_layers(~over, prev)
         obj = stack[:, m, -1]
         streak = np.where(np.abs(obj - prev) <= 1e-13 * (1.0 + np.abs(prev)), streak + 1, 0)
@@ -584,8 +580,15 @@ def _standard_primal(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndar
     return A, b, c
 
 
-def _dual_constraints(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
-    """Constraints of the explicit dual; columns [lam+ | lam- | mu | slacks]."""
+def _explicit_duals(
+    lp: LinearProgram, eq_rhs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Explicit duals of ``lp`` with each row of ``eq_rhs``, in standard form.
+
+    Returns their shared constraints ``(D, rhs)``, with columns
+    ``[lam+ | lam- | mu | slacks]``, and one cost row per row of
+    ``eq_rhs``: ``[-eq_rhs | eq_rhs | -thetas | 0]``.
+    """
     nv, m, K = lp.num_vars, lp.num_eq, lp.num_cuts
     nrows = nv + (1 if lp.has_epigraph else 0)
     ncols = 2 * m + K + nv
@@ -600,16 +603,11 @@ def _dual_constraints(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
     if lp.has_epigraph:
         D[nv, 2 * m : 2 * m + K] = 1.0
         rhs[nv] = 1.0
-    return D, rhs
-
-
-def _explicit_dual(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dual LP in standard form; its cost is [-eq_rhs | eq_rhs | -thetas | 0]."""
-    D, rhs = _dual_constraints(lp)
-    cost = np.concatenate(
-        [-lp.eq_rhs, lp.eq_rhs, -lp.cut_thetas(), np.zeros(lp.num_vars)]
-    )
-    return D, rhs, cost
+    costs = np.zeros((len(eq_rhs), ncols))
+    costs[:, :m] = -eq_rhs
+    costs[:, m : 2 * m] = eq_rhs
+    costs[:, 2 * m : 2 * m + K] = -lp.cut_thetas()
+    return D, rhs, costs
 
 
 def _dual_point(lp: LinearProgram, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -624,13 +622,10 @@ def _dual_point(lp: LinearProgram, z: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _solve_primal(
-    lp: LinearProgram, want_trail: bool, max_pivots: Optional[int] = None
+    lp: LinearProgram, trail_len: Optional[int], max_pivots: Optional[int] = None
 ) -> tuple[PrimalDualSolution, list[tuple[float, np.ndarray]]]:
     A, b, c = _standard_primal(lp)
-    res = _simplex_standard_form(
-        A, b, c, max_pivots=max_pivots, want_trail=want_trail,
-        trail_cols=np.arange(lp.num_vars),
-    )
+    res = _simplex_standard_form(A, b, c, max_pivots=max_pivots, trail_len=trail_len)
     if res.status is not SolveStatus.OPTIMAL:
         return PrimalDualSolution(status=res.status), []
     sol = PrimalDualSolution(
@@ -648,7 +643,7 @@ def solve_exact(
     lp: LinearProgram, *, max_pivots: Optional[int] = None
 ) -> PrimalDualSolution:
     """Solve to optimality, returning a vertex solution with exact duals."""
-    return _solve_primal(lp, False, max_pivots)[0]
+    return _solve_primal(lp, None, max_pivots)[0]
 
 
 def solve_with_primal_trail(
@@ -660,7 +655,7 @@ def solve_with_primal_trail(
     final entry is the optimum.  Used for certified delta-suboptimal forward
     solves: pick the earliest iterate whose value is within budget.
     """
-    return _solve_primal(lp, True)
+    return _solve_primal(lp, lp.num_vars)
 
 
 def solve_dual_batch(lp: LinearProgram, eq_rhs: np.ndarray) -> list:
@@ -674,19 +669,12 @@ def solve_dual_batch(lp: LinearProgram, eq_rhs: np.ndarray) -> list:
     Outcome ``i`` is a ``_KernelResult``, or the ``LpError`` that a lone
     solve of member ``i`` raises.
     """
-    m, K = lp.num_eq, lp.num_cuts
-    D, rhs = _dual_constraints(lp)
-    costs = np.zeros((len(eq_rhs), D.shape[1]))
-    costs[:, :m] = -eq_rhs
-    costs[:, m : 2 * m] = eq_rhs
-    costs[:, 2 * m : 2 * m + K] = -lp.cut_thetas()
-    trail_cols = np.arange(2 * m + K)
+    D, rhs, costs = _explicit_duals(lp, eq_rhs)
+    trail_len = 2 * lp.num_eq + lp.num_cuts
     return [
         out
         for lo in range(0, len(costs), BATCH_CHUNK)
-        for out in _simplex_batch(
-            D, rhs, costs[lo : lo + BATCH_CHUNK], want_trail=True, trail_cols=trail_cols
-        )
+        for out in _simplex_batch(D, rhs, costs[lo : lo + BATCH_CHUNK], trail_len=trail_len)
     ]
 
 
@@ -704,16 +692,16 @@ def solve_dual_inexact(
     returned (a retrospective certificate).  The budget is
     ``eps + rel_eps * max(1, |optimum|)``; with a zero budget the certificate
     is the first iterate at the optimum.  A ``result`` given is used as the
-    explicit dual's kernel result in place of a lone solve; it must be
-    ``lp``'s, as from ``solve_dual_batch``, which is bit-identical to it.
+    explicit dual's kernel result in place of a solve of ``lp``'s dual alone
+    (a ``solve_dual_batch`` of one); it must be ``lp``'s, as from a larger
+    ``solve_dual_batch``, which is bit-identical to it.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     if result is None:
-        D, rhs, cost = _explicit_dual(lp)
-        result = _simplex_standard_form(
-            D, rhs, cost, want_trail=True, trail_cols=np.arange(2 * lp.num_eq + lp.num_cuts)
-        )
+        (result,) = solve_dual_batch(lp, lp.eq_rhs[None])
+        if isinstance(result, LpError):
+            raise result
     _check_dual_solvable(result)
     optimum = -result.obj
     budget = eps + rel_eps * max(1.0, abs(optimum))

@@ -114,14 +114,8 @@ def _assemble_tree_lp(
 
 
 def extensive_form(model: AnyModel) -> float:
-    """Exact optimum of the whole problem via one scenario-tree LP."""
-    smodel = as_stochastic(model)
-    _check_guard(smodel, 1)
-    lp = _assemble_tree_lp(smodel, 1, smodel.x0)
-    sol = solve_exact(lp)
-    if sol.status is not SolveStatus.OPTIMAL:
-        raise OracleInfeasibleError(f"extensive form is {sol.status.value}")
-    return sol.obj
+    """Exact optimum of the whole problem: the cost-to-go entering stage 1 at x0."""
+    return exact_recourse(model, 1, model.x0)
 
 
 def exact_recourse(model: AnyModel, t: int, x: np.ndarray) -> float:

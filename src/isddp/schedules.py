@@ -26,7 +26,6 @@ class ScheduleMode(str, enum.Enum):
     RELATIVE = "relative"
     ABSOLUTE = "absolute"
     CONSTANT_BOUNDED = "constant_bounded"
-    EXACT = "exact"
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,9 @@ class ScheduleSpec:
                 raise ScheduleError(f"{name} must be nonnegative")
 
 
-EXACT_SCHEDULE = ScheduleSpec(eps_bar=1e-12, eps0=1e-12, mode=ScheduleMode.EXACT)
+# Exact DDP/SDDP are the zero-error case: the relative schedule at its floor,
+# the ``sddp`` preset.
+EXACT_SCHEDULE = ScheduleSpec(eps_bar=1e-12, eps0=1e-12)
 
 
 def rel_err(t: int, k: int, T: int, spec: ScheduleSpec) -> float:
@@ -68,8 +69,6 @@ def rel_err(t: int, k: int, T: int, spec: ScheduleSpec) -> float:
         raise ScheduleError(f"rel_err needs 2 <= t <= T, got t={t}, T={T}")
     if k < 1:
         raise ScheduleError(f"rel_err needs k >= 1, got {k}")
-    if spec.mode is ScheduleMode.EXACT:
-        return 1e-12
     if T == 2:
         return spec.eps_bar / k
     return (spec.eps_bar - (spec.eps_bar - spec.eps0) / (T - 2) * (t - 2)) / k
@@ -116,7 +115,7 @@ def forward_budgets(spec: ScheduleSpec, k: int, T: int) -> list[ErrorBudget]:
     """Stage-wise forward budgets for iteration k (stage 1 first)."""
     out = [ErrorBudget(absolute=DELTA1)]
     for t in range(2, T + 1):
-        if spec.mode in (ScheduleMode.RELATIVE, ScheduleMode.EXACT):
+        if spec.mode is ScheduleMode.RELATIVE:
             out.append(ErrorBudget(relative=rel_err(t, k, T, spec)))
         elif spec.mode is ScheduleMode.ABSOLUTE:
             out.append(ErrorBudget(absolute=DELTA1))
@@ -133,7 +132,7 @@ def backward_budget(
     prev_value: Optional[float] = None,
 ) -> ErrorBudget:
     """Backward budget for stage t at iteration k."""
-    if spec.mode in (ScheduleMode.RELATIVE, ScheduleMode.EXACT):
+    if spec.mode is ScheduleMode.RELATIVE:
         return ErrorBudget(relative=rel_err(t, k, T, spec))
     if spec.mode is ScheduleMode.ABSOLUTE:
         return ErrorBudget(absolute=abs_err(t, k, T, spec, prev_value))

@@ -36,7 +36,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .cuts import Cut, CutPool, build_middle_cut, build_terminal_cut
+from .cuts import Cut, CutPool, build_middle_cut
 from .models import (
     AnyModel,
     IterationRecord,
@@ -52,6 +52,9 @@ from .stage_solver import (
     stage_value_exact,
     sweep_duals,
 )
+
+# Unused here; kept importable because the per-layer tracer wraps it on this module.
+from .cuts import build_terminal_cut  # noqa: F401
 
 _EVAL_STREAM = 1  # counter word separating policy-evaluation draws from training
 
@@ -176,7 +179,8 @@ def backward_pass_sddp(
     iteration: int = 0,
 ) -> SddpBackwardResult:
     """Stage-major backward sweep: all paths' cuts at stage t are built
-    against the frozen pool t+1, then appended to pool t in path order,
+    against the frozen pool t+1 (the zero pool when t == T, see
+    ``make_pools``), then appended to pool t in path order,
     each unless pool t already holds a bitwise copy of it.  ``new_cuts``
     keeps one cut per (path, stage) all the same.  ``sweep_duals`` first
     puts every dual of stage t that pool t+1's memo lacks there, so each
@@ -219,14 +223,10 @@ def backward_pass_sddp(
             eps_resolved[t - 2] = max(
                 eps_resolved[t - 2], max(c.eps_certified for c in certs)
             )
-            tags = dict(stage=t, iteration=iteration, eps_used=budget.nominal)
-            if t == T:
-                cut = build_terminal_cut(realizations, certs, **tags)
-            else:
-                cut = build_middle_cut(
-                    realizations, certs, pool_next.thetas_with_floor(), **tags
-                )
-            stage_cuts.append(cut)
+            stage_cuts.append(build_middle_cut(
+                realizations, certs, pool_next.thetas_with_floor(),
+                stage=t, iteration=iteration, eps_used=budget.nominal,
+            ))
         for cut in stage_cuts:
             if cut not in pools[t]:
                 pools[t].add(cut)

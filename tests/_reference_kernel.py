@@ -30,26 +30,14 @@ def _simplex_standard_form(
     b: np.ndarray,
     c: np.ndarray,
     *,
-    feas_tol: float = FEAS_TOL,
-    pivot_tol: float = PIVOT_TOL,
     max_pivots: Optional[int] = None,
-    want_trail: bool = False,
-    trail_cols: Optional[np.ndarray] = None,
-    phase1_memo: Optional[dict] = None,
+    trail_len: Optional[int] = None,
 ) -> _KernelResult:
     """Two-phase tableau simplex for  min c.z  s.t. A z = b, z >= 0.
 
     Dantzig pricing with an automatic switch to Bland's rule after a long
-    degenerate streak.  Phase-2 iterates are appended to the trail (if
-    requested) as ``(obj, z[trail_cols])`` snapshots, the optimum included.
-
-    Phase 1 and the artificial drive-out depend on ``(A, b)`` and the
-    tolerances only; ``c`` is merely carried along in ``r2``.  With a
-    ``phase1_memo`` dict, a feasible phase 1 is stored under the exact bytes
-    of ``(A, b)``: the tableau and basis it ends in, and every row the
-    ``r2`` update subtracted.  A later call with the same ``(A, b)`` restores
-    the tableau and replays those ``r2`` updates in order (the same float
-    operations), so its result is bit-identical to a cold solve.
+    degenerate streak.  With a ``trail_len``, phase-2 iterates are appended
+    to the trail as ``(obj, z[:trail_len])`` snapshots, the optimum included.
     """
     m, n = A.shape
     if max_pivots is None:
@@ -73,7 +61,6 @@ def _simplex_standard_form(
 
     pivots = 0
     trail: list = []
-    r2_updates: Optional[list] = None  # (pc, pivot row) of phase-1 pivots
 
     def pivot(pr: int, pc: int, phase: int) -> None:
         nonlocal pivots
@@ -88,8 +75,6 @@ def _simplex_standard_form(
                 r1[:-1] -= r1_pc * body[pr, :-1]
                 r1[-1] -= r1_pc * body[pr, -1]
                 r1[pc] = 0.0
-            if r2_updates is not None:
-                r2_updates.append((pc, body[pr].copy()))
         update_r2(pc, body[pr])
         body[:, pc] = 0.0
         body[pr, pc] = 1.0
@@ -107,7 +92,7 @@ def _simplex_standard_form(
             r2[pc] = 0.0
 
     def entering(r: np.ndarray, bland: bool) -> int:
-        cand = np.flatnonzero(allowed & (r[:ncols] < -feas_tol))
+        cand = np.flatnonzero(allowed & (r[:ncols] < -FEAS_TOL))
         if cand.size == 0:
             return -1
         if bland:
@@ -116,7 +101,7 @@ def _simplex_standard_form(
 
     def leaving_row(pc: int, bland: bool) -> int:
         colv = body[:, pc]
-        pos = np.flatnonzero(colv > pivot_tol)
+        pos = np.flatnonzero(colv > PIVOT_TOL)
         if pos.size == 0:
             return -1
         ratios = body[pos, -1] / colv[pos]
@@ -129,7 +114,7 @@ def _simplex_standard_form(
     def snapshot() -> np.ndarray:
         z = np.zeros(ncols)
         z[basis] = body[:, -1]
-        return z[trail_cols] if trail_cols is not None else z[:n]
+        return z[:trail_len]
 
     def run_phase(phase: int) -> str:
         nonlocal pivots
@@ -139,7 +124,7 @@ def _simplex_standard_form(
         while True:
             obj = -r2[-1]
             if phase == 2:
-                if want_trail:
+                if trail_len is not None:
                     trail.append((obj, snapshot()))
             pc = entering(r, bland)
             if pc < 0:
@@ -181,30 +166,18 @@ def _simplex_standard_form(
     r1[:n] = -body[keep, :n].sum(axis=0)
     r1[-1] = -body[keep, -1].sum()
 
-    key = stored = None
-    if phase1_memo is not None:
-        key = (A.shape, A.tobytes(), b.tobytes(), feas_tol, pivot_tol, max_pivots)
-        stored = phase1_memo.get(key)
-    if stored is not None:
-        body[:], basis[:], pivots, replay = stored
-        for pc, row in replay:
-            update_r2(pc, row)
-    else:
-        r2_updates = [] if key is not None else None
-        run_phase(1)
-        if -r1[-1] > feas_tol * (1.0 + np.abs(body[:, -1]).sum()):
-            return _KernelResult(SolveStatus.INFEASIBLE, None, math.nan, None, None, pivots)
+    run_phase(1)
+    if -r1[-1] > FEAS_TOL * (1.0 + np.abs(body[:, -1]).sum()):
+        return _KernelResult(SolveStatus.INFEASIBLE, None, math.nan, None, None, pivots)
 
-        # Drive leftover artificials out of the basis where a structural pivot
-        # exists; rows without one are redundant and keep a zero-level artificial.
-        for pr in range(m):
-            if basis[pr] >= n:
-                row = body[pr, :n]
-                cand = np.flatnonzero(allowed[:n] & (np.abs(row) > pivot_tol))
-                if cand.size:
-                    pivot(pr, int(cand[0]), phase=1)
-        if key is not None:
-            phase1_memo[key] = (body.copy(), basis.copy(), pivots, r2_updates)
+    # Drive leftover artificials out of the basis where a structural pivot
+    # exists; rows without one are redundant and keep a zero-level artificial.
+    for pr in range(m):
+        if basis[pr] >= n:
+            row = body[pr, :n]
+            cand = np.flatnonzero(allowed[:n] & (np.abs(row) > PIVOT_TOL))
+            if cand.size:
+                pivot(pr, int(cand[0]), phase=1)
     allowed[n:] = False
 
     outcome = run_phase(2)

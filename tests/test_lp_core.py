@@ -22,8 +22,7 @@ from isddp.lp_core import (
     solve_dual_inexact,
     solve_exact,
     solve_with_primal_trail,
-    _dual_constraints,
-    _explicit_dual,
+    _explicit_duals,
     _simplex_batch,
     _simplex_standard_form,
     _standard_primal,
@@ -413,28 +412,28 @@ def _result_bits(res):
 
 def _kernel_calls(ncols):
     """Keyword sets of the kernel calls compared on one standard form."""
-    return [
-        {},
-        dict(want_trail=True),
-        dict(want_trail=True, trail_cols=np.arange(ncols)[::2]),
-    ]
+    return [{}, dict(trail_len=ncols), dict(trail_len=ncols // 2)]
+
+
+def _explicit_dual(lp):
+    """(D, rhs, cost) of the explicit dual of ``lp`` alone."""
+    D, rhs, C = _explicit_duals(lp, lp.eq_rhs[None])
+    return D, rhs, C[0]
 
 
 def _assert_matches_reference(A, b, c):
-    ncols = A.shape[1]
-    for ref_kwargs, kwargs in zip(_kernel_calls(ncols), _kernel_calls(ncols)):
-        ref = _reference_kernel._simplex_standard_form(A, b, c, **ref_kwargs)
+    for kwargs in _kernel_calls(A.shape[1]):
+        ref = _reference_kernel._simplex_standard_form(A, b, c, **kwargs)
         got = _simplex_standard_form(A, b, c, **kwargs)
         assert _result_bits(got) == _result_bits(ref)
 
 
 def _assert_batch_matches_reference(A, b, C):
-    ncols = A.shape[1]
-    for ref_kwargs, kwargs in zip(_kernel_calls(ncols), _kernel_calls(ncols)):
+    for kwargs in _kernel_calls(A.shape[1]):
         got = _simplex_batch(A, b, C, **kwargs)
         assert len(got) == len(C)
         for c, res in zip(C, got):
-            ref = _reference_kernel._simplex_standard_form(A, b, c, **ref_kwargs)
+            ref = _reference_kernel._simplex_standard_form(A, b, c, **kwargs)
             assert _result_bits(res) == _result_bits(ref)
 
 
@@ -548,10 +547,7 @@ def _dual_members(rng, K):
 
 def _dual_group(rng, K):
     """(A, b, C) of ``_dual_members``' explicit duals: one (A, b), K costs."""
-    lp, eq_rhs = _dual_members(rng, K)
-    D, rhs = _dual_constraints(lp)
-    C = [_explicit_dual(dataclasses.replace(lp, eq_rhs=row))[2] for row in eq_rhs]
-    return D, rhs, np.array(C)
+    return _explicit_duals(*_dual_members(rng, K))
 
 
 @pytest.mark.parametrize("K", [2, 5, 25, 130])

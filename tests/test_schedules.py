@@ -36,12 +36,6 @@ class TestRelErr:
         with pytest.raises(ScheduleError):
             rel_err(1, 1, 4, spec())
 
-    def test_exact_mode_constant(self):
-        s = ScheduleSpec(eps_bar=1e-12, eps0=1e-12, mode=ScheduleMode.EXACT)
-        for t in (2, 3, 4):
-            for k in (1, 5, 50):
-                assert rel_err(t, k, 4, s) == 1e-12
-
 
 class TestAbsErr:
     def test_magnitude_scaling(self):

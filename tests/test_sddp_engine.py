@@ -7,7 +7,7 @@ import pytest
 from isddp import lp_core, oracle
 from isddp import sddp_engine
 from isddp import stage_solver
-from isddp.cuts import CutPool
+from isddp.cuts import CutPool, build_middle_cut, build_terminal_cut
 from isddp.ddp_engine import run_iddp
 from isddp.models import StochasticModel
 from isddp.portfolio import PortfolioSpec, generate_instance
@@ -166,6 +166,39 @@ class TestBackwardPassSddp:
         )
         gap = ref - cut.value(x2)
         assert -1e-8 <= gap <= eps + 1e-8
+
+    @pytest.mark.parametrize(
+        "factory",
+        [toy_sto_t3_m2, lambda: generate_instance(PortfolioSpec(T=3, n=2, M=3, seed=4))],
+        ids=["toy", "portfolio"],
+    )
+    def test_last_stage_cut_is_the_terminal_cut(self, factory, monkeypatch):
+        # pool T+1 is the zero pool, so the cut the engine builds at stage T
+        # against it is bitwise the terminal cut of the same certificates
+        m = factory()
+        T, n_paths = m.horizon, 3
+        pools = make_pools(m)
+        assert pools[T + 1].thetas_with_floor().tobytes() == np.zeros(1).tobytes()
+        built = []
+
+        def spy(realizations, certs, next_thetas, **tags):
+            cut = build_middle_cut(realizations, certs, next_thetas, **tags)
+            if tags["stage"] == T:
+                built.append((realizations, certs, tags, cut))
+            return cut
+
+        monkeypatch.setattr(sddp_engine, "build_middle_cut", spy)
+        paths = sample_paths(m, n_paths, iteration=1, seed=9)
+        fwd = forward_pass_sddp(m, pools, paths, deltas=[0.0] * T)
+        backward_pass_sddp(m, pools, fwd.trajectories, epsilons=[0.05] * (T - 1), iteration=1)
+        assert len(built) == n_paths
+        for realizations, certs, tags, cut in built:
+            assert all(cert.mu.shape == (1,) for cert in certs)
+            ref = build_terminal_cut(realizations, certs, **tags)
+            assert cut.theta.hex() == ref.theta.hex()
+            assert cut.beta.tobytes() == ref.beta.tobytes()
+            assert (cut.stage, cut.iteration, cut.eps_used) == (T, 1, 0.05)
+            assert (ref.stage, ref.iteration, ref.eps_used) == (T, 1, 0.05)
 
     def test_dual_sweep_leaves_cuts_bit_identical(self, monkeypatch):
         # the batched solves of one stage sweep must not change a bit of any
