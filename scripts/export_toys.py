@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Dump the shipped desk-scale instances as JSON files for CLI use.
 
+Every toy is written as ``"type": "stochastic"`` JSON; a chain has one
+realization per stage.
+
     python scripts/export_toys.py --outdir instances/
 """
 

@@ -18,7 +18,6 @@ from .lp_core import (
     solve_exact,
 )
 from .models import (
-    DeterministicModel,
     RunLog,
     StageModel,
     StochasticModel,
@@ -44,7 +43,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Cut",
     "CutPool",
-    "DeterministicModel",
     "DualCertificate",
     "ErrorBudget",
     "LinearProgram",

@@ -18,17 +18,9 @@ import numpy as np
 from . import portfolio as pf
 from .ddp_engine import run_iddp
 from .lp_core import LpError
-from .models import (
-    AnyModel,
-    ModelError,
-    RunLog,
-    StochasticModel,
-    as_stochastic,
-    load_model,
-    save_model,
-)
+from .models import RunLog, StochasticModel, load_model, save_model
 from .oracle import OracleGuardError, OracleInfeasibleError, exact_recourse, extensive_form
-from .schedules import EXACT_SCHEDULE, ScheduleError, ScheduleMode, ScheduleSpec
+from .schedules import EXACT_SCHEDULE, ScheduleMode, ScheduleSpec
 from .sddp_engine import run_isddp
 from .stage_solver import StageSolveError
 
@@ -45,7 +37,7 @@ PRESETS = {
     "isddp3": (1e-4, 1e-12),
     "isddp4": (1e-6, 1e-12),
 }
-PRESET_ORDER = ["sddp", "isddp1", "isddp2", "isddp3", "isddp4"]
+PRESET_ORDER = list(PRESETS)
 
 
 class UsageError(Exception):
@@ -120,6 +112,11 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _preset_schedule(name: str) -> ScheduleSpec:
+    eps_bar, eps0 = PRESETS[name]
+    return ScheduleSpec(eps_bar=eps_bar, eps0=eps0, mode=ScheduleMode.RELATIVE)
+
+
 def _schedule_from_args(args) -> ScheduleSpec:
     if args.algo in ("ddp", "sddp"):
         # exact algorithms run the sddp preset and take no other schedule flag
@@ -129,16 +126,8 @@ def _schedule_from_args(args) -> ScheduleSpec:
             raise UsageError(f"--algo {args.algo} is incompatible with preset {args.preset}")
         return EXACT_SCHEDULE
     if args.preset is not None:
-        eps_bar, eps0 = PRESETS[args.preset]
-        return ScheduleSpec(eps_bar=eps_bar, eps0=eps0, mode=ScheduleMode.RELATIVE)
+        return _preset_schedule(args.preset)
     mode = ScheduleMode(args.schedule_mode or ScheduleMode.RELATIVE.value)
-    if mode is ScheduleMode.CONSTANT_BOUNDED:
-        # the constant noise levels reuse the --eps-bar knob
-        return ScheduleSpec(
-            mode=mode,
-            constant_delta_bar=args.eps_bar,
-            constant_eps_bar=args.eps_bar,
-        )
     return ScheduleSpec(eps_bar=args.eps_bar, eps0=args.eps0, mode=mode)
 
 
@@ -159,16 +148,12 @@ def _config_from_args(args, algorithm: str, schedule: ScheduleSpec, out: str) ->
     )
 
 
-def _run_config(config: RunConfig, model: AnyModel) -> RunLog:
+def _run_config(config: RunConfig, model: StochasticModel) -> RunLog:
     if config.algorithm in ("ddp", "iddp"):
-        if isinstance(model, StochasticModel):
-            raise UsageError(
-                f"--algo {config.algorithm} needs a deterministic instance"
-            )
         log = run_iddp(model, config.schedule, tol=config.tol, max_iter=config.max_iter)
     else:
         log = run_isddp(
-            as_stochastic(model),
+            model,
             config.schedule,
             n_paths=config.n_paths,
             gap_tol=config.gap_tol,
@@ -179,7 +164,7 @@ def _run_config(config: RunConfig, model: AnyModel) -> RunLog:
     return log
 
 
-def _solve_to_files(config: RunConfig, model: AnyModel) -> tuple[RunLog, dict]:
+def _solve_to_files(config: RunConfig, model: StochasticModel) -> tuple[RunLog, dict]:
     """Run one config, then write its CSV and, next to it, its summary JSON.
 
     A solver fault writes the completed iterations' CSV and re-raises.
@@ -257,10 +242,8 @@ def cmd_compare(args) -> int:
         for name in names:
             if name in runs:
                 continue  # identical config: reuse the run
-            eps_bar, eps0 = PRESETS[name]
-            schedule = ScheduleSpec(eps_bar=eps_bar, eps0=eps0, mode=ScheduleMode.RELATIVE)
             config = _config_from_args(
-                args, "isddp", schedule, os.path.join(out_dir, f"{name}.csv")
+                args, "isddp", _preset_schedule(name), os.path.join(out_dir, f"{name}.csv")
             )
             runs[name], _summary = _solve_to_files(config, model)
     except (StageSolveError, LpError) as exc:
@@ -327,13 +310,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "oracle":
             return cmd_oracle(args)
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (pf.PortfolioSpecError, ModelError, ScheduleError, ValueError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (UsageError, ValueError, FileNotFoundError) as exc:
+        # ValueError covers ModelError, ScheduleError and PortfolioSpecError
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

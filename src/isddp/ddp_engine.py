@@ -1,11 +1,10 @@
 """Deterministic dual dynamic programming with inexact stage solves.
 
-A deterministic chain is the one-realization case of a stochastic model, and
-one sampled path per iteration is then its single trajectory.  The passes
-and the run loop here lift the model with
-``StochasticModel.from_deterministic`` and run the SDDP engine on one path:
-the forward cost is the exact upper bound, and the run stops on the absolute
-gap ``Ub - Lb <= tol``.
+A deterministic chain is a ``StochasticModel`` with one realization per
+stage (``model.deterministic``), and one sampled path per iteration is then
+its single trajectory.  The passes and the run loop here take the model as
+it is and run the SDDP engine on one path: the forward cost is the exact
+upper bound, and the run stops on the absolute gap ``Ub - Lb <= tol``.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cuts import CutPool
-from .models import DeterministicModel, RunLog, StochasticModel
+from .models import RunLog, StochasticModel
 from .schedules import ScheduleSpec
 from .sddp_engine import (
     BudgetLike,
@@ -43,20 +42,20 @@ class ForwardPassResult:
 
 
 def forward_pass(
-    model: DeterministicModel,
+    model: StochasticModel,
     pools: dict[int, CutPool],
     deltas: Sequence[BudgetLike],
 ) -> ForwardPassResult:
     """Simulate the current policy; returns the trajectory and its cost."""
     path = SamplePath(indices=(0,) * (model.horizon - 1), iteration=0, path_id=0)
-    fwd = forward_pass_sddp(StochasticModel.from_deterministic(model), pools, [path], deltas)
+    fwd = forward_pass_sddp(model, pools, [path], deltas)
     return ForwardPassResult(
         fwd.trajectories[0], float(fwd.cost_samples[0]), fwd.stage_values[0], fwd.deltas_resolved
     )
 
 
 def backward_pass(
-    model: DeterministicModel,
+    model: StochasticModel,
     pools: dict[int, CutPool],
     trajectory: Sequence[np.ndarray],
     epsilons: Sequence[BudgetLike],
@@ -69,14 +68,11 @@ def backward_pass(
     ``new_cuts`` keeps every one.  ``epsilons`` has one entry per stage
     2..T (index t-2).
     """
-    return backward_pass_sddp(
-        StochasticModel.from_deterministic(model), pools, [trajectory], epsilons,
-        iteration=iteration,
-    )
+    return backward_pass_sddp(model, pools, [trajectory], epsilons, iteration=iteration)
 
 
 def run_iddp(
-    model: DeterministicModel,
+    model: StochasticModel,
     schedule: ScheduleSpec,
     tol: float,
     max_iter: int,
@@ -86,11 +82,13 @@ def run_iddp(
     """Alternate forward/backward passes until Ub - Lb <= tol."""
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if not model.deterministic:
+        raise ValueError("ddp/iddp need a deterministic model: one realization per stage")
     pools = initial_pools if initial_pools is not None else make_pools(model)
     log = RunLog(
         algorithm="iddp",
         meta={"schedule_mode": schedule.mode.value, "eps_bar": schedule.eps_bar,
               "eps0": schedule.eps0, "tol": tol},
     )
-    records = iterate(StochasticModel.from_deterministic(model), schedule, 1, 0, pools)
+    records = iterate(model, schedule, 1, 0, pools)
     return run_until(log, records, max_iter, lambda r: r.ub - r.lb <= tol)

@@ -1,9 +1,13 @@
-"""Stage data for deterministic and stochastic multistage LPs, plus run logs.
+"""Stage data of multistage LPs, their JSON files, and run logs.
 
 A stage couples to its predecessor through ``A @ x_t + B @ x_prev == b`` with
-``x_t >= 0``; states are the full previous decision vectors.  Stochastic
-stages carry a finite realization list with probabilities (stagewise
-independent: no cross-stage coupling is stored anywhere).
+``x_t >= 0``; states are the full previous decision vectors.  Stages 2..T
+carry a finite realization list with probabilities (stagewise independent:
+no cross-stage coupling is stored anywhere).  There is one model type,
+``StochasticModel``: a deterministic chain is the case of one realization
+per stage (``StochasticModel.chain``, ``StochasticModel.deterministic``).
+Files of ``"type": "deterministic"`` (a plain list of stages) are read into
+that case; every model is written as ``"type": "stochastic"``.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -71,61 +75,6 @@ class StageModel:
 
 
 @dataclass
-class DeterministicModel:
-    """T chained stages with a given initial state and pool floors.
-
-    ``floors[i]`` is a certified constant lower bound on the cost-to-go
-    entering stage ``i + 2`` (one floor per stage 2..T; empty when T == 1).
-    """
-
-    stages: list[StageModel]
-    x0: np.ndarray
-    floors: np.ndarray
-
-    def __post_init__(self):
-        self.x0 = _arr(self.x0)
-        self.floors = _arr(self.floors).reshape(-1)
-        if not self.stages:
-            raise ModelError("model needs at least one stage")
-        if self.stages[0].state_dim != self.x0.shape[0]:
-            raise ModelError(
-                f"stage 1 expects state dim {self.stages[0].state_dim}, "
-                f"x0 has {self.x0.shape[0]}"
-            )
-        for t in range(1, len(self.stages)):
-            prev, cur = self.stages[t - 1], self.stages[t]
-            if cur.state_dim != prev.var_dim:
-                raise ModelError(
-                    f"stage {t + 1} expects state dim {cur.state_dim}, "
-                    f"stage {t} produces {prev.var_dim}"
-                )
-        if self.floors.shape != (max(0, len(self.stages) - 1),):
-            raise ModelError(
-                f"need {len(self.stages) - 1} floors, got {self.floors.shape[0]}"
-            )
-
-    @property
-    def horizon(self) -> int:
-        return len(self.stages)
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "deterministic",
-            "x0": self.x0.tolist(),
-            "floors": self.floors.tolist(),
-            "stages": [s.to_dict() for s in self.stages],
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "DeterministicModel":
-        return DeterministicModel(
-            stages=[StageModel.from_dict(s) for s in d["stages"]],
-            x0=d["x0"],
-            floors=d["floors"],
-        )
-
-
-@dataclass
 class StochasticStageModel:
     """Finite support of one stage's data: parallel realization/probability lists."""
 
@@ -176,7 +125,11 @@ class StochasticStageModel:
 
 @dataclass
 class StochasticModel:
-    """Deterministic first stage plus stochastic stages 2..T."""
+    """Deterministic first stage plus stochastic stages 2..T.
+
+    ``floors[i]`` is a certified constant lower bound on the cost-to-go
+    entering stage ``i + 2`` (one floor per stage 2..T; empty when T == 1).
+    """
 
     stage1: StageModel
     stages: list[StochasticStageModel]
@@ -208,6 +161,17 @@ class StochasticModel:
     def horizon(self) -> int:
         return 1 + len(self.stages)
 
+    @property
+    def deterministic(self) -> bool:
+        """Every stage has one realization: the model is a chain."""
+        return all(st.num_realizations == 1 for st in self.stages)
+
+    def stage(self, t: int, j: int = 0) -> StageModel:
+        """Realization ``j`` of stage ``t`` (1-based); stage 1 has only ``j == 0``."""
+        if t == 1:
+            return self.stage1
+        return self.stages[t - 2].realizations[j]
+
     def num_scenarios(self) -> int:
         n = 1
         for st in self.stages:
@@ -233,50 +197,48 @@ class StochasticModel:
         )
 
     @staticmethod
-    def from_deterministic(model: DeterministicModel) -> "StochasticModel":
-        """Lift a deterministic chain to the single-realization stochastic form."""
+    def chain(stages: list[StageModel], x0, floors) -> "StochasticModel":
+        """A deterministic chain: ``stages`` for 1..T, one realization each."""
+        if not stages:
+            raise ModelError("model needs at least one stage")
         return StochasticModel(
-            stage1=model.stages[0],
-            stages=[
-                StochasticStageModel(realizations=[s], probs=[1.0])
-                for s in model.stages[1:]
-            ],
-            x0=model.x0,
-            floors=model.floors,
+            stage1=stages[0],
+            stages=[StochasticStageModel(realizations=[s], probs=[1.0]) for s in stages[1:]],
+            x0=x0,
+            floors=floors,
         )
 
 
-AnyModel = Union[DeterministicModel, StochasticModel]
-
-
-def as_stochastic(model: AnyModel) -> StochasticModel:
-    """The model itself if stochastic, else its single-realization lift."""
-    if isinstance(model, DeterministicModel):
-        return StochasticModel.from_deterministic(model)
-    return model
-
-
-def model_to_json(model: AnyModel) -> str:
+def model_to_json(model: StochasticModel) -> str:
     return json.dumps(model.to_dict(), sort_keys=True, indent=1)
 
 
-def model_from_json(text: str) -> AnyModel:
+def model_from_json(text: str) -> StochasticModel:
     d = json.loads(text)
+    if not isinstance(d, dict):
+        raise ModelError(f"a model file holds a JSON object, not {type(d).__name__}")
     kind = d.get("type")
-    if kind == "deterministic":
-        return DeterministicModel.from_dict(d)
-    if kind == "stochastic":
-        return StochasticModel.from_dict(d)
+    try:
+        if kind == "deterministic":
+            return StochasticModel.chain(
+                [StageModel.from_dict(s) for s in d["stages"]], d["x0"], d["floors"]
+            )
+        if kind == "stochastic":
+            return StochasticModel.from_dict(d)
+    except KeyError as exc:
+        raise ModelError(f"model file lacks the key {exc}") from None
+    except TypeError as exc:  # a list or number where an object belongs
+        raise ModelError(f"malformed model file: {exc}") from None
     raise ModelError(f"unknown model type {kind!r}")
 
 
-def save_model(model: AnyModel, path) -> None:
+def save_model(model: StochasticModel, path) -> None:
     with open(path, "w") as fh:
         fh.write(model_to_json(model))
         fh.write("\n")
 
 
-def load_model(path) -> AnyModel:
+def load_model(path) -> StochasticModel:
     with open(path) as fh:
         return model_from_json(fh.read())
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .lp_core import LinearProgram, SolveStatus, solve_exact
-from .models import AnyModel, StageModel, StochasticModel, as_stochastic
+from .models import StageModel, StochasticModel
 
 # Cap on the kernel's dense tableau, rows x (cols + rows + 1) float64 cells
 # (256 MiB); the tree LP's own matrix is smaller.
@@ -113,22 +113,21 @@ def _assemble_tree_lp(
     )
 
 
-def extensive_form(model: AnyModel) -> float:
+def extensive_form(model: StochasticModel) -> float:
     """Exact optimum of the whole problem: the cost-to-go entering stage 1 at x0."""
     return exact_recourse(model, 1, model.x0)
 
 
-def exact_recourse(model: AnyModel, t: int, x: np.ndarray) -> float:
+def exact_recourse(model: StochasticModel, t: int, x: np.ndarray) -> float:
     """Exact expected cost-to-go entering stage t at state x (0 beyond T)."""
-    smodel = as_stochastic(model)
-    T = smodel.horizon
+    T = model.horizon
     if t == T + 1:
         return 0.0
     if not (1 <= t <= T):
         raise ValueError(f"stage must be in 1..{T + 1}, got {t}")
-    _check_guard(smodel, t)
+    _check_guard(model, t)
     x = np.asarray(x, dtype=float)
-    lp = _assemble_tree_lp(smodel, t, x)
+    lp = _assemble_tree_lp(model, t, x)
     sol = solve_exact(lp)
     if sol.status is not SolveStatus.OPTIMAL:
         raise OracleInfeasibleError(
@@ -138,7 +137,7 @@ def exact_recourse(model: AnyModel, t: int, x: np.ndarray) -> float:
 
 
 def sample_reachable_states(
-    model: AnyModel, t: int, count: int, seed: int
+    model: StochasticModel, t: int, count: int, seed: int
 ) -> np.ndarray:
     """Vertices of the reachable set entering stage t, by randomized rollouts.
 
@@ -146,20 +145,16 @@ def sample_reachable_states(
     realization draws in the stochastic case), so every returned state is a
     feasible previous-stage decision vector.
     """
-    smodel = as_stochastic(model)
-    if not (2 <= t <= smodel.horizon + 1):
+    if not (2 <= t <= model.horizon + 1):
         raise ValueError("reachable states are defined for stages 2..T+1")
+    # a draw from one realization takes no random bits
+    sizes = [1] + [st.num_realizations for st in model.stages]
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
-        x = smodel.x0
+        x = model.x0
         for tau in range(1, t):
-            if tau == 1:
-                stage = smodel.stage1
-            else:
-                st = smodel.stages[tau - 2]
-                j = rng.integers(st.num_realizations)
-                stage = st.realizations[int(j)]
+            stage = model.stage(tau, int(rng.integers(sizes[tau - 1])))
             lp = LinearProgram(
                 num_vars=stage.var_dim,
                 num_eq=stage.num_eq,

@@ -3,7 +3,9 @@
 The relative target shrinks like 1/k across iterations and interpolates
 linearly from ``eps_bar`` at stage 2 down to ``eps0`` at the horizon for a
 fixed iteration.  Absolute targets rescale the relative one by a magnitude
-estimate of the subproblem value recorded in the current forward pass.
+estimate of the subproblem value recorded in the current forward pass.  The
+constant-bounded mode holds every forward and backward budget at the
+absolute level ``eps_bar``.
 """
 
 from __future__ import annotations
@@ -32,16 +34,14 @@ class ScheduleMode(str, enum.Enum):
 class ScheduleSpec:
     """Knobs for one run's error schedule.
 
-    ``eps_bar``/``eps0`` drive the relative formula; the ``constant_*``
-    fields feed the CONSTANT_BOUNDED mode used to exercise the bounded-noise
-    guarantees.
+    ``eps_bar``/``eps0`` drive the relative formula; the CONSTANT_BOUNDED
+    mode, used to exercise the bounded-noise guarantees, takes ``eps_bar``
+    as its single absolute level.
     """
 
     eps_bar: float = 0.1
     eps0: float = 1e-12
     mode: ScheduleMode = ScheduleMode.RELATIVE
-    constant_delta_bar: float = 0.0
-    constant_eps_bar: float = 0.0
 
     def __post_init__(self):
         if not (0.0 < self.eps0 <= self.eps_bar < 1.0):
@@ -49,9 +49,6 @@ class ScheduleSpec:
                 f"need 0 < eps0 <= eps_bar < 1, got eps0={self.eps0}, "
                 f"eps_bar={self.eps_bar}"
             )
-        for name in ("constant_delta_bar", "constant_eps_bar"):
-            if getattr(self, name) < 0:
-                raise ScheduleError(f"{name} must be nonnegative")
 
 
 # Exact DDP/SDDP are the zero-error case: the relative schedule at its floor,
@@ -120,7 +117,7 @@ def forward_budgets(spec: ScheduleSpec, k: int, T: int) -> list[ErrorBudget]:
         elif spec.mode is ScheduleMode.ABSOLUTE:
             out.append(ErrorBudget(absolute=DELTA1))
         else:
-            out.append(ErrorBudget(absolute=spec.constant_delta_bar))
+            out.append(ErrorBudget(absolute=spec.eps_bar))
     return out
 
 
@@ -136,4 +133,18 @@ def backward_budget(
         return ErrorBudget(relative=rel_err(t, k, T, spec))
     if spec.mode is ScheduleMode.ABSOLUTE:
         return ErrorBudget(absolute=abs_err(t, k, T, spec, prev_value))
-    return ErrorBudget(absolute=spec.constant_eps_bar)
+    return ErrorBudget(absolute=spec.eps_bar)
+
+
+def backward_budgets(spec: ScheduleSpec, k: int, stage_values) -> list[list[ErrorBudget]]:
+    """Backward budgets of iteration k: one list per stage 2..T, one budget per path.
+
+    ``stage_values`` is the forward pass's ``(n_paths, T)`` array of stage
+    optima; path p's budget at stage t takes its value there as the
+    magnitude estimate.
+    """
+    n_paths, T = stage_values.shape
+    return [
+        [backward_budget(spec, t, k, T, prev_value=stage_values[p, t - 1]) for p in range(n_paths)]
+        for t in range(2, T + 1)
+    ]

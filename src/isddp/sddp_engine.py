@@ -19,8 +19,8 @@ confidence bound on sampled policy costs, or the cost of the path itself
 when there is one.
 
 This is the only place where passes and iterations run: a deterministic
-model is the one-realization case, and ``ddp_engine`` lifts it and runs one
-path per iteration through the same loop.
+chain is a ``StochasticModel`` with one realization per stage, and
+``ddp_engine`` runs it with one path per iteration through the same loop.
 
 Sampling is counter-based (one block cipher stream per (seed, iteration,
 path)), so runs are reproducible and paths independent across iterations.
@@ -37,15 +37,8 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .cuts import Cut, CutPool, build_middle_cut
-from .models import (
-    AnyModel,
-    IterationRecord,
-    RunLog,
-    RunStatus,
-    StochasticModel,
-    as_stochastic,
-)
-from .schedules import ErrorBudget, ScheduleSpec, backward_budget, forward_budgets
+from .models import IterationRecord, RunLog, RunStatus, StochasticModel
+from .schedules import ErrorBudget, ScheduleSpec, backward_budgets, forward_budgets
 from .stage_solver import (
     solve_backward_stage,
     solve_forward_stage,
@@ -65,9 +58,8 @@ def _as_budget(b: BudgetLike) -> ErrorBudget:
     return b if isinstance(b, ErrorBudget) else ErrorBudget(absolute=float(b))
 
 
-def make_pools(model: AnyModel) -> dict[int, CutPool]:
+def make_pools(model: StochasticModel) -> dict[int, CutPool]:
     """Fresh pools for stages 2..T+1; the T+1 pool is identically zero."""
-    model = as_stochastic(model)
     T = model.horizon
     dims = [model.stage1.var_dim] + [s.var_dim for s in model.stages]
     pools = {
@@ -148,11 +140,9 @@ def forward_pass_sddp(
     for p, path in enumerate(paths):
         x_prev = model.x0
         traj: list[np.ndarray] = []
+        indices = (0, *path.indices)  # stage 1 has one realization
         for t in range(1, T + 1):
-            if t == 1:
-                stage = model.stage1
-            else:
-                stage = model.stages[t - 2].realizations[path.indices[t - 2]]
+            stage = model.stage(t, indices[t - 1])
             res = solve_forward_stage(stage, x_prev, pools[t + 1], budgets[t - 1], t=t, path=p)
             traj.append(res.x)
             values[p, t - 1] = res.optimum
@@ -269,13 +259,7 @@ def iterate(
         ub = upper_bound_ci(fwd.cost_samples) if n_paths > 1 else float(fwd.cost_samples[0])
         lb, eps_resolved = ub, ()
         if T > 1:
-            eps = [
-                [
-                    backward_budget(schedule, t, k, T, prev_value=fwd.stage_values[p, t - 1])
-                    for p in range(n_paths)
-                ]
-                for t in range(2, T + 1)
-            ]
+            eps = backward_budgets(schedule, k, fwd.stage_values)
             bwd = backward_pass_sddp(model, pools, fwd.trajectories, eps, iteration=k)
             lb, eps_resolved = bwd.lb, bwd.eps_resolved
         yield IterationRecord(

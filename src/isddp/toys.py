@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .models import DeterministicModel, StageModel, StochasticModel, StochasticStageModel
+from .models import StageModel, StochasticModel, StochasticStageModel
 
 
 def _stage(growth: float, supply: float, cap: float, hold_cost: float, use_cost: float) -> StageModel:
@@ -44,32 +44,30 @@ def _floors(stages_data: list[tuple[float, float, float, float, float]], h0: flo
     return np.asarray(floors)
 
 
-def _deterministic(stages_data, h0: float) -> DeterministicModel:
+def _chain(stages_data, h0: float) -> StochasticModel:
     stages = [_stage(*d) for d in stages_data]
     # x0 is a full previous decision vector; only its first component couples.
-    return DeterministicModel(
-        stages=stages, x0=np.array([h0, 0.0, 0.0]), floors=_floors(stages_data, h0)
-    )
+    return StochasticModel.chain(stages, np.array([h0, 0.0, 0.0]), _floors(stages_data, h0))
 
 
-def toy_det_t2() -> DeterministicModel:
+def toy_det_t2() -> StochasticModel:
     data = [
         (1.0, 2.0, 4.0, 0.05, -0.3),
         (1.1, 1.0, 5.0, 0.2, -1.5),
     ]
-    return _deterministic(data, h0=3.0)
+    return _chain(data, h0=3.0)
 
 
-def toy_det_t3() -> DeterministicModel:
+def toy_det_t3() -> StochasticModel:
     data = [
         (1.0, 2.0, 3.0, 0.05, -0.2),
         (1.1, 0.5, 2.0, 0.1, -0.6),
         (1.05, 1.0, 6.0, 0.15, -1.8),
     ]
-    return _deterministic(data, h0=2.0)
+    return _chain(data, h0=2.0)
 
 
-def toy_det_t5() -> DeterministicModel:
+def toy_det_t5() -> StochasticModel:
     data = [
         (1.0, 1.0, 2.0, 0.05, -0.2),
         (1.05, 0.8, 1.5, 0.08, -0.4),
@@ -77,7 +75,7 @@ def toy_det_t5() -> DeterministicModel:
         (1.1, 0.5, 2.0, 0.1, -0.5),
         (1.0, 0.7, 5.0, 0.12, -1.6),
     ]
-    return _deterministic(data, h0=1.5)
+    return _chain(data, h0=1.5)
 
 
 def toy_sto_t3_m2() -> StochasticModel:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from isddp.lp_core import LinearProgram
-from isddp.models import DeterministicModel, save_model
+from isddp.models import StochasticModel, save_model
 from isddp.portfolio import PortfolioSpec, generate_instance
 
 
@@ -25,13 +25,9 @@ def random_feasible_bounded_lp(rng: np.random.Generator) -> LinearProgram:
     return LinearProgram(num_vars=n, num_eq=m, cost=c, eq_matrix=A, eq_rhs=b)
 
 
-def chain_model(T: int, n: int, seed: int) -> DeterministicModel:
-    """The M=1 portfolio of ``gen`` seed ``seed`` as a deterministic chain."""
-    sto = generate_instance(PortfolioSpec(T=T, n=n, M=1, seed=seed))
-    return DeterministicModel(
-        stages=[sto.stage1] + [st.realizations[0] for st in sto.stages],
-        x0=sto.x0, floors=sto.floors,
-    )
+def chain_model(T: int, n: int, seed: int) -> StochasticModel:
+    """The M=1 portfolio of ``gen`` seed ``seed``: a deterministic chain."""
+    return generate_instance(PortfolioSpec(T=T, n=n, M=1, seed=seed))
 
 
 def save_chain(T: int, n: int, seed: int, path) -> str:

@@ -24,7 +24,7 @@ from isddp.lp_core import (
     solve_dual_inexact,
     solve_exact,
 )
-from isddp.models import DeterministicModel, RunStatus
+from isddp.models import RunStatus
 from isddp.schedules import EXACT_SCHEDULE, ScheduleMode, ScheduleSpec, rel_err
 from isddp.sddp_engine import iterate, make_pools, run_isddp
 from isddp.toys import TOYS
@@ -48,7 +48,7 @@ def toy_runs():
         model = factory()
         v_star = oracle.extensive_form(model)
         pools = make_pools(model)
-        if isinstance(model, DeterministicModel):
+        if model.deterministic:
             log = run_iddp(model, EXACT_SCHEDULE, tol=1e-9, max_iter=100,
                            initial_pools=pools)
         else:
@@ -63,11 +63,7 @@ def toy_runs():
 def bounded_runs():
     """Criterion-5 runs: ConstantBounded schedule, exactly 200 iterations."""
     bar = 0.05
-    sched = ScheduleSpec(
-        mode=ScheduleMode.CONSTANT_BOUNDED,
-        constant_delta_bar=bar,
-        constant_eps_bar=bar,
-    )
+    sched = ScheduleSpec(mode=ScheduleMode.CONSTANT_BOUNDED, eps_bar=bar)
     runs = []
     det = TOYS["det_t3"]()
     det_pools = make_pools(det)
@@ -187,7 +183,7 @@ def test_criterion_04_bound_sandwich(toy_runs):
         lbs = [r.lb for r in records]
         assert all(lb <= v + 1e-7 for lb in lbs), name
         assert all(a <= b + 1e-12 for a, b in zip(lbs, lbs[1:])), name
-        if isinstance(run["model"], DeterministicModel):
+        if run["model"].deterministic:
             assert all(r.ub >= v - 1e-7 for r in records), name
     print("\nPASS criterion 4: Lb <= v* <= deterministic Ub every iteration, Lb monotone")
 
@@ -234,7 +230,7 @@ def test_criterion_07_vanishing_noise_finite_convergence():
     iters = {}
     for name, factory in TOYS.items():
         model = factory()
-        if isinstance(model, DeterministicModel):
+        if model.deterministic:
             # seeds do not enter the deterministic engine: one run covers all
             log = run_iddp(model, sched, tol=1e-6, max_iter=200)
             assert log.status is RunStatus.CONVERGED, name

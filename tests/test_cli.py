@@ -98,6 +98,59 @@ class TestSolve:
         rc = main(["solve", "--instance", str(tmp_path / "nope.json"), "--algo", "sddp"])
         assert rc == EXIT_USAGE
 
+    def test_ddp_rejects_a_stochastic_instance(self, instance, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        rc = main(["solve", "--instance", instance, "--algo", "ddp", "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert "need a deterministic model" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ddp_on_a_one_realization_portfolio(self, tmp_path, capsys):
+        # the M=1 portfolio solves as a chain, and its log is the log of
+        # the same chain written as a "deterministic" file
+        inst = str(tmp_path / "m1.json")
+        assert main(["gen", "--T", "4", "--n", "2", "--M", "1", "--out", inst]) == EXIT_OK
+        with open(inst) as fh:
+            d = json.load(fh)
+        stages = [d["stage1"]] + [st["realizations"][0] for st in d["stages"]]
+        for stage in stages[1:]:
+            del stage["prob"]
+        chain = str(tmp_path / "chain.json")
+        with open(chain, "w") as fh:
+            json.dump({"type": "deterministic", "x0": d["x0"], "floors": d["floors"],
+                       "stages": stages}, fh)
+        logs = []
+        for path in (inst, chain):
+            out = str(tmp_path / f"{os.path.basename(path)}.csv")
+            assert main(["solve", "--instance", path, "--algo", "ddp", "--tol", "1e-7",
+                         "--max-iter", "50", "--out", out]) == EXIT_OK
+            with open(out) as fh:
+                logs.append([{k: v for k, v in row.items() if k != "wall_ms"}
+                             for row in csv.DictReader(fh)])
+        assert logs[0] and logs[0] == logs[1]
+
+    @pytest.mark.parametrize("content", [
+        {"type": "stochastic"},
+        [1, 2],
+        {"type": "deterministic", "x0": [0.0], "floors": [],
+         "stages": [{"A": [[1.0]], "B": [[0.0]], "b": [1.0]}]},
+        {"type": "deterministic", "x0": [0.0], "floors": [], "stages": [[1.0]]},
+    ], ids=["no-stages", "not-an-object", "stage-without-c", "stage-not-an-object"])
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_malformed_instance_is_usage_error(self, command, content, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(content))
+        assert main([command, "--instance", str(path)]) == EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
+
+    def test_constant_bounded_logs_its_level(self, instance, tmp_path, capsys):
+        out = str(tmp_path / "run.csv")
+        rc = main(["solve", "--instance", instance, "--schedule-mode", "constant_bounded",
+                   "--eps-bar", "0.05", "--paths", "2", "--max-iter", "2", "--out", out])
+        assert rc == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["eps_bar"] == 0.05
+        assert {row["eps_bar"] for row in csv.DictReader(open(out))} == {"0.05"}
+
     def test_ddp_forces_exact_mode(self, det_instance):
         rc = main(["solve", "--instance", det_instance, "--algo", "ddp",
                    "--schedule-mode", "relative"])
@@ -114,10 +167,10 @@ class TestSolve:
 
     def test_solver_fault_exits_two(self, tmp_path):
         # stage 2 infeasible for every state: 0 == 1
-        from isddp.models import DeterministicModel, StageModel
+        from isddp.models import StageModel, StochasticModel
 
-        bad = DeterministicModel(
-            stages=[
+        bad = StochasticModel.chain(
+            [
                 StageModel(A=[[1.0]], B=[[0.0]], b=[1.0], c=[0.0]),
                 StageModel(A=[[0.0]], B=[[0.0]], b=[1.0], c=[0.0]),
             ],

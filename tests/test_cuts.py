@@ -171,7 +171,7 @@ class TestCutValidityOnToy:
         model = toy_det_t3()
         pools = make_pools(model)
         log = run_iddp(model, EXACT_SCHEDULE, tol=1e-9, max_iter=30, initial_pools=pools)
-        lb = stage_value_exact(model.stages[0], model.x0, pools[2])
+        lb = stage_value_exact(model.stage(1), model.x0, pools[2])
         assert lb == pytest.approx(log.final_lb)
 
 

@@ -7,7 +7,7 @@ from isddp.ddp_engine import (
     forward_pass,
     run_iddp,
 )
-from isddp.models import DeterministicModel, RunStatus, StageModel
+from isddp.models import RunStatus, StageModel, StochasticModel
 from isddp.schedules import EXACT_SCHEDULE, ErrorBudget, ScheduleMode, ScheduleSpec
 from isddp.sddp_engine import make_pools
 from isddp.lp_core import LpError
@@ -19,7 +19,7 @@ DET_TOYS = (toy_det_t2, toy_det_t3, toy_det_t5)
 
 def single_stage_model(c=2.5):
     stage = StageModel(A=[[1.0]], B=[[0.0]], b=[1.0], c=[c])
-    return DeterministicModel(stages=[stage], x0=np.array([0.0]), floors=np.zeros(0))
+    return StochasticModel.chain([stage], x0=np.array([0.0]), floors=np.zeros(0))
 
 
 class TestForwardPass:
@@ -62,15 +62,13 @@ class TestForwardPass:
         res = forward_pass(m, pools, deltas=[0.0] * m.horizon)
         for t in range(1, m.horizon + 1):
             x = res.trajectory[t - 1]
-            replay = float(m.stages[t - 1].c @ x) + pools[t + 1].evaluate(x)
+            replay = float(m.stage(t).c @ x) + pools[t + 1].evaluate(x)
             assert replay == pytest.approx(res.stage_values[t - 1], abs=1e-8)
 
     def test_infeasible_names_stage(self):
         stage1 = StageModel(A=[[1.0]], B=[[0.0]], b=[1.0], c=[0.0])
         bad2 = StageModel(A=[[0.0]], B=[[0.0]], b=[1.0], c=[0.0])  # 0 == 1
-        m = DeterministicModel(
-            stages=[stage1, bad2], x0=np.array([0.0]), floors=np.array([0.0])
-        )
+        m = StochasticModel.chain([stage1, bad2], x0=np.array([0.0]), floors=np.array([0.0]))
         with pytest.raises(StageSolveError) as err:
             forward_pass(m, make_pools(m), deltas=[0.0, 0.0])
         assert err.value.stage == 2
@@ -82,7 +80,7 @@ class TestForwardPass:
         monkeypatch.setattr("isddp.stage_solver.solve_with_primal_trail", broken)
         m = toy_det_t3()
         with pytest.raises(StageSolveError) as err:
-            solve_forward_stage(m.stages[1], np.zeros(m.stages[1].state_dim),
+            solve_forward_stage(m.stage(2), np.zeros(m.stage(2).state_dim),
                                 make_pools(m)[3], ErrorBudget(), t=2, path=7)
         assert (err.value.stage, err.value.path) == (2, 7)
         assert isinstance(err.value.__cause__, LpError)
@@ -99,7 +97,7 @@ class TestBackwardPass:
         # exact backward subproblem value at the trial point
         from isddp.stage_solver import stage_value_exact
 
-        ref = stage_value_exact(m.stages[1], x1, pools[3])
+        ref = stage_value_exact(m.stage(2), x1, pools[3])
         assert cut.value(x1) == pytest.approx(ref, abs=1e-8)
 
     def test_inexact_terminal_cut_gap_within_eps(self):
@@ -139,11 +137,7 @@ class TestRunIddp:
         v = oracle.extensive_form(m)
         T = m.horizon
         bar = 0.05
-        sched = ScheduleSpec(
-            mode=ScheduleMode.CONSTANT_BOUNDED,
-            constant_delta_bar=bar,
-            constant_eps_bar=bar,
-        )
+        sched = ScheduleSpec(mode=ScheduleMode.CONSTANT_BOUNDED, eps_bar=bar)
         log = run_iddp(m, sched, tol=1e-12, max_iter=200)
         bound = v - (bar * T + bar * (T - 1)) - 1e-6
         assert log.final_lb >= bound

@@ -6,7 +6,6 @@ import pytest
 from isddp.cuts import CutPool
 from isddp.ddp_engine import run_iddp
 from isddp.models import (
-    DeterministicModel,
     IterationRecord,
     ModelError,
     RunLog,
@@ -32,7 +31,7 @@ class TestValidation:
         s1 = StageModel(A=[[1.0, 1.0]], B=[[1.0]], b=[1.0], c=[0.0, 0.0])
         s2 = StageModel(A=[[1.0]], B=[[1.0]], b=[1.0], c=[0.0])  # expects dim 1
         with pytest.raises(ModelError):
-            DeterministicModel(stages=[s1, s2], x0=np.array([0.0]), floors=np.array([0.0]))
+            StochasticModel.chain([s1, s2], x0=np.array([0.0]), floors=np.array([0.0]))
 
     def test_probabilities_positive_and_normalized(self):
         s = StageModel(A=[[1.0]], B=[[1.0]], b=[1.0], c=[0.0])
@@ -41,10 +40,20 @@ class TestValidation:
         with pytest.raises(ModelError):
             StochasticStageModel(realizations=[s, s], probs=[1.0, 0.0])
 
+    def test_chain_needs_a_stage(self):
+        with pytest.raises(ModelError):
+            StochasticModel.chain([], x0=np.array([0.0]), floors=np.zeros(0))
+
+    def test_stage_accessor(self):
+        sto, chain = toy_sto_t3_m2(), toy_det_t3()
+        assert sto.stage(1) is sto.stage1
+        assert sto.stage(3, 1) is sto.stages[1].realizations[1]
+        assert chain.stage(2) is chain.stages[0].realizations[0]
+
     def test_floor_count(self):
         s = StageModel(A=[[1.0]], B=[[1.0]], b=[1.0], c=[0.0])
         with pytest.raises(ModelError):
-            DeterministicModel(stages=[s], x0=np.array([0.0]), floors=np.array([1.0]))
+            StochasticModel.chain([s], x0=np.array([0.0]), floors=np.array([1.0]))
 
 
 class TestJsonRoundTrip:
@@ -98,7 +107,13 @@ class TestPoolWarmRestart:
         assert v_lb == pytest.approx(fresh.final_lb, abs=1e-9)
 
     def test_degenerate_lift_preserves_solution(self):
-        det = toy_det_t3()
-        sto = StochasticModel.from_deterministic(det)
-        assert sto.num_scenarios() == 1
-        assert sto.horizon == det.horizon
+        # a "deterministic" file (a plain list of stages) loads as the chain
+        toy = toy_det_t3()
+        stages = [toy.stage(t).to_dict() for t in range(1, toy.horizon + 1)]
+        text = json.dumps({"type": "deterministic", "x0": toy.x0.tolist(),
+                           "floors": toy.floors.tolist(), "stages": stages})
+        model = model_from_json(text)
+        assert model.deterministic and model.num_scenarios() == 1
+        assert model_to_json(model) == model_to_json(toy)
+        assert json.loads(model_to_json(model))["type"] == "stochastic"
+        assert not toy_sto_t3_m2().deterministic

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from isddp.models import DeterministicModel, StageModel, StochasticModel, StochasticStageModel
+from isddp.models import StageModel, StochasticModel, StochasticStageModel
 from isddp.oracle import OracleGuardError, exact_recourse, extensive_form, sample_reachable_states
 from isddp.toys import TOYS, toy_det_t3, toy_sto_t3_m2
 
@@ -9,7 +9,7 @@ from isddp.toys import TOYS, toy_det_t3, toy_sto_t3_m2
 def single_stage_model(c=3.0):
     # T=1: min c*x s.t. x = 1
     stage = StageModel(A=[[1.0]], B=[[0.0]], b=[1.0], c=[c])
-    return DeterministicModel(stages=[stage], x0=np.array([0.0]), floors=np.zeros(0))
+    return StochasticModel.chain([stage], x0=np.array([0.0]), floors=np.zeros(0))
 
 
 class TestExtensiveForm:

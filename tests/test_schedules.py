@@ -84,13 +84,9 @@ class TestBudgets:
             assert forward_budgets(s, 3, 4)[0] == ErrorBudget(absolute=1e-12)
 
     def test_constant_bounded(self):
-        s = ScheduleSpec(
-            mode=ScheduleMode.CONSTANT_BOUNDED,
-            constant_delta_bar=0.05,
-            constant_eps_bar=0.07,
-        )
+        s = ScheduleSpec(mode=ScheduleMode.CONSTANT_BOUNDED, eps_bar=0.05)
         assert forward_budgets(s, 9, 3)[1] == ErrorBudget(absolute=0.05)
-        assert backward_budget(s, 2, 9, 3) == ErrorBudget(absolute=0.07)
+        assert backward_budget(s, 2, 9, 3) == ErrorBudget(absolute=0.05)
 
     def test_absolute_mode_uses_forward_estimate(self):
         s = ScheduleSpec(mode=ScheduleMode.ABSOLUTE, eps_bar=0.1, eps0=1e-12)

@@ -9,8 +9,8 @@ import importlib.util
 import json
 import os
 
-from isddp.cli import PRESET_ORDER
-from isddp.models import StochasticModel, load_model
+from isddp.cli import EXIT_OK, PRESET_ORDER, main
+from isddp.models import load_model, model_to_json
 from isddp.toys import TOYS
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
@@ -30,7 +30,7 @@ def test_run_portfolio_experiment_writes_every_preset(tmp_path, capsys):
     assert rc == 0
     assert "final bounds (per preset)" in capsys.readouterr().out
     model = load_model(str(tmp_path / "portfolio_T3_n2.json"))
-    assert isinstance(model, StochasticModel) and model.horizon == 3
+    assert model.horizon == 3 and not model.deterministic
     with open(tmp_path / "compare.csv") as fh:
         variants = [row["variant"] for row in csv.DictReader(fh)]
     assert variants == PRESET_ORDER[1:]
@@ -50,6 +50,9 @@ def test_export_toys_writes_every_toy(tmp_path, capsys):
     capsys.readouterr()
     assert sorted(os.listdir(tmp_path)) == sorted(f"{name}.json" for name in TOYS)
     for name, factory in TOYS.items():
-        model, toy = load_model(str(tmp_path / f"{name}.json")), factory()
-        assert type(model) is type(toy)
-        assert model.horizon == toy.horizon
+        path = str(tmp_path / f"{name}.json")
+        model, toy = load_model(path), factory()
+        assert model_to_json(model) == model_to_json(toy)
+        if toy.deterministic:
+            assert main(["solve", "--instance", path, "--algo", "ddp",
+                         "--out", str(tmp_path / f"{name}.csv")]) == EXIT_OK

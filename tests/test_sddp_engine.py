@@ -9,14 +9,13 @@ from isddp import sddp_engine
 from isddp import stage_solver
 from isddp.cuts import CutPool, build_middle_cut, build_terminal_cut
 from isddp.ddp_engine import run_iddp
-from isddp.models import StochasticModel
 from isddp.portfolio import PortfolioSpec, generate_instance
 from isddp.schedules import (
     EXACT_SCHEDULE,
     ErrorBudget,
     ScheduleMode,
     ScheduleSpec,
-    backward_budget,
+    backward_budgets,
     forward_budgets,
 )
 from isddp.sddp_engine import (
@@ -37,7 +36,7 @@ from conftest import chain_model
 
 class TestSamplePaths:
     def test_degenerate_distribution(self):
-        det = StochasticModel.from_deterministic(toy_det_t3())
+        det = toy_det_t3()
         paths = sample_paths(det, 7, iteration=2, seed=0)
         assert all(p.indices == (0, 0) for p in paths)
 
@@ -63,14 +62,13 @@ class TestSamplePaths:
 class TestForwardPassSddp:
     def test_deterministic_reduction(self):
         det = toy_det_t3()
-        sto = StochasticModel.from_deterministic(det)
         pools_d = make_pools(det)
-        pools_s = make_pools(sto)
+        pools_s = make_pools(det)
         from isddp.ddp_engine import forward_pass
 
         fd = forward_pass(det, pools_d, deltas=[0.0] * 3)
-        paths = sample_paths(sto, 1, iteration=1, seed=0)
-        fs = forward_pass_sddp(sto, pools_s, paths, deltas=[0.0] * 3)
+        paths = sample_paths(det, 1, iteration=1, seed=0)
+        fs = forward_pass_sddp(det, pools_s, paths, deltas=[0.0] * 3)
         assert fs.cost_samples[0] == pytest.approx(fd.ub)
         for a, b in zip(fd.trajectory, fs.trajectories[0]):
             assert np.allclose(a, b)
@@ -119,16 +117,15 @@ class TestForwardPassSddp:
 class TestBackwardPassSddp:
     def test_deterministic_reduction_cuts(self):
         det = toy_det_t3()
-        sto = StochasticModel.from_deterministic(det)
         pools_d = make_pools(det)
-        pools_s = make_pools(sto)
+        pools_s = make_pools(det)
         from isddp.ddp_engine import backward_pass, forward_pass
 
         fd = forward_pass(det, pools_d, deltas=[0.0] * 3)
         bd = backward_pass(det, pools_d, fd.trajectory, epsilons=[0.0, 0.0], iteration=1)
-        paths = sample_paths(sto, 1, iteration=1, seed=0)
-        fs = forward_pass_sddp(sto, pools_s, paths, deltas=[0.0] * 3)
-        bs = backward_pass_sddp(sto, pools_s, fs.trajectories, epsilons=[0.0, 0.0], iteration=1)
+        paths = sample_paths(det, 1, iteration=1, seed=0)
+        fs = forward_pass_sddp(det, pools_s, paths, deltas=[0.0] * 3)
+        bs = backward_pass_sddp(det, pools_s, fs.trajectories, epsilons=[0.0, 0.0], iteration=1)
         assert bs.lb == pytest.approx(bd.lb)
         for ca, cb in zip(bd.new_cuts, bs.new_cuts):
             assert ca.theta == pytest.approx(cb.theta)
@@ -237,11 +234,7 @@ class TestBackwardPassSddp:
         for k in range(1, 5):
             paths = sample_paths(m, n_paths, k, seed=9)
             fwd = forward_pass_sddp(m, pools, paths, forward_budgets(spec, k, T))
-            eps = [
-                [backward_budget(spec, t, k, T, prev_value=fwd.stage_values[p, t - 1])
-                 for p in range(n_paths)]
-                for t in range(2, T + 1)
-            ]
+            eps = backward_budgets(spec, k, fwd.stage_values)
             # the reference solves every dual alone: its pools start without a
             # memo, and no sweep fills one
             ref_pools = {t: CutPool.from_dict(p.to_dict()) for t, p in pools.items()}
@@ -350,11 +343,7 @@ class TestStoreEachCutOnce:
             for run_pools in (pools, fresh):
                 before = solved.copy()
                 fwd = forward_pass_sddp(m, run_pools, paths, deltas)
-                eps = [
-                    [backward_budget(spec, t, k, T, prev_value=fwd.stage_values[p, t - 1])
-                     for p in range(n_paths)]
-                    for t in range(2, T + 1)
-                ]
+                eps = backward_budgets(spec, k, fwd.stage_values)
                 pool2 = len(run_pools[2])
                 bwd = backward_pass_sddp(m, run_pools, fwd.trajectories, eps, iteration=k)
                 runs.append((fwd, bwd, solved - before, len(run_pools[2]) == pool2))
@@ -493,9 +482,8 @@ class TestRunIsddp:
 
     def test_deterministic_reduction_matches_iddp(self):
         det = toy_det_t3()
-        sto = StochasticModel.from_deterministic(det)
         log_d = run_iddp(det, EXACT_SCHEDULE, tol=1e-9, max_iter=30)
-        log_s = run_isddp(sto, EXACT_SCHEDULE, n_paths=1, gap_tol=1e-12, max_iter=30, seed=0)
+        log_s = run_isddp(det, EXACT_SCHEDULE, n_paths=1, gap_tol=1e-12, max_iter=30, seed=0)
         assert [(r.lb, r.ub) for r in log_d.records] == [
             (r.lb, r.ub) for r in log_s.records
         ]
@@ -514,11 +502,7 @@ class TestRunIsddp:
         v = oracle.extensive_form(m)
         T = m.horizon
         bar = 0.05
-        sched = ScheduleSpec(
-            mode=ScheduleMode.CONSTANT_BOUNDED,
-            constant_delta_bar=bar,
-            constant_eps_bar=bar,
-        )
+        sched = ScheduleSpec(mode=ScheduleMode.CONSTANT_BOUNDED, eps_bar=bar)
         log = run_isddp(m, sched, n_paths=2, gap_tol=1e-12, max_iter=120, seed=5)
         assert log.final_lb >= v - (bar * T + bar * (T - 1)) - 1e-6
         assert all(r.lb <= v + 1e-7 for r in log.records)
@@ -526,7 +510,7 @@ class TestRunIsddp:
 
 class TestEvaluatePolicy:
     def test_degenerate_identical_costs(self):
-        det = StochasticModel.from_deterministic(toy_det_t3())
+        det = toy_det_t3()
         pools = make_pools(det)
         costs = evaluate_policy(det, pools, 5, seed=1)
         assert np.allclose(costs, costs[0])

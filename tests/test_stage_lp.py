@@ -72,8 +72,8 @@ def test_reference_stage_optimum_matches_kernel(tracing):
 
     model, pools = _pooled_det_t3()
     x = model.x0
-    for t, stage in enumerate(model.stages, start=1):
-        lp = stage_lp(stage, x, pools[t + 1])
+    for t in range(1, model.horizon + 1):
+        lp = stage_lp(model.stage(t), x, pools[t + 1])
         if t < model.horizon:  # the floor and at least one cut
             assert lp.num_cuts > 1
         sol = solve_exact(lp)
@@ -117,7 +117,7 @@ def _pool_of_three():
 def test_stage_lp_subset_keeps_floor_first_then_given_order():
     model = toy_det_t3()
     pool = _pool_of_three()
-    lp = stage_lp(model.stages[0], model.x0, pool, cut_subset=[2, 0])
+    lp = stage_lp(model.stage(1), model.x0, pool, cut_subset=[2, 0])
     assert lp.cut_thetas().tolist() == [-7.0, 12.0, 10.0]
     assert lp.cut_beta_matrix().tolist() == [[0.0] * 3, [3.0] * 3, [1.0] * 3]
 
@@ -125,7 +125,7 @@ def test_stage_lp_subset_keeps_floor_first_then_given_order():
 def test_stage_lp_aliases_the_pools_read_only_rows():
     model = toy_det_t3()
     pool = _pool_of_three()
-    lp = stage_lp(model.stages[0], model.x0, pool)
+    lp = stage_lp(model.stage(1), model.x0, pool)
     assert lp.cut_beta_matrix() is pool.betas_with_floor()
     assert lp.cut_thetas() is pool.thetas_with_floor()
     assert not lp.cut_beta_matrix().flags.writeable
