@@ -34,9 +34,10 @@ vertex (the primal ``x``, or the dual's ``lam+ | lam- | mu``).
 Phase 1 depends on the constraints alone.  LPs that differ only in
 ``eq_rhs`` have explicit duals that share ``(A, b)`` and differ only in
 their cost, so ``solve_dual_batch`` solves them together: phase 1 once, on
-one tableau that carries every LP's cost row, then phase 2 for all of them
-in lockstep, each LP with its own basis.  Every result is bit-identical to
-a lone solve (see ``_simplex_batch``).
+one tableau that carries every LP's cost row, then phase 2 in groups.  The
+LPs of a group share one tableau and take the same pivots; a group splits
+where its LPs pivot differently.  Every result is bit-identical to a lone
+solve (see ``_simplex_batch``).
 
 Dual convention for cut rows: weights mu >= 0 with sum(mu) == 1, entering
 the variable-wise constraint as  eq_matrix.T @ lam - sum_i mu_i * beta_i <= c.
@@ -62,10 +63,6 @@ RESTRICTED_UPDATE_CELLS = 20_000
 # A phase switches from Dantzig's to Bland's rule after more than this many
 # degenerate pivots in a row, per row and column of the standard form.
 BLAND_STREAK = 50
-# LPs whose phase 2 runs in lockstep, at most; a larger stack of small
-# tableaux no longer fits the cache (per LP, a step costs about twice as
-# much at 1,000 LPs as at 125).
-BATCH_CHUNK = 128
 
 
 class LpError(Exception):
@@ -253,18 +250,31 @@ def _simplex_batch(
     ``(A, b)`` only, so they run once for all K LPs.  The crash scales its
     rows in place and prices the cost rows out against its columns; each
     phase-1 pivot is one rank-1 update of the whole array, which gives
-    every cost row the update a lone solve gives its own.  Phase 2 runs in
-    place on rows ``:m+1`` when K == 1, and otherwise in lockstep on a copy
-    per LP (``_lockstep_phase2``).  Only structural columns enter.
+    every cost row the update a lone solve gives its own.
 
-    On tableaux of at least ``RESTRICTED_UPDATE_CELLS`` cells a pivot touches
-    only the rows where the pivot column is nonzero and the columns where
-    the pivot row is nonzero.  Each cell that changes gets one product
-    ``colv[i] * row[j]`` and one subtraction whichever update runs, so each
-    LP's result is bit-identical to a lone solve with either update.  The
-    one exception is the sign of an exact zero in a skipped cell, which only
-    had a zero product to lose (the crash likewise skips a column whose cost
-    is zero in every LP); no comparison, ratio or argmin can see that sign.
+    Phase 2 runs in groups.  A group is one tableau, the constraint rows and
+    one cost row per member, with one basis; it starts as rows ``:m+K`` of
+    ``tab`` with every LP a member.  At each step every member prices its own
+    row (Dantzig, or Bland once its own degenerate streak trips), and the
+    members that pivot on the same ``(pr, pc)`` share one ratio test and one
+    rank-1 update.  When members pivot differently the group splits: each
+    part but the last pivots a copy of the constraint rows and of its
+    members' cost rows, and the parts run depth first.  A member leaves its
+    group when it finishes, and a group of one (every lone solve, K == 1)
+    runs the scalar loop.  Every row of every member thus gets the float
+    operations of its lone solve.  A trail snapshot is taken once per group
+    step, so the members of a group share its vertex arrays.  Only
+    structural columns enter.
+
+    When a lone solve's tableau (``m + 2`` rows) has at least
+    ``RESTRICTED_UPDATE_CELLS`` cells, a pivot touches only the rows where
+    the pivot column is nonzero and the columns where the pivot row is
+    nonzero, in a batch too.  Each cell that changes gets one product
+    ``colv[i] * row[j]`` and one subtraction whichever update runs, so the
+    results would match with either update.  The one exception is the sign
+    of an exact zero in a skipped cell, which only had a zero product to
+    lose (the crash likewise skips a column whose cost is zero in every LP);
+    no comparison, ratio or argmin can see that sign.
     """
     m, n = A.shape
     K = len(C)
@@ -275,13 +285,13 @@ def _simplex_batch(
     sign = np.where(b < 0, -1.0, 1.0)
     ncols = n + m
     tab = np.zeros((m + K + 1, ncols + 1))
-    body, r2, r1 = tab[:m], tab[m], tab[m + K]
+    body, r1 = tab[:m], tab[m + K]
     body[:, :n] = A * sign[:, None]
     body[:, n:ncols] = np.eye(m)
     body[:, -1] = b * sign
     tab[m : m + K, :n] = C
     rhs = body[:, -1]
-    restricted = tab.size >= RESTRICTED_UPDATE_CELLS
+    restricted = (m + 2) * (ncols + 1) >= RESTRICTED_UPDATE_CELLS  # by a lone solve's size
 
     basis = np.arange(n, ncols)
     # Crash basis: a row whose structural part holds a unit column (one
@@ -309,12 +319,9 @@ def _simplex_batch(
     r1[-1] = -rhs[keep].sum()
     ratios = np.empty(m)
 
-    pivots = 0
-
-    def pivot(pr: int, pc: int, live: np.ndarray) -> None:
-        """Pivot on (pr, pc), updating the rows of ``live`` (a top slice of tab)."""
-        nonlocal pivots
-        row = tab[pr]
+    def pivot(live: np.ndarray, basis: np.ndarray, pr: int, pc: int) -> None:
+        """Pivot on (pr, pc): ``live`` holds the m constraint rows, then cost rows."""
+        row = live[pr]
         row /= row[pc]
         colv = live[:, pc].copy()
         colv[pr] = 0.0
@@ -327,7 +334,6 @@ def _simplex_batch(
         live[:, pc] = 0.0
         row[pc] = 1.0
         basis[pr] = pc
-        pivots += 1
 
     def entering(r: np.ndarray, bland: bool) -> int:
         # Only structural columns enter: an artificial that left the basis
@@ -337,7 +343,8 @@ def _simplex_batch(
         pc = int((price < -FEAS_TOL).argmax() if bland else price.argmin())
         return pc if price[pc] < -FEAS_TOL else -1
 
-    def leaving_row(pc: int, bland: bool) -> int:
+    def leaving_row(body: np.ndarray, rhs: np.ndarray, basis: np.ndarray, pc: int,
+                    bland: bool) -> int:
         if not m:
             return -1
         colv = body[:, pc]
@@ -354,23 +361,27 @@ def _simplex_batch(
             return int(tie[basis[tie].argmin()])
         return int(tie[colv[tie].argmax()])
 
-    def run_phase(r: np.ndarray, live: np.ndarray, trail: Optional[list]) -> str:
-        """Pivot on ``live`` until cost row ``r`` prices out; the outcome."""
-        bland = False
-        degenerate = 0
+    def run_phase(
+        r: np.ndarray, live: np.ndarray, basis: np.ndarray, count: int,
+        trail: Optional[list], bland: bool = False, degenerate: int = 0,
+    ) -> tuple[str, int]:
+        """Pivot on ``live`` until cost row ``r`` prices out; the outcome and pivot count."""
+        body = live[:m]
+        rhs = body[:, -1]
         while True:
             if trail is not None:
                 trail.append((-r[-1], _vertex(basis, rhs, n)[:trail_len].copy()))
             pc = entering(r, bland)
             if pc < 0:
-                return "optimal"
-            pr = leaving_row(pc, bland)
+                return "optimal", count
+            pr = leaving_row(body, rhs, basis, pc, bland)
             if pr < 0:
-                return "unbounded"
+                return "unbounded", count
             prev = r[-1]
-            pivot(pr, pc, live)
-            if pivots > max_pivots:
-                return "limit"
+            pivot(live, basis, pr, pc)
+            count += 1
+            if count > max_pivots:
+                return "limit", count
             if abs(r[-1] - prev) <= 1e-13 * (1.0 + abs(prev)):
                 degenerate += 1
                 if degenerate > bland_after:
@@ -378,14 +389,11 @@ def _simplex_batch(
             else:
                 degenerate = 0
 
-    def pivot_limit() -> list:
-        return [_pivot_limit(max_pivots, basis, rhs, n, -tab[m + k, -1]) for k in range(K)]
-
-    outcome = run_phase(r1, tab, None)
-    if outcome == "unbounded":
+    phase, pivots = run_phase(r1, tab, basis, 0, None)
+    if phase == "unbounded":
         return [LpError("phase-1 subproblem unbounded: numerical failure") for _ in range(K)]
-    if outcome == "limit":
-        return pivot_limit()
+    if phase == "limit":
+        return [_pivot_limit(max_pivots, basis, rhs, n, -tab[m + k, -1]) for k in range(K)]
     if -r1[-1] > FEAS_TOL * (1.0 + np.abs(rhs).sum()):
         return [_KernelResult(SolveStatus.INFEASIBLE, None, math.nan, None, None, pivots)
                 for _ in range(K)]
@@ -396,21 +404,92 @@ def _simplex_batch(
         if basis[pr] >= n:
             cand = (np.abs(body[pr, :n]) > PIVOT_TOL).nonzero()[0]
             if cand.size:
-                pivot(pr, int(cand[0]), tab)
+                pivot(tab, basis, pr, int(cand[0]))
+                pivots += 1
 
-    if K > 1:
-        return _lockstep_phase2(
-            tab[: m + K], n, basis, pivots, sign, max_pivots=max_pivots,
-            bland_after=bland_after, trail_len=trail_len,
-        )
-    # r1 is dead in phase 2: its pivots update the rows up to r2 only
-    trail: Optional[list] = None if trail_len is None else []
-    outcome = run_phase(r2, tab[: m + 1], trail)
-    if outcome == "limit":
-        return pivot_limit()
-    if outcome == "unbounded":
-        return [_KernelResult(SolveStatus.UNBOUNDED, None, math.nan, None, None, pivots)]
-    return [_optimal(r2, basis, rhs, n, sign, pivots, trail or [])]
+    def outcome_of(phase: str, r: np.ndarray, basis: np.ndarray, rhs: np.ndarray,
+                   count: int, trail: list):
+        """The outcome of an LP whose phase 2 ended ``phase`` with cost row ``r``."""
+        if phase == "optimal":
+            return _optimal(r, basis, rhs, n, sign, count, trail)
+        if phase == "unbounded":
+            return _KernelResult(SolveStatus.UNBOUNDED, None, math.nan, None, None, count)
+        return _pivot_limit(max_pivots, basis, rhs, n, -r[-1])
+
+    if K == 1:  # the group bookkeeping would cost a small lone solve a few percent
+        trail = None if trail_len is None else []
+        phase, pivots = run_phase(tab[m], tab[: m + 1], basis, pivots, trail)
+        return [outcome_of(phase, tab[m], basis, rhs, pivots, trail or [])]
+
+    out: list = [None] * K
+    trails: list[list] = [[] for _ in range(K)]
+    # the groups still to run, depth first: (tableau without r1, basis, pivot
+    # count, members, their Bland flags, their degenerate streaks)
+    groups = [(tab[: m + K], basis, pivots, np.arange(K), np.zeros(K, dtype=bool),
+               np.zeros(K, dtype=np.int64))]
+    while groups:
+        live, basis, count, ks, bland, streak = groups.pop()
+        costs, rhs = live[m:], live[:m, -1]
+        if len(ks) == 1:  # a group of one runs the lone loop
+            k = int(ks[0])
+            phase, count = run_phase(costs[0], live, basis, count,
+                                     None if trail_len is None else trails[k],
+                                     bool(bland[0]), int(streak[0]))
+            out[k] = outcome_of(phase, costs[0], basis, rhs, count, trails[k])
+            continue
+        if trail_len is not None:
+            point = _vertex(basis, rhs, n)[:trail_len].copy()
+            objs = -costs[:, -1]
+            for i, k in enumerate(ks.tolist()):
+                trails[k].append((objs[i], point))
+        price = costs[:, :n]
+        pcs = price.argmin(axis=1)
+        for i in bland.nonzero()[0]:
+            pcs[i] = (price[i] < -FEAS_TOL).argmax()
+        moving = price[np.arange(len(ks)), pcs] < -FEAS_TOL
+        if moving.all() and not bland.any() and (pcs == pcs[0]).all():
+            # the common step: every member enters one column by Dantzig's rule
+            pc = int(pcs[0])
+            pr = leaving_row(live[:m], rhs, basis, pc, False)
+            if pr < 0:
+                for i, k in enumerate(ks.tolist()):
+                    out[k] = outcome_of("unbounded", costs[i], basis, rhs, count, trails[k])
+                continue
+            parts = [(pr, pc, slice(None))]
+        else:
+            leaving: dict = {}  # one ratio test per entering column and rule
+            by_pivot: dict = {}
+            for i, (k, pc, bl) in enumerate(zip(ks.tolist(), pcs.tolist(), bland.tolist())):
+                if moving[i]:
+                    if (pc, bl) not in leaving:
+                        leaving[pc, bl] = leaving_row(live[:m], rhs, basis, pc, bl)
+                    pr = leaving[pc, bl]
+                    if pr >= 0:
+                        by_pivot.setdefault((pr, pc), []).append(i)
+                        continue
+                out[k] = outcome_of("unbounded" if moving[i] else "optimal",
+                                    costs[i], basis, rhs, count, trails[k])
+            parts = [(pr, pc, np.array(sel)) for (pr, pc), sel in by_pivot.items()]
+        # every part but the last pivots a copy; the last goes on in place
+        for j, (pr, pc, sel) in enumerate(parts):
+            members = ks[sel]
+            if j < len(parts) - 1:
+                part, part_basis = np.concatenate((live[:m], costs[sel])), basis.copy()
+            else:
+                part, part_basis = live[: m + len(members)], basis
+                if len(members) < len(ks):
+                    part[m:] = costs[sel]
+            prev = part[m:, -1].copy()
+            pivot(part, part_basis, pr, pc)
+            if count + 1 > max_pivots:
+                for i, k in enumerate(members.tolist()):
+                    out[k] = outcome_of(
+                        "limit", part[m + i], part_basis, part[:m, -1], count + 1, trails[k])
+                continue
+            obj = part[m:, -1]
+            s = np.where(np.abs(obj - prev) <= 1e-13 * (1.0 + np.abs(prev)), streak[sel] + 1, 0)
+            groups.append((part, part_basis, count + 1, members, bland[sel] | (s > bland_after), s))
+    return out
 
 
 def _vertex(basis: np.ndarray, rhs: np.ndarray, n: int) -> np.ndarray:
@@ -437,119 +516,6 @@ def _pivot_limit(
     """The fault of an LP stopped at ``basis`` with objective ``obj``."""
     return PivotLimitError(
         f"pivot limit {max_pivots} exceeded", _vertex(basis, rhs, n)[:n], obj)
-
-
-def _lockstep_phase2(
-    tab: np.ndarray,
-    n: int,
-    basis: np.ndarray,
-    pivots: int,
-    sign: np.ndarray,
-    *,
-    max_pivots: int,
-    bland_after: int,
-    trail_len: Optional[int],
-) -> list:
-    """Phase 2 of K LPs that share the constraint rows and basis phase 1 left.
-
-    ``tab`` holds the m constraint rows, then one reduced-cost row per LP.
-    Each LP gets its own copy of the constraint rows, in one ``(K, m + 1,
-    n + m + 1)`` stack, and every unfinished LP takes its next pivot at each
-    step, with its own basis, Bland flag, degenerate streak, pivot count and
-    trail.  An LP leaves the stack when it finishes.  Pricing, the ratio
-    test, the tie-breaks and the rank-1 update are the lone solve's,
-    elementwise.
-    """
-    K = len(tab) - len(basis)
-    m, width = len(basis), tab.shape[1]
-    ncols = width - 1
-    stack = np.empty((K, m + 1, width))
-    stack[:, :m] = tab[:m]
-    stack[:, m] = tab[m:]
-    bases = np.tile(basis, (K, 1))
-    count = np.full(K, pivots)
-    bland = np.zeros(K, dtype=bool)
-    streak = np.zeros(K, dtype=np.int64)
-    lps = np.arange(K)  # the LP in each layer of the stack
-    out: list = [None] * K
-    trails: list[list] = [[] for _ in range(K)]
-    scratch = np.empty_like(stack)  # the rank-1 products of a step
-
-    def drop_layers(keep: np.ndarray, *arrays):
-        """Keep the layers of ``keep`` in the stack and in its per-LP state."""
-        nonlocal stack, bases, count, bland, streak, lps
-        kept = keep.nonzero()[0]
-        for i, j in enumerate(kept.tolist()):  # pack the stack in place
-            if i != j:
-                stack[i] = stack[j]
-        stack = stack[: len(kept)]
-        bases, count, bland, streak, lps = (
-            a[kept] for a in (bases, count, bland, streak, lps))
-        return [a[kept] for a in arrays]
-
-    while len(lps):
-        layers = np.arange(len(lps))
-        costs = stack[:, m]
-        if trail_len is not None:
-            z = np.zeros((len(lps), ncols))
-            z[layers[:, None], bases] = stack[:, :m, -1]
-            points = z[:, :trail_len].copy()
-            objs = -costs[:, -1]
-            for i, k in enumerate(lps.tolist()):
-                trails[k].append((objs[i], points[i]))
-        # every artificial is blocked in phase 2: only structural columns enter
-        price = costs[:, :n]
-        pc = price.argmin(axis=1)
-        for i in bland.nonzero()[0]:
-            pc[i] = (price[i] < -FEAS_TOL).argmax()
-        optimal = ~(price[layers, pc] < -FEAS_TOL)
-        colv = stack[layers, :, pc]
-        ratios = np.full((len(lps), m), np.inf)
-        np.divide(stack[:, :m, -1], colv[:, :m], out=ratios, where=colv[:, :m] > PIVOT_TOL)
-        rmin = ratios.min(axis=1, initial=np.inf)
-        done = optimal | (rmin == np.inf)
-        if done.any():
-            for i in done.nonzero()[0]:
-                k = lps[i]
-                if optimal[i]:
-                    out[k] = _optimal(stack[i, m], bases[i], stack[i, :m, -1], n, sign,
-                                      int(count[i]), trails[k])
-                else:
-                    out[k] = _KernelResult(
-                        SolveStatus.UNBOUNDED, None, math.nan, None, None, int(count[i]))
-            pc, colv, ratios, rmin = drop_layers(~done, pc, colv, ratios, rmin)
-            if not len(lps):
-                break
-            layers = np.arange(len(lps))
-
-        # leaving rows: ties within 1e-9 of the minimum ratio go to the
-        # largest pivot entry (Dantzig) or the smallest basic index (Bland)
-        tie = ratios <= (rmin + 1e-9 * (1.0 + np.abs(rmin)))[:, None]
-        pr = np.where(tie, colv[:, :m], -np.inf).argmax(axis=1)
-        if bland.any():
-            pr = np.where(bland, np.where(tie, bases, ncols).argmin(axis=1), pr)
-
-        prev = stack[:, m, -1].copy()
-        row = stack[layers, pr] / stack[layers, pr, pc][:, None]
-        colv[layers, pr] = 0.0
-        stack[layers, pr] = row
-        products = scratch[: len(lps)]
-        np.multiply(colv[:, :, None], row[:, None, :], out=products)
-        stack -= products
-        stack[layers, :, pc] = 0.0
-        stack[layers, pr, pc] = 1.0
-        bases[layers, pr] = pc
-        count += 1
-        over = count > max_pivots
-        if over.any():
-            for i in over.nonzero()[0]:
-                out[lps[i]] = _pivot_limit(
-                    max_pivots, bases[i], stack[i, :m, -1], n, -stack[i, m, -1])
-            (prev,) = drop_layers(~over, prev)
-        obj = stack[:, m, -1]
-        streak = np.where(np.abs(obj - prev) <= 1e-13 * (1.0 + np.abs(prev)), streak + 1, 0)
-        bland |= streak > bland_after
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -664,18 +630,13 @@ def solve_dual_batch(lp: LinearProgram, eq_rhs: np.ndarray) -> list:
     LPs that differ only in ``eq_rhs`` have explicit duals that share their
     constraints ``(D, rhs)``, which depend on ``eq_matrix``, ``cost`` and the
     cut slopes, and differ only in their cost row
-    ``[-eq_rhs | eq_rhs | -thetas | 0]``.  They are solved ``BATCH_CHUNK`` at
-    a time (``_simplex_batch``): phase 1 once per chunk, phase 2 in lockstep.
-    Outcome ``i`` is a ``_KernelResult``, or the ``LpError`` that a lone
-    solve of member ``i`` raises.
+    ``[-eq_rhs | eq_rhs | -thetas | 0]``.  They are solved as one batch
+    (``_simplex_batch``): phase 1 once, then phase 2 in groups of members
+    that pivot alike.  Outcome ``i`` is a ``_KernelResult``, or the
+    ``LpError`` that a lone solve of member ``i`` raises.
     """
     D, rhs, costs = _explicit_duals(lp, eq_rhs)
-    trail_len = 2 * lp.num_eq + lp.num_cuts
-    return [
-        out
-        for lo in range(0, len(costs), BATCH_CHUNK)
-        for out in _simplex_batch(D, rhs, costs[lo : lo + BATCH_CHUNK], trail_len=trail_len)
-    ]
+    return _simplex_batch(D, rhs, costs, trail_len=2 * lp.num_eq + lp.num_cuts)
 
 
 def solve_dual_inexact(

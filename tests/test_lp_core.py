@@ -29,6 +29,8 @@ from isddp.lp_core import (
 )
 from isddp.oracle import _assemble_tree_lp
 from isddp.portfolio import PortfolioSpec, generate_instance
+from isddp.schedules import ScheduleMode, ScheduleSpec
+from isddp.sddp_engine import run_isddp
 
 from conftest import enumerate_vertices, random_feasible_bounded_lp
 
@@ -609,7 +611,7 @@ def test_batch_pivot_limit_matches_lone_solves(max_pivots):
     _assert_batch_matches_lone(*_dual_group(rng, 6), max_pivots=max_pivots)
 
 
-def test_dual_batch_solves_in_chunks(monkeypatch):
+def test_dual_batch_is_one_kernel_call(monkeypatch):
     calls = []
     orig = lp_core._simplex_batch
 
@@ -617,9 +619,52 @@ def test_dual_batch_solves_in_chunks(monkeypatch):
         calls.append(len(C))
         return orig(A, b, C, **kwargs)
 
+    lp, eq_rhs = _dual_members(np.random.default_rng(3), 130)
     monkeypatch.setattr(lp_core, "_simplex_batch", counting)
-    lp, eq_rhs = _dual_members(np.random.default_rng(3), lp_core.BATCH_CHUNK + 2)
     outcomes = solve_dual_batch(lp, eq_rhs)
-    assert len(outcomes) == lp_core.BATCH_CHUNK + 2
-    assert outcomes[lp_core.BATCH_CHUNK + 1].status is SolveStatus.OPTIMAL
-    assert calls == [lp_core.BATCH_CHUNK, 2]
+    assert calls == [130]
+    monkeypatch.undo()
+    assert [_outcome_bits(out) for out in outcomes] == [
+        _outcome_bits(solve_dual_batch(lp, row[None])[0]) for row in eq_rhs]
+
+
+def test_batch_whose_members_split_matches_lone_solves():
+    # random costs on a 6 x 8 conftest LP end at different vertices
+    rng = np.random.default_rng(13)
+    A, b, _ = _standard_primal(random_feasible_bounded_lp(rng))
+    got = _assert_batch_matches_lone(A, b, rng.normal(size=(40, A.shape[1])).round(3))
+    assert len({res.basis.tobytes() for res in got}) >= 2
+
+
+def test_members_on_one_path_share_their_trail_points():
+    # doubling a cost row is exact, so c and 2c take the same pivots
+    A, b, C = _dual_group(np.random.default_rng(5), 1)
+    c = C[0]
+    got = _simplex_batch(A, b, np.array([c, 2.0 * c, c]), trail_len=A.shape[1])
+    trails = [res.trail for res in got]
+    assert len(trails[0]) > 1 and len({len(trail) for trail in trails}) == 1
+    for (obj, point), (obj2, point2), (_, point3) in zip(*trails):
+        assert point2 is point and point3 is point
+        assert obj2 == 2.0 * obj
+
+
+def test_captured_backward_batches_match_lone_solves(monkeypatch):
+    # the backward duals of a real run: the isddp1 preset on the u=0.2 family
+    calls = []
+    orig = lp_core._simplex_batch
+
+    def capture(A, b, C, **kwargs):
+        if len(C) > 1:
+            calls.append((A.copy(), b.copy(), C.copy(), kwargs))
+        return orig(A, b, C, **kwargs)
+
+    monkeypatch.setattr(lp_core, "_simplex_batch", capture)
+    model = generate_instance(PortfolioSpec(T=4, n=8, M=10, u=0.2, seed=0))
+    schedule = ScheduleSpec(eps_bar=0.1, eps0=1e-12, mode=ScheduleMode.RELATIVE)
+    run_isddp(model, schedule, n_paths=10, gap_tol=1e-9, max_iter=2, seed=9)
+    monkeypatch.undo()
+    assert sum(len(C) for _, _, C, _ in calls) > 100
+    for A, b, C, kwargs in calls:
+        got = _simplex_batch(A, b, C, **kwargs)
+        for k, (c, out) in enumerate(zip(C, got)):
+            assert _outcome_bits(out) == _outcome_bits(_lone(A, b, c, **kwargs)), f"member {k}"
