@@ -141,6 +141,8 @@ def _single_instance(args) -> str:
 def _config_from_args(args, algorithm: str, schedule: ScheduleSpec, out: str) -> RunConfig:
     if args.max_iter < 1:
         raise UsageError(f"--max-iter must be at least 1, got {args.max_iter}")
+    if algorithm in ("ddp", "iddp") and args.paths != 1:
+        raise UsageError(f"--algo {algorithm} follows one path, got --paths {args.paths}")
     return RunConfig(
         algorithm=algorithm, schedule=schedule, n_paths=args.paths,
         gap_tol=args.gap_tol, max_iter=args.max_iter, seed=args.seed,

@@ -657,8 +657,8 @@ def solve_dual_inexact(
     (a ``solve_dual_batch`` of one); it must be ``lp``'s, as from a larger
     ``solve_dual_batch``, which is bit-identical to it.
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    if eps < 0 or rel_eps < 0:
+        raise ValueError("eps and rel_eps must be nonnegative")
     if result is None:
         (result,) = solve_dual_batch(lp, lp.eq_rhs[None])
         if isinstance(result, LpError):

@@ -99,6 +99,13 @@ class ErrorBudget:
     absolute: float = 0.0
     relative: float = 0.0
 
+    def __post_init__(self):
+        if not (self.absolute >= 0.0 and self.relative >= 0.0):
+            raise ScheduleError(
+                f"budget parts must be nonnegative, got absolute={self.absolute}, "
+                f"relative={self.relative}"
+            )
+
     def resolve(self, reference: float) -> float:
         return self.absolute + self.relative * max(1.0, abs(reference))
 

@@ -1,10 +1,9 @@
 """Shared stage-subproblem machinery for the forward and backward passes.
 
-Forward (primal) solves use lazy cut-row generation: solve against a small
-working subset of the pool, add the most violated cut at the incumbent, and
-repeat until the incumbent's epigraph value dominates the whole pool.  The
-trail of the final solve then yields certified delta-suboptimal vertices.
-The exact stage value of the lower bound is the zero-budget case.
+Forward (primal) solves are one kernel call on the stage LP against the
+full pool, the LP the backward pass also builds.  The trail of that solve
+yields certified delta-suboptimal vertices.  The exact stage value of the
+lower bound is the zero-budget case.
 
 Backward (dual) solves hand the full pool to the kernel's explicit-dual
 path, which scales with the number of cuts only through matrix columns.
@@ -31,7 +30,6 @@ from .lp_core import (
     DualCertificate,
     LinearProgram,
     LpError,
-    PrimalDualSolution,
     SolveStatus,
     _KernelResult,
     solve_dual_batch,
@@ -62,30 +60,19 @@ class ForwardStageResult:
     budget_resolved: float
 
 
-def stage_lp(
-    stage: StageModel,
-    x_prev: np.ndarray,
-    pool: CutPool,
-    cut_subset: Optional[list[int]] = None,
-) -> LinearProgram:
+def stage_lp(stage: StageModel, x_prev: np.ndarray, pool: CutPool) -> LinearProgram:
     """Assemble the stage LP against a pool (floor always included as row 0).
 
-    ``cut_subset`` picks pool cuts by index, in the order given; without it
-    the LP aliases the pool's read-only floor-first arrays.
+    The LP aliases the pool's read-only floor-first arrays.
     """
-    rhs = stage.b - stage.B @ x_prev
-    betas, thetas = pool.betas_with_floor(), pool.thetas_with_floor()
-    if cut_subset is not None:
-        rows = [0] + [i + 1 for i in cut_subset]
-        betas, thetas = betas[rows], thetas[rows]
     return LinearProgram(
         num_vars=stage.var_dim,
         num_eq=stage.num_eq,
         cost=stage.c,
         eq_matrix=stage.A,
-        eq_rhs=rhs,
-        cut_beta=betas,
-        cut_theta=thetas,
+        eq_rhs=stage.b - stage.B @ x_prev,
+        cut_beta=pool.betas_with_floor(),
+        cut_theta=pool.thetas_with_floor(),
         has_epigraph=True,
     )
 
@@ -93,56 +80,6 @@ def stage_lp(
 def _where(t: Optional[int], path: Optional[int]) -> str:
     where = f"stage {t}" if t is not None else "stage subproblem"
     return where if path is None else f"{where} (path {path})"
-
-
-def _raise_bad_status(status: SolveStatus, t: Optional[int], path: Optional[int]) -> None:
-    where = _where(t, path)
-    if status is SolveStatus.INFEASIBLE:
-        raise StageSolveError(f"{where} is infeasible", stage=t, path=path)
-    raise StageSolveError(f"{where} is unbounded", stage=t, path=path)
-
-
-def _row_generation(
-    stage: StageModel,
-    x_prev: np.ndarray,
-    pool: CutPool,
-    *,
-    t: Optional[int],
-    path: Optional[int],
-) -> tuple[PrimalDualSolution, list]:
-    """Solve the stage problem against the full pool via lazy cut rows.
-
-    Returns the last round's solution and its vertex trail.
-    """
-    gen_tol = 1e-9
-    working: list[int] = []
-    thetas = pool.thetas()
-    betas = pool.beta_matrix()
-    while True:  # each round adds a cut not yet in ``working`` or ends
-        lp = stage_lp(stage, x_prev, pool, cut_subset=working)
-        try:
-            sol, trail = solve_with_primal_trail(lp)
-        except LpError as exc:  # kernel faults carry no stage context
-            raise StageSolveError(
-                f"{_where(t, path)} failed in the kernel: {exc}", stage=t, path=path
-            ) from exc
-        if sol.status is not SolveStatus.OPTIMAL:
-            _raise_bad_status(sol.status, t, path)
-        x = sol.x
-        f_lp = sol.obj - float(stage.c @ x)
-        if not len(pool):
-            return sol, trail
-        vals = thetas + betas @ x
-        worst = int(np.argmax(vals))
-        if vals[worst] <= f_lp + gen_tol * (1.0 + abs(vals[worst])):
-            return sol, trail
-        if worst in working:  # the LP's optimum violates one of its own rows
-            raise StageSolveError(
-                f"{_where(t, path)}: cut-row generation failed to converge "
-                f"(cut {worst} is violated although it is one of the LP's rows)",
-                stage=t, path=path,
-            )
-        working.append(worst)
 
 
 def solve_forward_stage(
@@ -156,17 +93,33 @@ def solve_forward_stage(
 ) -> ForwardStageResult:
     """Budget-suboptimal basic decision for one forward stage.
 
-    Solves to optimality (recording the vertex trail of the last
-    row-generation round), evaluates each trail vertex against the full
-    pool, and returns the earliest one within budget of the optimum.  The
-    solve and the evaluated trail do not depend on the budget; they are
-    kept in ``pool.memo`` until the pool changes.
+    Solves the stage LP against the full pool to optimality, recording the
+    vertex trail, evaluates each trail vertex against the pool, and returns
+    the earliest one within budget of the optimum.  The solve and the
+    evaluated trail do not depend on the budget; they are kept in
+    ``pool.memo`` until the pool changes.
     """
     key = ("forward", id(stage), x_prev.tobytes())
     hit = pool.memo.get(key)
     if hit is None:
-        sol, trail = _row_generation(stage, x_prev, pool, t=t, path=path)
-        optimum = float(stage.c @ sol.x) + pool.evaluate(sol.x)
+        try:
+            sol, trail = solve_with_primal_trail(stage_lp(stage, x_prev, pool))
+        except LpError as exc:  # kernel faults carry no stage context
+            raise StageSolveError(
+                f"{_where(t, path)} failed in the kernel: {exc}", stage=t, path=path
+            ) from exc
+        if sol.status is not SolveStatus.OPTIMAL:
+            raise StageSolveError(f"{_where(t, path)} is {sol.status.value}", stage=t, path=path)
+        cost = float(stage.c @ sol.x)
+        future = pool.evaluate(sol.x)
+        epigraph = sol.obj - cost
+        if future > epigraph + 1e-9 * (1.0 + abs(future)):
+            raise StageSolveError(
+                f"{_where(t, path)}: the kernel's optimum violates one of its own cut "
+                f"rows (pool value {future!r} above epigraph value {epigraph!r})",
+                stage=t, path=path,
+            )
+        optimum = cost + future
         xs, full_vals = [], []
         if trail:
             xs = np.stack([x for _, x in trail])

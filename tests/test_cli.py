@@ -98,6 +98,15 @@ class TestSolve:
         rc = main(["solve", "--instance", str(tmp_path / "nope.json"), "--algo", "sddp"])
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("algo", ["ddp", "iddp"])
+    def test_one_path_algorithms_reject_paths(self, algo, det_instance, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        rc = main(["solve", "--instance", det_instance, "--algo", algo, "--paths", "50",
+                   "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert f"--algo {algo} follows one path" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ddp_rejects_a_stochastic_instance(self, instance, tmp_path, capsys):
         out = tmp_path / "run.csv"
         rc = main(["solve", "--instance", instance, "--algo", "ddp", "--out", str(out)])
@@ -223,18 +232,17 @@ class TestSolve:
         rows = list(csv.DictReader(open(out)))
         assert [r["iter"] for r in rows] == ["1"]
 
-    def test_row_generation_fault_names_stage_and_path(self, tmp_path, capsys, monkeypatch):
+    def test_cut_row_violation_names_stage_and_path(self, tmp_path, capsys, monkeypatch):
         # a forward LP that comes back OPTIMAL at a point violating one of its
-        # own cut rows: row generation stops there at once instead of
-        # re-adding the cut.  The fault is injected: every stage-3 forward
-        # LP that carries pool cuts returns its optimum with the epigraph
-        # value lowered below them.  With solve seed 111 the first such LP
-        # (path 0, iteration 2) holds cut 3.
+        # own cut rows is a kernel fault.  The fault is injected: every
+        # stage-3 forward LP that carries pool cuts returns its optimum with
+        # the epigraph value lowered below them.  With solve seed 111 the
+        # first such LP is path 0's, in iteration 2.
         pools = {}
         real_lp, real_solve = stage_solver.stage_lp, stage_solver.solve_with_primal_trail
 
-        def recording_lp(stage, x_prev, pool, cut_subset=None):
-            lp = real_lp(stage, x_prev, pool, cut_subset)
+        def recording_lp(stage, x_prev, pool):
+            lp = real_lp(stage, x_prev, pool)
             pools[id(lp)] = pool
             return lp
 
@@ -250,13 +258,12 @@ class TestSolve:
         assert main(["gen", "--T", "6", "--n", "8", "--M", "10", "--u", "0.2",
                      "--seed", "0", "--out", inst]) == EXIT_OK
         capsys.readouterr()
-        out = str(tmp_path / "rowgen.csv")
+        out = str(tmp_path / "violation.csv")
         rc = main(["solve", "--instance", inst, "--preset", "isddp2", "--paths", "10",
                    "--gap-tol", "1e-9", "--max-iter", "40", "--seed", "111", "--out", out])
         assert rc == EXIT_SOLVER
         err = capsys.readouterr().err
-        assert "stage 3 (path 0): cut-row generation failed to converge" in err
-        assert "cut 3 is violated" in err
+        assert "stage 3 (path 0): the kernel's optimum violates one of its own cut rows" in err
         rows = list(csv.DictReader(open(out)))
         assert [r["iter"] for r in rows] == ["1"]
 

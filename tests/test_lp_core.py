@@ -229,6 +229,11 @@ class TestDualInexact:
         with pytest.raises(NoFiniteOptimumError):
             solve_dual_inexact(lp, eps=0.1)
 
+    def test_negative_budgets_are_usage_errors(self):
+        for eps, rel_eps in ((-0.5, 0.0), (0.0, -0.5)):
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                solve_dual_inexact(single_var_lp(), eps, rel_eps=rel_eps)
+
     def test_retrospective_deterministic(self, rng):
         lp = random_feasible_bounded_lp(rng)
         c1 = solve_dual_inexact(lp, eps=0.05)

@@ -100,3 +100,9 @@ class TestBudgets:
         assert b.relative == pytest.approx(0.1)
         assert b.resolve(-50.0) == pytest.approx(5.0)
         assert b.resolve(0.2) == pytest.approx(0.1)
+
+    @pytest.mark.parametrize("parts", [{"absolute": -1.0}, {"relative": -0.5},
+                                       {"absolute": float("nan")}])
+    def test_negative_parts_are_rejected(self, parts):
+        with pytest.raises(ScheduleError, match="must be nonnegative"):
+            ErrorBudget(**parts)

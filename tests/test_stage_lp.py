@@ -10,12 +10,14 @@ import os
 import numpy as np
 import pytest
 
+from isddp import sddp_engine
 from isddp.cuts import Cut, CutPool
 from isddp.ddp_engine import run_iddp
 from isddp.lp_core import LinearProgram, LpDimensionError, SolveStatus, solve_exact
-from isddp.schedules import EXACT_SCHEDULE, ScheduleMode, ScheduleSpec
+from isddp.portfolio import PortfolioSpec, generate_instance
+from isddp.schedules import EXACT_SCHEDULE, ErrorBudget, ScheduleMode, ScheduleSpec
 from isddp.sddp_engine import make_pools, run_isddp
-from isddp.stage_solver import stage_lp
+from isddp.stage_solver import solve_forward_stage, stage_lp, stage_value_exact
 from isddp.toys import toy_det_t3, toy_sto_t3_m2
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -83,6 +85,33 @@ def test_reference_stage_optimum_matches_kernel(tracing):
         x = sol.x
 
 
+def test_large_pools_match_highs(tracing, monkeypatch):
+    # the forward LP carries every cut of the pool: check stage values and
+    # budgeted picks against HiGHS on pools of dozens of cuts
+    pytest.importorskip("scipy")
+    import reference
+
+    model = generate_instance(PortfolioSpec(T=4, n=8, M=10, u=0.2, seed=0))
+    pools = make_pools(model)
+    passes = []
+    forward = sddp_engine.forward_pass_sddp
+    monkeypatch.setattr(sddp_engine, "forward_pass_sddp",
+                        lambda *args: passes.append(forward(*args)) or passes[-1])
+    for record in sddp_engine.iterate(model, EXACT_SCHEDULE, 10, 9, pools):
+        if record.k == 8:
+            break
+    assert len(pools[3]) > 40
+    points = {traj[0].tobytes(): traj[0] for traj in passes[-1].trajectories}
+    budget = ErrorBudget(relative=1e-2)
+    for x in points.values():
+        for j in range(model.stages[0].num_realizations):
+            stage = model.stage(2, j)
+            ref = reference.stage_lp_optimum(stage_lp(stage, x, pools[3]))
+            assert abs(stage_value_exact(stage, x, pools[3]) - ref) <= 1e-7 * max(1.0, abs(ref))
+            res = solve_forward_stage(stage, x, pools[3], budget)
+            assert res.value <= res.optimum + res.budget_resolved
+
+
 def _lp(cut_beta, cut_theta, has_epigraph=True):
     return LinearProgram(
         num_vars=2, num_eq=1, cost=[1.0, 1.0], eq_matrix=[[1.0, 1.0]], eq_rhs=[1.0],
@@ -112,14 +141,6 @@ def _pool_of_three():
     cuts = [Cut(theta=float(10 + i), beta=np.full(3, float(i + 1)), stage=2, iteration=i)
             for i in range(3)]
     return CutPool(stage=2, state_dim=3, floor=-7.0, cuts=cuts)
-
-
-def test_stage_lp_subset_keeps_floor_first_then_given_order():
-    model = toy_det_t3()
-    pool = _pool_of_three()
-    lp = stage_lp(model.stage(1), model.x0, pool, cut_subset=[2, 0])
-    assert lp.cut_thetas().tolist() == [-7.0, 12.0, 10.0]
-    assert lp.cut_beta_matrix().tolist() == [[0.0] * 3, [3.0] * 3, [1.0] * 3]
 
 
 def test_stage_lp_aliases_the_pools_read_only_rows():
