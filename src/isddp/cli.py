@@ -29,13 +29,13 @@ EXIT_USAGE = 1
 EXIT_SOLVER = 2
 EXIT_GUARD = 3
 
-# Shipped schedule presets: (eps_bar, eps0), all in relative mode.
+# Shipped schedule presets, all in relative mode.
 PRESETS = {
-    "sddp": (1e-12, 1e-12),
-    "isddp1": (1e-1, 1e-12),
-    "isddp2": (1e-2, 1e-12),
-    "isddp3": (1e-4, 1e-12),
-    "isddp4": (1e-6, 1e-12),
+    "sddp": EXACT_SCHEDULE,
+    "isddp1": ScheduleSpec(eps_bar=1e-1, eps0=1e-12),
+    "isddp2": ScheduleSpec(eps_bar=1e-2, eps0=1e-12),
+    "isddp3": ScheduleSpec(eps_bar=1e-4, eps0=1e-12),
+    "isddp4": ScheduleSpec(eps_bar=1e-6, eps0=1e-12),
 }
 PRESET_ORDER = list(PRESETS)
 
@@ -84,8 +84,10 @@ def _build_parser() -> _Parser:
             sp.add_argument("--preset", choices=sorted(PRESETS), default=None)
             sp.add_argument("--schedule-mode",
                             choices=[m.value for m in ScheduleMode], default=None)
-            sp.add_argument("--eps-bar", type=float, default=0.1)
-            sp.add_argument("--eps0", type=float, default=1e-12)
+            sp.add_argument("--eps-bar", type=float, default=None,
+                            help="free-form schedules only; default 0.1")
+            sp.add_argument("--eps0", type=float, default=None,
+                            help="free-form schedules only; default 1e-12")
         sp.add_argument("--paths", type=int, default=1)
         sp.add_argument("--gap-tol", type=float, default=0.05)
         sp.add_argument("--tol", type=float, default=1e-6,
@@ -112,23 +114,27 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _preset_schedule(name: str) -> ScheduleSpec:
-    eps_bar, eps0 = PRESETS[name]
-    return ScheduleSpec(eps_bar=eps_bar, eps0=eps0, mode=ScheduleMode.RELATIVE)
-
-
 def _schedule_from_args(args) -> ScheduleSpec:
-    if args.algo in ("ddp", "sddp"):
-        # exact algorithms run the sddp preset and take no other schedule flag
-        if args.schedule_mode is not None:
-            raise UsageError(f"--algo {args.algo} forces the exact schedule")
-        if args.preset not in (None, "sddp"):
-            raise UsageError(f"--algo {args.algo} is incompatible with preset {args.preset}")
-        return EXACT_SCHEDULE
-    if args.preset is not None:
-        return _preset_schedule(args.preset)
-    mode = ScheduleMode(args.schedule_mode or ScheduleMode.RELATIVE.value)
-    return ScheduleSpec(eps_bar=args.eps_bar, eps0=args.eps0, mode=mode)
+    """The exact schedule, a preset, or a free-form schedule whose unset
+    flags take ``ScheduleSpec``'s defaults; only the last takes the
+    free-form flags."""
+    free_form = {"--schedule-mode": args.schedule_mode, "--eps-bar": args.eps_bar,
+                 "--eps0": args.eps0}
+    given = [flag for flag, value in free_form.items() if value is not None]
+    exact = args.algo in ("ddp", "sddp")
+    if exact and args.preset not in (None, "sddp"):
+        raise UsageError(f"--algo {args.algo} is incompatible with preset {args.preset}")
+    if exact or args.preset is not None:
+        # exact algorithms run the sddp preset
+        if given:
+            fixed_by = f"--preset {args.preset}" if args.preset else f"--algo {args.algo}"
+            raise UsageError(f"{fixed_by} fixes the schedule, so it takes no {', '.join(given)}")
+        return PRESETS[args.preset or "sddp"]
+    levels = {"eps_bar": args.eps_bar, "eps0": args.eps0}
+    return ScheduleSpec(
+        mode=ScheduleMode(args.schedule_mode or ScheduleMode.RELATIVE.value),
+        **{name: value for name, value in levels.items() if value is not None},
+    )
 
 
 def _single_instance(args) -> str:
@@ -245,7 +251,7 @@ def cmd_compare(args) -> int:
             if name in runs:
                 continue  # identical config: reuse the run
             config = _config_from_args(
-                args, "isddp", _preset_schedule(name), os.path.join(out_dir, f"{name}.csv")
+                args, "isddp", PRESETS[name], os.path.join(out_dir, f"{name}.csv")
             )
             runs[name], _summary = _solve_to_files(config, model)
     except (StageSolveError, LpError) as exc:
@@ -261,7 +267,7 @@ def cmd_compare(args) -> int:
         rows.append(
             [
                 name,
-                repr(float(PRESETS[name][0])),
+                repr(PRESETS[name].eps_bar),
                 f"{log.total_wall_ms() / base_ms:.2f}",
                 log.iterations,
                 base.iterations,

@@ -16,9 +16,8 @@ import numpy as np
 
 from .cuts import CutPool
 from .models import RunLog, StochasticModel
-from .schedules import ScheduleSpec
+from .schedules import ErrorBudget, ScheduleSpec
 from .sddp_engine import (
-    BudgetLike,
     SamplePath,
     SddpBackwardResult,
     backward_pass_sddp,
@@ -44,7 +43,7 @@ class ForwardPassResult:
 def forward_pass(
     model: StochasticModel,
     pools: dict[int, CutPool],
-    deltas: Sequence[BudgetLike],
+    deltas: Sequence[ErrorBudget],
 ) -> ForwardPassResult:
     """Simulate the current policy; returns the trajectory and its cost."""
     path = SamplePath(indices=(0,) * (model.horizon - 1), iteration=0, path_id=0)
@@ -58,17 +57,19 @@ def backward_pass(
     model: StochasticModel,
     pools: dict[int, CutPool],
     trajectory: Sequence[np.ndarray],
-    epsilons: Sequence[BudgetLike],
+    epsilons: Sequence[ErrorBudget],
     *,
     iteration: int = 0,
 ) -> SddpBackwardResult:
     """Build a cut per stage T..2, append the distinct ones, and recompute Lb.
 
     A stage's pool gets its cut only when it does not hold a bitwise copy;
-    ``new_cuts`` keeps every one.  ``epsilons`` has one entry per stage
+    ``new_cuts`` keeps every one.  ``epsilons`` has one budget per stage
     2..T (index t-2).
     """
-    return backward_pass_sddp(model, pools, [trajectory], epsilons, iteration=iteration)
+    return backward_pass_sddp(
+        model, pools, [trajectory], [[eps] for eps in epsilons], iteration=iteration
+    )
 
 
 def run_iddp(

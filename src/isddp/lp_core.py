@@ -53,6 +53,8 @@ from typing import Optional
 
 import numpy as np
 
+from .schedules import ErrorBudget
+
 FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-11
 # Tableaux with at least this many cells update, at each pivot, only the
@@ -641,34 +643,31 @@ def solve_dual_batch(lp: LinearProgram, eq_rhs: np.ndarray) -> list:
 
 def solve_dual_inexact(
     lp: LinearProgram,
-    eps: float,
+    budget: ErrorBudget,
     *,
-    rel_eps: float = 0.0,
-    result: Optional[_KernelResult] = None,
+    result: Optional[_KernelResult | LpError] = None,
 ) -> DualCertificate:
     """Return a dual-feasible (lam, mu) with dual_obj >= optimum - budget.
 
     The explicit dual is solved to optimality, recording its phase-2 trail;
-    the earliest trail iterate within budget of the now-known optimum is
-    returned (a retrospective certificate).  The budget is
-    ``eps + rel_eps * max(1, |optimum|)``; with a zero budget the certificate
-    is the first iterate at the optimum.  A ``result`` given is used as the
-    explicit dual's kernel result in place of a solve of ``lp``'s dual alone
-    (a ``solve_dual_batch`` of one); it must be ``lp``'s, as from a larger
-    ``solve_dual_batch``, which is bit-identical to it.
+    the earliest trail iterate within ``budget.resolve(optimum)`` of the
+    now-known optimum is returned (a retrospective certificate); with a zero
+    budget the certificate is the first iterate at the optimum.  A
+    ``result`` given is used as the explicit dual's kernel outcome in place
+    of a solve of ``lp``'s dual alone (a ``solve_dual_batch`` of one); it
+    must be ``lp``'s, as from a larger ``solve_dual_batch``, which is
+    bit-identical to it.  An ``LpError`` outcome is raised.
     """
-    if eps < 0 or rel_eps < 0:
-        raise ValueError("eps and rel_eps must be nonnegative")
     if result is None:
         (result,) = solve_dual_batch(lp, lp.eq_rhs[None])
-        if isinstance(result, LpError):
-            raise result
+    if isinstance(result, LpError):
+        raise result
     _check_dual_solvable(result)
     optimum = -result.obj
-    budget = eps + rel_eps * max(1.0, abs(optimum))
+    allowed = budget.resolve(optimum)
     for kernel_obj, zslice in result.trail:
         dual_obj = -kernel_obj
-        if dual_obj >= optimum - budget:
+        if dual_obj >= optimum - allowed:
             lam, mu = _dual_point(lp, zslice)
             return DualCertificate(lam, mu, dual_obj, max(0.0, optimum - dual_obj))
     raise LpError("retrospective trail scan found no qualifying iterate")

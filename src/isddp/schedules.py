@@ -84,7 +84,7 @@ def abs_err(
     the current forward pass; with none available the clamp at 1 applies.
     """
     ref = 0.0 if prev_backward_value is None else prev_backward_value
-    return max(1.0, abs(ref)) * rel_err(t, k, T, spec)
+    return ErrorBudget(relative=rel_err(t, k, T, spec)).resolve(ref)
 
 
 @dataclass(frozen=True)
@@ -128,30 +128,21 @@ def forward_budgets(spec: ScheduleSpec, k: int, T: int) -> list[ErrorBudget]:
     return out
 
 
-def backward_budget(
-    spec: ScheduleSpec,
-    t: int,
-    k: int,
-    T: int,
-    prev_value: Optional[float] = None,
-) -> ErrorBudget:
-    """Backward budget for stage t at iteration k."""
-    if spec.mode is ScheduleMode.RELATIVE:
-        return ErrorBudget(relative=rel_err(t, k, T, spec))
-    if spec.mode is ScheduleMode.ABSOLUTE:
-        return ErrorBudget(absolute=abs_err(t, k, T, spec, prev_value))
-    return ErrorBudget(absolute=spec.eps_bar)
-
-
 def backward_budgets(spec: ScheduleSpec, k: int, stage_values) -> list[list[ErrorBudget]]:
     """Backward budgets of iteration k: one list per stage 2..T, one budget per path.
 
     ``stage_values`` is the forward pass's ``(n_paths, T)`` array of stage
-    optima; path p's budget at stage t takes its value there as the
-    magnitude estimate.
+    optima; in the absolute mode, path p's budget at stage t takes its value
+    there as the magnitude estimate.
     """
     n_paths, T = stage_values.shape
-    return [
-        [backward_budget(spec, t, k, T, prev_value=stage_values[p, t - 1]) for p in range(n_paths)]
-        for t in range(2, T + 1)
-    ]
+    out = []
+    for t in range(2, T + 1):
+        if spec.mode is ScheduleMode.RELATIVE:
+            row = [ErrorBudget(relative=rel_err(t, k, T, spec))] * n_paths
+        elif spec.mode is ScheduleMode.ABSOLUTE:
+            row = [ErrorBudget(absolute=abs_err(t, k, T, spec, v)) for v in stage_values[:, t - 1]]
+        else:
+            row = [ErrorBudget(absolute=spec.eps_bar)] * n_paths
+        out.append(row)
+    return out

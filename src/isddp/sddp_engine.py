@@ -32,7 +32,7 @@ import itertools
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -50,12 +50,6 @@ from .stage_solver import (
 from .cuts import build_terminal_cut  # noqa: F401
 
 _EVAL_STREAM = 1  # counter word separating policy-evaluation draws from training
-
-BudgetLike = Union[float, ErrorBudget]
-
-
-def _as_budget(b: BudgetLike) -> ErrorBudget:
-    return b if isinstance(b, ErrorBudget) else ErrorBudget(absolute=float(b))
 
 
 def make_pools(model: StochasticModel) -> dict[int, CutPool]:
@@ -122,17 +116,17 @@ def forward_pass_sddp(
     model: StochasticModel,
     pools: dict[int, CutPool],
     paths: Sequence[SamplePath],
-    deltas: Sequence[BudgetLike],
+    deltas: Sequence[ErrorBudget],
 ) -> SddpForwardResult:
     """Simulate the current policy along each sampled path.
 
-    Every path of a pass uses the same budget per stage, so paths that meet
-    at one (stage, state) read one solve from the pool memo.
+    ``deltas`` has one budget per stage 1..T.  Every path of a pass uses the
+    same budget per stage, so paths that meet at one (stage, state) read one
+    solve from the pool memo.
     """
     T = model.horizon
-    budgets = [_as_budget(d) for d in deltas]
-    if len(budgets) != T:
-        raise ValueError(f"need {T} deltas, got {len(budgets)}")
+    if len(deltas) != T:
+        raise ValueError(f"need {T} deltas, got {len(deltas)}")
     trajectories: list[list[np.ndarray]] = []
     costs = np.zeros(len(paths))
     values = np.zeros((len(paths), T))
@@ -143,7 +137,7 @@ def forward_pass_sddp(
         indices = (0, *path.indices)  # stage 1 has one realization
         for t in range(1, T + 1):
             stage = model.stage(t, indices[t - 1])
-            res = solve_forward_stage(stage, x_prev, pools[t + 1], budgets[t - 1], t=t, path=p)
+            res = solve_forward_stage(stage, x_prev, pools[t + 1], deltas[t - 1], t=t, path=p)
             traj.append(res.x)
             values[p, t - 1] = res.optimum
             resolved[t - 1] = max(resolved[t - 1], res.budget_resolved)
@@ -164,7 +158,7 @@ def backward_pass_sddp(
     model: StochasticModel,
     pools: dict[int, CutPool],
     trajectories: Sequence[Sequence[np.ndarray]],
-    epsilons: Sequence[Union[BudgetLike, Sequence[BudgetLike]]],
+    epsilons: Sequence[Sequence[ErrorBudget]],
     *,
     iteration: int = 0,
 ) -> SddpBackwardResult:
@@ -176,22 +170,15 @@ def backward_pass_sddp(
     puts every dual of stage t that pool t+1's memo lacks there, so each
     path's certificates read their kernel results from the memo.
 
-    ``epsilons`` has one entry per stage 2..T; an entry may be a single
-    budget or one budget per path.
+    ``epsilons`` has one list per stage 2..T, one budget per path, as
+    ``backward_budgets`` returns it.
     """
     T = model.horizon
     n_paths = len(trajectories)
-    budgets: list[list[ErrorBudget]] = []
     if len(epsilons) != max(0, T - 1):
         raise ValueError(f"need {T - 1} epsilon entries, got {len(epsilons)}")
-    for entry in epsilons:
-        if isinstance(entry, (list, tuple, np.ndarray)):
-            row = [_as_budget(e) for e in entry]
-            if len(row) != n_paths:
-                raise ValueError("per-path epsilons must cover every path")
-        else:
-            row = [_as_budget(entry)] * n_paths
-        budgets.append(row)
+    if any(len(row) != n_paths for row in epsilons):
+        raise ValueError("per-path epsilons must cover every path")
 
     new_cuts: list[Cut] = []
     eps_resolved = [0.0] * max(0, T - 1)
@@ -205,7 +192,7 @@ def backward_pass_sddp(
         stage_cuts: list[Cut] = []
         for p in range(n_paths):
             x_prev = trajectories[p][t - 2]
-            budget = budgets[t - 2][p]
+            budget = epsilons[t - 2][p]
             certs = [
                 solve_backward_stage(r, x_prev, pool_next, budget, t=t, path=p)[0]
                 for r in st.realizations

@@ -153,8 +153,8 @@ def sweep_duals(
     kernel result the memo does not hold yet; they differ in
     ``eq_rhs = b - B x_prev`` only.  Each result goes into the memo, trimmed
     to what the certificate scan reads.  A member whose outcome is an
-    ``LpError`` is left out, so that its lone solve in
-    ``solve_backward_stage`` raises the error with stage and path.
+    ``LpError`` keeps the error there, and ``solve_backward_stage`` raises
+    it with stage and path.
     """
     points = {x.tobytes(): x for x in x_prevs}
     groups: dict = {}
@@ -170,8 +170,8 @@ def sweep_duals(
         for (key, r, _), res in zip(todo, outcomes):
             if not isinstance(res, LpError):
                 res = _KernelResult(res.status, None, res.obj, None, None, res.pivots, res.trail)
-                # the stage object is kept so that its id is not reused while the entry lives
-                pool.memo[key] = (r, res)
+            # the stage object is kept so that its id is not reused while the entry lives
+            pool.memo[key] = (r, res)
 
 
 def _dual_key(stage: StageModel, x_bytes: bytes) -> tuple:
@@ -190,19 +190,16 @@ def solve_backward_stage(
     """Budget-certified dual point of one backward stage, plus its optimum.
 
     The certificate's ``mu`` covers the pool rows floor-first, matching
-    ``pool.thetas_with_floor()``.  The kernel result comes from
-    ``pool.memo`` when ``sweep_duals`` put it there, and from a lone solve
-    otherwise.
+    ``pool.thetas_with_floor()``.  The kernel outcome comes from
+    ``pool.memo``; on a miss, ``sweep_duals`` puts it there first, as a
+    batch of one.
     """
+    key = _dual_key(stage, x_prev.tobytes())
+    if key not in pool.memo:
+        sweep_duals([stage], [x_prev], pool)
     lp = stage_lp(stage, x_prev, pool)
-    hit = pool.memo.get(_dual_key(stage, x_prev.tobytes()))
     try:
-        cert = solve_dual_inexact(
-            lp,
-            eps=budget.absolute,
-            rel_eps=budget.relative,
-            result=None if hit is None else hit[1],
-        )
+        cert = solve_dual_inexact(lp, budget, result=pool.memo[key][1])
     except LpError as exc:  # kernel faults carry no stage context
         raise StageSolveError(
             f"{_where(t, path)}: backward solve failed in the kernel: {exc}",

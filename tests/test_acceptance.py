@@ -25,7 +25,7 @@ from isddp.lp_core import (
     solve_exact,
 )
 from isddp.models import RunStatus
-from isddp.schedules import EXACT_SCHEDULE, ScheduleMode, ScheduleSpec, rel_err
+from isddp.schedules import EXACT_SCHEDULE, ErrorBudget, ScheduleMode, ScheduleSpec, rel_err
 from isddp.sddp_engine import iterate, make_pools, run_isddp
 from isddp.toys import TOYS
 
@@ -153,7 +153,7 @@ def test_criterion_02_inexact_oracle_certificates():
         ref = solve_exact(lp).obj
         scale = 1.0 + abs(ref)
         for eps in (0.0, 0.01, 0.1):
-            cert = solve_dual_inexact(lp, eps)
+            cert = solve_dual_inexact(lp, ErrorBudget(absolute=eps))
             if dual_feasibility_residual(lp, cert.lam, cert.mu) > 1e-9:
                 violations += 1
             if cert.dual_obj < ref - eps - 1e-9 * scale:

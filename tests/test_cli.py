@@ -160,10 +160,24 @@ class TestSolve:
         assert json.loads(capsys.readouterr().out)["eps_bar"] == 0.05
         assert {row["eps_bar"] for row in csv.DictReader(open(out))} == {"0.05"}
 
-    def test_ddp_forces_exact_mode(self, det_instance):
-        rc = main(["solve", "--instance", det_instance, "--algo", "ddp",
-                   "--schedule-mode", "relative"])
+    @pytest.mark.parametrize("flags", [
+        ["--algo", "ddp", "--schedule-mode", "relative"],
+        ["--algo", "ddp", "--eps-bar", "0.3"],
+        ["--algo", "sddp", "--eps0", "1e-9"],
+        ["--preset", "isddp2", "--schedule-mode", "constant_bounded", "--eps-bar", "0.3"],
+        ["--preset", "isddp2", "--eps-bar", "0.3"],
+        ["--algo", "iddp", "--preset", "isddp1", "--eps0", "1e-9"],
+    ], ids=["ddp-schedule-mode", "ddp-eps-bar", "sddp-eps0", "preset-schedule-mode",
+            "preset-eps-bar", "iddp-preset-eps0"])
+    def test_ddp_forces_exact_mode(self, flags, det_instance, tmp_path, capsys):
+        # the exact algorithms and the presets fix the schedule: a free-form
+        # schedule flag beside them is a usage error, not silently dropped
+        out = tmp_path / "run.csv"
+        rc = main(["solve", "--instance", det_instance, *flags, "--out", str(out)])
         assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "so it takes no" in err and flags[-2] in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("max_iter", ["0", "-1"])
     def test_max_iter_below_one_is_usage_error(self, det_instance, tmp_path, capsys, max_iter):

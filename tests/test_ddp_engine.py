@@ -25,7 +25,7 @@ def single_stage_model(c=2.5):
 class TestForwardPass:
     def test_single_forced_stage(self):
         m = single_stage_model(c=2.5)
-        res = forward_pass(m, make_pools(m), deltas=[0.0])
+        res = forward_pass(m, make_pools(m), deltas=[ErrorBudget()])
         assert res.trajectory[0] == pytest.approx([1.0])
         assert res.ub == pytest.approx(2.5)
 
@@ -33,7 +33,7 @@ class TestForwardPass:
         m = toy_det_t3()
         pools = make_pools(m)
         run_iddp(m, EXACT_SCHEDULE, tol=1e-9, max_iter=50, initial_pools=pools)
-        res = forward_pass(m, pools, deltas=[0.0] * m.horizon)
+        res = forward_pass(m, pools, deltas=[ErrorBudget()] * m.horizon)
         assert res.ub == pytest.approx(oracle.extensive_form(m), abs=1e-7)
 
     def test_ub_never_below_optimum(self):
@@ -41,7 +41,7 @@ class TestForwardPass:
         v = oracle.extensive_form(m)
         pools = make_pools(m)
         for delta in (0.0, 0.1):
-            res = forward_pass(m, pools, deltas=[delta] * m.horizon)
+            res = forward_pass(m, pools, deltas=[ErrorBudget(absolute=delta)] * m.horizon)
             assert res.ub >= v - 1e-7
 
     def test_suboptimal_ub_within_accumulated_slack(self):
@@ -51,7 +51,7 @@ class TestForwardPass:
         v = oracle.extensive_form(m)
         pools = make_pools(m)
         run_iddp(m, EXACT_SCHEDULE, tol=1e-9, max_iter=50, initial_pools=pools)
-        res = forward_pass(m, pools, deltas=[0.1] * m.horizon)
+        res = forward_pass(m, pools, deltas=[ErrorBudget(absolute=0.1)] * m.horizon)
         assert v - 1e-7 <= res.ub <= v + sum(res.deltas_resolved) + 1e-7
 
     def test_stage_values_match_pool_evaluation(self):
@@ -59,7 +59,7 @@ class TestForwardPass:
         m = toy_det_t3()
         pools = make_pools(m)
         run_iddp(m, EXACT_SCHEDULE, tol=1e-9, max_iter=50, initial_pools=pools)
-        res = forward_pass(m, pools, deltas=[0.0] * m.horizon)
+        res = forward_pass(m, pools, deltas=[ErrorBudget()] * m.horizon)
         for t in range(1, m.horizon + 1):
             x = res.trajectory[t - 1]
             replay = float(m.stage(t).c @ x) + pools[t + 1].evaluate(x)
@@ -70,7 +70,7 @@ class TestForwardPass:
         bad2 = StageModel(A=[[0.0]], B=[[0.0]], b=[1.0], c=[0.0])  # 0 == 1
         m = StochasticModel.chain([stage1, bad2], x0=np.array([0.0]), floors=np.array([0.0]))
         with pytest.raises(StageSolveError) as err:
-            forward_pass(m, make_pools(m), deltas=[0.0, 0.0])
+            forward_pass(m, make_pools(m), deltas=[ErrorBudget()] * 2)
         assert err.value.stage == 2
 
     def test_kernel_fault_names_stage_and_path(self, monkeypatch):
@@ -90,8 +90,8 @@ class TestBackwardPass:
     def test_exact_cut_tight_at_trial_point(self):
         m = toy_det_t2()
         pools = make_pools(m)
-        fwd = forward_pass(m, pools, deltas=[0.0, 0.0])
-        bwd = backward_pass(m, pools, fwd.trajectory, epsilons=[0.0], iteration=1)
+        fwd = forward_pass(m, pools, deltas=[ErrorBudget()] * 2)
+        bwd = backward_pass(m, pools, fwd.trajectory, epsilons=[ErrorBudget()], iteration=1)
         cut = bwd.new_cuts[0]
         x1 = fwd.trajectory[0]
         # exact backward subproblem value at the trial point
@@ -104,8 +104,9 @@ class TestBackwardPass:
         m = toy_det_t2()
         eps = 0.2
         pools = make_pools(m)
-        fwd = forward_pass(m, pools, deltas=[0.0, 0.0])
-        bwd = backward_pass(m, pools, fwd.trajectory, epsilons=[eps], iteration=1)
+        fwd = forward_pass(m, pools, deltas=[ErrorBudget()] * 2)
+        bwd = backward_pass(m, pools, fwd.trajectory, epsilons=[ErrorBudget(absolute=eps)],
+                            iteration=1)
         cut = bwd.new_cuts[0]
         x1 = fwd.trajectory[0]
         exact = oracle.exact_recourse(m, 2, x1)

@@ -28,6 +28,7 @@ from isddp.lp_core import (
     _standard_primal,
 )
 from isddp.oracle import _assemble_tree_lp
+from isddp.schedules import ErrorBudget
 from isddp.portfolio import PortfolioSpec, generate_instance
 from isddp.schedules import ScheduleMode, ScheduleSpec
 from isddp.sddp_engine import run_isddp
@@ -174,7 +175,7 @@ class TestRankDeficientSystems:
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.obj == pytest.approx(-4.0)
         assert max(solution_residuals(lp, sol)) <= 1e-9
-        cert = solve_dual_inexact(lp, 0.0)
+        cert = solve_dual_inexact(lp, ErrorBudget())
         assert cert.dual_obj == pytest.approx(-4.0)
         assert dual_feasibility_residual(lp, cert.lam, cert.mu) <= 1e-9
 
@@ -193,13 +194,13 @@ class TestRankDeficientSystems:
 
 class TestDualInexact:
     def test_exact_reduction(self):
-        cert = solve_dual_inexact(single_var_lp(), eps=0.0)
+        cert = solve_dual_inexact(single_var_lp(), ErrorBudget())
         assert cert.dual_obj == pytest.approx(2.0)
         assert cert.eps_certified == 0.0
 
     def test_eps_band(self):
         # any dual-feasible lam with dual_obj in [1.5, 2]
-        cert = solve_dual_inexact(single_var_lp(), eps=0.5)
+        cert = solve_dual_inexact(single_var_lp(), ErrorBudget(absolute=0.5))
         assert 1.5 - 1e-12 <= cert.dual_obj <= 2.0 + 1e-12
         assert dual_feasibility_residual(single_var_lp(), cert.lam, cert.mu) <= 1e-9
 
@@ -208,7 +209,7 @@ class TestDualInexact:
             lp = random_feasible_bounded_lp(rng)
             ref = solve_exact(lp).obj
             for eps in (0.0, 0.01, 0.1):
-                cert = solve_dual_inexact(lp, eps)
+                cert = solve_dual_inexact(lp, ErrorBudget(absolute=eps))
                 scale = 1.0 + abs(ref)
                 assert dual_feasibility_residual(lp, cert.lam, cert.mu) <= 1e-9
                 assert cert.dual_obj >= ref - eps - 1e-9 * scale
@@ -220,24 +221,24 @@ class TestDualInexact:
             num_vars=1, num_eq=0, cost=[-1.0], eq_matrix=np.zeros((0, 1)), eq_rhs=[]
         )
         with pytest.raises(NoFiniteOptimumError):
-            solve_dual_inexact(lp, eps=0.1)
+            solve_dual_inexact(lp, ErrorBudget(absolute=0.1))
 
     def test_faults_on_infeasible(self):
         lp = LinearProgram(
             num_vars=1, num_eq=2, cost=[1.0], eq_matrix=[[1.0], [1.0]], eq_rhs=[1.0, 2.0]
         )
         with pytest.raises(NoFiniteOptimumError):
-            solve_dual_inexact(lp, eps=0.1)
+            solve_dual_inexact(lp, ErrorBudget(absolute=0.1))
 
     def test_negative_budgets_are_usage_errors(self):
         for eps, rel_eps in ((-0.5, 0.0), (0.0, -0.5)):
             with pytest.raises(ValueError, match="must be nonnegative"):
-                solve_dual_inexact(single_var_lp(), eps, rel_eps=rel_eps)
+                solve_dual_inexact(single_var_lp(), ErrorBudget(eps, rel_eps))
 
     def test_retrospective_deterministic(self, rng):
         lp = random_feasible_bounded_lp(rng)
-        c1 = solve_dual_inexact(lp, eps=0.05)
-        c2 = solve_dual_inexact(lp, eps=0.05)
+        c1 = solve_dual_inexact(lp, ErrorBudget(absolute=0.05))
+        c2 = solve_dual_inexact(lp, ErrorBudget(absolute=0.05))
         assert c1.dual_obj == c2.dual_obj
         assert np.array_equal(c1.lam, c2.lam)
 
@@ -329,11 +330,11 @@ def test_dual_batch_certificates_match_lone_solves(seed):
         for _ in range(3)
     ]
     batch = solve_dual_batch(lp, np.array([member.eq_rhs for member in lps]))
-    budgets = [dict(eps=0.0), dict(eps=0.05), dict(eps=0.0, rel_eps=0.01)]
+    budgets = [ErrorBudget(), ErrorBudget(absolute=0.05), ErrorBudget(relative=0.01)]
     for i, lp in enumerate(lps):
         for budget in budgets:
-            cold = solve_dual_inexact(lp, **budget)
-            assert _bits(solve_dual_inexact(lp, **budget, result=batch[i])) == _bits(cold)
+            cold = solve_dual_inexact(lp, budget)
+            assert _bits(solve_dual_inexact(lp, budget, result=batch[i])) == _bits(cold)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +9,7 @@ from isddp.schedules import (
     ScheduleMode,
     ScheduleSpec,
     abs_err,
-    backward_budget,
+    backward_budgets,
     forward_budgets,
     rel_err,
 )
@@ -86,17 +87,20 @@ class TestBudgets:
     def test_constant_bounded(self):
         s = ScheduleSpec(mode=ScheduleMode.CONSTANT_BOUNDED, eps_bar=0.05)
         assert forward_budgets(s, 9, 3)[1] == ErrorBudget(absolute=0.05)
-        assert backward_budget(s, 2, 9, 3) == ErrorBudget(absolute=0.05)
+        assert backward_budgets(s, 9, np.zeros((2, 3))) == [[ErrorBudget(absolute=0.05)] * 2] * 2
 
     def test_absolute_mode_uses_forward_estimate(self):
         s = ScheduleSpec(mode=ScheduleMode.ABSOLUTE, eps_bar=0.1, eps0=1e-12)
-        b = backward_budget(s, 2, 1, 6, prev_value=-3.2)
-        assert b.absolute == pytest.approx(0.32, abs=1e-12)
+        values = np.zeros((2, 6))
+        values[1, 1] = -3.2  # path 1's stage-2 optimum
+        b = backward_budgets(s, 1, values)[0]
+        assert b[0].absolute == pytest.approx(0.1, abs=1e-12)
+        assert b[1].absolute == pytest.approx(0.32, abs=1e-12)
         assert forward_budgets(s, 1, 6)[1] == ErrorBudget(absolute=1e-12)
 
     def test_relative_mode_resolves_against_reference(self):
         s = spec()
-        b = backward_budget(s, 2, 1, 6)
+        (b,) = backward_budgets(s, 1, np.zeros((1, 6)))[0]
         assert b.relative == pytest.approx(0.1)
         assert b.resolve(-50.0) == pytest.approx(5.0)
         assert b.resolve(0.2) == pytest.approx(0.1)

@@ -66,9 +66,9 @@ class TestForwardPassSddp:
         pools_s = make_pools(det)
         from isddp.ddp_engine import forward_pass
 
-        fd = forward_pass(det, pools_d, deltas=[0.0] * 3)
+        fd = forward_pass(det, pools_d, deltas=[ErrorBudget()] * 3)
         paths = sample_paths(det, 1, iteration=1, seed=0)
-        fs = forward_pass_sddp(det, pools_s, paths, deltas=[0.0] * 3)
+        fs = forward_pass_sddp(det, pools_s, paths, deltas=[ErrorBudget()] * 3)
         assert fs.cost_samples[0] == pytest.approx(fd.ub)
         for a, b in zip(fd.trajectory, fs.trajectories[0]):
             assert np.allclose(a, b)
@@ -85,7 +85,7 @@ class TestForwardPassSddp:
         for i, pi in enumerate(m.stages[0].probs):
             for j, pj in enumerate(m.stages[1].probs):
                 path = SamplePath(indices=(i, j), iteration=0, path_id=0)
-                res = forward_pass_sddp(m, pools, [path], deltas=[0.0] * 3)
+                res = forward_pass_sddp(m, pools, [path], deltas=[ErrorBudget()] * 3)
                 total += float(pi * pj) * res.cost_samples[0]
         assert total == pytest.approx(oracle.extensive_form(m), abs=1e-6)
 
@@ -106,7 +106,7 @@ class TestForwardPassSddp:
         v = oracle.extensive_form(m)
         pools = make_pools(m)
         paths = sample_paths(m, 16, iteration=1, seed=5)
-        res = forward_pass_sddp(m, pools, paths, deltas=[0.0] * 3)
+        res = forward_pass_sddp(m, pools, paths, deltas=[ErrorBudget()] * 3)
         # every realized cost is the cost of a feasible policy on its path;
         # the expectation over all paths bounds v* from above, and each
         # path cost is bounded below by the pool-based path relaxation.
@@ -121,11 +121,12 @@ class TestBackwardPassSddp:
         pools_s = make_pools(det)
         from isddp.ddp_engine import backward_pass, forward_pass
 
-        fd = forward_pass(det, pools_d, deltas=[0.0] * 3)
-        bd = backward_pass(det, pools_d, fd.trajectory, epsilons=[0.0, 0.0], iteration=1)
+        fd = forward_pass(det, pools_d, deltas=[ErrorBudget()] * 3)
+        bd = backward_pass(det, pools_d, fd.trajectory, epsilons=[ErrorBudget()] * 2, iteration=1)
         paths = sample_paths(det, 1, iteration=1, seed=0)
-        fs = forward_pass_sddp(det, pools_s, paths, deltas=[0.0] * 3)
-        bs = backward_pass_sddp(det, pools_s, fs.trajectories, epsilons=[0.0, 0.0], iteration=1)
+        fs = forward_pass_sddp(det, pools_s, paths, deltas=[ErrorBudget()] * 3)
+        bs = backward_pass_sddp(det, pools_s, fs.trajectories, epsilons=[[ErrorBudget()]] * 2,
+                                iteration=1)
         assert bs.lb == pytest.approx(bd.lb)
         for ca, cb in zip(bd.new_cuts, bs.new_cuts):
             assert ca.theta == pytest.approx(cb.theta)
@@ -135,8 +136,9 @@ class TestBackwardPassSddp:
         m = toy_sto_t3_m2()
         pools = make_pools(m)
         paths = sample_paths(m, 2, iteration=1, seed=1)
-        fwd = forward_pass_sddp(m, pools, paths, deltas=[0.0] * 3)
-        bwd = backward_pass_sddp(m, pools, fwd.trajectories, epsilons=[0.0, 0.0], iteration=1)
+        fwd = forward_pass_sddp(m, pools, paths, deltas=[ErrorBudget()] * 3)
+        bwd = backward_pass_sddp(m, pools, fwd.trajectories, epsilons=[[ErrorBudget()] * 2] * 2,
+                                 iteration=1)
         # terminal-stage cut of the first path: tight at its trial point
         cut = bwd.new_cuts[0]
         x2 = fwd.trajectories[0][1]
@@ -152,8 +154,9 @@ class TestBackwardPassSddp:
         eps = 0.05
         pools = make_pools(m)
         paths = sample_paths(m, 1, iteration=1, seed=2)
-        fwd = forward_pass_sddp(m, pools, paths, deltas=[0.0] * 3)
-        bwd = backward_pass_sddp(m, pools, fwd.trajectories, epsilons=[eps, eps], iteration=1)
+        fwd = forward_pass_sddp(m, pools, paths, deltas=[ErrorBudget()] * 3)
+        bwd = backward_pass_sddp(m, pools, fwd.trajectories,
+                                 epsilons=[[ErrorBudget(absolute=eps)]] * 2, iteration=1)
         cut = bwd.new_cuts[0]
         x2 = fwd.trajectories[0][1]
         st = m.stages[1]
@@ -186,8 +189,9 @@ class TestBackwardPassSddp:
 
         monkeypatch.setattr(sddp_engine, "build_middle_cut", spy)
         paths = sample_paths(m, n_paths, iteration=1, seed=9)
-        fwd = forward_pass_sddp(m, pools, paths, deltas=[0.0] * T)
-        backward_pass_sddp(m, pools, fwd.trajectories, epsilons=[0.05] * (T - 1), iteration=1)
+        fwd = forward_pass_sddp(m, pools, paths, deltas=[ErrorBudget()] * T)
+        backward_pass_sddp(m, pools, fwd.trajectories,
+                           epsilons=[[ErrorBudget(absolute=0.05)] * n_paths] * (T - 1), iteration=1)
         assert len(built) == n_paths
         for realizations, certs, tags, cut in built:
             assert all(cert.mu.shape == (1,) for cert in certs)
@@ -236,12 +240,14 @@ class TestBackwardPassSddp:
             fwd = forward_pass_sddp(m, pools, paths, forward_budgets(spec, k, T))
             eps = backward_budgets(spec, k, fwd.stage_values)
             # the reference solves every dual alone: its pools start without a
-            # memo, and no sweep fills one
+            # memo, and only the certificates' batches of one fill it
             ref_pools = {t: CutPool.from_dict(p.to_dict()) for t, p in pools.items()}
             ref_certs, got_certs = [], []
             monkeypatch.setattr(sddp_engine, "solve_backward_stage", solver(ref_certs, False))
             monkeypatch.setattr(sddp_engine, "sweep_duals", lambda *args: None)
+            n_sizes = len(sizes)
             ref = backward_pass_sddp(m, ref_pools, fwd.trajectories, eps, iteration=k)
+            del sizes[n_sizes:]  # the reference's batches of one
             monkeypatch.setattr(sddp_engine, "solve_backward_stage", solver(got_certs, True))
             monkeypatch.setattr(sddp_engine, "sweep_duals", stage_solver.sweep_duals)
             asked.clear()
@@ -266,7 +272,7 @@ class TestStoreEachCutOnce:
         added, batched, primal_stages, lone = [], [], [], []
         add = CutPool.add
         monkeypatch.setattr(CutPool, "add", lambda pool, cut: added.append(cut) or add(pool, cut))
-        batch, dual = stage_solver.solve_dual_batch, stage_solver.solve_dual_inexact
+        batch, sweep = stage_solver.solve_dual_batch, stage_solver.sweep_duals
         real_lp, primal = stage_solver.stage_lp, stage_solver.solve_with_primal_trail
         lp_stage = {}  # id of each stage LP -> its stage
 
@@ -275,34 +281,32 @@ class TestStoreEachCutOnce:
             lp_stage[id(lp)] = pool.stage - 1
             return lp
 
-        def counting_dual(lp, eps, **kwargs):
-            if kwargs["result"] is None:
-                lone.append(lp)
-            return dual(lp, eps, **kwargs)
-
         monkeypatch.setattr(stage_solver, "solve_dual_batch",
                             lambda lp, eq_rhs: batched.append(len(eq_rhs)) or batch(lp, eq_rhs))
-        monkeypatch.setattr(stage_solver, "solve_dual_inexact", counting_dual)
+        # the engine sweeps through its own binding; this one is the
+        # certificate's own batch of one on a memo miss
+        monkeypatch.setattr(stage_solver, "sweep_duals",
+                            lambda *args: lone.append(args) or sweep(*args))
         monkeypatch.setattr(stage_solver, "stage_lp", recording_lp)
         monkeypatch.setattr(stage_solver, "solve_with_primal_trail", lambda lp: (
             primal_stages.append(lp_stage[id(lp)]) or primal(lp)))
         paths = sample_paths(m, 1, 1, seed=9)
         # two paths at one (stage, state): one kernel solve per stage
-        traj, twin = forward_pass_sddp(m, pools, paths * 2, [0.0] * 3).trajectories
+        traj, twin = forward_pass_sddp(m, pools, paths * 2, [ErrorBudget()] * 3).trajectories
         assert primal_stages == [1, 2, 3]
         assert [x.tobytes() for x in traj] == [x.tobytes() for x in twin]
         # two paths at one trial point: the second path's cuts are copies
-        bwd = backward_pass_sddp(m, pools, [traj, traj], [0.0, 0.0], iteration=1)
+        bwd = backward_pass_sddp(m, pools, [traj, traj], [[ErrorBudget()] * 2] * 2, iteration=1)
         assert len(bwd.new_cuts) == 4
         assert bwd.new_cuts[0].theta == bwd.new_cuts[1].theta
         assert len(added) == 2 and len(pools[3]) == len(pools[2]) == 1
         # the same sweep again: every cut is a copy, so no pool changes
-        forward_pass_sddp(m, pools, paths, [0.0] * 3)  # fills pools[3].memo
+        forward_pass_sddp(m, pools, paths, [ErrorBudget()] * 3)  # fills pools[3].memo
         rows = pools[3].betas_with_floor(), pools[3].thetas_with_floor()
         memo = dict(pools[3].memo)
         assert any(key[0] == "forward" for key in memo)
         del batched[:]
-        bwd = backward_pass_sddp(m, pools, [traj], [0.0, 0.0], iteration=2)
+        bwd = backward_pass_sddp(m, pools, [traj], [[ErrorBudget()]] * 2, iteration=2)
         assert len(bwd.new_cuts) == 2 and len(added) == 2
         assert pools[3].betas_with_floor() is rows[0]
         assert pools[3].thetas_with_floor() is rows[1]
@@ -429,20 +433,29 @@ class TestBackwardStageFaults:
         assert "stage 2 (path 4)" in str(err.value)
         assert err.value.__cause__ is fault
 
-    def test_batch_fault_is_raised_by_the_lone_solve(self, monkeypatch):
-        # a dual whose batch outcome is a kernel fault is not memoized; its
-        # lone solve raises the fault with stage and path
+    def test_batch_fault_is_memoized_and_solved_once(self, monkeypatch):
+        # a dual whose batch outcome is a kernel fault keeps the fault in the
+        # memo, and the certificate raises it with stage and path without
+        # solving that dual again
         m = toy_sto_t3_m2()
         pools = make_pools(m)
-        fwd = forward_pass_sddp(m, pools, sample_paths(m, 2, 1, seed=1), [0.0] * 3)
+        fwd = forward_pass_sddp(m, pools, sample_paths(m, 2, 1, seed=1), [ErrorBudget()] * 3)
         fault = lp_core.LpError("phase-1 subproblem unbounded: numerical failure")
-        monkeypatch.setattr(lp_core, "_simplex_batch", lambda A, b, C, **kwargs: [fault] * len(C))
+        batches = []
+
+        def failing_batch(A, b, C, **kwargs):
+            batches.append(len(C))
+            return [fault] * len(C)
+
+        monkeypatch.setattr(lp_core, "_simplex_batch", failing_batch)
         with pytest.raises(stage_solver.StageSolveError) as err:
-            backward_pass_sddp(m, pools, fwd.trajectories, [0.0, 0.0], iteration=1)
+            backward_pass_sddp(m, pools, fwd.trajectories, [[ErrorBudget()] * 2] * 2, iteration=1)
         assert (err.value.stage, err.value.path) == (3, 0)
         assert "stage 3 (path 0): backward solve failed in the kernel: phase-1" in str(err.value)
         assert err.value.__cause__ is fault
-        assert not [key for key in pools[4].memo if key[0] == "dual"]
+        memoized = [entry[1] for key, entry in pools[4].memo.items() if key[0] == "dual"]
+        assert memoized and all(res is fault for res in memoized)
+        assert sum(batches) == len(memoized)  # each dual was in one batch
 
     def test_programming_error_propagates_unwrapped(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -451,6 +464,26 @@ class TestBackwardStageFaults:
         monkeypatch.setattr(stage_solver, "solve_dual_inexact", broken)
         with pytest.raises(TypeError, match="not a kernel fault"):
             self._solve()
+
+
+class TestBudgetShapes:
+    def test_forward_pass_needs_one_budget_per_stage(self):
+        m = toy_sto_t3_m2()
+        paths = sample_paths(m, 2, 1, seed=1)
+        with pytest.raises(ValueError, match="need 3 deltas, got 2"):
+            forward_pass_sddp(m, make_pools(m), paths, [ErrorBudget()] * 2)
+
+    def test_backward_pass_needs_one_budget_per_stage_and_path(self):
+        m = toy_sto_t3_m2()
+        pools = make_pools(m)
+        fwd = forward_pass_sddp(m, pools, sample_paths(m, 2, 1, seed=1), [ErrorBudget()] * 3)
+        with pytest.raises(ValueError, match="need 2 epsilon entries, got 1"):
+            backward_pass_sddp(m, pools, fwd.trajectories, [[ErrorBudget()] * 2], iteration=1)
+        with pytest.raises(ValueError, match="must cover every path"):
+            backward_pass_sddp(m, pools, fwd.trajectories, [[ErrorBudget()] * 2, [ErrorBudget()]],
+                               iteration=1)
+        # rejected before any backward solve
+        assert not [key for t in (3, 4) for key in pools[t].memo if key[0] == "dual"]
 
 
 class TestUpperBoundCi:

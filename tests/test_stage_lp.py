@@ -13,7 +13,14 @@ import pytest
 from isddp import sddp_engine
 from isddp.cuts import Cut, CutPool
 from isddp.ddp_engine import run_iddp
-from isddp.lp_core import LinearProgram, LpDimensionError, SolveStatus, solve_exact
+from isddp.lp_core import (
+    LinearProgram,
+    LpDimensionError,
+    SolveStatus,
+    solve_dual_batch,
+    solve_dual_inexact,
+    solve_exact,
+)
 from isddp.portfolio import PortfolioSpec, generate_instance
 from isddp.schedules import EXACT_SCHEDULE, ErrorBudget, ScheduleMode, ScheduleSpec
 from isddp.sddp_engine import make_pools, run_isddp
@@ -110,6 +117,34 @@ def test_large_pools_match_highs(tracing, monkeypatch):
             assert abs(stage_value_exact(stage, x, pools[3]) - ref) <= 1e-7 * max(1.0, abs(ref))
             res = solve_forward_stage(stage, x, pools[3], budget)
             assert res.value <= res.optimum + res.budget_resolved
+
+
+def test_one_budget_resolves_alike_forward_and_backward():
+    # a budget with both parts allows budget.resolve(optimum) to a forward
+    # pick and to a backward certificate
+    model = generate_instance(PortfolioSpec(T=3, n=2, M=3, seed=4))
+    pools = make_pools(model)
+    for record in sddp_engine.iterate(model, EXACT_SCHEDULE, 3, 9, pools):
+        if record.k == 4:
+            break
+    x = solve_forward_stage(model.stage1, model.x0, pools[2], ErrorBudget()).x
+    budget = ErrorBudget(absolute=3.0, relative=0.3)
+    picked = set()
+    for j in range(model.stages[0].num_realizations):
+        stage = model.stage(2, j)
+        fwd = solve_forward_stage(stage, x, pools[3], budget)
+        assert fwd.budget_resolved == budget.resolve(fwd.optimum)
+        lp = stage_lp(stage, x, pools[3])
+        (kernel,) = solve_dual_batch(lp, lp.eq_rhs[None])
+        allowed = budget.resolve(-kernel.obj)
+        cert = solve_dual_inexact(lp, budget)
+        same = solve_dual_inexact(lp, ErrorBudget(absolute=allowed))
+        assert (cert.lam.tobytes(), cert.mu.tobytes(), cert.dual_obj, cert.eps_certified) == (
+            same.lam.tobytes(), same.mu.tobytes(), same.dual_obj, same.eps_certified)
+        # neither part alone admits this certificate: the parts add up
+        for part in (ErrorBudget(absolute=budget.absolute), ErrorBudget(relative=budget.relative)):
+            picked.add(cert.dual_obj < solve_dual_inexact(lp, part).dual_obj)
+    assert picked == {True}
 
 
 def _lp(cut_beta, cut_theta, has_epigraph=True):
