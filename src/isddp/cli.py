@@ -37,7 +37,6 @@ PRESETS = {
     "isddp3": ScheduleSpec(eps_bar=1e-4, eps0=1e-12),
     "isddp4": ScheduleSpec(eps_bar=1e-6, eps0=1e-12),
 }
-PRESET_ORDER = list(PRESETS)
 
 
 class UsageError(Exception):

@@ -35,7 +35,7 @@ class Cut:
     beta: np.ndarray
     stage: int
     iteration: int
-    eps_used: float = 0.0
+    eps_used: float = 0.0  # the gap certified at its trial point
 
     def value(self, x: np.ndarray) -> float:
         return float(self.theta + self.beta @ x)
@@ -193,7 +193,6 @@ def build_middle_cut(
     *,
     stage: int = 0,
     iteration: int = 0,
-    eps_used: float = 0.0,
 ) -> Cut:
     """Probability-weighted cut of a stage from its realizations' certificates.
 
@@ -202,13 +201,14 @@ def build_middle_cut(
     weight per entry of ``next_pool_thetas`` (the next pool's intercepts,
     floor first), in the same order.  The aggregated intercept is
     ``sum_j p_j (<b_j, lam_j> + <mu_j, next_pool_thetas>)`` and the slope
-    ``-sum_j p_j B_j.T lam_j``.  The last stage's next pool is the zero pool
-    T+1 (``build_terminal_cut``).
+    ``-sum_j p_j B_j.T lam_j``.  The cut's ``eps_used`` is its certified gap
+    at the trial point, ``sum_j p_j eps_certified_j``.  The last stage's next
+    pool is the zero pool T+1 (``build_terminal_cut``).
     """
     _check_realizations(realizations, duals)
     next_pool_thetas = np.asarray(next_pool_thetas, dtype=float)
     state_dim = np.asarray(realizations[0][1]).shape[1]
-    theta = 0.0
+    theta = eps = 0.0
     beta = np.zeros(state_dim)
     for (b, B, prob), cert in zip(realizations, duals):
         b = np.asarray(b, dtype=float)
@@ -224,7 +224,8 @@ def build_middle_cut(
             )
         theta += prob * (float(b @ cert.lam) + float(cert.mu @ next_pool_thetas))
         beta -= prob * (B.T @ cert.lam)
-    return Cut(theta=theta, beta=beta, stage=stage, iteration=iteration, eps_used=eps_used)
+        eps += prob * cert.eps_certified
+    return Cut(theta=theta, beta=beta, stage=stage, iteration=iteration, eps_used=eps)
 
 
 def build_terminal_cut(
@@ -237,7 +238,7 @@ def build_terminal_cut(
     The cost-to-go after the horizon is zero, so every intercept of that
     pool is zero; it has as many rows as the certificates' ``mu`` (one, the
     floor, for a stage LP; none for an LP without epigraph).  ``tags`` are
-    ``build_middle_cut``'s ``stage``, ``iteration`` and ``eps_used``.
+    ``build_middle_cut``'s ``stage`` and ``iteration``.
     """
     zero_pool = np.zeros(len(duals[0].mu) if duals else 0)
     return build_middle_cut(realizations, duals, zero_pool, **tags)

@@ -2,7 +2,7 @@
 
 Handles LPs of the form
 
-    min  c . x  (+ f)                 x >= 0, f free (present iff has_epigraph)
+    min  c . x  (+ f)                 x >= 0, f free (present iff a cut row is)
     s.t. eq_matrix @ x == eq_rhs
          f >= theta_i + beta_i . x    for every cut row i
 
@@ -98,52 +98,43 @@ class SolveStatus(enum.Enum):
 class LinearProgram:
     """Stage LP in equality form with optional epigraph cut rows.
 
-    ``eq_rhs`` is the already-shifted right-hand side (the caller subtracts
-    the coupling term of the previous stage's decision).  Row ``i`` of
-    ``cut_beta`` (shape ``(K, num_vars)``) and entry ``i`` of ``cut_theta``
-    (shape ``(K,)``) impose ``f >= cut_theta[i] + cut_beta[i].x`` on the free
-    epigraph variable ``f``; the objective is ``c.x + f`` when
-    ``has_epigraph`` is set and ``c.x`` otherwise.  The cut arrays are kept
-    as given, not copied, and nothing writes to them: stage LPs alias their
-    pool's read-only arrays.
+    The LP is its five arrays, and its sizes are read off their shapes;
+    ``eq_matrix`` must be ``(len(eq_rhs), len(cost))``.  ``eq_rhs`` is the
+    already-shifted right-hand side (the caller subtracts the coupling term
+    of the previous stage's decision).  Row ``i`` of ``cut_beta`` and entry
+    ``i`` of ``cut_theta`` impose ``f >= cut_theta[i] + cut_beta[i].x`` on
+    the free epigraph variable ``f``, which the LP has, with the objective
+    ``c.x + f``, exactly when it has a cut row.  The arrays are kept as
+    given, not copied or reshaped, and nothing writes to them: stage LPs
+    alias their pool's read-only arrays.
     """
 
-    num_vars: int
-    num_eq: int
     cost: np.ndarray
     eq_matrix: np.ndarray
     eq_rhs: np.ndarray
     cut_beta: Optional[np.ndarray] = None
     cut_theta: Optional[np.ndarray] = None
-    has_epigraph: bool = False
 
     def __post_init__(self):
         self.cost = np.asarray(self.cost, dtype=float)
-        self.eq_matrix = np.asarray(self.eq_matrix, dtype=float).reshape(
-            self.num_eq, -1 if self.num_eq else self.num_vars
-        )
+        self.eq_matrix = np.asarray(self.eq_matrix, dtype=float)
         self.eq_rhs = np.asarray(self.eq_rhs, dtype=float)
-        if self.eq_matrix.size == 0:
-            self.eq_matrix = self.eq_matrix.reshape(self.num_eq, self.num_vars)
-        self.cut_beta = (np.zeros((0, self.num_vars)) if self.cut_beta is None
+        self.cut_beta = (np.zeros((0, self.cost.size)) if self.cut_beta is None
                          else np.asarray(self.cut_beta, dtype=float))
         self.cut_theta = (np.zeros(0) if self.cut_theta is None
                           else np.asarray(self.cut_theta, dtype=float))
         self.validate()
 
     def validate(self) -> None:
-        if self.cost.shape != (self.num_vars,):
+        if self.cost.ndim != 1 or self.eq_rhs.ndim != 1:
             raise LpDimensionError(
-                f"cost has shape {self.cost.shape}, expected ({self.num_vars},)"
+                f"cost and eq_rhs have shapes {self.cost.shape} and "
+                f"{self.eq_rhs.shape}, expected vectors"
             )
         if self.eq_matrix.shape != (self.num_eq, self.num_vars):
             raise LpDimensionError(
                 f"eq_matrix has shape {self.eq_matrix.shape}, expected "
-                f"({self.num_eq}, {self.num_vars})"
-            )
-        if self.eq_rhs.shape != (self.num_eq,):
-            raise LpDimensionError(
-                f"eq_rhs has shape {self.eq_rhs.shape}, expected ({self.num_eq},)"
+                f"({self.num_eq}, {self.num_vars}) from eq_rhs and cost"
             )
         K = len(self.cut_theta) if self.cut_theta.ndim == 1 else -1
         if self.cut_beta.shape != (K, self.num_vars):
@@ -151,12 +142,22 @@ class LinearProgram:
                 f"cut_beta has shape {self.cut_beta.shape} and cut_theta "
                 f"{self.cut_theta.shape}, expected (K, {self.num_vars}) and (K,)"
             )
-        if K and not self.has_epigraph:
-            raise LpDimensionError("cut rows require has_epigraph")
+
+    @property
+    def num_vars(self) -> int:
+        return len(self.cost)
+
+    @property
+    def num_eq(self) -> int:
+        return len(self.eq_rhs)
 
     @property
     def num_cuts(self) -> int:
         return len(self.cut_theta)
+
+    @property
+    def has_epigraph(self) -> bool:
+        return self.num_cuts > 0
 
     def cut_beta_matrix(self) -> np.ndarray:
         return self.cut_beta
@@ -526,24 +527,18 @@ def _pivot_limit(
 
 def _standard_primal(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Columns: [x | f+ f- | cut surpluses] (epigraph parts only when present)."""
+    if not lp.has_epigraph:  # uncopied: the kernel never writes to its inputs
+        return lp.eq_matrix, lp.eq_rhs, lp.cost
     nv, m, K = lp.num_vars, lp.num_eq, lp.num_cuts
-    if not lp.has_epigraph:
-        return lp.eq_matrix.copy(), lp.eq_rhs.copy(), lp.cost.copy()
-    ncols = nv + 2 + K
-    A = np.zeros((m + K, ncols))
+    A = np.zeros((m + K, nv + 2 + K))
     b = np.zeros(m + K)
     A[:m, :nv] = lp.eq_matrix
     b[:m] = lp.eq_rhs
-    if K:
-        A[m:, :nv] = -lp.cut_beta_matrix()
-        A[m:, nv] = 1.0
-        A[m:, nv + 1] = -1.0
-        A[m:, nv + 2 :] = -np.eye(K)
-        b[m:] = lp.cut_thetas()
-    else:
-        # Epigraph without any cut row would be unbounded below; callers
-        # always include at least a floor row.
-        raise LpDimensionError("epigraph LP needs at least one cut row")
+    A[m:, :nv] = -lp.cut_beta
+    A[m:, nv] = 1.0
+    A[m:, nv + 1] = -1.0
+    A[m:, nv + 2 :] = -np.eye(K)
+    b[m:] = lp.cut_theta
     c = np.concatenate([lp.cost, [1.0, -1.0], np.zeros(K)])
     return A, b, c
 
@@ -564,8 +559,7 @@ def _explicit_duals(
     rhs = np.zeros(nrows)
     D[:nv, :m] = lp.eq_matrix.T
     D[:nv, m : 2 * m] = -lp.eq_matrix.T
-    if K:
-        D[:nv, 2 * m : 2 * m + K] = -lp.cut_beta_matrix().T
+    D[:nv, 2 * m : 2 * m + K] = -lp.cut_beta.T
     D[:nv, 2 * m + K :] = np.eye(nv)
     rhs[:nv] = lp.cost
     if lp.has_epigraph:
@@ -574,7 +568,7 @@ def _explicit_duals(
     costs = np.zeros((len(eq_rhs), ncols))
     costs[:, :m] = -eq_rhs
     costs[:, m : 2 * m] = eq_rhs
-    costs[:, 2 * m : 2 * m + K] = -lp.cut_thetas()
+    costs[:, 2 * m : 2 * m + K] = -lp.cut_theta
     return D, rhs, costs
 
 
@@ -655,8 +649,9 @@ def solve_dual_inexact(
     budget the certificate is the first iterate at the optimum.  A
     ``result`` given is used as the explicit dual's kernel outcome in place
     of a solve of ``lp``'s dual alone (a ``solve_dual_batch`` of one); it
-    must be ``lp``'s, as from a larger ``solve_dual_batch``, which is
-    bit-identical to it.  An ``LpError`` outcome is raised.
+    must come from a ``solve_dual_batch`` of ``lp`` with any ``eq_rhs``,
+    which is bit-identical to that member's lone solve: the scan reads only
+    ``lp``'s row counts.  An ``LpError`` outcome is raised.
     """
     if result is None:
         (result,) = solve_dual_batch(lp, lp.eq_rhs[None])
@@ -693,14 +688,11 @@ def dual_feasibility_residual(
     if mu.shape != (lp.num_cuts,):
         raise LpDimensionError(f"mu has shape {mu.shape}, expected ({lp.num_cuts},)")
     slack = lp.eq_matrix.T @ lam - lp.cost
-    if lp.num_cuts:
-        slack = slack - lp.cut_beta_matrix().T @ mu
-    res = float(max(0.0, slack.max(initial=0.0)))
+    res = 0.0
     if lp.has_epigraph:
-        res = max(res, abs(float(mu.sum()) - 1.0))
-        if lp.num_cuts:
-            res = max(res, float(max(0.0, -mu.min())))
-    return res
+        slack = slack - lp.cut_beta.T @ mu
+        res = max(abs(float(mu.sum()) - 1.0), float(max(0.0, -mu.min())))
+    return max(res, float(max(0.0, slack.max(initial=0.0))))
 
 
 def solution_residuals(
@@ -714,12 +706,12 @@ def solution_residuals(
     primal = max(primal, float(max(0.0, -(x.min(initial=0.0)))))
     f = sol.obj - float(lp.cost @ x)
     if lp.has_epigraph:
-        cut_slack = f - (lp.cut_thetas() + lp.cut_beta_matrix() @ x)
+        cut_slack = f - (lp.cut_theta + lp.cut_beta @ x)
         primal = max(primal, float(max(0.0, -(cut_slack.min(initial=0.0)))))
     dual = dual_feasibility_residual(lp, sol.lam, sol.mu)
     rc = lp.cost - lp.eq_matrix.T @ sol.lam
-    if lp.num_cuts:
-        rc = rc + lp.cut_beta_matrix().T @ sol.mu
+    if lp.has_epigraph:
+        rc = rc + lp.cut_beta.T @ sol.mu
     comp = float(np.abs(x * rc).max(initial=0.0))
     if lp.has_epigraph:
         comp = max(comp, float(np.abs(sol.mu * cut_slack).max(initial=0.0)))

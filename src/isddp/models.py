@@ -28,8 +28,10 @@ def _arr(v, dtype=float) -> np.ndarray:
     return np.asarray(v, dtype=dtype)
 
 
-@dataclass
+@dataclass(eq=False)
 class StageModel:
+    """One stage's data, hashed by identity: solve memos key on the stage."""
+
     A: np.ndarray
     B: np.ndarray
     b: np.ndarray

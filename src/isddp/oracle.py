@@ -108,9 +108,7 @@ def _assemble_tree_lp(
                 pdim = levels[li - 1][parent][1].var_dim
                 A[r0 : r0 + stage.num_eq, pc0 : pc0 + pdim] = stage.B
                 rhs[r0 : r0 + stage.num_eq] = stage.b
-    return LinearProgram(
-        num_vars=ncols, num_eq=nrows, cost=cost, eq_matrix=A, eq_rhs=rhs
-    )
+    return LinearProgram(cost=cost, eq_matrix=A, eq_rhs=rhs)
 
 
 def extensive_form(model: StochasticModel) -> float:
@@ -156,8 +154,6 @@ def sample_reachable_states(
         for tau in range(1, t):
             stage = model.stage(tau, int(rng.integers(sizes[tau - 1])))
             lp = LinearProgram(
-                num_vars=stage.var_dim,
-                num_eq=stage.num_eq,
                 cost=rng.normal(size=stage.var_dim),
                 eq_matrix=stage.A,
                 eq_rhs=stage.b - stage.B @ x,

@@ -109,11 +109,6 @@ class ErrorBudget:
     def resolve(self, reference: float) -> float:
         return self.absolute + self.relative * max(1.0, abs(reference))
 
-    @property
-    def nominal(self) -> float:
-        """Representative scalar for logging."""
-        return self.absolute if self.relative == 0.0 else self.relative
-
 
 def forward_budgets(spec: ScheduleSpec, k: int, T: int) -> list[ErrorBudget]:
     """Stage-wise forward budgets for iteration k (stage 1 first)."""

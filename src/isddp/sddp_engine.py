@@ -202,7 +202,7 @@ def backward_pass_sddp(
             )
             stage_cuts.append(build_middle_cut(
                 realizations, certs, pool_next.thetas_with_floor(),
-                stage=t, iteration=iteration, eps_used=budget.nominal,
+                stage=t, iteration=iteration,
             ))
         for cut in stage_cuts:
             if cut not in pools[t]:

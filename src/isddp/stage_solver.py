@@ -13,9 +13,11 @@ that share their constraints, at every trial point.
 
 A stage solve depends only on the stage, the trial point and the pool's
 contents, and the kernel is deterministic, so both kinds of solve are kept
-in ``pool.memo`` (keyed on the stage object's id and the trial point's
-bytes) and read from there, bit-identical, until the pool gets a cut.  The
-memo is the only place a solve is kept between calls.
+in ``pool.memo`` (keyed on the stage object, which hashes by identity, and
+the trial point's bytes) and read from there, bit-identical, until the pool
+gets a cut.  The memo is the only place a solve is kept between calls.  A
+stage LP is built only where a kernel runs: once per forward solve and once
+per dual batch, whose LP the memo keeps for the certificates to read.
 """
 
 from __future__ import annotations
@@ -66,14 +68,11 @@ def stage_lp(stage: StageModel, x_prev: np.ndarray, pool: CutPool) -> LinearProg
     The LP aliases the pool's read-only floor-first arrays.
     """
     return LinearProgram(
-        num_vars=stage.var_dim,
-        num_eq=stage.num_eq,
         cost=stage.c,
         eq_matrix=stage.A,
         eq_rhs=stage.b - stage.B @ x_prev,
         cut_beta=pool.betas_with_floor(),
         cut_theta=pool.thetas_with_floor(),
-        has_epigraph=True,
     )
 
 
@@ -99,7 +98,7 @@ def solve_forward_stage(
     evaluated trail do not depend on the budget; they are kept in
     ``pool.memo`` until the pool changes.
     """
-    key = ("forward", id(stage), x_prev.tobytes())
+    key = ("forward", stage, x_prev.tobytes())
     hit = pool.memo.get(key)
     if hit is None:
         try:
@@ -120,13 +119,11 @@ def solve_forward_stage(
                 stage=t, path=path,
             )
         optimum = cost + future
-        xs, full_vals = [], []
-        if trail:
-            xs = np.stack([x for _, x in trail])
-            full_vals = xs @ stage.c + pool.evaluate_many(xs)
-        # the stage object is kept so that its id is not reused while the entry lives
-        hit = pool.memo[key] = (stage, sol.x, optimum, xs, full_vals)
-    _, x_star, optimum, xs, full_vals = hit
+        # the trail of an optimal solve ends at the optimum, so it is never empty
+        xs = np.stack([x for _, x in trail])
+        full_vals = xs @ stage.c + pool.evaluate_many(xs)
+        hit = pool.memo[key] = (sol.x, optimum, xs, full_vals)
+    x_star, optimum, xs, full_vals = hit
     resolved = budget.resolve(optimum)
     slack = 1e-12 * (1.0 + abs(optimum))
     for i in range(len(xs)):
@@ -152,9 +149,10 @@ def sweep_duals(
     ``solve_dual_batch`` over the (trial point, realization) pairs whose
     kernel result the memo does not hold yet; they differ in
     ``eq_rhs = b - B x_prev`` only.  Each result goes into the memo, trimmed
-    to what the certificate scan reads.  A member whose outcome is an
-    ``LpError`` keeps the error there, and ``solve_backward_stage`` raises
-    it with stage and path.
+    to what the certificate scan reads, beside its batch's LP: the scan reads
+    only the LP's row counts, which every member shares.  A member whose
+    outcome is an ``LpError`` keeps the error there, and
+    ``solve_backward_stage`` raises it with stage and path.
     """
     points = {x.tobytes(): x for x in x_prevs}
     groups: dict = {}
@@ -166,16 +164,15 @@ def sweep_duals(
         if not todo:
             continue
         eq_rhs = np.array([r.b - r.B @ x for _, r, x in todo])
-        outcomes = solve_dual_batch(stage_lp(group[0], todo[0][2], pool), eq_rhs)
-        for (key, r, _), res in zip(todo, outcomes):
+        lp = stage_lp(group[0], todo[0][2], pool)
+        for (key, _, _), res in zip(todo, solve_dual_batch(lp, eq_rhs)):
             if not isinstance(res, LpError):
                 res = _KernelResult(res.status, None, res.obj, None, None, res.pivots, res.trail)
-            # the stage object is kept so that its id is not reused while the entry lives
-            pool.memo[key] = (r, res)
+            pool.memo[key] = (lp, res)
 
 
 def _dual_key(stage: StageModel, x_bytes: bytes) -> tuple:
-    return "dual", id(stage), x_bytes
+    return "dual", stage, x_bytes
 
 
 def solve_backward_stage(
@@ -190,16 +187,16 @@ def solve_backward_stage(
     """Budget-certified dual point of one backward stage, plus its optimum.
 
     The certificate's ``mu`` covers the pool rows floor-first, matching
-    ``pool.thetas_with_floor()``.  The kernel outcome comes from
-    ``pool.memo``; on a miss, ``sweep_duals`` puts it there first, as a
-    batch of one.
+    ``pool.thetas_with_floor()``.  The kernel outcome and its batch's LP
+    come from ``pool.memo``; on a miss, ``sweep_duals`` puts them there
+    first, as a batch of one.
     """
     key = _dual_key(stage, x_prev.tobytes())
     if key not in pool.memo:
         sweep_duals([stage], [x_prev], pool)
-    lp = stage_lp(stage, x_prev, pool)
+    lp, result = pool.memo[key]
     try:
-        cert = solve_dual_inexact(lp, budget, result=pool.memo[key][1])
+        cert = solve_dual_inexact(lp, budget, result=result)
     except LpError as exc:  # kernel faults carry no stage context
         raise StageSolveError(
             f"{_where(t, path)}: backward solve failed in the kernel: {exc}",

@@ -22,7 +22,7 @@ def random_feasible_bounded_lp(rng: np.random.Generator) -> LinearProgram:
     xhat = rng.uniform(0.0, 2.0, size=n).round(3)
     b = A @ xhat
     c = rng.normal(size=n).round(3)
-    return LinearProgram(num_vars=n, num_eq=m, cost=c, eq_matrix=A, eq_rhs=b)
+    return LinearProgram(cost=c, eq_matrix=A, eq_rhs=b)
 
 
 def chain_model(T: int, n: int, seed: int) -> StochasticModel:

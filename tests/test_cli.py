@@ -307,6 +307,12 @@ class TestCompare:
         assert len(rows) == 4
         assert [r["variant"] for r in rows] == ["isddp1", "isddp2", "isddp3", "isddp4"]
         assert all(float(r["cpu_ratio"]) > 0 for r in rows)
+        # each preset's run log and summary are written next to --out
+        for preset in ["sddp", "isddp1", "isddp2", "isddp3", "isddp4"]:
+            log = list(csv.DictReader(open(tmp_path / f"{preset}.csv")))
+            summary = json.load(open(tmp_path / f"{preset}.summary.json"))
+            assert summary["iterations"] == len(log)
+            assert float(log[-1]["lb"]) == summary["lb"]
 
     def test_needs_two_presets(self, instance):
         assert main(["compare", "--instance", instance, "--presets", "sddp"]) == EXIT_USAGE

@@ -48,8 +48,6 @@ class TestBuildTerminalCut:
         # at x=2 the exact dual multiplier is 1, so the cut is C(z) = z.
         x_bar = 2.0
         lp = LinearProgram(
-            num_vars=2,
-            num_eq=1,
             cost=[1.0, 0.0],
             eq_matrix=[[1.0, -1.0]],
             eq_rhs=[x_bar],

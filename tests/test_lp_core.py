@@ -38,16 +38,12 @@ from conftest import enumerate_vertices, random_feasible_bounded_lp
 
 def single_var_lp():
     # min y  s.t. y = 2, y >= 0
-    return LinearProgram(
-        num_vars=1, num_eq=1, cost=[1.0], eq_matrix=[[1.0]], eq_rhs=[2.0]
-    )
+    return LinearProgram(cost=[1.0], eq_matrix=[[1.0]], eq_rhs=[2.0])
 
 
 def no_rows_lp(cost):
     n = len(cost)
-    return LinearProgram(
-        num_vars=n, num_eq=0, cost=cost, eq_matrix=np.zeros((0, n)), eq_rhs=[]
-    )
+    return LinearProgram(cost=cost, eq_matrix=np.zeros((0, n)), eq_rhs=[])
 
 
 class TestSolveExact:
@@ -59,9 +55,7 @@ class TestSolveExact:
         assert sol.lam == pytest.approx([1.0])
 
     def test_unbounded_ray(self):
-        lp = LinearProgram(
-            num_vars=1, num_eq=0, cost=[-1.0], eq_matrix=np.zeros((0, 1)), eq_rhs=[]
-        )
+        lp = LinearProgram(cost=[-1.0], eq_matrix=np.zeros((0, 1)), eq_rhs=[])
         assert solve_exact(lp).status is SolveStatus.UNBOUNDED
 
     def test_no_rows_nonnegative_cost_optimal_at_origin(self):
@@ -71,23 +65,19 @@ class TestSolveExact:
         assert sol.obj == 0.0
 
     def test_segment_vertex(self):
-        lp = LinearProgram(
-            num_vars=2, num_eq=1, cost=[1.0, 1.0], eq_matrix=[[1.0, 1.0]], eq_rhs=[1.0]
-        )
+        lp = LinearProgram(cost=[1.0, 1.0], eq_matrix=[[1.0, 1.0]], eq_rhs=[1.0])
         sol = solve_exact(lp)
         assert sol.obj == pytest.approx(1.0)
         assert np.count_nonzero(sol.x) == 1
 
     def test_infeasible(self):
-        lp = LinearProgram(
-            num_vars=1, num_eq=2, cost=[1.0], eq_matrix=[[1.0], [1.0]], eq_rhs=[1.0, 2.0]
-        )
+        lp = LinearProgram(cost=[1.0], eq_matrix=[[1.0], [1.0]], eq_rhs=[1.0, 2.0])
         assert solve_exact(lp).status is SolveStatus.INFEASIBLE
 
     def test_pivot_limit_fault_carries_iterate(self):
         # no column is a unit column, so phase 1 must pivot
         lp = LinearProgram(
-            num_vars=2, num_eq=2, cost=[1.0, 1.0], eq_matrix=[[1.0, 1.0], [1.0, -1.0]],
+            cost=[1.0, 1.0], eq_matrix=[[1.0, 1.0], [1.0, -1.0]],
             eq_rhs=[1.0, 0.0],
         )
         with pytest.raises(PivotLimitError) as err:
@@ -97,14 +87,11 @@ class TestSolveExact:
     def test_epigraph_lp(self):
         # min x + f  s.t. x = 2, f >= 3 + 5x: optimum 15 with lam=6, mu=1.
         lp = LinearProgram(
-            num_vars=1,
-            num_eq=1,
             cost=[1.0],
             eq_matrix=[[1.0]],
             eq_rhs=[2.0],
             cut_beta=[[5.0]],
             cut_theta=[3.0],
-            has_epigraph=True,
         )
         sol = solve_exact(lp)
         assert sol.obj == pytest.approx(15.0)
@@ -138,14 +125,11 @@ class TestSolveExact:
             betas = np.array([b for b, _ in cuts])
             thetas = np.array([t for _, t in cuts])
             lp = LinearProgram(
-                num_vars=lp0.num_vars,
-                num_eq=lp0.num_eq,
                 cost=lp0.cost,
                 eq_matrix=lp0.eq_matrix,
                 eq_rhs=lp0.eq_rhs,
                 cut_beta=betas,
                 cut_theta=thetas,
-                has_epigraph=True,
             )
             sol = solve_exact(lp)
             assert sol.status is SolveStatus.OPTIMAL
@@ -165,8 +149,6 @@ class TestRankDeficientSystems:
         # rank-2 equality system (3 rows) with identical columns 2 and 3;
         # feasible set reduces to x1 = 0, x2 + x3 = 2, so min -2x2 - x3 = -4
         lp = LinearProgram(
-            num_vars=3,
-            num_eq=3,
             cost=[-1.0, -2.0, -1.0],
             eq_matrix=[[2.0, 2.0, 2.0], [-2.0, 0.0, 0.0], [-2.0, 1.0, 1.0]],
             eq_rhs=[4.0, 0.0, 2.0],
@@ -181,8 +163,6 @@ class TestRankDeficientSystems:
 
     def test_exactly_duplicated_row(self):
         lp = LinearProgram(
-            num_vars=2,
-            num_eq=2,
             cost=[1.0, 2.0],
             eq_matrix=[[1.0, 1.0], [1.0, 1.0]],
             eq_rhs=[1.0, 1.0],
@@ -217,16 +197,12 @@ class TestDualInexact:
                 assert cert.eps_certified <= eps + 1e-12
 
     def test_faults_on_unbounded(self):
-        lp = LinearProgram(
-            num_vars=1, num_eq=0, cost=[-1.0], eq_matrix=np.zeros((0, 1)), eq_rhs=[]
-        )
+        lp = LinearProgram(cost=[-1.0], eq_matrix=np.zeros((0, 1)), eq_rhs=[])
         with pytest.raises(NoFiniteOptimumError):
             solve_dual_inexact(lp, ErrorBudget(absolute=0.1))
 
     def test_faults_on_infeasible(self):
-        lp = LinearProgram(
-            num_vars=1, num_eq=2, cost=[1.0], eq_matrix=[[1.0], [1.0]], eq_rhs=[1.0, 2.0]
-        )
+        lp = LinearProgram(cost=[1.0], eq_matrix=[[1.0], [1.0]], eq_rhs=[1.0, 2.0])
         with pytest.raises(NoFiniteOptimumError):
             solve_dual_inexact(lp, ErrorBudget(absolute=0.1))
 
@@ -256,14 +232,11 @@ class TestDualResidual:
 
     def test_convexity_row_violation(self):
         lp = LinearProgram(
-            num_vars=1,
-            num_eq=1,
             cost=[1.0],
             eq_matrix=[[1.0]],
             eq_rhs=[2.0],
             cut_beta=[[0.0]],
             cut_theta=[0.0],
-            has_epigraph=True,
         )
         res = dual_feasibility_residual(lp, np.array([0.0]), np.array([0.5]))
         assert res >= 0.5
@@ -302,11 +275,10 @@ def _floor_and_cuts_lp(base, cost, xhat, betas, rng):
     """``base`` with rhs ``A @ xhat``, a floor row at -5 and the cuts ``betas``."""
     n = base.num_vars
     return LinearProgram(
-        num_vars=n, num_eq=base.num_eq, cost=cost, eq_matrix=base.eq_matrix,
+        cost=cost, eq_matrix=base.eq_matrix,
         eq_rhs=base.eq_matrix @ xhat,
         cut_beta=np.vstack([np.zeros(n), betas]),
         cut_theta=[-5.0] + [round(rng.normal(), 2) for _ in betas],
-        has_epigraph=True,
     )
 
 
@@ -387,7 +359,7 @@ def test_kernel_matches_highs_on_conftest_lps(seed):
         # row 0 has positive coefficients: a negative rhs there is infeasible
         dataclasses.replace(base, eq_rhs=np.r_[-base.eq_rhs[0], base.eq_rhs[1:]]),
         # without row 0 the LP may be unbounded
-        dataclasses.replace(base, num_eq=base.num_eq - 1, eq_matrix=base.eq_matrix[1:],
+        dataclasses.replace(base, eq_matrix=base.eq_matrix[1:],
                             eq_rhs=base.eq_rhs[1:]),
     ]
     for lp in lps:
@@ -480,16 +452,14 @@ def test_kernel_matches_reference_on_random_lps(threshold, seed):
 EDGE_LPS = {
     "no_rows_optimal": lambda: no_rows_lp([1.0, 0.0]),
     "no_rows_unbounded": lambda: no_rows_lp([-1.0]),
-    "infeasible": lambda: LinearProgram(
-        num_vars=1, num_eq=2, cost=[1.0], eq_matrix=[[1.0], [1.0]], eq_rhs=[1.0, 2.0]
-    ),
+    "infeasible": lambda: LinearProgram(cost=[1.0], eq_matrix=[[1.0], [1.0]], eq_rhs=[1.0, 2.0]),
     "dependent_rows": lambda: LinearProgram(
-        num_vars=3, num_eq=3, cost=[-1.0, -2.0, -1.0],
+        cost=[-1.0, -2.0, -1.0],
         eq_matrix=[[2.0, 2.0, 2.0], [-2.0, 0.0, 0.0], [-2.0, 1.0, 1.0]],
         eq_rhs=[4.0, 0.0, 2.0],
     ),
     "duplicated_row": lambda: LinearProgram(
-        num_vars=2, num_eq=2, cost=[1.0, 2.0],
+        cost=[1.0, 2.0],
         eq_matrix=[[1.0, 1.0], [1.0, 1.0]], eq_rhs=[1.0, 1.0],
     ),
     "chain_tree": _chain_tree_lp,

@@ -138,8 +138,6 @@ class TestGenerateInstance:
             for x in states:
                 for r in st.realizations:
                     lp = LinearProgram(
-                        num_vars=r.var_dim,
-                        num_eq=r.num_eq,
                         cost=r.c,
                         eq_matrix=r.A,
                         eq_rhs=r.b - r.B @ x,

@@ -198,8 +198,39 @@ class TestBackwardPassSddp:
             ref = build_terminal_cut(realizations, certs, **tags)
             assert cut.theta.hex() == ref.theta.hex()
             assert cut.beta.tobytes() == ref.beta.tobytes()
-            assert (cut.stage, cut.iteration, cut.eps_used) == (T, 1, 0.05)
-            assert (ref.stage, ref.iteration, ref.eps_used) == (T, 1, 0.05)
+            gap = sum(p * cert.eps_certified for (_, _, p), cert in zip(realizations, certs))
+            assert (cut.stage, cut.iteration, cut.eps_used) == (T, 1, gap)
+            assert (ref.stage, ref.iteration, ref.eps_used) == (T, 1, gap)
+            assert 0.0 <= gap <= 0.05
+
+    def test_cut_logs_its_certified_gap(self, monkeypatch):
+        # a cut's eps_used is what its certificates certify at the trial
+        # point, sum_j p_j eps_j, not a part of a two-part budget
+        m = generate_instance(PortfolioSpec(T=3, n=2, M=3, seed=4))
+        T, n_paths = m.horizon, 3
+        pools = make_pools(m)
+        for record in sddp_engine.iterate(m, EXACT_SCHEDULE, n_paths, 9, pools):
+            if record.k == 4:
+                break
+        built = []
+
+        def spy(realizations, certs, next_thetas, **tags):
+            cut = build_middle_cut(realizations, certs, next_thetas, **tags)
+            built.append((realizations, certs, cut))
+            return cut
+
+        monkeypatch.setattr(sddp_engine, "build_middle_cut", spy)
+        budget = ErrorBudget(absolute=3.0, relative=0.3)
+        fwd = forward_pass_sddp(m, pools, sample_paths(m, n_paths, 5, seed=9), [ErrorBudget()] * T)
+        backward_pass_sddp(m, pools, fwd.trajectories, [[budget] * n_paths] * (T - 1))
+        assert len(built) == n_paths * (T - 1)
+        gaps = []
+        for realizations, certs, cut in built:
+            gaps.append(sum(p * c.eps_certified for (_, _, p), c in zip(realizations, certs)))
+            assert cut.eps_used == gaps[-1]
+            optima = [c.dual_obj + c.eps_certified for c in certs]
+            assert cut.eps_used <= max(budget.resolve(v) for v in optima)
+        assert max(gaps) > 0.0
 
     def test_dual_sweep_leaves_cuts_bit_identical(self, monkeypatch):
         # the batched solves of one stage sweep must not change a bit of any
@@ -275,10 +306,12 @@ class TestStoreEachCutOnce:
         batch, sweep = stage_solver.solve_dual_batch, stage_solver.sweep_duals
         real_lp, primal = stage_solver.stage_lp, stage_solver.solve_with_primal_trail
         lp_stage = {}  # id of each stage LP -> its stage
+        lp_stage_calls = []  # the stage of each stage LP built
 
         def recording_lp(stage, x_prev, pool):
             lp = real_lp(stage, x_prev, pool)
             lp_stage[id(lp)] = pool.stage - 1
+            lp_stage_calls.append(pool.stage - 1)
             return lp
 
         monkeypatch.setattr(stage_solver, "solve_dual_batch",
@@ -296,7 +329,10 @@ class TestStoreEachCutOnce:
         assert primal_stages == [1, 2, 3]
         assert [x.tobytes() for x in traj] == [x.tobytes() for x in twin]
         # two paths at one trial point: the second path's cuts are copies
+        del lp_stage_calls[:]
         bwd = backward_pass_sddp(m, pools, [traj, traj], [[ErrorBudget()] * 2] * 2, iteration=1)
+        # a stage LP is built once per dual batch, then once for the lower bound
+        assert len(lp_stage_calls) == len(batched) + 1 and lp_stage_calls[-1] == 1
         assert len(bwd.new_cuts) == 4
         assert bwd.new_cuts[0].theta == bwd.new_cuts[1].theta
         assert len(added) == 2 and len(pools[3]) == len(pools[2]) == 1

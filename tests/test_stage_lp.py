@@ -68,6 +68,26 @@ def test_traced_run_passes_the_certificate_check(tracing):
     assert counts["primal_solves"] > 0 and counts["lp_cut_rows"] > 0
 
 
+def test_traced_cli_solve_passes_the_certificate_check(tracing, tmp_path, capsys):
+    # the benchmark's run: every wrapped name resolves, and a solve through
+    # the command line does work in every traced layer
+    pytest.importorskip("scipy")
+    from isddp import cli
+
+    instance, out = str(tmp_path / "p.json"), str(tmp_path / "p.csv")
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        assert cli.main(["gen", "--T", "3", "--n", "2", "--M", "2", "--out", instance]) == 0
+        assert cli.main(["solve", "--instance", instance, "--preset", "isddp1", "--paths", "2",
+                         "--max-iter", "3", "--out", out]) == 0
+    finally:
+        tracer.unpatch()
+    capsys.readouterr()
+    assert tracer.failures == []
+    assert tracer.counts["dual_solves"] > 0 and tracer.counts["backward_solves"] > 0
+
+
 def _pooled_det_t3():
     model = toy_det_t3()
     pools = make_pools(model)
@@ -147,11 +167,9 @@ def test_one_budget_resolves_alike_forward_and_backward():
     assert picked == {True}
 
 
-def _lp(cut_beta, cut_theta, has_epigraph=True):
-    return LinearProgram(
-        num_vars=2, num_eq=1, cost=[1.0, 1.0], eq_matrix=[[1.0, 1.0]], eq_rhs=[1.0],
-        cut_beta=cut_beta, cut_theta=cut_theta, has_epigraph=has_epigraph,
-    )
+def _lp(cut_beta, cut_theta):
+    return LinearProgram(cost=[1.0, 1.0], eq_matrix=[[1.0, 1.0]], eq_rhs=[1.0],
+                         cut_beta=cut_beta, cut_theta=cut_theta)
 
 
 @pytest.mark.parametrize("cut_beta, cut_theta", [
@@ -165,11 +183,20 @@ def test_mismatched_cut_arrays_raise(cut_beta, cut_theta):
         _lp(cut_beta, cut_theta)
 
 
+def test_transposed_eq_matrix_raises():
+    # sizes come from cost and eq_rhs: a 3 x 2 eq_matrix for 2 rows and 3
+    # variables is an error, not reshaped to fit
+    with pytest.raises(LpDimensionError, match="eq_matrix"):
+        LinearProgram(cost=[1.0, 1.0, 1.0], eq_matrix=[[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]],
+                      eq_rhs=[1.0, 1.0])
+
+
 def test_cut_rows_need_the_epigraph():
-    with pytest.raises(LpDimensionError):
-        _lp(np.zeros((1, 2)), np.zeros(1), has_epigraph=False)
-    lp = _lp(None, None, has_epigraph=False)
-    assert lp.num_cuts == 0 and lp.cut_beta_matrix().shape == (0, 2)
+    # the epigraph is there exactly when a cut row is
+    lp = _lp(None, None)
+    assert (lp.num_vars, lp.num_eq, lp.num_cuts) == (2, 1, 0)
+    assert not lp.has_epigraph and lp.cut_beta_matrix().shape == (0, 2)
+    assert _lp(np.zeros((1, 2)), np.zeros(1)).has_epigraph
 
 
 def _pool_of_three():
