@@ -27,7 +27,7 @@ from .models import (
 )
 from .oracle import exact_recourse, extensive_form
 from .portfolio import PortfolioSpec, TransactionCosts, generate_instance
-from .schedules import ErrorBudget, ScheduleMode, ScheduleSpec, abs_err, rel_err
+from .schedules import ErrorBudget, ScheduleMode, ScheduleSpec, rel_err
 from .sddp_engine import (
     backward_pass_sddp,
     evaluate_policy,
@@ -56,7 +56,6 @@ __all__ = [
     "StochasticModel",
     "StochasticStageModel",
     "TransactionCosts",
-    "abs_err",
     "backward_pass",
     "backward_pass_sddp",
     "build_middle_cut",

@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -46,19 +45,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-@dataclass
-class RunConfig:
-    algorithm: str
-    schedule: ScheduleSpec
-    n_paths: int
-    gap_tol: float
-    max_iter: int
-    seed: int
-    instance: str
-    out: str            # run CSV; the summary JSON goes next to it
-    tol: float
 
 
 def _build_parser() -> _Parser:
@@ -143,56 +129,42 @@ def _single_instance(args) -> str:
     return paths[0]
 
 
-def _config_from_args(args, algorithm: str, schedule: ScheduleSpec, out: str) -> RunConfig:
+def _check_run_flags(args, algorithm: str) -> None:
     if args.max_iter < 1:
         raise UsageError(f"--max-iter must be at least 1, got {args.max_iter}")
     if algorithm in ("ddp", "iddp") and args.paths != 1:
         raise UsageError(f"--algo {algorithm} follows one path, got --paths {args.paths}")
-    return RunConfig(
-        algorithm=algorithm, schedule=schedule, n_paths=args.paths,
-        gap_tol=args.gap_tol, max_iter=args.max_iter, seed=args.seed,
-        instance=_single_instance(args), out=out, tol=args.tol,
-    )
 
 
-def _run_config(config: RunConfig, model: StochasticModel) -> RunLog:
-    if config.algorithm in ("ddp", "iddp"):
-        log = run_iddp(model, config.schedule, tol=config.tol, max_iter=config.max_iter)
-    else:
-        log = run_isddp(
-            model,
-            config.schedule,
-            n_paths=config.n_paths,
-            gap_tol=config.gap_tol,
-            max_iter=config.max_iter,
-            seed=config.seed,
-        )
-    log.algorithm = config.algorithm
-    return log
-
-
-def _solve_to_files(config: RunConfig, model: StochasticModel) -> tuple[RunLog, dict]:
-    """Run one config, then write its CSV and, next to it, its summary JSON.
+def _solve_to_files(
+    args, algorithm: str, schedule: ScheduleSpec, out: str, model: StochasticModel
+) -> tuple[RunLog, dict]:
+    """Run one algorithm with the run flags of ``args``, then write its CSV
+    to ``out`` and, next to it, its summary JSON.
 
     A solver fault writes the completed iterations' CSV and re-raises.
     """
     try:
-        log = _run_config(config, model)
+        if algorithm in ("ddp", "iddp"):
+            log = run_iddp(model, schedule, tol=args.tol, max_iter=args.max_iter)
+        else:
+            log = run_isddp(model, schedule, n_paths=args.paths, gap_tol=args.gap_tol,
+                            max_iter=args.max_iter, seed=args.seed)
     except (StageSolveError, LpError) as exc:
         partial = getattr(exc, "partial_log", None)
         if partial is not None:
-            partial.algorithm = config.algorithm
-            partial.write_csv(config.out)
+            partial.algorithm = algorithm
+            partial.write_csv(out)
         raise
-    log.write_csv(config.out)
-    summary = dict(log.summary(), instance=config.instance, csv=config.out)
-    with open(os.path.splitext(config.out)[0] + ".summary.json", "w") as fh:
+    log.algorithm = algorithm
+    log.write_csv(out)
+    summary = dict(log.summary(), instance=args.instance[0], csv=out)
+    with open(os.path.splitext(out)[0] + ".summary.json", "w") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True)
     return log, summary
 
 
 def cmd_gen(args) -> int:
-    mode = pf.ReturnModel.FROM_FILE if args.returns_csv else pf.ReturnModel.SYNTHETIC
     spec = pf.PortfolioSpec(
         T=args.T,
         n=args.n,
@@ -200,7 +172,6 @@ def cmd_gen(args) -> int:
         risk_free_return=args.risk_free,
         u=args.u,
         seed=args.seed,
-        return_model=mode,
         returns_path=args.returns_csv,
     )
     model = pf.generate_instance(spec)
@@ -222,10 +193,11 @@ def cmd_gen(args) -> int:
 def cmd_solve(args) -> int:
     instance = _single_instance(args)
     out = args.out or (os.path.splitext(instance)[0] + ".runlog.csv")
-    config = _config_from_args(args, args.algo, _schedule_from_args(args), out)
+    schedule = _schedule_from_args(args)
+    _check_run_flags(args, args.algo)
     model = load_model(instance)
     try:
-        _log, summary = _solve_to_files(config, model)
+        _log, summary = _solve_to_files(args, args.algo, schedule, out, model)
     except (StageSolveError, LpError) as exc:
         print(f"solver fault: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -244,15 +216,15 @@ def cmd_compare(args) -> int:
     model = load_model(instance)
     out_csv = args.out or (os.path.splitext(instance)[0] + ".compare.csv")
     out_dir = os.path.dirname(out_csv)
+    _check_run_flags(args, "isddp")
     runs: dict[str, RunLog] = {}
     try:
         for name in names:
             if name in runs:
                 continue  # identical config: reuse the run
-            config = _config_from_args(
-                args, "isddp", PRESETS[name], os.path.join(out_dir, f"{name}.csv")
+            runs[name], _summary = _solve_to_files(
+                args, "isddp", PRESETS[name], os.path.join(out_dir, f"{name}.csv"), model
             )
-            runs[name], _summary = _solve_to_files(config, model)
     except (StageSolveError, LpError) as exc:
         print(f"solver fault: {exc}", file=sys.stderr)
         return EXIT_SOLVER

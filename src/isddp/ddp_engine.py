@@ -9,17 +9,14 @@ upper bound, and the run stops on the absolute gap ``Ub - Lb <= tol``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .cuts import CutPool
 from .models import RunLog, StochasticModel
 from .schedules import ErrorBudget, ScheduleSpec
 from .sddp_engine import (
-    SamplePath,
     SddpBackwardResult,
+    SddpForwardResult,
     backward_pass_sddp,
     forward_pass_sddp,
     iterate,
@@ -32,25 +29,16 @@ from .cuts import build_middle_cut, build_terminal_cut  # noqa: F401
 from .stage_solver import solve_backward_stage, solve_forward_stage, stage_value_exact  # noqa: F401
 
 
-@dataclass
-class ForwardPassResult:
-    trajectory: list[np.ndarray]
-    ub: float
-    stage_values: np.ndarray   # exact optimum of each forward subproblem
-    deltas_resolved: tuple
-
-
 def forward_pass(
     model: StochasticModel,
     pools: dict[int, CutPool],
     deltas: Sequence[ErrorBudget],
-) -> ForwardPassResult:
-    """Simulate the current policy; returns the trajectory and its cost."""
-    path = SamplePath(indices=(0,) * (model.horizon - 1), iteration=0, path_id=0)
-    fwd = forward_pass_sddp(model, pools, [path], deltas)
-    return ForwardPassResult(
-        fwd.trajectories[0], float(fwd.cost_samples[0]), fwd.stage_values[0], fwd.deltas_resolved
-    )
+) -> SddpForwardResult:
+    """Simulate the current policy along the chain's one path.
+
+    The result holds one trajectory; its cost is the exact upper bound.
+    """
+    return forward_pass_sddp(model, pools, [(0,) * (model.horizon - 1)], deltas)
 
 
 def backward_pass(

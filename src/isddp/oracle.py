@@ -123,8 +123,11 @@ def exact_recourse(model: StochasticModel, t: int, x: np.ndarray) -> float:
         return 0.0
     if not (1 <= t <= T):
         raise ValueError(f"stage must be in 1..{T + 1}, got {t}")
-    _check_guard(model, t)
     x = np.asarray(x, dtype=float)
+    dim = model.stage(t).state_dim
+    if x.shape != (dim,):
+        raise ValueError(f"stage {t} takes a state of length {dim}, got shape {x.shape}")
+    _check_guard(model, t)
     lp = _assemble_tree_lp(model, t, x)
     sol = solve_exact(lp)
     if sol.status is not SolveStatus.OPTIMAL:

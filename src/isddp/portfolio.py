@@ -9,13 +9,14 @@ current total wealth.  The objective minimizes the mean loss, i.e. the
 negative expected final wealth.
 
 Returns are synthetic seeded lognormal draws by default (drift and
-volatility per asset), or read from a CSV of realizations.
+volatility per asset), or read from a CSV of realizations.  Either way they
+are one ``(1 + (T-1)*M, n+1)`` array of gross returns laid out as the CSV:
+row 0 is stage 1's, then M rows per stage 2..T, with the cash column last.
 """
 
 from __future__ import annotations
 
 import csv
-import enum
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,20 +29,22 @@ class PortfolioSpecError(ValueError):
     pass
 
 
-class ReturnModel(str, enum.Enum):
-    SYNTHETIC = "synthetic"
-    FROM_FILE = "from_file"
-
-
 @dataclass(frozen=True)
 class PortfolioSpec:
+    """One benchmark instance: T stages, n risky assets plus cash, M return
+    realizations per stage 2..T and a position limit u.
+
+    ``returns_path`` names a CSV of return realizations (``load_returns_csv``);
+    without one the returns are synthetic draws from ``seed``.  The seed
+    draws the transaction costs and the initial holdings in both cases.
+    """
+
     T: int
     n: int
     M: int = 10
     risk_free_return: float = 0.004
     u: float = 1.0
     seed: int = 0
-    return_model: ReturnModel = ReturnModel.SYNTHETIC
     returns_path: Optional[str] = None
 
     def __post_init__(self):
@@ -49,8 +52,6 @@ class PortfolioSpec:
             raise PortfolioSpecError("need T >= 2, n >= 1, M >= 1")
         if not (0.0 < self.u <= 1.0):
             raise PortfolioSpecError("position limit u must lie in (0, 1]")
-        if self.return_model is ReturnModel.FROM_FILE and not self.returns_path:
-            raise PortfolioSpecError("FROM_FILE mode needs returns_path")
 
 
 @dataclass(frozen=True)
@@ -68,46 +69,29 @@ def sample_transaction_costs(spec: PortfolioSpec, rng: np.random.Generator) -> T
     return TransactionCosts(nu=costs.copy(), mu_cost=costs.copy())
 
 
-@dataclass
-class PortfolioReturns:
-    """Gross return vectors: one for stage 1, M per stage 2..T (cash last)."""
-
-    stage1: np.ndarray               # (n+1,)
-    stages: list[np.ndarray]         # each (M, n+1)
-
-
-def sample_synthetic_returns(spec: PortfolioSpec, rng: Optional[np.random.Generator] = None) -> PortfolioReturns:
+def sample_synthetic_returns(spec: PortfolioSpec, rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """Seeded lognormal gross returns with per-asset drift and volatility.
 
     Drifts are uniform in [0.2%, 1.2%] monthly, volatilities in [3%, 8%];
     the lognormal location is set so the mean gross return is exactly
     1 + drift.  The cash return is fixed.
     """
-    if spec.return_model is not ReturnModel.SYNTHETIC:
-        raise PortfolioSpecError("sample_synthetic_returns needs SYNTHETIC mode")
     if rng is None:
         rng = np.random.default_rng(spec.seed)
     drift = rng.uniform(0.002, 0.012, size=spec.n)
     vol = rng.uniform(0.03, 0.08, size=spec.n)
     loc = np.log1p(drift) - 0.5 * vol**2
-    rf = 1.0 + spec.risk_free_return
-
-    def draw(count: int) -> np.ndarray:
-        z = rng.standard_normal(size=(count, spec.n))
-        gross = np.exp(loc + vol * z)
-        return np.column_stack([gross, np.full(count, rf)])
-
-    stage1 = draw(1)[0]
-    stages = [draw(spec.M) for _ in range(spec.T - 1)]
-    return PortfolioReturns(stage1=stage1, stages=stages)
+    z = rng.standard_normal(size=(1 + (spec.T - 1) * spec.M, spec.n))
+    gross = np.exp(loc + vol * z)
+    return np.column_stack([gross, np.full(len(gross), 1.0 + spec.risk_free_return)])
 
 
-def load_returns_csv(spec: PortfolioSpec) -> PortfolioReturns:
+def load_returns_csv(spec: PortfolioSpec) -> np.ndarray:
     """CSV rows are realizations (columns = risky assets, no header).
 
     Row 0 is the deterministic stage-1 return vector; rows 1..M cover stage
-    2, the next M rows stage 3, and so on.  The cash return column is
-    appended from ``spec.risk_free_return``.
+    2, the next M rows stage 3, and so on; rows beyond those are ignored.
+    The cash return column is appended from ``spec.risk_free_return``.
     """
     with open(spec.returns_path) as fh:
         rows = [
@@ -123,13 +107,7 @@ def load_returns_csv(spec: PortfolioSpec) -> PortfolioReturns:
         raise PortfolioSpecError(
             f"returns file has {mat.shape[1]} columns, expected n={spec.n}"
         )
-    rf = 1.0 + spec.risk_free_return
-    with_cash = np.column_stack([mat, np.full(mat.shape[0], rf)])
-    stage1 = with_cash[0]
-    stages = [
-        with_cash[1 + i * spec.M : 1 + (i + 1) * spec.M] for i in range(spec.T - 1)
-    ]
-    return PortfolioReturns(stage1=stage1, stages=stages)
+    return np.column_stack([mat[:need], np.full(need, 1.0 + spec.risk_free_return)])
 
 
 def _stage_matrices(
@@ -184,35 +162,32 @@ def generate_instance(
     rng = np.random.default_rng(spec.seed)
     sampled_costs = sample_transaction_costs(spec, rng)
     x0 = rng.uniform(0.0, 10.0, size=spec.n + 1)
-    if spec.return_model is ReturnModel.SYNTHETIC:
+    if spec.returns_path is None:
         returns = sample_synthetic_returns(spec, rng)
     else:
         returns = load_returns_csv(spec)
     if costs is None:
         costs = sampled_costs
 
-    n, T = spec.n, spec.T
+    n, T, M = spec.n, spec.T, spec.M
     var_dim = 4 * n + 1
-    stage1 = _stage_matrices(
-        returns.stage1, costs, spec.u, state_dim=n + 1, terminal=(T == 1)
-    )
+    stage1 = _stage_matrices(returns[0], costs, spec.u, state_dim=n + 1, terminal=(T == 1))
     stages = []
     for t in range(2, T + 1):
         mats = [
             _stage_matrices(
-                returns.stages[t - 2][j], costs, spec.u,
+                returns[1 + (t - 2) * M + j], costs, spec.u,
                 state_dim=var_dim, terminal=(t == T),
             )
-            for j in range(spec.M)
+            for j in range(M)
         ]
         stages.append(
-            StochasticStageModel(realizations=mats, probs=np.full(spec.M, 1.0 / spec.M))
+            StochasticStageModel(realizations=mats, probs=np.full(M, 1.0 / M))
         )
 
     # Floors: the cost-to-go entering stage t is at least the negative of the
     # largest wealth reachable anywhere in the horizon, compounded to T.
-    all_returns = np.vstack([returns.stage1[None, :]] + returns.stages)
-    rho_max = float(all_returns.max())
+    rho_max = float(returns.max())
     w_max = float(x0.sum()) * rho_max**T
     floors = np.array([-(rho_max ** (T - t + 1)) * w_max for t in range(2, T + 1)])
     return StochasticModel(stage1=stage1, stages=stages, x0=x0, floors=floors)

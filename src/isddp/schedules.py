@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
 
 
 # Fixed, negligible budget of stage 1, and of every forward stage in the
@@ -71,22 +70,6 @@ def rel_err(t: int, k: int, T: int, spec: ScheduleSpec) -> float:
     return (spec.eps_bar - (spec.eps_bar - spec.eps0) / (T - 2) * (t - 2)) / k
 
 
-def abs_err(
-    t: int,
-    k: int,
-    T: int,
-    spec: ScheduleSpec,
-    prev_backward_value: Optional[float],
-) -> float:
-    """Absolute target: max(1, |value estimate|) times the relative target.
-
-    ``prev_backward_value`` is the previous-pool subproblem value recorded in
-    the current forward pass; with none available the clamp at 1 applies.
-    """
-    ref = 0.0 if prev_backward_value is None else prev_backward_value
-    return ErrorBudget(relative=rel_err(t, k, T, spec)).resolve(ref)
-
-
 @dataclass(frozen=True)
 class ErrorBudget:
     """Per-solve inexactness allowance: absolute part + relative part.
@@ -127,8 +110,8 @@ def backward_budgets(spec: ScheduleSpec, k: int, stage_values) -> list[list[Erro
     """Backward budgets of iteration k: one list per stage 2..T, one budget per path.
 
     ``stage_values`` is the forward pass's ``(n_paths, T)`` array of stage
-    optima; in the absolute mode, path p's budget at stage t takes its value
-    there as the magnitude estimate.
+    optima.  In the absolute mode, path p's budget at stage t is the relative
+    target resolved at its value there, ``rel * max(1, |v|)``, held fixed.
     """
     n_paths, T = stage_values.shape
     out = []
@@ -136,7 +119,8 @@ def backward_budgets(spec: ScheduleSpec, k: int, stage_values) -> list[list[Erro
         if spec.mode is ScheduleMode.RELATIVE:
             row = [ErrorBudget(relative=rel_err(t, k, T, spec))] * n_paths
         elif spec.mode is ScheduleMode.ABSOLUTE:
-            row = [ErrorBudget(absolute=abs_err(t, k, T, spec, v)) for v in stage_values[:, t - 1]]
+            rel = ErrorBudget(relative=rel_err(t, k, T, spec))
+            row = [ErrorBudget(absolute=rel.resolve(v)) for v in stage_values[:, t - 1]]
         else:
             row = [ErrorBudget(absolute=spec.eps_bar)] * n_paths
         out.append(row)

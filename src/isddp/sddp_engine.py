@@ -69,15 +69,6 @@ def relative_gap(ub: float, lb: float) -> float:
     return (ub - lb) / max(abs(ub), 1e-6)
 
 
-@dataclass(frozen=True)
-class SamplePath:
-    """Realization indices for stages 2..T plus the seed lineage that drew them."""
-
-    indices: tuple[int, ...]
-    iteration: int
-    path_id: int
-
-
 def _path_rng(seed: int, iteration: int, path_id: int, stream: int = 0) -> np.random.Generator:
     bits = np.random.Philox(
         key=np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
@@ -88,8 +79,12 @@ def _path_rng(seed: int, iteration: int, path_id: int, stream: int = 0) -> np.ra
 
 def sample_paths(
     model: StochasticModel, n: int, iteration: int, seed: int, *, stream: int = 0
-) -> list[SamplePath]:
-    """N independent scenario paths; deterministic given (seed, iteration, stream)."""
+) -> list[tuple[int, ...]]:
+    """N independent scenario paths; deterministic given (seed, iteration, stream).
+
+    A path is its realization indices for stages 2..T; path p is drawn from
+    its own counter ``(seed, iteration, p, stream)``.
+    """
     if n < 1:
         raise ValueError("need at least one path")
     cum = [np.cumsum(st.probs) for st in model.stages]
@@ -97,10 +92,9 @@ def sample_paths(
     for p in range(n):
         rng = _path_rng(seed, iteration, p, stream)
         u = rng.random(len(model.stages))
-        idx = tuple(
+        paths.append(tuple(
             min(int(np.searchsorted(c, ui, side="right")), len(c) - 1) for c, ui in zip(cum, u)
-        )
-        paths.append(SamplePath(indices=idx, iteration=iteration, path_id=p))
+        ))
     return paths
 
 
@@ -115,14 +109,15 @@ class SddpForwardResult:
 def forward_pass_sddp(
     model: StochasticModel,
     pools: dict[int, CutPool],
-    paths: Sequence[SamplePath],
+    paths: Sequence[tuple[int, ...]],
     deltas: Sequence[ErrorBudget],
 ) -> SddpForwardResult:
     """Simulate the current policy along each sampled path.
 
-    ``deltas`` has one budget per stage 1..T.  Every path of a pass uses the
-    same budget per stage, so paths that meet at one (stage, state) read one
-    solve from the pool memo.
+    A path holds one realization index per stage 2..T, as ``sample_paths``
+    draws it.  ``deltas`` has one budget per stage 1..T.  Every path of a
+    pass uses the same budget per stage, so paths that meet at one (stage,
+    state) read one solve from the pool memo.
     """
     T = model.horizon
     if len(deltas) != T:
@@ -134,7 +129,7 @@ def forward_pass_sddp(
     for p, path in enumerate(paths):
         x_prev = model.x0
         traj: list[np.ndarray] = []
-        indices = (0, *path.indices)  # stage 1 has one realization
+        indices = (0, *path)  # stage 1 has one realization
         for t in range(1, T + 1):
             stage = model.stage(t, indices[t - 1])
             res = solve_forward_stage(stage, x_prev, pools[t + 1], deltas[t - 1], t=t, path=p)

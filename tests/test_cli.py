@@ -343,6 +343,18 @@ class TestOracleCmd:
         ref = oracle.exact_recourse(toy_sto_t3_m2(), 3, np.array([1.0, 0.5, 0.0]))
         assert out["recourse"] == pytest.approx(ref)
 
+    def test_state_of_the_wrong_length_names_stage_and_length(self, tmp_path, capsys):
+        # a T=40, n=6 chain: stage 2 takes the 25 stage-1 variables
+        path = str(tmp_path / "chain.json")
+        argv = ["gen", "--T", "40", "--n", "6", "--M", "1", "--seed", "2024", "--out", path]
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        rc = main(["oracle", "--instance", path, "--stage", "2", "--state", "1,2"])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "stage 2" in err and "25" in err
+        assert "matmul" not in err
+
     def test_oversized_tree_exits_three(self, tmp_path, capsys):
         from isddp.models import StochasticModel, StochasticStageModel
         from isddp.toys import toy_sto_t3_m2

@@ -26,15 +26,15 @@ class TestForwardPass:
     def test_single_forced_stage(self):
         m = single_stage_model(c=2.5)
         res = forward_pass(m, make_pools(m), deltas=[ErrorBudget()])
-        assert res.trajectory[0] == pytest.approx([1.0])
-        assert res.ub == pytest.approx(2.5)
+        assert res.trajectories[0][0] == pytest.approx([1.0])
+        assert res.cost_samples[0] == pytest.approx(2.5)
 
     def test_converged_pools_reach_optimum(self):
         m = toy_det_t3()
         pools = make_pools(m)
         run_iddp(m, EXACT_SCHEDULE, tol=1e-9, max_iter=50, initial_pools=pools)
         res = forward_pass(m, pools, deltas=[ErrorBudget()] * m.horizon)
-        assert res.ub == pytest.approx(oracle.extensive_form(m), abs=1e-7)
+        assert res.cost_samples[0] == pytest.approx(oracle.extensive_form(m), abs=1e-7)
 
     def test_ub_never_below_optimum(self):
         m = toy_det_t3()
@@ -42,7 +42,7 @@ class TestForwardPass:
         pools = make_pools(m)
         for delta in (0.0, 0.1):
             res = forward_pass(m, pools, deltas=[ErrorBudget(absolute=delta)] * m.horizon)
-            assert res.ub >= v - 1e-7
+            assert res.cost_samples[0] >= v - 1e-7
 
     def test_suboptimal_ub_within_accumulated_slack(self):
         # with converged pools, the forward cost exceeds the optimum by at
@@ -52,7 +52,7 @@ class TestForwardPass:
         pools = make_pools(m)
         run_iddp(m, EXACT_SCHEDULE, tol=1e-9, max_iter=50, initial_pools=pools)
         res = forward_pass(m, pools, deltas=[ErrorBudget(absolute=0.1)] * m.horizon)
-        assert v - 1e-7 <= res.ub <= v + sum(res.deltas_resolved) + 1e-7
+        assert v - 1e-7 <= res.cost_samples[0] <= v + sum(res.deltas_resolved) + 1e-7
 
     def test_stage_values_match_pool_evaluation(self):
         # recorded forward optima replay as stage cost plus pool value
@@ -61,9 +61,9 @@ class TestForwardPass:
         run_iddp(m, EXACT_SCHEDULE, tol=1e-9, max_iter=50, initial_pools=pools)
         res = forward_pass(m, pools, deltas=[ErrorBudget()] * m.horizon)
         for t in range(1, m.horizon + 1):
-            x = res.trajectory[t - 1]
+            x = res.trajectories[0][t - 1]
             replay = float(m.stage(t).c @ x) + pools[t + 1].evaluate(x)
-            assert replay == pytest.approx(res.stage_values[t - 1], abs=1e-8)
+            assert replay == pytest.approx(res.stage_values[0, t - 1], abs=1e-8)
 
     def test_infeasible_names_stage(self):
         stage1 = StageModel(A=[[1.0]], B=[[0.0]], b=[1.0], c=[0.0])
@@ -91,9 +91,9 @@ class TestBackwardPass:
         m = toy_det_t2()
         pools = make_pools(m)
         fwd = forward_pass(m, pools, deltas=[ErrorBudget()] * 2)
-        bwd = backward_pass(m, pools, fwd.trajectory, epsilons=[ErrorBudget()], iteration=1)
+        bwd = backward_pass(m, pools, fwd.trajectories[0], epsilons=[ErrorBudget()], iteration=1)
         cut = bwd.new_cuts[0]
-        x1 = fwd.trajectory[0]
+        x1 = fwd.trajectories[0][0]
         # exact backward subproblem value at the trial point
         from isddp.stage_solver import stage_value_exact
 
@@ -105,10 +105,10 @@ class TestBackwardPass:
         eps = 0.2
         pools = make_pools(m)
         fwd = forward_pass(m, pools, deltas=[ErrorBudget()] * 2)
-        bwd = backward_pass(m, pools, fwd.trajectory, epsilons=[ErrorBudget(absolute=eps)],
+        bwd = backward_pass(m, pools, fwd.trajectories[0], epsilons=[ErrorBudget(absolute=eps)],
                             iteration=1)
         cut = bwd.new_cuts[0]
-        x1 = fwd.trajectory[0]
+        x1 = fwd.trajectories[0][0]
         exact = oracle.exact_recourse(m, 2, x1)
         gap = exact - cut.value(x1)
         assert -1e-8 <= gap <= eps + 1e-8
@@ -169,4 +169,4 @@ class TestRunIddp:
         m = toy_det_t2()
         pools = make_pools(m)
         res = forward_pass(m, pools, deltas=[ErrorBudget(absolute=1e-12), ErrorBudget(relative=0.05)])
-        assert len(res.trajectory) == 2
+        assert len(res.trajectories[0]) == 2

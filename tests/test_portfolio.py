@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from isddp.models import model_from_json, model_to_json
 from isddp.portfolio import (
     PortfolioSpec,
     PortfolioSpecError,
-    ReturnModel,
     TransactionCosts,
     generate_instance,
     load_returns_csv,
@@ -34,10 +34,6 @@ class TestSpecValidation:
         with pytest.raises(PortfolioSpecError):
             PortfolioSpec(T=3, n=2, u=0.0)
 
-    def test_from_file_needs_path(self):
-        with pytest.raises(PortfolioSpecError):
-            PortfolioSpec(T=3, n=2, return_model=ReturnModel.FROM_FILE)
-
 
 class TestTransactionCosts:
     def test_range(self, rng):
@@ -52,11 +48,9 @@ class TestSyntheticReturns:
     def test_positive_gross_returns(self):
         spec = PortfolioSpec(T=6, n=4, M=10, seed=1)
         rets = sample_synthetic_returns(spec)
-        assert np.all(rets.stage1 > 0)
-        for stage in rets.stages:
-            assert stage.shape == (10, 5)
-            assert np.all(stage > 0)
-            assert np.all(stage[:, -1] == 1.004)
+        assert rets.shape == (1 + 5 * 10, 5)
+        assert np.all(rets > 0)
+        assert np.all(rets[:, -1] == 1.004)
 
     def test_mean_matches_configured_drift(self):
         # replicate the generator's parameterization for one asset and check
@@ -74,22 +68,45 @@ class TestFromFile:
         path = tmp_path / "rets.csv"
         rows = [[1.01, 0.99]] + [[1.0 + 0.01 * j, 1.0 - 0.005 * j] for j in range(4)]
         write_returns(path, rows)
-        spec = PortfolioSpec(
-            T=3, n=2, M=2, seed=0, return_model=ReturnModel.FROM_FILE, returns_path=str(path)
-        )
+        spec = PortfolioSpec(T=3, n=2, M=2, seed=0, returns_path=str(path))
         rets = load_returns_csv(spec)
-        assert rets.stage1[:2] == pytest.approx(rows[0])
-        assert np.allclose(rets.stages[0][:, :2], rows[1:3])
-        assert np.allclose(rets.stages[1][:, :2], rows[3:5])
+        assert np.array_equal(rets[:, :2], rows)
+        assert np.all(rets[:, 2] == 1.004)
 
     def test_short_file_rejected(self, tmp_path):
         path = tmp_path / "rets.csv"
         write_returns(path, [[1.0, 1.0]] * 3)
-        spec = PortfolioSpec(
-            T=4, n=2, M=3, seed=0, return_model=ReturnModel.FROM_FILE, returns_path=str(path)
-        )
+        spec = PortfolioSpec(T=4, n=2, M=3, seed=0, returns_path=str(path))
         with pytest.raises(PortfolioSpecError):
             load_returns_csv(spec)
+
+    def test_path_alone_builds_the_stages_from_the_file(self, tmp_path):
+        # stage 1 takes row 0, stage t realization j row 1 + (t-2)*M + j;
+        # the coupling matrix carries minus the gross returns, cash last
+        path = tmp_path / "rets.csv"
+        rows = [[1.01, 0.99]] + [[1.0 + 0.01 * j, 1.0 - 0.005 * j] for j in range(4)]
+        write_returns(path, rows)
+        m = generate_instance(PortfolioSpec(T=3, n=2, M=2, seed=0, returns_path=str(path)))
+        assert np.array_equal(-np.diag(m.stage1.B), rows[0] + [1.004])
+        for t in (2, 3):
+            for j in range(2):
+                B = m.stage(t, j).B
+                assert np.array_equal(-np.diag(B[:3, :3]), rows[1 + (t - 2) * 2 + j] + [1.004])
+
+    def test_rows_beyond_the_horizon_are_ignored(self, tmp_path):
+        # rows 5 and 6 hold the largest returns; they reach neither a stage
+        # nor the floors.  The digest pins the generated model byte for byte.
+        rows = [[1.0 + 0.01 * j, 1.0 - 0.005 * j] for j in range(7)]
+        long_path, short_path = tmp_path / "long.csv", tmp_path / "short.csv"
+        write_returns(long_path, rows)
+        write_returns(short_path, rows[:5])
+        text = model_to_json(generate_instance(
+            PortfolioSpec(T=3, n=2, M=2, seed=0, returns_path=str(long_path))))
+        assert text == model_to_json(generate_instance(
+            PortfolioSpec(T=3, n=2, M=2, seed=0, returns_path=str(short_path))))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "1598759ab4f0c77328488258475d14a78b00c0e5b65f5b4ae84ac54a8c0955c1"
+        )
 
 
 class TestGenerateInstance:
@@ -106,7 +123,7 @@ class TestGenerateInstance:
         write_returns(path, [[1.0]] * 3)
         spec = PortfolioSpec(
             T=3, n=1, M=1, seed=2, risk_free_return=0.0,
-            return_model=ReturnModel.FROM_FILE, returns_path=str(path),
+            returns_path=str(path),
         )
         zero = TransactionCosts(nu=np.zeros(1), mu_cost=np.zeros(1))
         m = generate_instance(spec, costs=zero)
@@ -117,7 +134,7 @@ class TestGenerateInstance:
         write_returns(path, [[1.1]] * 3)
         spec = PortfolioSpec(
             T=3, n=1, M=1, seed=2,
-            return_model=ReturnModel.FROM_FILE, returns_path=str(path),
+            returns_path=str(path),
         )
         zero = TransactionCosts(nu=np.zeros(1), mu_cost=np.zeros(1))
         m = generate_instance(spec, costs=zero)

@@ -8,7 +8,6 @@ from isddp.schedules import (
     ScheduleError,
     ScheduleMode,
     ScheduleSpec,
-    abs_err,
     backward_budgets,
     forward_budgets,
     rel_err,
@@ -39,18 +38,26 @@ class TestRelErr:
 
 
 class TestAbsErr:
+    # In the absolute mode, path p's stage-2 budget is rel * max(1, |v|) at
+    # its stage-2 value v, held as an absolute budget.
     def test_magnitude_scaling(self):
-        s = spec()
+        s = spec(mode=ScheduleMode.ABSOLUTE)
         r = rel_err(2, 10, 6, s)
         assert r == pytest.approx(0.01, abs=1e-13)
-        assert abs_err(2, 10, 6, s, -3.2) == pytest.approx(0.032, abs=1e-12)
+        values = np.zeros((1, 6))
+        values[0, 1] = -3.2
+        (b,) = backward_budgets(s, 10, values)[0]
+        assert b.relative == 0.0
+        assert b.absolute == pytest.approx(0.032, abs=1e-12)
 
     def test_clamp_at_one(self):
-        s = spec()
+        s = spec(mode=ScheduleMode.ABSOLUTE)
         r = rel_err(2, 10, 6, s)
-        assert abs_err(2, 10, 6, s, 0.5) == pytest.approx(r)
-        assert abs_err(2, 10, 6, s, 0.0) == pytest.approx(r)
-        assert abs_err(2, 10, 6, s, None) == pytest.approx(r)
+        values = np.zeros((3, 6))
+        values[:, 1] = [0.5, 0.0, -1.0]
+        row = backward_budgets(s, 10, values)[0]
+        assert [b.relative for b in row] == [0.0] * 3
+        assert [b.absolute for b in row] == pytest.approx([r, r, r])
 
 
 @given(

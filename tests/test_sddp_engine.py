@@ -19,7 +19,6 @@ from isddp.schedules import (
     forward_budgets,
 )
 from isddp.sddp_engine import (
-    SamplePath,
     backward_pass_sddp,
     evaluate_policy,
     forward_pass_sddp,
@@ -38,25 +37,32 @@ class TestSamplePaths:
     def test_degenerate_distribution(self):
         det = toy_det_t3()
         paths = sample_paths(det, 7, iteration=2, seed=0)
-        assert all(p.indices == (0, 0) for p in paths)
+        assert paths == [(0, 0)] * 7
 
     def test_marginal_frequencies(self):
         m = toy_sto_t3_m2()  # stage-2 probs (0.6, 0.4)
         paths = sample_paths(m, 10000, iteration=1, seed=7)
-        freq = np.mean([p.indices[0] == 0 for p in paths])
+        freq = np.mean([p[0] == 0 for p in paths])
         assert abs(freq - 0.6) < 0.02
 
     def test_determinism(self):
         m = toy_sto_t4_m3()
         a = sample_paths(m, 20, iteration=5, seed=31)
         b = sample_paths(m, 20, iteration=5, seed=31)
-        assert [p.indices for p in a] == [p.indices for p in b]
+        assert a == b
 
     def test_iterations_differ(self):
         m = toy_sto_t4_m3()
         a = sample_paths(m, 20, iteration=1, seed=31)
         b = sample_paths(m, 20, iteration=2, seed=31)
-        assert [p.indices for p in a] != [p.indices for p in b]
+        assert a != b
+
+    def test_draws_are_pinned(self):
+        # the counter-based streams, and how a draw maps to an index, are
+        # part of every recorded run
+        assert sample_paths(toy_sto_t4_m3(), 3, iteration=2, seed=5) == [
+            (2, 2, 1), (1, 1, 0), (1, 0, 1)
+        ]
 
 
 class TestForwardPassSddp:
@@ -69,8 +75,8 @@ class TestForwardPassSddp:
         fd = forward_pass(det, pools_d, deltas=[ErrorBudget()] * 3)
         paths = sample_paths(det, 1, iteration=1, seed=0)
         fs = forward_pass_sddp(det, pools_s, paths, deltas=[ErrorBudget()] * 3)
-        assert fs.cost_samples[0] == pytest.approx(fd.ub)
-        for a, b in zip(fd.trajectory, fs.trajectories[0]):
+        assert fs.cost_samples[0] == pytest.approx(fd.cost_samples[0])
+        for a, b in zip(fd.trajectories[0], fs.trajectories[0]):
             assert np.allclose(a, b)
 
     def test_mean_cost_at_convergence(self):
@@ -79,13 +85,10 @@ class TestForwardPassSddp:
         run_isddp(m, EXACT_SCHEDULE, n_paths=8, gap_tol=1e-9, max_iter=80,
                   seed=3, initial_pools=pools)
         # enumerate all 4 scenarios by hand through forced paths
-        from isddp.sddp_engine import SamplePath
-
         total = 0.0
         for i, pi in enumerate(m.stages[0].probs):
             for j, pj in enumerate(m.stages[1].probs):
-                path = SamplePath(indices=(i, j), iteration=0, path_id=0)
-                res = forward_pass_sddp(m, pools, [path], deltas=[ErrorBudget()] * 3)
+                res = forward_pass_sddp(m, pools, [(i, j)], deltas=[ErrorBudget()] * 3)
                 total += float(pi * pj) * res.cost_samples[0]
         assert total == pytest.approx(oracle.extensive_form(m), abs=1e-6)
 
@@ -93,8 +96,7 @@ class TestForwardPassSddp:
         # stage 3's optimum is -11.943 on path 0 and -6.46 on path 1, so a
         # relative budget resolves to a larger delta on the first path
         m = toy_sto_t3_m2()
-        paths = [SamplePath(indices=idx, iteration=0, path_id=p)
-                 for p, idx in enumerate([(1, 0), (0, 0)])]
+        paths = [(1, 0), (0, 0)]
         budget = ErrorBudget(relative=0.1)
         res = forward_pass_sddp(m, make_pools(m), paths, [budget] * 3)
         per_path = [[budget.resolve(v) for v in row] for row in res.stage_values]
@@ -122,7 +124,7 @@ class TestBackwardPassSddp:
         from isddp.ddp_engine import backward_pass, forward_pass
 
         fd = forward_pass(det, pools_d, deltas=[ErrorBudget()] * 3)
-        bd = backward_pass(det, pools_d, fd.trajectory, epsilons=[ErrorBudget()] * 2, iteration=1)
+        bd = backward_pass(det, pools_d, fd.trajectories[0], epsilons=[ErrorBudget()] * 2, iteration=1)
         paths = sample_paths(det, 1, iteration=1, seed=0)
         fs = forward_pass_sddp(det, pools_s, paths, deltas=[ErrorBudget()] * 3)
         bs = backward_pass_sddp(det, pools_s, fs.trajectories, epsilons=[[ErrorBudget()]] * 2,
