@@ -196,11 +196,7 @@ def cmd_solve(args) -> int:
     schedule = _schedule_from_args(args)
     _check_run_flags(args, args.algo)
     model = load_model(instance)
-    try:
-        _log, summary = _solve_to_files(args, args.algo, schedule, out, model)
-    except (StageSolveError, LpError) as exc:
-        print(f"solver fault: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    _log, summary = _solve_to_files(args, args.algo, schedule, out, model)
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 
@@ -218,16 +214,12 @@ def cmd_compare(args) -> int:
     out_dir = os.path.dirname(out_csv)
     _check_run_flags(args, "isddp")
     runs: dict[str, RunLog] = {}
-    try:
-        for name in names:
-            if name in runs:
-                continue  # identical config: reuse the run
-            runs[name], _summary = _solve_to_files(
-                args, "isddp", PRESETS[name], os.path.join(out_dir, f"{name}.csv"), model
-            )
-    except (StageSolveError, LpError) as exc:
-        print(f"solver fault: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    for name in names:
+        if name in runs:
+            continue  # identical config: reuse the run
+        runs[name], _summary = _solve_to_files(
+            args, "isddp", PRESETS[name], os.path.join(out_dir, f"{name}.csv"), model
+        )
 
     base = runs[names[0]]
     base_ms = max(base.total_wall_ms(), 1e-9)
@@ -258,37 +250,30 @@ def cmd_compare(args) -> int:
 
 def cmd_oracle(args) -> int:
     model = load_model(args.instance)
-    try:
-        if args.state is not None or args.stage is not None:
-            if args.state is None or args.stage is None:
-                raise UsageError("cost-to-go queries need both --stage and --state")
-            x = np.asarray([float(v) for v in args.state.split(",")])
-            value = exact_recourse(model, args.stage, x)
-            print(json.dumps({"stage": args.stage, "recourse": value}))
-        else:
-            print(json.dumps({"v_star": extensive_form(model)}))
-    except OracleGuardError as exc:
-        print(f"oracle guard: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except OracleInfeasibleError as exc:
-        print(f"solver fault: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    if args.state is not None or args.stage is not None:
+        if args.state is None or args.stage is None:
+            raise UsageError("cost-to-go queries need both --stage and --state")
+        x = np.asarray([float(v) for v in args.state.split(",")])
+        value = exact_recourse(model, args.stage, x)
+        print(json.dumps({"stage": args.stage, "recourse": value}))
+    else:
+        print(json.dumps({"v_star": extensive_form(model)}))
     return EXIT_OK
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    """Run one command; every fault that leaves it maps to its exit code here."""
+    commands = {"gen": cmd_gen, "solve": cmd_solve, "compare": cmd_compare,
+                "oracle": cmd_oracle}
     try:
-        args = parser.parse_args(argv)
-        if args.command == "gen":
-            return cmd_gen(args)
-        if args.command == "solve":
-            return cmd_solve(args)
-        if args.command == "compare":
-            return cmd_compare(args)
-        if args.command == "oracle":
-            return cmd_oracle(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        args = _build_parser().parse_args(argv)
+        return commands[args.command](args)
+    except (StageSolveError, LpError, OracleInfeasibleError) as exc:
+        print(f"solver fault: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except OracleGuardError as exc:
+        print(f"oracle guard: {exc}", file=sys.stderr)
+        return EXIT_GUARD
     except (UsageError, ValueError, FileNotFoundError) as exc:
         # ValueError covers ModelError, ScheduleError and PortfolioSpecError
         print(f"usage error: {exc}", file=sys.stderr)

@@ -21,6 +21,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .lp_core import DualCertificate
+from .models import StochasticStageModel
 
 
 class CutDimensionError(ValueError):
@@ -173,21 +174,8 @@ class CutPool:
         )
 
 
-def _check_realizations(
-    realizations: Sequence[tuple[np.ndarray, np.ndarray, float]],
-    duals: Sequence[DualCertificate],
-) -> None:
-    if len(realizations) != len(duals):
-        raise CutDimensionError(
-            f"{len(realizations)} realizations but {len(duals)} dual certificates"
-        )
-    total = sum(p for _, _, p in realizations)
-    if abs(total - 1.0) > 1e-9:
-        raise CutDimensionError(f"realization probabilities sum to {total}, not 1")
-
-
 def build_middle_cut(
-    realizations: Sequence[tuple[np.ndarray, np.ndarray, float]],
+    realizations: StochasticStageModel,
     duals: Sequence[DualCertificate],
     next_pool_thetas: np.ndarray,
     *,
@@ -196,40 +184,39 @@ def build_middle_cut(
 ) -> Cut:
     """Probability-weighted cut of a stage from its realizations' certificates.
 
-    Each realization is a ``(b, B, prob)`` triple paired with a dual
-    certificate of the corresponding subproblem, whose ``mu`` carries one
-    weight per entry of ``next_pool_thetas`` (the next pool's intercepts,
-    floor first), in the same order.  The aggregated intercept is
+    ``realizations`` is the stage being cut; ``duals`` holds one certificate
+    per realization, in its order, whose ``mu`` carries one weight per entry
+    of ``next_pool_thetas`` (the next pool's intercepts, floor first), in the
+    same order.  The aggregated intercept is
     ``sum_j p_j (<b_j, lam_j> + <mu_j, next_pool_thetas>)`` and the slope
     ``-sum_j p_j B_j.T lam_j``.  The cut's ``eps_used`` is its certified gap
     at the trial point, ``sum_j p_j eps_certified_j``.  The last stage's next
     pool is the zero pool T+1 (``build_terminal_cut``).
     """
-    _check_realizations(realizations, duals)
+    if realizations.num_realizations != len(duals):
+        raise CutDimensionError(
+            f"{realizations.num_realizations} realizations but {len(duals)} "
+            f"dual certificates"
+        )
     next_pool_thetas = np.asarray(next_pool_thetas, dtype=float)
-    state_dim = np.asarray(realizations[0][1]).shape[1]
     theta = eps = 0.0
-    beta = np.zeros(state_dim)
-    for (b, B, prob), cert in zip(realizations, duals):
-        b = np.asarray(b, dtype=float)
-        B = np.asarray(B, dtype=float)
-        if B.shape[1] != state_dim or b.shape[0] != B.shape[0]:
-            raise CutDimensionError("inconsistent realization dimensions")
-        if cert.lam.shape != (b.shape[0],):
+    beta = np.zeros(realizations.state_dim)
+    for r, prob, cert in zip(realizations.realizations, realizations.probs.tolist(), duals):
+        if cert.lam.shape != r.b.shape:
             raise CutDimensionError("dual lam does not match realization rows")
         if cert.mu.shape != next_pool_thetas.shape:
             raise CutDimensionError(
                 f"dual mu has shape {cert.mu.shape}, next pool has "
                 f"{next_pool_thetas.shape} intercepts"
             )
-        theta += prob * (float(b @ cert.lam) + float(cert.mu @ next_pool_thetas))
-        beta -= prob * (B.T @ cert.lam)
+        theta += prob * (float(r.b @ cert.lam) + float(cert.mu @ next_pool_thetas))
+        beta -= prob * (r.B.T @ cert.lam)
         eps += prob * cert.eps_certified
     return Cut(theta=theta, beta=beta, stage=stage, iteration=iteration, eps_used=eps)
 
 
 def build_terminal_cut(
-    realizations: Sequence[tuple[np.ndarray, np.ndarray, float]],
+    realizations: StochasticStageModel,
     duals: Sequence[DualCertificate],
     **tags,
 ) -> Cut:

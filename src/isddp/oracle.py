@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .lp_core import LinearProgram, SolveStatus, solve_exact
-from .models import StageModel, StochasticModel
+from .models import StochasticModel
 
 # Cap on the kernel's dense tableau, rows x (cols + rows + 1) float64 cells
 # (256 MiB); the tree LP's own matrix is smaller.
@@ -26,27 +26,6 @@ class OracleInfeasibleError(RuntimeError):
     pass
 
 
-def _check_guard(model: StochasticModel, from_stage: int) -> None:
-    """Reject a subtree whose dense tableau would exceed the guard.
-
-    Counted from the tree levels (every realization of a stage shares its
-    dimensions), before anything is allocated.
-    """
-    levels = [(1, model.stage1)] if from_stage == 1 else []
-    nodes = 1
-    for st in model.stages[max(0, from_stage - 2) :]:
-        nodes *= st.num_realizations
-        levels.append((nodes, st.realizations[0]))
-    rows = sum(n * s.num_eq for n, s in levels)
-    cols = sum(n * s.var_dim for n, s in levels)
-    cells = rows * (cols + rows + 1)
-    if cells > TABLEAU_CELL_GUARD:
-        raise OracleGuardError(
-            f"scenario-tree LP is {rows} x {cols}: its tableau needs {cells} "
-            f"dense cells, oracle guard is {TABLEAU_CELL_GUARD}"
-        )
-
-
 def _assemble_tree_lp(
     model: StochasticModel, from_stage: int, state: np.ndarray
 ) -> LinearProgram:
@@ -54,60 +33,49 @@ def _assemble_tree_lp(
 
     ``state`` is the decision vector entering ``from_stage``.  Node costs are
     weighted by path probabilities so the optimal value is the exact expected
-    cost-to-go.
+    cost-to-go.  A subtree whose dense tableau would exceed the guard is
+    rejected from its level sizes (every realization of a stage shares its
+    dimensions), before anything is allocated.
     """
-    T = model.horizon
-    # Nodes per stage: (stage, parent_node_index, realization StageModel, prob).
-    # Stage `from_stage` roots on the fixed state.
-    levels: list[list[tuple[int, StageModel, float]]] = []
+    # (realizations, probabilities) per stage from the root on
+    levels = [(st.realizations, st.probs) for st in model.stages[max(0, from_stage - 2) :]]
     if from_stage == 1:
-        levels.append([(-1, model.stage1, 1.0)])
-        start = 2
-    else:
-        st = model.stages[from_stage - 2]
-        levels.append([(-1, r, float(p)) for r, p in zip(st.realizations, st.probs)])
-        start = from_stage + 1
-    for t in range(start, T + 1):
-        st = model.stages[t - 2]
-        prev = levels[-1]
-        level = []
-        for parent_idx, (_pp, _pm, pprob) in enumerate(prev):
-            for r, p in zip(st.realizations, st.probs):
-                level.append((parent_idx, r, pprob * float(p)))
-        levels.append(level)
+        levels.insert(0, ([model.stage1], [1.0]))
+    nodes, rows, cols = 1, 0, 0
+    for reals, _probs in levels:
+        nodes *= len(reals)
+        rows += nodes * reals[0].num_eq
+        cols += nodes * reals[0].var_dim
+    cells = rows * (cols + rows + 1)
+    if cells > TABLEAU_CELL_GUARD:
+        raise OracleGuardError(
+            f"scenario-tree LP is {rows} x {cols}: its tableau needs {cells} "
+            f"dense cells, oracle guard is {TABLEAU_CELL_GUARD}"
+        )
 
-    # Column/row layout
-
-    col_offsets: list[list[int]] = []
-    row_offsets: list[list[int]] = []
-    ncols = 0
-    nrows = 0
-    for level in levels:
-        cos, ros = [], []
-        for _parent, stage, _prob in level:
-            cos.append(ncols)
-            ros.append(nrows)
-            ncols += stage.var_dim
-            nrows += stage.num_eq
-        col_offsets.append(cos)
-        row_offsets.append(ros)
-
-    A = np.zeros((nrows, ncols))
-    rhs = np.zeros(nrows)
-    cost = np.zeros(ncols)
-    for li, level in enumerate(levels):
-        for ni, (parent, stage, prob) in enumerate(level):
-            r0 = row_offsets[li][ni]
-            c0 = col_offsets[li][ni]
-            A[r0 : r0 + stage.num_eq, c0 : c0 + stage.var_dim] = stage.A
-            cost[c0 : c0 + stage.var_dim] = prob * stage.c
-            if li == 0:
-                rhs[r0 : r0 + stage.num_eq] = stage.b - stage.B @ state
-            else:
-                pc0 = col_offsets[li - 1][parent]
-                pdim = levels[li - 1][parent][1].var_dim
-                A[r0 : r0 + stage.num_eq, pc0 : pc0 + pdim] = stage.B
-                rhs[r0 : r0 + stage.num_eq] = stage.b
+    A = np.zeros((rows, cols))
+    rhs = np.zeros(rows)
+    cost = np.zeros(cols)
+    r0 = c0 = 0
+    # (columns, path probability) per node of the level above; the root
+    # level's one parent is the fixed state
+    parents = [(None, 1.0)]
+    for reals, probs in levels:
+        children = []
+        for pcols, pprob in parents:
+            for r, p in zip(reals, probs):
+                prob = pprob * float(p)
+                rs, cs = slice(r0, r0 + r.num_eq), slice(c0, c0 + r.var_dim)
+                A[rs, cs] = r.A
+                cost[cs] = prob * r.c
+                if pcols is None:
+                    rhs[rs] = r.b - r.B @ state
+                else:
+                    A[rs, pcols] = r.B
+                    rhs[rs] = r.b
+                children.append((cs, prob))
+                r0, c0 = rs.stop, cs.stop
+        parents = children
     return LinearProgram(cost=cost, eq_matrix=A, eq_rhs=rhs)
 
 
@@ -127,9 +95,7 @@ def exact_recourse(model: StochasticModel, t: int, x: np.ndarray) -> float:
     dim = model.stage(t).state_dim
     if x.shape != (dim,):
         raise ValueError(f"stage {t} takes a state of length {dim}, got shape {x.shape}")
-    _check_guard(model, t)
-    lp = _assemble_tree_lp(model, t, x)
-    sol = solve_exact(lp)
+    sol = solve_exact(_assemble_tree_lp(model, t, x))
     if sol.status is not SolveStatus.OPTIMAL:
         raise OracleInfeasibleError(
             f"cost-to-go at stage {t} is {sol.status.value} for the given state"

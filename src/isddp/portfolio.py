@@ -17,6 +17,7 @@ row 0 is stage 1's, then M rows per stage 2..T, with the cash column last.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -91,23 +92,37 @@ def load_returns_csv(spec: PortfolioSpec) -> np.ndarray:
 
     Row 0 is the deterministic stage-1 return vector; rows 1..M cover stage
     2, the next M rows stage 3, and so on; rows beyond those are ignored.
+    Every row holds n finite gross returns >= 0: a negative one leaves the
+    instance without complete recourse, and the floors compound the largest.
     The cash return column is appended from ``spec.risk_free_return``.
     """
-    with open(spec.returns_path) as fh:
-        rows = [
-            [float(v) for v in row] for row in csv.reader(fh) if row and any(row)
-        ]
+    path = spec.returns_path
+    rows = []
+    with open(path) as fh:
+        for i, row in enumerate(csv.reader(fh), start=1):
+            if not any(row):
+                continue
+            if len(row) != spec.n:
+                raise PortfolioSpecError(
+                    f"{path}, row {i}: {len(row)} entries, expected n={spec.n}"
+                )
+            for j, v in enumerate(row, start=1):
+                try:
+                    if 0.0 <= float(v) < math.inf:
+                        continue
+                except ValueError:
+                    pass
+                raise PortfolioSpecError(
+                    f"{path}, row {i}, column {j}: {v!r} is not a finite gross return >= 0"
+                )
+            rows.append([float(v) for v in row])
     need = 1 + (spec.T - 1) * spec.M
     if len(rows) < need:
         raise PortfolioSpecError(
             f"returns file has {len(rows)} rows, need {need} for T={spec.T}, M={spec.M}"
         )
-    mat = np.asarray(rows, dtype=float)
-    if mat.shape[1] != spec.n:
-        raise PortfolioSpecError(
-            f"returns file has {mat.shape[1]} columns, expected n={spec.n}"
-        )
-    return np.column_stack([mat[:need], np.full(need, 1.0 + spec.risk_free_return)])
+    mat = np.asarray(rows[:need], dtype=float)
+    return np.column_stack([mat, np.full(need, 1.0 + spec.risk_free_return)])
 
 
 def _stage_matrices(

@@ -180,9 +180,6 @@ def backward_pass_sddp(
     for t in range(T, 1, -1):
         st = model.stages[t - 2]
         pool_next = pools[t + 1]
-        realizations = [
-            (r.b, r.B, float(p)) for r, p in zip(st.realizations, st.probs)
-        ]
         sweep_duals(st.realizations, [traj[t - 2] for traj in trajectories], pool_next)
         stage_cuts: list[Cut] = []
         for p in range(n_paths):
@@ -196,7 +193,7 @@ def backward_pass_sddp(
                 eps_resolved[t - 2], max(c.eps_certified for c in certs)
             )
             stage_cuts.append(build_middle_cut(
-                realizations, certs, pool_next.thetas_with_floor(),
+                st, certs, pool_next.thetas_with_floor(),
                 stage=t, iteration=iteration,
             ))
         for cut in stage_cuts:

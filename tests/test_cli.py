@@ -51,6 +51,39 @@ class TestGen:
         assert rc == EXIT_USAGE
 
 
+def write_returns_csv(path, row3):
+    # five rows, as T=3 with M=2 needs; the third is the one under test
+    rows = [["1.01", "0.99"], ["1.0", "1.0"], row3, ["1.02", "0.99"], ["1.03", "0.985"]]
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    return str(path)
+
+
+class TestGenReturnsCsv:
+    GEN = ["gen", "--T", "3", "--n", "2", "--M", "2", "--returns-csv"]
+
+    @pytest.mark.parametrize("row3, where", [
+        (["1.0", "-1.0"], "row 3, column 2"),
+        (["nan", "1.0"], "row 3, column 1"),
+        (["1.0", "1.0", "1.0"], "row 3: 3 entries, expected n=2"),
+        (["1.0", ""], "row 3, column 2"),
+    ], ids=["negative", "nan", "ragged", "empty-cell"])
+    def test_bad_entry_names_file_and_row(self, row3, where, tmp_path, capsys):
+        path = write_returns_csv(tmp_path / "r.csv", row3)
+        out = tmp_path / "p.json"
+        assert main([*self.GEN, path, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{path}, {where}" in err
+        assert not out.exists()
+
+    def test_zero_return_is_allowed(self, tmp_path, capsys):
+        path = write_returns_csv(tmp_path / "r.csv", ["1.0", "0.0"])
+        out = str(tmp_path / "p.json")
+        assert main([*self.GEN, path, "--out", out]) == EXIT_OK
+        assert main(["oracle", "--instance", out]) == EXIT_OK
+        v_star = json.loads(capsys.readouterr().out.splitlines()[-1])["v_star"]
+        assert np.isfinite(v_star)
+
+
 class TestSolve:
     def test_exact_preset_on_toy(self, instance, tmp_path, capsys):
         out = str(tmp_path / "run.csv")
@@ -377,6 +410,18 @@ class TestOracleCmd:
         assert main(["gen", "--T", "6", "--n", "4", "--M", "5", "--out", path]) == EXIT_OK
         assert main(["oracle", "--instance", path]) == EXIT_GUARD
         assert "oracle guard" in capsys.readouterr().err
+
+
+    def test_kernel_fault_exits_two(self, det_instance, capsys, monkeypatch):
+        from isddp import oracle
+        from isddp.lp_core import PivotLimitError
+
+        def stalls(lp):
+            raise PivotLimitError("pivot budget exhausted", np.zeros(lp.num_vars), 0.0)
+
+        monkeypatch.setattr(oracle, "solve_exact", stalls)
+        assert main(["oracle", "--instance", det_instance]) == EXIT_SOLVER
+        assert "solver fault: pivot budget exhausted" in capsys.readouterr().err
 
 
 class TestRoundTrip:

@@ -11,6 +11,7 @@ from isddp.cuts import (
     build_terminal_cut,
 )
 from isddp.lp_core import DualCertificate, LinearProgram, solve_exact
+from isddp.models import StageModel, StochasticStageModel
 from isddp import oracle
 from isddp.ddp_engine import run_iddp
 from isddp.schedules import EXACT_SCHEDULE
@@ -27,19 +28,25 @@ def cert(lam, mu=(), dual_obj=0.0, eps=0.0):
     )
 
 
+def support(*pairs, probs=(1.0,)):
+    """A stage with one realization per (b, B) pair; its A and c are zeros."""
+    reals = [
+        StageModel(A=np.zeros((len(b), 1)), B=B, b=b, c=np.zeros(1)) for b, B in pairs
+    ]
+    return StochasticStageModel(reals, probs)
+
+
 class TestBuildTerminalCut:
     def test_identity_coupling(self):
         c = build_terminal_cut(
-            [(np.array([1.0, 2.0]), np.eye(2), 1.0)], [cert([1.0, 0.0])]
+            support(([1.0, 2.0], np.eye(2))), [cert([1.0, 0.0])]
         )
         assert c.theta == pytest.approx(1.0)
         assert c.beta == pytest.approx([-1.0, 0.0])
 
     def test_probability_averaging(self):
-        reals = [
-            (np.array([2.0]), np.zeros((1, 1)), 0.5),
-            (np.array([4.0]), np.zeros((1, 1)), 0.5),
-        ]
+        reals = support(([2.0], np.zeros((1, 1))), ([4.0], np.zeros((1, 1))),
+                        probs=[0.5, 0.5])
         c = build_terminal_cut(reals, [cert([1.0]), cert([1.0])])
         assert c.theta == pytest.approx(3.0)
 
@@ -54,23 +61,24 @@ class TestBuildTerminalCut:
         )
         sol = solve_exact(lp)
         B = np.array([[-1.0]])  # rhs = b - B x_prev with b = 0
-        c = build_terminal_cut([(np.array([0.0]), B, 1.0)], [cert(sol.lam)])
+        c = build_terminal_cut(support(([0.0], B)), [cert(sol.lam)])
         assert c.value(np.array([x_bar])) == pytest.approx(sol.obj)
         assert c.theta == pytest.approx(0.0)
         assert c.beta == pytest.approx([1.0])
 
-    def test_probability_sum_checked(self):
-        with pytest.raises(CutDimensionError):
-            build_terminal_cut(
-                [(np.array([1.0]), np.eye(1), 0.7)], [cert([1.0])]
-            )
+    def test_fewer_certificates_than_realizations(self):
+        # zip would drop the second realization's term without this check
+        reals = support(([2.0], np.zeros((1, 1))), ([4.0], np.zeros((1, 1))),
+                        probs=[0.5, 0.5])
+        with pytest.raises(CutDimensionError, match="2 realizations but 1"):
+            build_terminal_cut(reals, [cert([1.0])])
 
 
 class TestBuildMiddleCut:
     def test_intercept_passthrough(self):
         # mu selects the next-stage cut with theta 5; lam = 0 contributes nothing.
         c = build_middle_cut(
-            [(np.array([0.0]), np.zeros((1, 2)), 1.0)],
+            support(([0.0], np.zeros((1, 2)))),
             [cert([0.0], mu=[0.0, 1.0])],
             next_pool_thetas=np.array([-10.0, 5.0]),
         )
@@ -80,7 +88,7 @@ class TestBuildMiddleCut:
     def test_mu_length_mismatch(self):
         with pytest.raises(CutDimensionError):
             build_middle_cut(
-                [(np.array([0.0]), np.zeros((1, 2)), 1.0)],
+                support(([0.0], np.zeros((1, 2)))),
                 [cert([0.0], mu=[1.0])],
                 next_pool_thetas=np.array([0.0, 5.0]),
             )

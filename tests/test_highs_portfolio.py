@@ -1,11 +1,12 @@
-"""Lower bounds and cuts on portfolios, checked against HiGHS.
+"""The oracle, lower bounds and cuts, checked against HiGHS.
 
 The reference optima come from ``perfbench/reference.py``: a sparse
 extensive form and single stage LPs solved by HiGHS, sharing no code with
 the program's simplex kernel or its tree assembly.  The trees are small
-enough (625 and 256 leaves) to solve in well under a second each.
+enough (at most 625 leaves) to solve in well under a second each.
 """
 
+import functools
 import itertools
 import os
 
@@ -13,9 +14,11 @@ import pytest
 
 from isddp import sddp_engine
 from isddp.cli import PRESETS
+from isddp.oracle import extensive_form
 from isddp.portfolio import PortfolioSpec, generate_instance
 from isddp.sddp_engine import iterate, make_pools
 from isddp.stage_solver import stage_lp
+from isddp.toys import TOYS
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 PATHS, SEED = 5, 9
@@ -32,6 +35,21 @@ def reference(monkeypatch):
 
 def _rel(v: float) -> float:
     return 1e-9 * max(1.0, abs(v))
+
+
+def _portfolio(u: float):
+    return generate_instance(PortfolioSpec(T=4, n=3, M=3, u=u, seed=0))
+
+
+ORACLE_CASES = {**TOYS, **{f"portfolio-u{u}": functools.partial(_portfolio, u)
+                           for u in (1.0, 0.3)}}
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_oracle_matches_the_highs_optimum(reference, name):
+    model = ORACLE_CASES[name]()
+    v_star = reference.highs_optimum(model.to_dict())
+    assert abs(extensive_form(model) - v_star) <= _rel(v_star)
 
 
 @pytest.mark.parametrize("u", [1.0, 0.3])

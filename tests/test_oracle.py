@@ -1,9 +1,33 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from isddp.models import StageModel, StochasticModel, StochasticStageModel
-from isddp.oracle import OracleGuardError, exact_recourse, extensive_form, sample_reachable_states
-from isddp.toys import TOYS, toy_det_t3, toy_sto_t3_m2
+from isddp.cli import EXIT_GUARD, main
+from isddp.models import StageModel, StochasticModel, StochasticStageModel, save_model
+from isddp.oracle import (
+    OracleGuardError,
+    _assemble_tree_lp,
+    exact_recourse,
+    extensive_form,
+    sample_reachable_states,
+)
+from isddp.toys import TOYS, toy_det_t3, toy_sto_t3_m2, toy_sto_t4_m3
+
+
+def big_tree():
+    # 120 realizations at each of stages 2 and 3: past the guard from stage 1 or 2
+    base = toy_sto_t3_m2()
+    st = base.stages[0]
+    many = StochasticStageModel(
+        realizations=st.realizations * 60, probs=np.full(120, 1.0 / 120)
+    )
+    return StochasticModel(
+        stage1=base.stage1,
+        stages=[many, many],
+        x0=base.x0,
+        floors=base.floors,
+    )
 
 
 def single_stage_model(c=3.0):
@@ -35,19 +59,36 @@ class TestExtensiveForm:
             )
 
     def test_size_guard(self):
-        base = toy_sto_t3_m2()
-        st = base.stages[0]
-        many = StochasticStageModel(
-            realizations=st.realizations * 60, probs=np.full(120, 1.0 / 120)
-        )
-        big = StochasticModel(
-            stage1=base.stage1,
-            stages=[many, many],
-            x0=base.x0,
-            floors=base.floors,
-        )
         with pytest.raises(OracleGuardError):
-            extensive_form(big)
+            extensive_form(big_tree())
+
+    def test_size_guard_below_stage_one(self, tmp_path, capsys):
+        # the subtree rooted at stage 2 is counted from that stage's level
+        big = big_tree()
+        x = np.ones(big.stage1.var_dim)
+        with pytest.raises(OracleGuardError, match="scenario-tree LP is"):
+            exact_recourse(big, 2, x)
+        path = str(tmp_path / "big.json")
+        save_model(big, path)
+        rc = main(["oracle", "--instance", path, "--stage", "2",
+                   "--state", ",".join(str(v) for v in x)])
+        assert rc == EXIT_GUARD
+        assert "oracle guard: scenario-tree LP is" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t, digest", [
+        (1, "c5ed8ce61b51c002fba940a7839fa0846553b87f38ff5d09e8fc04b8b67926b1"),
+        (2, "3ab62c4b0ee073849a9bfa61d1ffeec67d30c3b8b5e31a924ca77662448dc860"),
+    ])
+    def test_tree_lp_bytes_are_pinned(self, t, digest):
+        # node order, offsets, path probabilities and the root's b - B x
+        # fix every byte of the tree LP
+        m = toy_sto_t4_m3()
+        x = m.x0 if t == 1 else np.ones(m.stage1.var_dim)
+        lp = _assemble_tree_lp(m, t, x)
+        h = hashlib.sha256()
+        for a in (lp.cost, lp.eq_matrix, lp.eq_rhs):
+            h.update(a.tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestExactRecourse:

@@ -200,7 +200,8 @@ class TestBackwardPassSddp:
             ref = build_terminal_cut(realizations, certs, **tags)
             assert cut.theta.hex() == ref.theta.hex()
             assert cut.beta.tobytes() == ref.beta.tobytes()
-            gap = sum(p * cert.eps_certified for (_, _, p), cert in zip(realizations, certs))
+            gap = sum(p * cert.eps_certified
+                      for p, cert in zip(realizations.probs.tolist(), certs))
             assert (cut.stage, cut.iteration, cut.eps_used) == (T, 1, gap)
             assert (ref.stage, ref.iteration, ref.eps_used) == (T, 1, gap)
             assert 0.0 <= gap <= 0.05
@@ -228,7 +229,8 @@ class TestBackwardPassSddp:
         assert len(built) == n_paths * (T - 1)
         gaps = []
         for realizations, certs, cut in built:
-            gaps.append(sum(p * c.eps_certified for (_, _, p), c in zip(realizations, certs)))
+            gaps.append(sum(p * c.eps_certified
+                            for p, c in zip(realizations.probs.tolist(), certs)))
             assert cut.eps_used == gaps[-1]
             optima = [c.dual_obj + c.eps_certified for c in certs]
             assert cut.eps_used <= max(budget.resolve(v) for v in optima)
