@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -248,13 +249,27 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def _state_from_arg(text: str) -> np.ndarray:
+    """The ``--state`` vector: comma-separated finite numbers."""
+    entries = text.split(",")
+    state = np.full(len(entries), math.nan)
+    for i, entry in enumerate(entries):
+        try:
+            state[i] = float(entry)
+        except ValueError:
+            pass
+        if not math.isfinite(state[i]):
+            raise UsageError(f"--state entry {i + 1} of {len(entries)} is {entry.strip()!r}, "
+                             "not a finite number")
+    return state
+
+
 def cmd_oracle(args) -> int:
     model = load_model(args.instance)
     if args.state is not None or args.stage is not None:
         if args.state is None or args.stage is None:
             raise UsageError("cost-to-go queries need both --stage and --state")
-        x = np.asarray([float(v) for v in args.state.split(",")])
-        value = exact_recourse(model, args.stage, x)
+        value = exact_recourse(model, args.stage, _state_from_arg(args.state))
         print(json.dumps({"stage": args.stage, "recourse": value}))
     else:
         print(json.dumps({"v_star": extensive_form(model)}))

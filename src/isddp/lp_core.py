@@ -20,7 +20,7 @@ array holds the constraint rows, then the phase-2 and phase-1 reduced-cost
 rows, so a pivot is one rank-1 update; on large tableaux it touches only
 the rows and columns the pivot changes.  Each changed cell gets the same
 float operations either way, so results are bit-identical (see
-``_simplex_standard_form``).
+``_simplex_batch``).
 
 Certified eps-optimal dual solutions come from solving the *explicit dual*
 with the same kernel: its phase-2 iterates are dual-feasible points of the
@@ -31,13 +31,16 @@ suboptimality.  A solve records a trail when it is given ``trail_len``: each
 phase-2 iterate's objective and the first ``trail_len`` entries of its
 vertex (the primal ``x``, or the dual's ``lam+ | lam- | mu``).
 
-Phase 1 depends on the constraints alone.  LPs that differ only in
-``eq_rhs`` have explicit duals that share ``(A, b)`` and differ only in
-their cost, so ``solve_dual_batch`` solves them together: phase 1 once, on
-one tableau that carries every LP's cost row, then phase 2 in groups.  The
-LPs of a group share one tableau and take the same pivots; a group splits
-where its LPs pivot differently.  Every result is bit-identical to a lone
-solve (see ``_simplex_batch``).
+LPs that differ only in ``eq_rhs`` are solved as one batch, in two ways.
+Their explicit duals share ``(A, b)`` and differ only in their cost, so
+``solve_dual_batch`` runs phase 1 once, on one tableau that carries every
+LP's cost row, then phase 2 in groups.  The primal LPs themselves share
+``(A, c)`` and differ only in their right-hand side, so
+``solve_primal_batch`` gives each LP its own rhs column on a shared tableau
+(one per rhs sign pattern) and runs both phases in groups.  The LPs of a
+group share one tableau and take the same pivots; a group splits where its
+LPs pivot differently.  Every result is bit-identical to a lone solve (see
+``_simplex_batch``).
 
 Dual convention for cut rows: weights mu >= 0 with sum(mu) == 1, entering
 the variable-wise constraint as  eq_matrix.T @ lam - sum_i mu_i * beta_i <= c.
@@ -236,38 +239,44 @@ def _simplex_batch(
     max_pivots: Optional[int] = None,
     trail_len: Optional[int] = None,
 ) -> list:
-    """Two-phase tableau simplex for  min C[k].z  s.t. A z = b, z >= 0,  per row k.
+    """Two-phase tableau simplex for  min C[k].z  s.t. A z = b[k], z >= 0,  per member k.
 
-    Returns one outcome per cost row ``C[k]``: a ``_KernelResult``, or the
-    ``LpError`` that a solve of that LP alone raises.  Dantzig pricing with
-    an automatic switch to Bland's rule after a long degenerate streak.
-    With a ``trail_len``, each phase-2 iterate is appended to the trail as
-    an ``(obj, z[:trail_len])`` snapshot, the optimum included; a snapshot
-    is a compact copy, so a kept trail does not pin the whole vertex.
+    Either ``C`` holds one cost row per member ``(K, n)`` and ``b`` is one
+    right-hand side ``(m,)`` (or ``(1, m)``), or ``C`` holds one cost row
+    ``(1, n)`` and ``b`` one right-hand side per member ``(K, m)``.
+    Returns one outcome per member: a ``_KernelResult``, or the ``LpError``
+    that a solve of that LP alone raises.  Dantzig pricing with an automatic
+    switch to Bland's rule after a long degenerate streak.  With a
+    ``trail_len``, each phase-2 iterate is appended to the trail as an
+    ``(obj, z[:trail_len])`` snapshot, the optimum included; a snapshot is a
+    compact copy, so a kept trail does not pin the whole vertex.
 
-    One array ``tab`` of shape ``(m + K + 1, n + m + 1)`` holds the tableau:
-    rows ``0..m-1`` are the constraints, rows ``m..m+K-1`` the phase-2
-    reduced-cost rows (one per LP) and the last row the phase-1 row ``r1``;
-    the last column is the right-hand side (``-objective`` in the cost rows).
-    The crash start, phase 1 and the artificial drive-out depend on
-    ``(A, b)`` only, so they run once for all K LPs.  The crash scales its
-    rows in place and prices the cost rows out against its columns; each
-    phase-1 pivot is one rank-1 update of the whole array, which gives
-    every cost row the update a lone solve gives its own.
+    A tableau holds ``m`` constraint rows, the reduced-cost rows and, in
+    phase 1, the phase-1 row ``r1`` last.  Its columns are the ``n``
+    structural and ``m`` artificial ones, then the right-hand sides
+    (``-objective`` in the cost rows).  A member is a (cost row, rhs column)
+    pair: each member has a cost row of its own and all share one rhs
+    column, or the other way round.  The rows are signed to ``b >= 0``
+    before the crash, so members whose rhs signs differ start on separate
+    tableaux.  The crash scales its rows in place and prices the cost rows
+    out against its columns.
 
-    Phase 2 runs in groups.  A group is one tableau, the constraint rows and
-    one cost row per member, with one basis; it starts as rows ``:m+K`` of
-    ``tab`` with every LP a member.  At each step every member prices its own
-    row (Dantzig, or Bland once its own degenerate streak trips), and the
-    members that pivot on the same ``(pr, pc)`` share one ratio test and one
-    rank-1 update.  When members pivot differently the group splits: each
-    part but the last pivots a copy of the constraint rows and of its
-    members' cost rows, and the parts run depth first.  A member leaves its
-    group when it finishes, and a group of one (every lone solve, K == 1)
-    runs the scalar loop.  Every row of every member thus gets the float
-    operations of its lone solve.  A trail snapshot is taken once per group
-    step, so the members of a group share its vertex arrays.  Only
-    structural columns enter.
+    Both phases run in groups.  A group is one tableau with one basis.  At
+    each step every member prices its row (``r1`` in phase 1, its cost row
+    in phase 2; Dantzig, or Bland once its own degenerate streak trips) and
+    runs the ratio test on its rhs column; the members that pivot on the
+    same ``(pr, pc)`` share one rank-1 update.  When members pivot
+    differently the group splits: each part but the last pivots a copy of
+    the constraint rows and of its members' rows or columns, and the parts
+    run depth first.  A member leaves its group when it finishes.  The
+    phase-1 row prices alike for every member of a group, so a group ends
+    phase 1 as a whole: its infeasible members finish, and the others drive
+    the leftover artificials out once and go on in phase 2.  A group whose
+    members share one pricing row and one rhs column (every lone solve, and
+    phase 1 of LPs that share ``b``) runs the scalar loop.  Every cell of
+    every member thus gets the float operations of its lone solve.  A trail
+    snapshot is taken once per group step and rhs column, so members that
+    share their rhs share its vertex arrays.  Only structural columns enter.
 
     When a lone solve's tableau (``m + 2`` rows) has at least
     ``RESTRICTED_UPDATE_CELLS`` cells, a pivot touches only the rows where
@@ -280,47 +289,24 @@ def _simplex_batch(
     no comparison, ratio or argmin can see that sign.
     """
     m, n = A.shape
-    K = len(C)
+    B = b[None] if b.ndim == 1 else b
+    K = max(len(B), len(C))
+    own_rhs = len(B) > 1  # else every member has a cost row of its own, or K == 1
+    if own_rhs and len(C) > 1:
+        raise LpDimensionError(f"{len(C)} cost rows and {len(B)} right-hand sides: "
+                               "the members must share one or the other")
     if max_pivots is None:
         max_pivots = 10_000 + 50 * (m + n)
     bland_after = BLAND_STREAK * (n + m)
-
-    sign = np.where(b < 0, -1.0, 1.0)
     ncols = n + m
-    tab = np.zeros((m + K + 1, ncols + 1))
-    body, r1 = tab[:m], tab[m + K]
-    body[:, :n] = A * sign[:, None]
-    body[:, n:ncols] = np.eye(m)
-    body[:, -1] = b * sign
-    tab[m : m + K, :n] = C
-    rhs = body[:, -1]
     restricted = (m + 2) * (ncols + 1) >= RESTRICTED_UPDATE_CELLS  # by a lone solve's size
-
-    basis = np.arange(n, ncols)
-    # Crash basis: a row whose structural part holds a unit column (one
-    # nonzero entry, and that positive) starts with the lowest-indexed such
-    # column basic instead of its artificial.  The crash depends on (A, b)
-    # only, so every LP of a batch gets the same start.
-    structural = body[:, :n]
-    unit = (np.count_nonzero(structural, axis=0) == 1) & (
-        structural.max(axis=0, initial=0.0) > 0.0)
-    cols = unit.nonzero()[0]
-    rows, first = np.unique(structural.argmax(axis=0)[cols] if m else cols, return_index=True)
-    costs = tab[m : m + K]
-    for pr, pc in zip(rows.tolist(), cols[first].tolist()):
-        row = body[pr]
-        if row[pc] != 1.0:
-            row /= row[pc]
-        basis[pr] = pc
-        colv = costs[:, pc].copy()
-        if colv.any():  # price the cost rows out against the crash column
-            costs -= colv[:, None] * row
-            costs[:, pc] = 0.0
-    # the phase-1 row sums the rows that keep their artificial
-    keep = basis >= n
-    r1[:n] = -structural[keep].sum(axis=0)
-    r1[-1] = -rhs[keep].sum()
+    signs = np.where(B < 0, -1.0, 1.0)
     ratios = np.empty(m)
+    out: list = [None] * K
+    trails: list[list] = [[] for _ in range(K)]
+    # the groups still to run, depth first: (tableau, basis, pivot count,
+    # phase, row signs, members, their Bland flags, their degenerate streaks)
+    groups: list = []
 
     def pivot(live: np.ndarray, basis: np.ndarray, pr: int, pc: int) -> None:
         """Pivot on (pr, pc): ``live`` holds the m constraint rows, then cost rows."""
@@ -368,7 +354,10 @@ def _simplex_batch(
         r: np.ndarray, live: np.ndarray, basis: np.ndarray, count: int,
         trail: Optional[list], bland: bool = False, degenerate: int = 0,
     ) -> tuple[str, int]:
-        """Pivot on ``live`` until cost row ``r`` prices out; the outcome and pivot count."""
+        """Pivot on ``live`` (one rhs column) until row ``r`` prices out.
+
+        Returns the outcome and the pivot count.
+        """
         body = live[:m]
         rhs = body[:, -1]
         while True:
@@ -392,106 +381,224 @@ def _simplex_batch(
             else:
                 degenerate = 0
 
-    phase, pivots = run_phase(r1, tab, basis, 0, None)
-    if phase == "unbounded":
-        return [LpError("phase-1 subproblem unbounded: numerical failure") for _ in range(K)]
-    if phase == "limit":
-        return [_pivot_limit(max_pivots, basis, rhs, n, -tab[m + k, -1]) for k in range(K)]
-    if -r1[-1] > FEAS_TOL * (1.0 + np.abs(rhs).sum()):
-        return [_KernelResult(SolveStatus.INFEASIBLE, None, math.nan, None, None, pivots)
-                for _ in range(K)]
+    def objective(live: np.ndarray, phase: int) -> np.ndarray:
+        """Each member's objective: its pricing row (r1 in phase 1, its cost
+        row in phase 2) at its rhs column, where one of the two is shared."""
+        return live[-1 if phase == 1 else m, ncols:] if own_rhs else live[m:, ncols]
 
-    # Drive leftover artificials out of the basis where a structural pivot
-    # exists; rows without one are redundant and keep a zero-level artificial.
-    for pr in range(m):
-        if basis[pr] >= n:
-            cand = (np.abs(body[pr, :n]) > PIVOT_TOL).nonzero()[0]
-            if cand.size:
-                pivot(tab, basis, pr, int(cand[0]))
-                pivots += 1
+    def settle(how: str, live: np.ndarray, basis: np.ndarray, count: int, sign: np.ndarray,
+               ks: np.ndarray, idx: Optional[list] = None) -> None:
+        """Record outcome ``how`` of the members ``ks[i]``, i in ``idx`` (all by default)."""
+        for i in range(len(ks)) if idx is None else idx:
+            k = int(ks[i])
+            c, j = (m, ncols + i) if own_rhs else (m + i, ncols)
+            rhs, obj = live[:m, j], -live[c, j]
+            if how == "optimal":
+                out[k] = _KernelResult(
+                    SolveStatus.OPTIMAL, _vertex(basis, rhs, n)[:n], obj,
+                    -live[c, n:ncols] * sign, basis.copy(), count, trails[k])
+            elif how == "limit":
+                out[k] = _pivot_limit(max_pivots, basis, rhs, n, obj)
+            elif how == "phase-1 unbounded":
+                out[k] = LpError("phase-1 subproblem unbounded: numerical failure")
+            else:  # "unbounded" or "infeasible"
+                out[k] = _KernelResult(SolveStatus(how), None, math.nan, None, None, count)
 
-    def outcome_of(phase: str, r: np.ndarray, basis: np.ndarray, rhs: np.ndarray,
-                   count: int, trail: list):
-        """The outcome of an LP whose phase 2 ended ``phase`` with cost row ``r``."""
-        if phase == "optimal":
-            return _optimal(r, basis, rhs, n, sign, count, trail)
-        if phase == "unbounded":
-            return _KernelResult(SolveStatus.UNBOUNDED, None, math.nan, None, None, count)
-        return _pivot_limit(max_pivots, basis, rhs, n, -r[-1])
+    def narrow(live: np.ndarray, sel: np.ndarray, in_place: bool) -> np.ndarray:
+        """``live`` with the rhs columns (or, in phase 2, the cost rows) of members ``sel`` only.
 
-    if K == 1:  # the group bookkeeping would cost a small lone solve a few percent
-        trail = None if trail_len is None else []
-        phase, pivots = run_phase(tab[m], tab[: m + 1], basis, pivots, trail)
-        return [outcome_of(phase, tab[m], basis, rhs, pivots, trail or [])]
+        Members with cost rows of their own share one rhs column, so they
+        share phase 1 and its end too, and their group narrows in phase 2
+        only.
+        """
+        if own_rhs:
+            cols = ncols + sel
+            if not in_place:
+                return np.concatenate((live[:, :ncols], live[:, cols]), axis=1)
+            live[:, ncols : ncols + len(cols)] = live[:, cols]
+            return live[:, : ncols + len(cols)]
+        rows = m + sel
+        if not in_place:
+            return np.concatenate((live[:m], live[rows]))
+        live[m : m + len(rows)] = live[rows]
+        return live[: m + len(rows)]
 
-    out: list = [None] * K
-    trails: list[list] = [[] for _ in range(K)]
-    # the groups still to run, depth first: (tableau without r1, basis, pivot
-    # count, members, their Bland flags, their degenerate streaks)
-    groups = [(tab[: m + K], basis, pivots, np.arange(K), np.zeros(K, dtype=bool),
-               np.zeros(K, dtype=np.int64))]
-    while groups:
-        live, basis, count, ks, bland, streak = groups.pop()
-        costs, rhs = live[m:], live[:m, -1]
-        if len(ks) == 1:  # a group of one runs the lone loop
-            k = int(ks[0])
-            phase, count = run_phase(costs[0], live, basis, count,
-                                     None if trail_len is None else trails[k],
-                                     bool(bland[0]), int(streak[0]))
-            out[k] = outcome_of(phase, costs[0], basis, rhs, count, trails[k])
-            continue
-        if trail_len is not None:
-            point = _vertex(basis, rhs, n)[:trail_len].copy()
-            objs = -costs[:, -1]
-            for i, k in enumerate(ks.tolist()):
-                trails[k].append((objs[i], point))
-        price = costs[:, :n]
-        pcs = price.argmin(axis=1)
-        for i in bland.nonzero()[0]:
-            pcs[i] = (price[i] < -FEAS_TOL).argmax()
-        moving = price[np.arange(len(ks)), pcs] < -FEAS_TOL
-        if moving.all() and not bland.any() and (pcs == pcs[0]).all():
-            # the common step: every member enters one column by Dantzig's rule
-            pc = int(pcs[0])
-            pr = leaving_row(live[:m], rhs, basis, pc, False)
-            if pr < 0:
-                for i, k in enumerate(ks.tolist()):
-                    out[k] = outcome_of("unbounded", costs[i], basis, rhs, count, trails[k])
-                continue
-            parts = [(pr, pc, slice(None))]
+    def go_on(live: np.ndarray, basis: np.ndarray, count: int, phase: int, sign: np.ndarray,
+              ks: np.ndarray, bland: Optional[np.ndarray] = None,
+              streak: Optional[np.ndarray] = None) -> None:
+        """Go on with a group (with fresh pricing rules if no ``bland`` is given).
+
+        A group whose members share one pricing row and one rhs column (one
+        member in phase 2) runs the scalar loop at once; any other waits in
+        ``groups``.
+        """
+        if live.shape[1] > ncols + 1 or (phase == 2 and len(live) > m + 1):
+            if bland is None:
+                bland, streak = np.zeros(len(ks), dtype=bool), np.zeros(len(ks), dtype=np.int64)
+            groups.append((live, basis, count, phase, sign, ks, bland, streak))
+            return
+        trail = trails[ks[0]] if phase == 2 and trail_len is not None else None
+        fresh = bland is None
+        how, count = run_phase(live[-1] if phase == 1 else live[m], live, basis, count, trail,
+                               False if fresh else bool(bland[0]), 0 if fresh else int(streak[0]))
+        if phase == 1 and how == "optimal":
+            end_phase1(live, basis, count, sign, ks)
         else:
-            leaving: dict = {}  # one ratio test per entering column and rule
-            by_pivot: dict = {}
-            for i, (k, pc, bl) in enumerate(zip(ks.tolist(), pcs.tolist(), bland.tolist())):
-                if moving[i]:
-                    if (pc, bl) not in leaving:
-                        leaving[pc, bl] = leaving_row(live[:m], rhs, basis, pc, bl)
-                    pr = leaving[pc, bl]
-                    if pr >= 0:
-                        by_pivot.setdefault((pr, pc), []).append(i)
-                        continue
-                out[k] = outcome_of("unbounded" if moving[i] else "optimal",
-                                    costs[i], basis, rhs, count, trails[k])
-            parts = [(pr, pc, np.array(sel)) for (pr, pc), sel in by_pivot.items()]
-        # every part but the last pivots a copy; the last goes on in place
-        for j, (pr, pc, sel) in enumerate(parts):
-            members = ks[sel]
-            if j < len(parts) - 1:
-                part, part_basis = np.concatenate((live[:m], costs[sel])), basis.copy()
+            settle("phase-1 unbounded" if phase == 1 and how == "unbounded" else how,
+                   live, basis, count, sign, ks)
+
+    def go_on_step(live: np.ndarray, basis: np.ndarray, count: int, phase: int,
+                   sign: np.ndarray, ks: np.ndarray, bland: np.ndarray, streak: np.ndarray,
+                   pr: int, pc: int) -> None:
+        """Pivot a group on (pr, pc), update its members' streaks and go on."""
+        prev = objective(live, phase).copy()
+        pivot(live, basis, pr, pc)
+        if count + 1 > max_pivots:
+            settle("limit", live, basis, count + 1, sign, ks)
+            return
+        obj = objective(live, phase)
+        s = np.where(np.abs(obj - prev) <= 1e-13 * (1.0 + np.abs(prev)), streak + 1, 0)
+        go_on(live, basis, count + 1, phase, sign, ks, bland | (s > bland_after), s)
+
+    def end_phase1(live: np.ndarray, basis: np.ndarray, count: int, sign: np.ndarray,
+                   ks: np.ndarray) -> None:
+        """Finish the infeasible members of a group at the end of phase 1; go on in phase 2."""
+        infeasible = [-live[-1, j] > FEAS_TOL * (1.0 + np.abs(live[:m, j]).sum())
+                      for j in range(ncols, live.shape[1])]
+        if any(infeasible):
+            bad = np.array(infeasible * (1 if own_rhs else len(ks)))
+            settle("infeasible", live, basis, count, sign, ks, bad.nonzero()[0].tolist())
+            if bad.all():
+                return
+            live = narrow(live, (~bad).nonzero()[0], True)
+            ks = ks[~bad]
+        live = live[:-1]
+        # Drive leftover artificials out of the basis where a structural pivot
+        # exists; rows without one are redundant and keep a zero-level artificial.
+        for pr in range(m):
+            if basis[pr] >= n:
+                cand = (np.abs(live[pr, :n]) > PIVOT_TOL).nonzero()[0]
+                if cand.size:
+                    pivot(live, basis, pr, int(cand[0]))
+                    count += 1
+        go_on(live, basis, count, 2, sign, ks)
+
+    # One tableau per rhs sign pattern, whose LPs all get the same crash
+    # start, since the crash depends on the signed A only.
+    classes: dict = {}
+    for k in range(len(B)):
+        classes.setdefault(signs[k].tobytes(), []).append(k)
+    for members in classes.values():
+        ks = np.array(members) if own_rhs else np.arange(K)
+        tab = np.zeros((m + len(C) + 1, ncols + len(members)))
+        body, costs, r1 = tab[:m], tab[m:-1], tab[-1]
+        sign = signs[members[0]]
+        body[:, :n] = A * sign[:, None]
+        body[:, n:ncols] = np.eye(m)
+        for j, k in enumerate(members, start=ncols):
+            body[:, j] = B[k] * sign
+        costs[:, :n] = C
+        basis = np.arange(n, ncols)
+        # Crash basis: a row whose structural part holds a unit column (one
+        # nonzero entry, and that positive) starts with the lowest-indexed
+        # such column basic instead of its artificial.
+        structural = body[:, :n]
+        unit = ((structural != 0.0).sum(axis=0) == 1) & (
+            structural.max(axis=0, initial=0.0) > 0.0)
+        cols = unit.nonzero()[0]
+        crash: dict = {}  # row -> its lowest unit column
+        unit_rows = structural.argmax(axis=0)[cols] if m else cols
+        for pr, pc in zip(unit_rows.tolist(), cols.tolist()):
+            crash.setdefault(pr, pc)
+        rows = sorted(crash)
+        cols = [crash[pr] for pr in rows]
+        # A crash column is zero outside its row, so scaling or pricing out
+        # one row changes neither another row's entry nor another column's
+        # cost: both tests can be read before the loop.
+        scaled = (body[rows, cols] != 1.0).tolist()
+        priced = costs[:, cols].any(axis=0).tolist()
+        for pr, pc, scale, price in zip(rows, cols, scaled, priced):
+            row = body[pr]
+            if scale:
+                row /= row[pc]
+            basis[pr] = pc
+            if price:  # price the cost rows out against the crash column
+                colv = costs[:, pc].copy()
+                costs -= colv[:, None] * row
+                costs[:, pc] = 0.0
+        # the phase-1 row sums the rows that keep their artificial
+        keep = basis >= n
+        r1[:n] = -structural[keep].sum(axis=0)
+        for j in range(ncols, tab.shape[1]):
+            r1[j] = -body[:, j][keep].sum()
+        go_on(tab, basis, 0, 1, sign, ks)
+
+    while groups:
+        live, basis, count, phase, sign, ks, bland, streak = groups.pop()
+        g = len(ks)
+        body, rhs = live[:m], live[:m, ncols:]
+        price = live[-1:, :n] if phase == 1 else live[m:, :n]  # r1, or one cost row per member
+        if phase == 2 and trail_len is not None:
+            if own_rhs:
+                z = np.zeros((g, ncols))
+                z[:, basis] = rhs.T
+                points = list(z[:, :trail_len].copy())
             else:
-                part, part_basis = live[: m + len(members)], basis
-                if len(members) < len(ks):
-                    part[m:] = costs[sel]
-            prev = part[m:, -1].copy()
-            pivot(part, part_basis, pr, pc)
-            if count + 1 > max_pivots:
-                for i, k in enumerate(members.tolist()):
-                    out[k] = outcome_of(
-                        "limit", part[m + i], part_basis, part[:m, -1], count + 1, trails[k])
+                points = [_vertex(basis, rhs[:, 0], n)[:trail_len].copy()] * g
+            for k, obj, point in zip(ks.tolist(), -objective(live, 2), points):
+                trails[k].append((obj, point))
+        pcs = price.argmin(axis=1)  # Dantzig, per pricing row
+        if not np.count_nonzero(bland) and (len(pcs) == 1 or (pcs == pcs[0]).all()):
+            # the common step: one entering column
+            pc = int(pcs[0])
+            moving = price[:, pc] < -FEAS_TOL  # per pricing row
+            if phase == 1 and not moving[0]:  # r1 prices alike for every member
+                end_phase1(live, basis, count, sign, ks)
                 continue
-            obj = part[m:, -1]
-            s = np.where(np.abs(obj - prev) <= 1e-13 * (1.0 + np.abs(prev)), streak[sel] + 1, 0)
-            groups.append((part, part_basis, count + 1, members, bland[sel] | (s > bland_after), s))
+            prs = [leaving_row(body, rhs[:, j], basis, pc, False) for j in range(rhs.shape[1])]
+            pr = prs[0]
+            if pr >= 0 and moving.all() and prs.count(pr) == len(prs):
+                go_on_step(live, basis, count, phase, sign, ks, bland, streak, pr, pc)
+                continue
+            moves = np.broadcast_to(moving, g).tolist()
+            prs, pcs = np.where(moving, prs, -1).tolist(), [pc] * g
+        else:  # a ratio test per entering column, rule and rhs column
+            if len(pcs) < g:
+                pcs = pcs.repeat(g)
+            for i in bland.nonzero()[0]:
+                pcs[i] = (price[i if len(price) > 1 else 0] < -FEAS_TOL).argmax()
+            moving = price[np.arange(g) if len(price) > 1 else 0, pcs] < -FEAS_TOL
+            if phase == 1 and not moving[0]:
+                end_phase1(live, basis, count, sign, ks)
+                continue
+            pcs, moves, leaving, prs = pcs.tolist(), moving.tolist(), {}, []
+            for i, (move, pc, bl) in enumerate(zip(moves, pcs, bland.tolist())):
+                test = pc, bl, ncols + (i if own_rhs else 0)
+                if move and test not in leaving:
+                    leaving[test] = leaving_row(body, live[:m, test[2]], basis, pc, bl)
+                prs.append(leaving[test] if move else -1)
+        # members that pivot alike go on together; the others are done
+        by_step: dict = {}
+        done = []
+        for i, (pr, pc) in enumerate(zip(prs, pcs)):
+            if pr >= 0:
+                by_step.setdefault((pr, pc), []).append(i)
+            else:
+                done.append(i)
+        if phase == 1:
+            settle("phase-1 unbounded", live, basis, count, sign, ks, done)
+        else:
+            settle("optimal", live, basis, count, sign, ks, [i for i in done if not moves[i]])
+            settle("unbounded", live, basis, count, sign, ks, [i for i in done if moves[i]])
+        # every part but the last pivots a copy; the last goes on in place
+        for j, ((pr, pc), sel) in enumerate(by_step.items()):
+            last = j == len(by_step) - 1
+            if len(sel) == g:
+                go_on_step(live, basis, count, phase, sign, ks, bland, streak, pr, pc)
+            else:
+                sel = np.array(sel)
+                go_on_step(narrow(live, sel, last), basis if last else basis.copy(), count,
+                           phase, sign, ks[sel], bland[sel], streak[sel], pr, pc)
     return out
 
 
@@ -500,17 +607,6 @@ def _vertex(basis: np.ndarray, rhs: np.ndarray, n: int) -> np.ndarray:
     z = np.zeros(n + len(basis))
     z[basis] = rhs
     return z
-
-
-def _optimal(
-    cost_row: np.ndarray, basis: np.ndarray, rhs: np.ndarray, n: int, sign: np.ndarray,
-    pivots: int, trail: list,
-) -> _KernelResult:
-    """The OPTIMAL outcome of a phase 2 that ended with reduced costs ``cost_row``."""
-    return _KernelResult(
-        SolveStatus.OPTIMAL, _vertex(basis, rhs, n)[:n], -cost_row[-1],
-        -cost_row[n:-1] * sign, basis.copy(), pivots, trail=trail,
-    )
 
 
 def _pivot_limit(
@@ -525,20 +621,26 @@ def _pivot_limit(
 # Standard-form assembly
 
 
-def _standard_primal(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Columns: [x | f+ f- | cut surpluses] (epigraph parts only when present)."""
+def _standard_primal(
+    lp: LinearProgram, eq_rhs: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns: [x | f+ f- | cut surpluses] (epigraph parts only when present).
+
+    The right-hand side is ``lp``'s own, or one row per row of ``eq_rhs``.
+    """
+    rhs = lp.eq_rhs if eq_rhs is None else eq_rhs
     if not lp.has_epigraph:  # uncopied: the kernel never writes to its inputs
-        return lp.eq_matrix, lp.eq_rhs, lp.cost
+        return lp.eq_matrix, rhs, lp.cost
     nv, m, K = lp.num_vars, lp.num_eq, lp.num_cuts
     A = np.zeros((m + K, nv + 2 + K))
-    b = np.zeros(m + K)
     A[:m, :nv] = lp.eq_matrix
-    b[:m] = lp.eq_rhs
     A[m:, :nv] = -lp.cut_beta
     A[m:, nv] = 1.0
     A[m:, nv + 1] = -1.0
     A[m:, nv + 2 :] = -np.eye(K)
-    b[m:] = lp.cut_theta
+    b = np.empty(rhs.shape[:-1] + (m + K,))
+    b[..., :m] = rhs
+    b[..., m:] = lp.cut_theta
     c = np.concatenate([lp.cost, [1.0, -1.0], np.zeros(K)])
     return A, b, c
 
@@ -584,28 +686,44 @@ def _dual_point(lp: LinearProgram, z: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _solve_primal(
-    lp: LinearProgram, trail_len: Optional[int], max_pivots: Optional[int] = None
-) -> tuple[PrimalDualSolution, list[tuple[float, np.ndarray]]]:
-    A, b, c = _standard_primal(lp)
-    res = _simplex_standard_form(A, b, c, max_pivots=max_pivots, trail_len=trail_len)
-    if res.status is not SolveStatus.OPTIMAL:
-        return PrimalDualSolution(status=res.status), []
-    sol = PrimalDualSolution(
-        status=SolveStatus.OPTIMAL,
-        x=res.z[: lp.num_vars].copy(),
-        obj=res.obj,
-        lam=res.y[: lp.num_eq].copy(),
-        mu=res.y[lp.num_eq :].copy(),
-        basis=tuple(int(i) for i in res.basis),
-    )
-    return sol, res.trail
+    lp: LinearProgram, eq_rhs: Optional[np.ndarray], trail_len: Optional[int],
+    max_pivots: Optional[int] = None,
+) -> list:
+    """Outcomes of ``lp`` with each row of ``eq_rhs`` (its own ``eq_rhs`` if
+    none is given): (solution, trail) pairs or ``LpError``s."""
+    A, b, c = _standard_primal(lp, eq_rhs)
+    outcomes = _simplex_batch(A, b, c[None], max_pivots=max_pivots, trail_len=trail_len)
+    for k, res in enumerate(outcomes):
+        if isinstance(res, LpError):
+            continue
+        if res.status is not SolveStatus.OPTIMAL:
+            outcomes[k] = PrimalDualSolution(status=res.status), []
+            continue
+        sol = PrimalDualSolution(
+            status=SolveStatus.OPTIMAL,
+            x=res.z[: lp.num_vars].copy(),
+            obj=res.obj,
+            lam=res.y[: lp.num_eq].copy(),
+            mu=res.y[lp.num_eq :].copy(),
+            basis=tuple(res.basis.tolist()),
+        )
+        outcomes[k] = sol, res.trail
+    return outcomes
+
+
+def _lone(outcomes: list):
+    """The one outcome of a batch of one, raising it if it is an ``LpError``."""
+    (out,) = outcomes
+    if isinstance(out, LpError):
+        raise out
+    return out
 
 
 def solve_exact(
     lp: LinearProgram, *, max_pivots: Optional[int] = None
 ) -> PrimalDualSolution:
     """Solve to optimality, returning a vertex solution with exact duals."""
-    return _solve_primal(lp, None, max_pivots)[0]
+    return _lone(_solve_primal(lp, None, None, max_pivots))[0]
 
 
 def solve_with_primal_trail(
@@ -617,7 +735,19 @@ def solve_with_primal_trail(
     final entry is the optimum.  Used for certified delta-suboptimal forward
     solves: pick the earliest iterate whose value is within budget.
     """
-    return _solve_primal(lp, lp.num_vars)
+    return _lone(_solve_primal(lp, None, lp.num_vars))
+
+
+def solve_primal_batch(lp: LinearProgram, eq_rhs: np.ndarray) -> list:
+    """``solve_with_primal_trail`` of ``lp`` with each row of ``eq_rhs``, as one batch.
+
+    LPs that differ only in ``eq_rhs`` share their standard form but its
+    right-hand side, and are solved as one batch (``_simplex_batch``): on
+    shared tableaux, one rhs column each, in groups of members that pivot
+    alike.  Outcome ``i`` is the ``(solution, trail)`` pair of a lone solve
+    of member ``i``, bit for bit, or the ``LpError`` that solve raises.
+    """
+    return _solve_primal(lp, eq_rhs, lp.num_vars)
 
 
 def solve_dual_batch(lp: LinearProgram, eq_rhs: np.ndarray) -> list:

@@ -1,15 +1,20 @@
 """Sampled multistage decomposition with inexact cuts.
 
 Each iteration draws N forward scenario paths, simulates the current policy
-along them (budget-suboptimal solves), then sweeps stages T..2 building one
-probability-aggregated cut per (path, stage) from certified dual points of
-all realization subproblems.  Pools are frozen while a stage is being
-processed and cuts are appended in fixed path order, so the serial result
-is what any parallel schedule must reproduce.  A pool stores each cut once:
-a cut that is a bitwise copy of one the pool holds is not appended.  The
-dual solves of one stage are solved together first (``sweep_duals``):
-against the frozen pool, duals that differ only in their cost share one
-feasible region, and the kernel solves them in batches.  Forward solves and
+along them stage by stage (budget-suboptimal solves), then sweeps stages
+T..2 building one probability-aggregated cut per (path, stage) from
+certified dual points of all realization subproblems.  Pools are frozen
+while a stage is being processed and cuts are appended in fixed path
+order, so the serial result is what any parallel schedule must reproduce.
+A pool stores each cut once: a cut that is a bitwise copy of one the pool
+holds is not appended.  The solves of one stage are solved together first,
+in kernel batches: the forward LPs of all paths (``sweep_forward``), which
+share their constraint matrix and cost and differ in their right-hand side,
+and the backward duals (``sweep_duals``), which against the frozen pool
+share one feasible region and differ in their cost.  A path's stage-t LP
+depends only on its own stage t-1 decision, so the paths of a forward pass
+advance together, stage by stage, and each reads exactly what it reads
+alone.  Forward solves and
 backward kernel results are kept in the pool's memo until the pool gets a
 cut, so a path, a pass or an iteration at a trial point already seen reads
 them instead of solving again; the passes keep no cache of their own.  An
@@ -44,6 +49,7 @@ from .stage_solver import (
     solve_forward_stage,
     stage_value_exact,
     sweep_duals,
+    sweep_forward,
 )
 
 # Unused here; kept importable because the per-layer tracer wraps it on this module.
@@ -115,30 +121,32 @@ def forward_pass_sddp(
     """Simulate the current policy along each sampled path.
 
     A path holds one realization index per stage 2..T, as ``sample_paths``
-    draws it.  ``deltas`` has one budget per stage 1..T.  Every path of a
-    pass uses the same budget per stage, so paths that meet at one (stage,
-    state) read one solve from the pool memo.
+    draws it.  ``deltas`` has one budget per stage 1..T.  The pass runs
+    stage-major: ``sweep_forward`` first puts the forward LPs of stage t at
+    every path's state into pool t+1's memo, in kernel batches, then each
+    path reads its own.  Every path of a pass uses the same budget per
+    stage, so paths that meet at one (stage, state) read one solve.
     """
     T = model.horizon
     if len(deltas) != T:
         raise ValueError(f"need {T} deltas, got {len(deltas)}")
-    trajectories: list[list[np.ndarray]] = []
-    costs = np.zeros(len(paths))
-    values = np.zeros((len(paths), T))
+    n_paths = len(paths)
+    trajectories: list[list[np.ndarray]] = [[] for _ in range(n_paths)]
+    x_prevs = [model.x0] * n_paths
+    costs = np.zeros(n_paths)
+    values = np.zeros((n_paths, T))
     resolved = [0.0] * T
-    for p, path in enumerate(paths):
-        x_prev = model.x0
-        traj: list[np.ndarray] = []
-        indices = (0, *path)  # stage 1 has one realization
-        for t in range(1, T + 1):
-            stage = model.stage(t, indices[t - 1])
-            res = solve_forward_stage(stage, x_prev, pools[t + 1], deltas[t - 1], t=t, path=p)
-            traj.append(res.x)
+    for t in range(1, T + 1):
+        # stage 1 has one realization
+        stages = [model.stage(t, (0, *path)[t - 1]) for path in paths]
+        sweep_forward(stages, x_prevs, pools[t + 1])
+        for p, stage in enumerate(stages):
+            res = solve_forward_stage(stage, x_prevs[p], pools[t + 1], deltas[t - 1], t=t, path=p)
+            trajectories[p].append(res.x)
             values[p, t - 1] = res.optimum
             resolved[t - 1] = max(resolved[t - 1], res.budget_resolved)
             costs[p] += float(stage.c @ res.x)
-            x_prev = res.x
-        trajectories.append(traj)
+            x_prevs[p] = res.x
     return SddpForwardResult(trajectories, costs, values, tuple(resolved))
 
 

@@ -1,9 +1,11 @@
 """Shared stage-subproblem machinery for the forward and backward passes.
 
-Forward (primal) solves are one kernel call on the stage LP against the
-full pool, the LP the backward pass also builds.  The trail of that solve
-yields certified delta-suboptimal vertices.  The exact stage value of the
-lower bound is the zero-budget case.
+Forward (primal) solves solve the stage LP against the full pool, the LP
+the backward pass also builds.  The trail of that solve yields certified
+delta-suboptimal vertices.  The exact stage value of the lower bound is the
+zero-budget case.  ``sweep_forward`` solves the forward LPs of one stage in
+kernel batches: stages that share ``A`` and ``c`` give LPs that differ only
+in their right-hand side, at every trial point.
 
 Backward (dual) solves hand the full pool to the kernel's explicit-dual
 path, which scales with the number of cuts only through matrix columns.
@@ -16,7 +18,7 @@ contents, and the kernel is deterministic, so both kinds of solve are kept
 in ``pool.memo`` (keyed on the stage object, which hashes by identity, and
 the trial point's bytes) and read from there, bit-identical, until the pool
 gets a cut.  The memo is the only place a solve is kept between calls.  A
-stage LP is built only where a kernel runs: once per forward solve and once
+stage LP is built only where a kernel runs: once per forward batch and once
 per dual batch, whose LP the memo keeps for the certificates to read.
 """
 
@@ -36,6 +38,7 @@ from .lp_core import (
     _KernelResult,
     solve_dual_batch,
     solve_dual_inexact,
+    solve_primal_batch,
     solve_with_primal_trail,
 )
 
@@ -92,37 +95,18 @@ def solve_forward_stage(
 ) -> ForwardStageResult:
     """Budget-suboptimal basic decision for one forward stage.
 
-    Solves the stage LP against the full pool to optimality, recording the
-    vertex trail, evaluates each trail vertex against the pool, and returns
-    the earliest one within budget of the optimum.  The solve and the
-    evaluated trail do not depend on the budget; they are kept in
-    ``pool.memo`` until the pool changes.
+    The stage LP's optimum and its trail of vertices, each evaluated against
+    the pool, come from ``pool.memo``; on a miss, ``sweep_forward`` puts
+    them there first, as a batch of one.  The earliest trail vertex within
+    budget of the optimum is returned.  A fault kept in the memo is raised
+    with stage and path.
     """
-    key = ("forward", stage, x_prev.tobytes())
-    hit = pool.memo.get(key)
-    if hit is None:
-        try:
-            sol, trail = solve_with_primal_trail(stage_lp(stage, x_prev, pool))
-        except LpError as exc:  # kernel faults carry no stage context
-            raise StageSolveError(
-                f"{_where(t, path)} failed in the kernel: {exc}", stage=t, path=path
-            ) from exc
-        if sol.status is not SolveStatus.OPTIMAL:
-            raise StageSolveError(f"{_where(t, path)} is {sol.status.value}", stage=t, path=path)
-        cost = float(stage.c @ sol.x)
-        future = pool.evaluate(sol.x)
-        epigraph = sol.obj - cost
-        if future > epigraph + 1e-9 * (1.0 + abs(future)):
-            raise StageSolveError(
-                f"{_where(t, path)}: the kernel's optimum violates one of its own cut "
-                f"rows (pool value {future!r} above epigraph value {epigraph!r})",
-                stage=t, path=path,
-            )
-        optimum = cost + future
-        # the trail of an optimal solve ends at the optimum, so it is never empty
-        xs = np.stack([x for _, x in trail])
-        full_vals = xs @ stage.c + pool.evaluate_many(xs)
-        hit = pool.memo[key] = (sol.x, optimum, xs, full_vals)
+    key = _forward_key(stage, x_prev.tobytes())
+    if key not in pool.memo:
+        sweep_forward([stage], [x_prev], pool)
+    hit = pool.memo[key]
+    if isinstance(hit, StageSolveError):
+        raise StageSolveError(f"{_where(t, path)}{hit}", stage=t, path=path) from hit.__cause__
     x_star, optimum, xs, full_vals = hit
     resolved = budget.resolve(optimum)
     slack = 1e-12 * (1.0 + abs(optimum))
@@ -137,6 +121,81 @@ def solve_forward_stage(
     return ForwardStageResult(
         x=x_star.copy(), value=optimum, optimum=optimum, budget_resolved=resolved
     )
+
+
+def sweep_forward(
+    stages: Sequence[StageModel], x_prevs: Sequence[np.ndarray], pool: CutPool
+) -> None:
+    """Solve the forward LPs of one stage into ``pool.memo``: ``stages[i]`` at ``x_prevs[i]``.
+
+    Stages that share ``A`` and ``c`` give LPs that differ in
+    ``eq_rhs = b - B x_prev`` only.  Each such group is one
+    ``solve_primal_batch`` over its (stage, trial point) pairs that the memo
+    does not hold yet, each pair once; a group of one is one
+    ``solve_with_primal_trail``, the kernel's batch of one.  A solve and its
+    trail, evaluated against the pool, do not depend on the budget: the memo
+    keeps the optimal vertex, the optimum, the trail vertices and their
+    values.  A member that faults (a kernel fault, a status other than
+    optimal, or an optimum that violates one of its own cut rows) keeps the
+    fault there instead, and ``solve_forward_stage`` raises it with stage
+    and path.
+    """
+    groups: dict = {}
+    for stage, x in zip(stages, x_prevs):
+        key = _forward_key(stage, x.tobytes())
+        if key not in pool.memo:
+            groups.setdefault(_structure(stage), {})[key] = stage, x
+    for todo in groups.values():
+        members = list(todo.items())
+        first, x_first = members[0][1]
+        lp = stage_lp(first, x_first, pool)
+        if len(members) > 1:
+            eq_rhs = np.array([stage.b - stage.B @ x for _, (stage, x) in members])
+            outcomes = solve_primal_batch(lp, eq_rhs)
+        else:
+            try:
+                outcomes = [solve_with_primal_trail(lp)]
+            except LpError as exc:
+                outcomes = [exc]
+        for (key, (stage, _)), out in zip(members, outcomes):
+            pool.memo[key] = _forward_entry(stage, pool, out)
+
+
+def _forward_key(stage: StageModel, x_bytes: bytes) -> tuple:
+    return "forward", stage, x_bytes
+
+
+def _structure(stage: StageModel) -> tuple:
+    """What a stage LP's batch shares: ``A`` and ``c``."""
+    return stage.A.shape, stage.A.tobytes(), stage.c.tobytes()
+
+
+def _fault(detail: str, cause: Optional[Exception] = None) -> StageSolveError:
+    """A forward fault as the memo keeps it: ``detail`` follows the stage and path."""
+    fault = StageSolveError(detail)
+    fault.__cause__ = cause
+    return fault
+
+
+def _forward_entry(stage: StageModel, pool: CutPool, out) -> tuple | StageSolveError:
+    """The memo entry of one forward kernel outcome at ``stage``."""
+    if isinstance(out, LpError):  # kernel faults carry no stage context
+        return _fault(f" failed in the kernel: {out}", out)
+    sol, trail = out
+    if sol.status is not SolveStatus.OPTIMAL:
+        return _fault(f" is {sol.status.value}")
+    cost = float(stage.c @ sol.x)
+    future = pool.evaluate(sol.x)
+    epigraph = sol.obj - cost
+    if future > epigraph + 1e-9 * (1.0 + abs(future)):
+        return _fault(
+            f": the kernel's optimum violates one of its own cut rows "
+            f"(pool value {future!r} above epigraph value {epigraph!r})"
+        )
+    # the trail of an optimal solve ends at the optimum, so it is never empty
+    xs = np.stack([x for _, x in trail])
+    full_vals = xs @ stage.c + pool.evaluate_many(xs)
+    return sol.x, cost + future, xs, full_vals
 
 
 def sweep_duals(
@@ -157,7 +216,7 @@ def sweep_duals(
     points = {x.tobytes(): x for x in x_prevs}
     groups: dict = {}
     for r in realizations:
-        groups.setdefault((r.A.shape, r.A.tobytes(), r.c.tobytes()), []).append(r)
+        groups.setdefault(_structure(r), []).append(r)
     for group in groups.values():
         todo = [(_dual_key(r, xb), r, x) for xb, x in points.items() for r in group]
         todo = [member for member in todo if member[0] not in pool.memo]

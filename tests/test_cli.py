@@ -255,7 +255,8 @@ class TestSolve:
             # iteration 1 runs against empty pools: one forward solve per
             # stage, so call T + 1 outside the lower bound is in iteration 2.
             # The lower bound of iteration 1 fills the memo entry of stage 1,
-            # so that call is stage 2's.
+            # so that call is stage 2's.  One path makes every forward batch
+            # a batch of one.
             if not in_lb:
                 calls.append(lp)
             if len(calls) > toy_det_t3().horizon:
@@ -286,21 +287,25 @@ class TestSolve:
         # the epigraph value lowered below them.  With solve seed 111 the
         # first such LP is path 0's, in iteration 2.
         pools = {}
-        real_lp, real_solve = stage_solver.stage_lp, stage_solver.solve_with_primal_trail
+        real_lp = stage_solver.stage_lp
+        real_batch = stage_solver.solve_primal_batch
 
         def recording_lp(stage, x_prev, pool):
             lp = real_lp(stage, x_prev, pool)
             pools[id(lp)] = pool
             return lp
 
-        def violating(lp):
-            sol, trail = real_solve(lp)
+        def violating(lp, eq_rhs):
+            outcomes = real_batch(lp, eq_rhs)
             if pools[id(lp)].stage == 4 and lp.num_cuts > 1:  # stage 3's LPs
-                sol.obj -= 1.0
-            return sol, trail
+                for sol, _trail in outcomes:
+                    sol.obj -= 1.0
+            return outcomes
 
         monkeypatch.setattr(stage_solver, "stage_lp", recording_lp)
-        monkeypatch.setattr(stage_solver, "solve_with_primal_trail", violating)
+        monkeypatch.setattr(stage_solver, "solve_primal_batch", violating)
+        monkeypatch.setattr(stage_solver, "solve_with_primal_trail",
+                            lambda lp: violating(lp, lp.eq_rhs[None])[0])
         inst = str(tmp_path / "u02.json")
         assert main(["gen", "--T", "6", "--n", "8", "--M", "10", "--u", "0.2",
                      "--seed", "0", "--out", inst]) == EXIT_OK
@@ -387,6 +392,17 @@ class TestOracleCmd:
         err = capsys.readouterr().err
         assert "stage 2" in err and "25" in err
         assert "matmul" not in err
+
+    @pytest.mark.parametrize("state, entry", [("a,b", "entry 1 of 2 is 'a'"),
+                                              ("nan,0.5,0", "entry 1 of 3 is 'nan'"),
+                                              ("1.0,inf,0", "entry 2 of 3 is 'inf'")])
+    def test_state_that_is_not_finite_numbers_is_a_usage_error(self, instance, capsys,
+                                                               state, entry):
+        rc = main(["oracle", "--instance", instance, "--stage", "3", "--state", state])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"usage error: --state {entry}, not a finite number" in err
+        assert "RuntimeWarning" not in err and "argmax" not in err
 
     def test_oversized_tree_exits_three(self, tmp_path, capsys):
         from isddp.models import StochasticModel, StochasticStageModel

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference_kernel
-from isddp import lp_core
+from isddp import lp_core, stage_solver
 from isddp.lp_core import (
     LinearProgram,
     LpDimensionError,
@@ -21,6 +21,7 @@ from isddp.lp_core import (
     solve_dual_batch,
     solve_dual_inexact,
     solve_exact,
+    solve_primal_batch,
     solve_with_primal_trail,
     _explicit_duals,
     _simplex_batch,
@@ -30,7 +31,7 @@ from isddp.lp_core import (
 from isddp.oracle import _assemble_tree_lp
 from isddp.schedules import ErrorBudget
 from isddp.portfolio import PortfolioSpec, generate_instance
-from isddp.schedules import ScheduleMode, ScheduleSpec
+from isddp.schedules import EXACT_SCHEDULE, ScheduleMode, ScheduleSpec
 from isddp.sddp_engine import run_isddp
 
 from conftest import enumerate_vertices, random_feasible_bounded_lp
@@ -644,3 +645,164 @@ def test_captured_backward_batches_match_lone_solves(monkeypatch):
         got = _simplex_batch(A, b, C, **kwargs)
         for k, (c, out) in enumerate(zip(C, got)):
             assert _outcome_bits(out) == _outcome_bits(_lone(A, b, c, **kwargs)), f"member {k}"
+
+
+# ---------------------------------------------------------------------------
+# Batched primal solves: LPs that share (A, c) and differ in eq_rhs, each
+# member against its lone solve, bit for bit.
+
+
+def _primal_bits(out):
+    if isinstance(out, LpError):
+        return (type(out), str(out))
+    sol, trail = out
+
+    def bits(a):
+        return None if a is None else (np.asarray(a, dtype=float) + 0.0).tobytes()
+
+    return (sol.status, bits(sol.x), bits(sol.obj), bits(sol.lam), bits(sol.mu), sol.basis,
+            [(bits(obj), bits(x)) for obj, x in trail])
+
+
+def _assert_primal_batch_matches_lone(lp, eq_rhs):
+    """Every member of ``lp``'s batch over ``eq_rhs``, in the kernel (x, obj,
+    duals, basis, pivots and trail) and through ``solve_primal_batch``,
+    equals its lone solve; returns the kernel outcomes."""
+    A, B, c = _standard_primal(lp, eq_rhs)
+    got = _simplex_batch(A, B, c[None], trail_len=lp.num_vars)
+    assert len(got) == len(eq_rhs)
+    for k, (b, out) in enumerate(zip(B, got)):
+        want = _lone(A, b, c, trail_len=lp.num_vars)
+        assert _outcome_bits(out) == _outcome_bits(want), f"member {k}"
+    lone = []
+    for row in eq_rhs:
+        try:
+            lone.append(solve_with_primal_trail(dataclasses.replace(lp, eq_rhs=row)))
+        except LpError as exc:
+            lone.append(exc)
+    outs = solve_primal_batch(lp, eq_rhs)
+    assert [_primal_bits(out) for out in outs] == [_primal_bits(out) for out in lone]
+    return got
+
+
+def _captured_forward_batches(monkeypatch, model, schedule, n_paths, max_iter):
+    """The forward batches (LP, eq_rhs) that a run hands ``solve_primal_batch``."""
+    calls = []
+    batch = stage_solver.solve_primal_batch
+
+    def capture(lp, eq_rhs):
+        calls.append((lp, eq_rhs.copy()))
+        return batch(lp, eq_rhs)
+
+    monkeypatch.setattr(stage_solver, "solve_primal_batch", capture)
+    run_isddp(model, schedule, n_paths=n_paths, gap_tol=1e-9, max_iter=max_iter, seed=9)
+    monkeypatch.undo()
+    return calls
+
+
+def test_forward_batches_whose_members_diverge_match_lone_solves(monkeypatch):
+    # the u=0.2 family: members of one forward batch take different pivots
+    model = generate_instance(PortfolioSpec(T=4, n=8, M=10, u=0.2, seed=0))
+    calls = _captured_forward_batches(monkeypatch, model, EXACT_SCHEDULE, 10, 4)
+    diverged = 0
+    for lp, eq_rhs in calls:
+        got = _assert_primal_batch_matches_lone(lp, eq_rhs)
+        diverged += len({(res.basis.tobytes(), res.pivots) for res in got}) > 1
+    assert sum(len(eq_rhs) for _, eq_rhs in calls) > 50 and diverged
+
+
+def test_forward_batches_whose_members_pivot_alike_match_lone_solves(monkeypatch):
+    # the T=6 u=1 benchmark instance: members of a batch share one pivot path
+    model = generate_instance(PortfolioSpec(T=6, n=4, M=5, seed=0))
+    schedule = ScheduleSpec(eps_bar=0.1, eps0=1e-12, mode=ScheduleMode.RELATIVE)
+    calls = _captured_forward_batches(monkeypatch, model, schedule, 5, 4)
+    assert sum(len(eq_rhs) for _, eq_rhs in calls) > 50
+    for lp, eq_rhs in calls:
+        got = _assert_primal_batch_matches_lone(lp, eq_rhs)
+        assert len({(res.basis.tobytes(), res.pivots) for res in got}) == 1
+
+
+def test_primal_batch_members_with_different_rhs_signs(rng):
+    # rows are signed to b >= 0 before the crash, so each sign pattern
+    # starts on a tableau of its own
+    lp = random_feasible_bounded_lp(rng)
+    n = lp.num_vars
+    eq_rhs = np.array([lp.eq_matrix @ rng.uniform(0.0, 2.0, size=n).round(3)
+                       for _ in range(12)])
+    signs = {tuple(row < 0) for row in eq_rhs}
+    assert len(signs) > 1
+    _assert_primal_batch_matches_lone(lp, eq_rhs)
+
+
+def test_primal_batch_with_an_infeasible_member(rng):
+    # x0 - x1 = b0, x0 + x1 = b1 with x >= 0 needs b1 >= |b0|: the second
+    # member's rhs has the signs of the others but no feasible point
+    lp = LinearProgram(cost=[1.0, 2.0, 0.5], eq_matrix=[[1.0, -1.0, 0.0], [1.0, 1.0, 1.0]],
+                       eq_rhs=[1.0, 3.0], cut_beta=[[0.0, 0.0, 0.0], [0.5, -1.0, 0.2]],
+                       cut_theta=[-5.0, 0.3])
+    eq_rhs = np.array([[1.0, 3.0], [1.0, 0.5], [0.5, 2.0], [2.0, 2.5]])
+    got = _assert_primal_batch_matches_lone(lp, eq_rhs)
+    assert [res.status for res in got] == [SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE,
+                                           SolveStatus.OPTIMAL, SolveStatus.OPTIMAL]
+
+
+def _assert_rhs_batch_matches_lone(A, B, c, **extra):
+    """Every member of a batch over the rows of ``B``, with and without a
+    trail, equals its lone solve."""
+    for kwargs in _kernel_calls(A.shape[1]):
+        got = _simplex_batch(A, B, c[None], **kwargs, **extra)
+        assert len(got) == len(B)
+        for k, (b, out) in enumerate(zip(B, got)):
+            want = _lone(A, b, c, **kwargs, **extra)
+            assert _outcome_bits(out) == _outcome_bits(want), f"member {k}"
+
+
+def _rhs_members(rng, K):
+    """A conftest LP in standard form and K right-hand sides A @ x, x >= 0
+    with some zero entries (degenerate vertices)."""
+    A, _, c = _standard_primal(random_feasible_bounded_lp(rng))
+    X = np.where(rng.random((K, A.shape[1])) < 0.5, 0.0, rng.uniform(0.0, 2.0, (K, A.shape[1])))
+    return A, (X @ A.T).round(3), c
+
+
+@pytest.mark.parametrize("K", [2, 7, 40])
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=8, deadline=None)
+def test_rhs_batch_matches_lone_solves(K, seed):
+    _assert_rhs_batch_matches_lone(*_rhs_members(np.random.default_rng(seed), K))
+
+
+def test_rhs_batch_members_that_switch_to_blands_rule(rng):
+    # a zero streak switches each member to Bland's rule at its first
+    # degenerate pivot, in phase 1 as in phase 2
+    with mock.patch.object(lp_core, "BLAND_STREAK", 0):
+        for _ in range(10):
+            _assert_rhs_batch_matches_lone(*_rhs_members(rng, 8))
+
+
+@pytest.mark.parametrize("max_pivots", range(8))
+def test_rhs_batch_pivot_limit_matches_lone_solves(max_pivots):
+    # the limit falls in phase 1 for the smallest values, in phase 2 after
+    rng = np.random.default_rng(max_pivots)
+    _assert_rhs_batch_matches_lone(*_rhs_members(rng, 6), max_pivots=max_pivots)
+
+
+@pytest.mark.parametrize("threshold", UPDATE_THRESHOLDS)
+def test_rhs_batch_on_both_update_paths(threshold):
+    rng = np.random.default_rng(11)
+    with mock.patch.object(lp_core, "RESTRICTED_UPDATE_CELLS", threshold):
+        _assert_rhs_batch_matches_lone(*_rhs_members(rng, 12))
+
+
+def test_a_batch_shares_its_cost_rows_or_its_right_hand_sides():
+    A, b, c = np.eye(2), np.ones((3, 2)), np.ones((3, 2))
+    with pytest.raises(LpDimensionError, match="share one or the other"):
+        _simplex_batch(A, b, c)
+
+
+@pytest.mark.parametrize("name", list(EDGE_LPS))
+def test_rhs_batch_matches_lone_solves_on_edge_lps(name):
+    # each edge LP beside copies of it with scaled and sign-flipped rows
+    A, b, c = _standard_primal(EDGE_LPS[name]())
+    B = np.array([b, 2.0 * b, -b, b + (np.arange(len(b)) % 2)])
+    _assert_rhs_batch_matches_lone(A, B, c)

@@ -308,7 +308,8 @@ class TestStoreEachCutOnce:
         add = CutPool.add
         monkeypatch.setattr(CutPool, "add", lambda pool, cut: added.append(cut) or add(pool, cut))
         batch, sweep = stage_solver.solve_dual_batch, stage_solver.sweep_duals
-        real_lp, primal = stage_solver.stage_lp, stage_solver.solve_with_primal_trail
+        real_lp, primal = stage_solver.stage_lp, stage_solver.solve_primal_batch
+        lone_primal = stage_solver.solve_with_primal_trail
         lp_stage = {}  # id of each stage LP -> its stage
         lp_stage_calls = []  # the stage of each stage LP built
 
@@ -325,8 +326,10 @@ class TestStoreEachCutOnce:
         monkeypatch.setattr(stage_solver, "sweep_duals",
                             lambda *args: lone.append(args) or sweep(*args))
         monkeypatch.setattr(stage_solver, "stage_lp", recording_lp)
+        monkeypatch.setattr(stage_solver, "solve_primal_batch", lambda lp, eq_rhs: (
+            primal_stages.append(lp_stage[id(lp)]) or primal(lp, eq_rhs)))
         monkeypatch.setattr(stage_solver, "solve_with_primal_trail", lambda lp: (
-            primal_stages.append(lp_stage[id(lp)]) or primal(lp)))
+            primal_stages.append(lp_stage[id(lp)]) or lone_primal(lp)))
         paths = sample_paths(m, 1, 1, seed=9)
         # two paths at one (stage, state): one kernel solve per stage
         traj, twin = forward_pass_sddp(m, pools, paths * 2, [ErrorBudget()] * 3).trajectories
@@ -362,12 +365,17 @@ class TestStoreEachCutOnce:
         T, n_paths = m.horizon, 3
         solved = Counter()
         in_lb = []  # the lower bound's kernel calls count apart
-        primal, batch, lower_bound = (stage_solver.solve_with_primal_trail,
+        primal, batch, lower_bound = (stage_solver.solve_primal_batch,
                                       stage_solver.solve_dual_batch, sddp_engine.stage_value_exact)
+        lone_primal = stage_solver.solve_with_primal_trail
 
-        def counting_primal(lp):
+        def counting_primal(lp, eq_rhs):
+            solved["lb" if in_lb else "forward"] += len(eq_rhs)
+            return primal(lp, eq_rhs)
+
+        def counting_lone_primal(lp):
             solved["lb" if in_lb else "forward"] += 1
-            return primal(lp)
+            return lone_primal(lp)
 
         def counting_batch(lp, eq_rhs):
             solved["dual"] += len(eq_rhs)
@@ -380,7 +388,8 @@ class TestStoreEachCutOnce:
             finally:
                 in_lb.pop()
 
-        monkeypatch.setattr(stage_solver, "solve_with_primal_trail", counting_primal)
+        monkeypatch.setattr(stage_solver, "solve_primal_batch", counting_primal)
+        monkeypatch.setattr(stage_solver, "solve_with_primal_trail", counting_lone_primal)
         monkeypatch.setattr(stage_solver, "solve_dual_batch", counting_batch)
         monkeypatch.setattr(sddp_engine, "stage_value_exact", flagged_lower_bound)
         pools = make_pools(m)
@@ -617,3 +626,91 @@ class TestEvaluatePolicy:
         costs = evaluate_policy(m, pools, 300, seed=2)
         se = costs.std(ddof=1) / np.sqrt(len(costs))
         assert abs(costs.mean() - log.final_lb) <= 3 * se + 1e-6
+
+
+class TestStageMajorForwardPass:
+    """The forward pass solves the LPs of one stage, all paths, as kernel
+    batches; every path must read exactly what it reads when it runs alone."""
+
+    @staticmethod
+    def _trained():
+        model = generate_instance(PortfolioSpec(T=4, n=8, M=10, u=0.2, seed=0))
+        pools = make_pools(model)
+        run_isddp(model, EXACT_SCHEDULE, n_paths=10, gap_tol=1e-9, max_iter=3, seed=9,
+                  initial_pools=pools)
+        return model, pools
+
+    @staticmethod
+    def _copies(pools):
+        return {t: CutPool.from_dict(p.to_dict()) for t, p in pools.items()}
+
+    def test_paths_match_one_path_passes(self):
+        model, pools = self._trained()
+        spec = ScheduleSpec(eps_bar=0.1, eps0=1e-12, mode=ScheduleMode.RELATIVE)
+        paths = sample_paths(model, 10, 4, seed=9)
+        deltas = forward_budgets(spec, 4, model.horizon)
+        got = forward_pass_sddp(model, pools, paths, deltas)
+        alone = [forward_pass_sddp(model, self._copies(pools), [path], deltas) for path in paths]
+        for traj, one in zip(got.trajectories, alone):
+            assert [x.tobytes() for x in traj] == [x.tobytes() for x in one.trajectories[0]]
+        assert got.cost_samples.tobytes() == np.concatenate(
+            [one.cost_samples for one in alone]).tobytes()
+        assert got.stage_values.tobytes() == np.vstack(
+            [one.stage_values for one in alone]).tobytes()
+        assert got.deltas_resolved == tuple(
+            max([0.0, *column]) for column in zip(*(one.deltas_resolved for one in alone)))
+
+    def test_policy_evaluation_matches_one_path_passes(self):
+        model, pools = self._trained()
+        exact = [ErrorBudget()] * model.horizon
+        paths = sample_paths(model, 200, 0, 5, stream=sddp_engine._EVAL_STREAM)
+        alone = [forward_pass_sddp(model, self._copies(pools), [path], exact).cost_samples
+                 for path in paths]
+        assert evaluate_policy(model, pools, 200, 5).tobytes() == np.concatenate(alone).tobytes()
+
+
+class TestForwardBatchFaults:
+    """A fault in one member of a forward batch names that member's stage and
+    path: here the last member of the first stage-3 batch with pool cuts."""
+
+    @pytest.mark.parametrize("kind, message", [
+        ("kernel", " failed in the kernel: injected"),
+        ("status", " is infeasible"),
+        ("cut row", ": the kernel's optimum violates one of its own cut rows"),
+    ])
+    def test_fault_names_the_faulty_member(self, kind, message, monkeypatch):
+        model = generate_instance(PortfolioSpec(T=4, n=8, M=10, u=0.2, seed=0))
+        pools = make_pools(model)
+        sweeps, faulty = [], []
+        sweep, batch = sddp_engine.sweep_forward, stage_solver.solve_primal_batch
+
+        def recording_sweep(stages, x_prevs, pool):
+            sweeps.append((stages, x_prevs))
+            return sweep(stages, x_prevs, pool)
+
+        def faulty_batch(lp, eq_rhs):
+            outcomes = batch(lp, eq_rhs)
+            if faulty or lp.cut_theta is not pools[4].thetas_with_floor() or lp.num_cuts < 2:
+                return outcomes
+            faulty.append(eq_rhs[-1].tobytes())
+            sol, trail = outcomes[-1]
+            if kind == "kernel":
+                outcomes[-1] = lp_core.LpError("injected")
+            elif kind == "status":
+                outcomes[-1] = lp_core.PrimalDualSolution(lp_core.SolveStatus.INFEASIBLE), []
+            else:
+                sol.obj -= 1.0
+            return outcomes
+
+        monkeypatch.setattr(sddp_engine, "sweep_forward", recording_sweep)
+        monkeypatch.setattr(stage_solver, "solve_primal_batch", faulty_batch)
+        with pytest.raises(stage_solver.StageSolveError) as err:
+            run_isddp(model, EXACT_SCHEDULE, n_paths=10, gap_tol=1e-9, max_iter=5, seed=9,
+                      initial_pools=pools)
+        stages, x_prevs = sweeps[-1]
+        path = next(p for p, (stage, x) in enumerate(zip(stages, x_prevs))
+                    if (stage.b - stage.B @ x).tobytes() == faulty[0])
+        assert path > 0
+        assert (err.value.stage, err.value.path) == (3, path)
+        assert f"stage 3 (path {path}){message}" in str(err.value)
+        assert [r.k for r in err.value.partial_log.records] == [1]
