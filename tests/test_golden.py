@@ -2,12 +2,15 @@
 
 The CSVs under ``tests/golden/`` were written by the program; a change that
 alters solver output on purpose regenerates them (``PYTHONPATH=src python
-tests/test_golden.py`` rewrites them) and says so.  Two small runs:
+tests/test_golden.py`` rewrites them) and says so.  Three runs:
 
 * a portfolio with ``--preset isddp1``: several paths and realizations, so
   the backward sweeps solve batches of duals that share phase 1;
 * a deterministic chain with ``--algo ddp``: one path and one realization,
-  so every backward dual is solved alone.
+  so every backward dual is solved alone;
+* the ``portfolio-isddp1`` benchmark solve (T=6, n=4, M=5, 5 paths, 14
+  iterations), whose cut pools stop changing early, so later forward and
+  dual batches repeat the structure of earlier ones.
 """
 
 import csv
@@ -35,7 +38,16 @@ def _chain(tmp):
     return inst, ["--algo", "ddp", "--tol", "1e-6", "--max-iter", "100"]
 
 
-RUNS = {"portfolio_isddp1": _portfolio, "chain_ddp": _chain}
+def _portfolio_bench(tmp):
+    inst = os.path.join(tmp, "bench.json")
+    assert main(["gen", "--T", "6", "--n", "4", "--M", "5", "--seed", "0",
+                 "--out", inst]) == EXIT_OK
+    return inst, ["--preset", "isddp1", "--paths", "5", "--max-iter", "14",
+                  "--gap-tol", "1e-9", "--seed", "9"]
+
+
+RUNS = {"portfolio_isddp1": _portfolio, "chain_ddp": _chain,
+        "portfolio_bench": _portfolio_bench}
 
 
 def _solve(name, tmp, out):
