@@ -42,6 +42,18 @@ group share one tableau and take the same pivots; a group splits where its
 LPs pivot differently.  Every result is bit-identical to a lone solve (see
 ``_simplex_batch``).
 
+Phase 1 depends on neither the cost rows nor, in its pricing, the
+right-hand sides, so it can be run once for several batches.  A batch of
+more than one LP whose LPs end phase 1 as one group hands back, in the
+``phase1`` dict that the caller passes, a ``Phase1Record``: the crash, each
+phase-1 and drive-out pivot (its pivot column and normalized row), and the
+tableau and basis where phase 2 starts.  A later batch with the same
+standard form, handed the same dict, applies the recorded steps to its own
+cost rows (duals) or to each LP's rhs column while that LP's own ratio test
+picks the recorded rows (primals), and starts phase 2 from the recorded
+end, with the float operations of a fresh solve.  The kernel keeps no
+record itself: the caller decides how long a record holds.
+
 Dual convention for cut rows: weights mu >= 0 with sum(mu) == 1, entering
 the variable-wise constraint as  eq_matrix.T @ lam - sum_i mu_i * beta_i <= c.
 (The minus sign follows from writing a cut row as  f - beta_i . x >= theta_i.)
@@ -214,6 +226,36 @@ class _KernelResult:
     trail: list = field(default_factory=list)
 
 
+@dataclass
+class Phase1Record:
+    """Phase 1 of one batch, for later batches of the same standard form.
+
+    A batch whose members end phase 1 together (one rhs sign class, none
+    finished or split off, too few steps to reach Bland's rule, no
+    restricted update) records it; ``_simplex_batch`` replays it on the cost rows or the
+    right-hand sides of a later batch (see there).  ``crash`` holds one
+    ``(pr, pc, divisor, price, row)`` per crash row in crash order: the
+    entry the row was divided by (1.0 if it was not), the cost rows'
+    entries in column ``pc`` that multiplied the row when they were priced
+    out (``None`` if they were not) and the scaled row.  ``steps`` holds
+    one ``(pr, pc, piv, colv, row)`` per pivot, the first ``phase1_steps``
+    of phase 1 and the rest driving artificials out: the pivot entry, the
+    pivot column before the step with a zero in row ``pr``, and the
+    normalized pivot row.  Only a replay on cost rows reads the rows, so a
+    record of members with rhs columns of their own keeps ``None``.  ``tableau`` holds the constraint rows and the
+    first cost row at the end, up to and including the first rhs column,
+    with ``basis`` and the pivot ``count``.
+    """
+
+    crash: list
+    keep: np.ndarray
+    steps: list
+    phase1_steps: int
+    tableau: np.ndarray
+    basis: np.ndarray
+    count: int
+
+
 def _simplex_standard_form(
     A: np.ndarray,
     b: np.ndarray,
@@ -231,6 +273,47 @@ def _simplex_standard_form(
     return out
 
 
+def _leaving_row(colv: np.ndarray, rhs: np.ndarray, basis: np.ndarray, bland: bool,
+                 ratios: np.ndarray) -> int:
+    """The row that leaves when the column ``colv`` enters, by the ratio test
+    on ``rhs`` (-1 if no entry of ``colv`` is positive); ``ratios`` is scratch.
+
+    Ties within a relative 1e-9 of the least ratio go to the largest pivot
+    entry (the first of them), or under Bland's rule to the lowest basic
+    column.
+    """
+    if not len(colv):
+        return -1
+    pos = colv > PIVOT_TOL
+    ratios.fill(np.inf)
+    np.divide(rhs, colv, out=ratios, where=pos)
+    rmin = ratios[ratios.argmin()]
+    if rmin == np.inf:  # no positive entry in the column
+        return -1
+    tie = (ratios <= rmin + 1e-9 * (1.0 + abs(rmin))).nonzero()[0]
+    if tie.size == 1:
+        return int(tie[0])
+    if bland:
+        return int(tie[basis[tie].argmin()])
+    return int(tie[colv[tie].argmax()])
+
+
+def _leaving_rows(colv: np.ndarray, rhs: np.ndarray, basis: Optional[np.ndarray],
+                  bland: bool) -> np.ndarray:
+    """``_leaving_row`` for each column of ``rhs`` (m, g) at once."""
+    if not len(colv):
+        return np.full(rhs.shape[1], -1)
+    pos = (colv > PIVOT_TOL)[:, None]
+    ratios = np.full(rhs.shape, np.inf)
+    np.divide(rhs, colv[:, None], out=ratios, where=pos)
+    rmin = ratios.min(axis=0)
+    tie = ratios <= rmin + 1e-9 * (1.0 + np.abs(rmin))
+    rank = -basis if bland else colv  # the tie that leaves ranks highest
+    rows = np.where(tie, rank[:, None], -np.inf).argmax(axis=0)
+    rows[rmin == np.inf] = -1
+    return rows
+
+
 def _simplex_batch(
     A: np.ndarray,
     b: np.ndarray,
@@ -238,6 +321,7 @@ def _simplex_batch(
     *,
     max_pivots: Optional[int] = None,
     trail_len: Optional[int] = None,
+    phase1: Optional[dict] = None,
 ) -> list:
     """Two-phase tableau simplex for  min C[k].z  s.t. A z = b[k], z >= 0,  per member k.
 
@@ -278,6 +362,30 @@ def _simplex_batch(
     snapshot is taken once per group step and rhs column, so members that
     share their rhs share its vertex arrays.  Only structural columns enter.
 
+    ``phase1`` maps the bytes of an rhs sign pattern to the
+    ``Phase1Record`` of an earlier batch with this ``A`` whose members
+    shared what these share: ``b``, or the cost row ``C``.  Phase 1 and the
+    drive-out read
+    neither the cost rows nor, in their pricing, the rhs columns, so a
+    record stands in for them:
+
+    * Members with cost rows of their own share phase 1 whole: their cost
+      rows take the recorded crash price-outs and pivots (the same float
+      operations as on the full tableau) and go on in phase 2 from the
+      recorded end.
+    * A member with its own rhs column follows the record while its own
+      ratio test (``_leaving_rows``, the rule of the group loop) picks the
+      recorded row at each phase-1 step, and it must end phase 1 feasible.
+      Its column takes the recorded crash scalings, pivots and drive-outs,
+      and the members that follow go on together in phase 2.  The others
+      start afresh, as an ordinary batch.
+
+    A multi-member class without a record that ends phase 1 as one whole
+    group, without a restricted update and in too few steps for any
+    degenerate streak to reach Bland's rule, adds its record to
+    ``phase1``; a class with a record keeps it.  So a replayed member gets
+    the float operations of its lone solve too.
+
     When a lone solve's tableau (``m + 2`` rows) has at least
     ``RESTRICTED_UPDATE_CELLS`` cells, a pivot touches only the rows where
     the pivot column is nonzero and the columns where the pivot row is
@@ -307,13 +415,19 @@ def _simplex_batch(
     # the groups still to run, depth first: (tableau, basis, pivot count,
     # phase, row signs, members, their Bland flags, their degenerate streaks)
     groups: list = []
+    # the phase 1 being recorded: its steps, and (sign key, crash, keep)
+    steps: Optional[list] = None
+    making: tuple = ()
 
     def pivot(live: np.ndarray, basis: np.ndarray, pr: int, pc: int) -> None:
         """Pivot on (pr, pc): ``live`` holds the m constraint rows, then cost rows."""
         row = live[pr]
-        row /= row[pc]
+        piv = row[pc]
+        row /= piv
         colv = live[:, pc].copy()
         colv[pr] = 0.0
+        if steps is not None:  # a replay on rhs columns reads no pivot row
+            steps.append((pr, pc, piv, colv, None if own_rhs else row.copy()))
         if restricted:
             rows = colv.nonzero()[0]
             cols = row.nonzero()[0]
@@ -332,24 +446,6 @@ def _simplex_batch(
         pc = int((price < -FEAS_TOL).argmax() if bland else price.argmin())
         return pc if price[pc] < -FEAS_TOL else -1
 
-    def leaving_row(body: np.ndarray, rhs: np.ndarray, basis: np.ndarray, pc: int,
-                    bland: bool) -> int:
-        if not m:
-            return -1
-        colv = body[:, pc]
-        pos = colv > PIVOT_TOL
-        ratios.fill(np.inf)
-        np.divide(rhs, colv, out=ratios, where=pos)
-        rmin = ratios[ratios.argmin()]
-        if rmin == np.inf:  # no positive entry in the column
-            return -1
-        tie = (ratios <= rmin + 1e-9 * (1.0 + abs(rmin))).nonzero()[0]
-        if tie.size == 1:
-            return int(tie[0])
-        if bland:
-            return int(tie[basis[tie].argmin()])
-        return int(tie[colv[tie].argmax()])
-
     def run_phase(
         r: np.ndarray, live: np.ndarray, basis: np.ndarray, count: int,
         trail: Optional[list], bland: bool = False, degenerate: int = 0,
@@ -366,7 +462,7 @@ def _simplex_batch(
             pc = entering(r, bland)
             if pc < 0:
                 return "optimal", count
-            pr = leaving_row(body, rhs, basis, pc, bland)
+            pr = _leaving_row(body[:, pc], rhs, basis, bland, ratios)
             if pr < 0:
                 return "unbounded", count
             prev = r[-1]
@@ -389,6 +485,8 @@ def _simplex_batch(
     def settle(how: str, live: np.ndarray, basis: np.ndarray, count: int, sign: np.ndarray,
                ks: np.ndarray, idx: Optional[list] = None) -> None:
         """Record outcome ``how`` of the members ``ks[i]``, i in ``idx`` (all by default)."""
+        nonlocal steps
+        steps = None  # a member finished: no group ends phase 1 whole
         for i in range(len(ks)) if idx is None else idx:
             k = int(ks[i])
             c, j = (m, ncols + i) if own_rhs else (m + i, ncols)
@@ -463,6 +561,7 @@ def _simplex_batch(
     def end_phase1(live: np.ndarray, basis: np.ndarray, count: int, sign: np.ndarray,
                    ks: np.ndarray) -> None:
         """Finish the infeasible members of a group at the end of phase 1; go on in phase 2."""
+        nonlocal steps
         infeasible = [-live[-1, j] > FEAS_TOL * (1.0 + np.abs(live[:m, j]).sum())
                       for j in range(ncols, live.shape[1])]
         if any(infeasible):
@@ -473,6 +572,7 @@ def _simplex_batch(
             live = narrow(live, (~bad).nonzero()[0], True)
             ks = ks[~bad]
         live = live[:-1]
+        phase1_steps = len(steps) if steps is not None else 0
         # Drive leftover artificials out of the basis where a structural pivot
         # exists; rows without one are redundant and keep a zero-level artificial.
         for pr in range(m):
@@ -481,15 +581,78 @@ def _simplex_batch(
                 if cand.size:
                     pivot(live, basis, pr, int(cand[0]))
                     count += 1
+        # a degenerate streak needs more steps than a record holds to reach
+        # Bland's rule before phase 1 ends, so a member that follows a
+        # record prices by Dantzig's rule throughout
+        if steps is not None and phase1_steps <= bland_after + 1:
+            key, crash, keep = making
+            phase1[key] = Phase1Record(crash, keep, steps, phase1_steps,
+                                       live[: m + 1, : ncols + 1].copy(), basis.copy(), count)
+        steps = None
         go_on(live, basis, count, 2, sign, ks)
+
+    def replay(rec: Phase1Record, members: list, sign: np.ndarray) -> list:
+        """Replay ``rec`` on the members of one sign class; returns those it does not fit."""
+        if not own_rhs:  # phase 1 reads no cost row: every member fits
+            costs = np.zeros((K, ncols + 1))
+            costs[:, :n] = C
+            priced = costs[:, [pc for _, pc, _, _, _ in rec.crash]].any(axis=0).tolist()
+            for (_, pc, _, _, row), price in zip(rec.crash, priced):
+                if price:
+                    _price_out(costs, pc, row)
+            for _, pc, _, _, row in rec.steps:
+                _price_out(costs, pc, row)
+            go_on(np.concatenate((rec.tableau[:m], costs)), rec.basis.copy(), rec.count, 2,
+                  sign, np.arange(K))
+            return []
+        # each member's rhs column, then its cost and r1 entries
+        ks = np.array(members)
+        R = np.zeros((m + 2, len(ks)))
+        R[:m] = (B[ks] * sign).T
+        for pr, _, divisor, price, _ in rec.crash:
+            if divisor != 1.0:
+                R[pr] /= divisor
+            if price is not None:
+                R[m] -= price[0] * R[pr]
+        for j in range(len(ks)):
+            R[-1, j] = -R[:m, j][rec.keep].sum()
+        for pr, pc, piv, colv, _ in rec.steps[: rec.phase1_steps]:
+            col = colv[:m].copy()
+            col[pr] = piv
+            fits = _leaving_rows(col, R[:m], None, False) == pr  # Dantzig's rule reads no basis
+            if not fits.all():
+                R, ks = R[:, fits], ks[fits]
+            R[pr] /= piv
+            R -= colv[:, None] * R[pr]
+        fits = np.array([not -R[-1, j] > FEAS_TOL * (1.0 + np.abs(R[:m, j]).sum())
+                         for j in range(len(ks))], dtype=bool)
+        R, ks = R[:-1, fits], ks[fits]
+        for pr, _, piv, colv, _ in rec.steps[rec.phase1_steps :]:
+            R[pr] /= piv
+            R -= colv[:, None] * R[pr]
+        if len(ks):
+            go_on(np.concatenate((rec.tableau[:, :ncols], R), axis=1), rec.basis.copy(),
+                  rec.count, 2, sign, ks)
+        return sorted(set(members) - set(ks.tolist()))
 
     # One tableau per rhs sign pattern, whose LPs all get the same crash
     # start, since the crash depends on the signed A only.
     classes: dict = {}
     for k in range(len(B)):
         classes.setdefault(signs[k].tobytes(), []).append(k)
-    for members in classes.values():
+    if phase1:
+        for key, members in list(classes.items()):
+            rec = phase1.get(key)
+            if rec is not None and rec.count <= max_pivots:
+                classes[key] = replay(rec, members, signs[members[0]])
+        classes = {key: members for key, members in classes.items() if members}
+    for key, members in classes.items():
         ks = np.array(members) if own_rhs else np.arange(K)
+        if (len(ks) > 1 and phase1 is not None and len(classes) == 1 and not restricted
+                and key not in phase1):
+            steps, rec_crash = [], []
+        else:
+            rec_crash = None
         tab = np.zeros((m + len(C) + 1, ncols + len(members)))
         body, costs, r1 = tab[:m], tab[m:-1], tab[-1]
         sign = signs[members[0]]
@@ -519,18 +682,22 @@ def _simplex_batch(
         priced = costs[:, cols].any(axis=0).tolist()
         for pr, pc, scale, price in zip(rows, cols, scaled, priced):
             row = body[pr]
+            divisor = 1.0
             if scale:
-                row /= row[pc]
+                divisor = row[pc]
+                row /= divisor
             basis[pr] = pc
-            if price:  # price the cost rows out against the crash column
-                colv = costs[:, pc].copy()
-                costs -= colv[:, None] * row
-                costs[:, pc] = 0.0
+            # price the cost rows out against the crash column
+            colv = _price_out(costs, pc, row) if price else None
+            if rec_crash is not None:
+                rec_crash.append((pr, pc, divisor, colv, None if own_rhs else row.copy()))
         # the phase-1 row sums the rows that keep their artificial
         keep = basis >= n
         r1[:n] = -structural[keep].sum(axis=0)
         for j in range(ncols, tab.shape[1]):
             r1[j] = -body[:, j][keep].sum()
+        if rec_crash is not None:
+            making = key, rec_crash, keep
         go_on(tab, basis, 0, 1, sign, ks)
 
     while groups:
@@ -555,7 +722,8 @@ def _simplex_batch(
             if phase == 1 and not moving[0]:  # r1 prices alike for every member
                 end_phase1(live, basis, count, sign, ks)
                 continue
-            prs = [leaving_row(body, rhs[:, j], basis, pc, False) for j in range(rhs.shape[1])]
+            prs = (_leaving_rows(body[:, pc], rhs, basis, False).tolist() if rhs.shape[1] > 1
+                   else [_leaving_row(body[:, pc], rhs[:, 0], basis, False, ratios)])
             pr = prs[0]
             if pr >= 0 and moving.all() and prs.count(pr) == len(prs):
                 go_on_step(live, basis, count, phase, sign, ks, bland, streak, pr, pc)
@@ -575,8 +743,10 @@ def _simplex_batch(
             for i, (move, pc, bl) in enumerate(zip(moves, pcs, bland.tolist())):
                 test = pc, bl, ncols + (i if own_rhs else 0)
                 if move and test not in leaving:
-                    leaving[test] = leaving_row(body, live[:m, test[2]], basis, pc, bl)
+                    leaving[test] = _leaving_row(body[:, pc], live[:m, test[2]], basis, bl,
+                                                 ratios)
                 prs.append(leaving[test] if move else -1)
+        steps = None  # the group splits or loses members, or a member is on Bland's rule
         # members that pivot alike go on together; the others are done
         by_step: dict = {}
         done = []
@@ -600,6 +770,15 @@ def _simplex_batch(
                 go_on_step(narrow(live, sel, last), basis if last else basis.copy(), count,
                            phase, sign, ks[sel], bland[sel], streak[sel], pr, pc)
     return out
+
+
+def _price_out(rows: np.ndarray, pc: int, row: np.ndarray) -> np.ndarray:
+    """Zero column ``pc`` of ``rows`` with multiples of ``row`` (``row[pc]`` is 1),
+    as a pivot updates its cost rows; returns the multiples."""
+    colv = rows[:, pc].copy()
+    rows -= colv[:, None] * row
+    rows[:, pc] = 0.0
+    return colv
 
 
 def _vertex(basis: np.ndarray, rhs: np.ndarray, n: int) -> np.ndarray:
@@ -687,12 +866,13 @@ def _dual_point(lp: LinearProgram, z: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def _solve_primal(
     lp: LinearProgram, eq_rhs: Optional[np.ndarray], trail_len: Optional[int],
-    max_pivots: Optional[int] = None,
+    max_pivots: Optional[int] = None, phase1: Optional[dict] = None,
 ) -> list:
     """Outcomes of ``lp`` with each row of ``eq_rhs`` (its own ``eq_rhs`` if
     none is given): (solution, trail) pairs or ``LpError``s."""
     A, b, c = _standard_primal(lp, eq_rhs)
-    outcomes = _simplex_batch(A, b, c[None], max_pivots=max_pivots, trail_len=trail_len)
+    outcomes = _simplex_batch(A, b, c[None], max_pivots=max_pivots, trail_len=trail_len,
+                              phase1=phase1)
     for k, res in enumerate(outcomes):
         if isinstance(res, LpError):
             continue
@@ -738,7 +918,8 @@ def solve_with_primal_trail(
     return _lone(_solve_primal(lp, None, lp.num_vars))
 
 
-def solve_primal_batch(lp: LinearProgram, eq_rhs: np.ndarray) -> list:
+def solve_primal_batch(lp: LinearProgram, eq_rhs: np.ndarray,
+                       phase1: Optional[dict] = None) -> list:
     """``solve_with_primal_trail`` of ``lp`` with each row of ``eq_rhs``, as one batch.
 
     LPs that differ only in ``eq_rhs`` share their standard form but its
@@ -746,11 +927,14 @@ def solve_primal_batch(lp: LinearProgram, eq_rhs: np.ndarray) -> list:
     shared tableaux, one rhs column each, in groups of members that pivot
     alike.  Outcome ``i`` is the ``(solution, trail)`` pair of a lone solve
     of member ``i``, bit for bit, or the ``LpError`` that solve raises.
+    ``phase1``, if given, holds the phase-1 records of earlier primal
+    batches of LPs with ``lp``'s matrices and cost, and gets this batch's.
     """
-    return _solve_primal(lp, eq_rhs, lp.num_vars)
+    return _solve_primal(lp, eq_rhs, lp.num_vars, phase1=phase1)
 
 
-def solve_dual_batch(lp: LinearProgram, eq_rhs: np.ndarray) -> list:
+def solve_dual_batch(lp: LinearProgram, eq_rhs: np.ndarray,
+                     phase1: Optional[dict] = None) -> list:
     """Kernel outcomes of the explicit duals of ``lp`` with each row of ``eq_rhs``.
 
     LPs that differ only in ``eq_rhs`` have explicit duals that share their
@@ -759,10 +943,12 @@ def solve_dual_batch(lp: LinearProgram, eq_rhs: np.ndarray) -> list:
     ``[-eq_rhs | eq_rhs | -thetas | 0]``.  They are solved as one batch
     (``_simplex_batch``): phase 1 once, then phase 2 in groups of members
     that pivot alike.  Outcome ``i`` is a ``_KernelResult``, or the
-    ``LpError`` that a lone solve of member ``i`` raises.
+    ``LpError`` that a lone solve of member ``i`` raises.  ``phase1``, if
+    given, holds the phase-1 record of an earlier dual batch of LPs with
+    ``lp``'s matrices and cost, and gets this batch's.
     """
     D, rhs, costs = _explicit_duals(lp, eq_rhs)
-    return _simplex_batch(D, rhs, costs, trail_len=2 * lp.num_eq + lp.num_cuts)
+    return _simplex_batch(D, rhs, costs, trail_len=2 * lp.num_eq + lp.num_cuts, phase1=phase1)
 
 
 def solve_dual_inexact(

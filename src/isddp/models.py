@@ -212,7 +212,7 @@ class StochasticModel:
 
 
 def model_to_json(model: StochasticModel) -> str:
-    return json.dumps(model.to_dict(), sort_keys=True, indent=1)
+    return json.dumps(model.to_dict(), sort_keys=True)
 
 
 def model_from_json(text: str) -> StochasticModel:

@@ -53,6 +53,13 @@ class PortfolioSpec:
             raise PortfolioSpecError("need T >= 2, n >= 1, M >= 1")
         if not (0.0 < self.u <= 1.0):
             raise PortfolioSpecError("position limit u must lie in (0, 1]")
+        # the cash column is a gross return 1 + r, held to the rule of
+        # load_returns_csv: finite and >= 0
+        if not (-1.0 <= self.risk_free_return < math.inf):
+            raise PortfolioSpecError(
+                f"--risk-free {self.risk_free_return!r}: the gross cash return 1 + r "
+                "must be finite and >= 0, so r must be finite and >= -1"
+            )
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,17 @@ A stage solve depends only on the stage, the trial point and the pool's
 contents, and the kernel is deterministic, so both kinds of solve are kept
 in ``pool.memo`` (keyed on the stage object, which hashes by identity, and
 the trial point's bytes) and read from there, bit-identical, until the pool
-gets a cut.  The memo is the only place a solve is kept between calls.  A
-stage LP is built only where a kernel runs: once per forward batch and once
-per dual batch, whose LP the memo keeps for the certificates to read.
+gets a cut.  A stage LP is built only where a kernel runs: once per forward
+batch and once per dual batch, whose LP the memo keeps for the certificates
+to read.
+
+The memo also keeps the kernel's phase-1 records (``lp_core.Phase1Record``),
+one dict per kind of batch and stage structure (``A`` and ``c``), since the
+pool fixes the rest of the standard form.  The first multi-LP batch of a
+structure that ends phase 1 as one group makes its record; each later batch
+of that structure replays it, until ``CutPool.add`` drops the memo with the
+records in it.  The memo is the only place a solve or a record is kept
+between calls.
 """
 
 from __future__ import annotations
@@ -145,13 +153,13 @@ def sweep_forward(
         key = _forward_key(stage, x.tobytes())
         if key not in pool.memo:
             groups.setdefault(_structure(stage), {})[key] = stage, x
-    for todo in groups.values():
+    for structure, todo in groups.items():
         members = list(todo.items())
         first, x_first = members[0][1]
         lp = stage_lp(first, x_first, pool)
         if len(members) > 1:
             eq_rhs = np.array([stage.b - stage.B @ x for _, (stage, x) in members])
-            outcomes = solve_primal_batch(lp, eq_rhs)
+            outcomes = solve_primal_batch(lp, eq_rhs, _phase1(pool, "forward", structure))
         else:
             try:
                 outcomes = [solve_with_primal_trail(lp)]
@@ -168,6 +176,11 @@ def _forward_key(stage: StageModel, x_bytes: bytes) -> tuple:
 def _structure(stage: StageModel) -> tuple:
     """What a stage LP's batch shares: ``A`` and ``c``."""
     return stage.A.shape, stage.A.tobytes(), stage.c.tobytes()
+
+
+def _phase1(pool: CutPool, kind: str, structure: tuple) -> dict:
+    """The phase-1 records of ``kind`` batches of one ``_structure`` against ``pool``."""
+    return pool.memo.setdefault(("phase 1", kind, *structure), {})
 
 
 def _fault(detail: str, cause: Optional[Exception] = None) -> StageSolveError:
@@ -217,14 +230,15 @@ def sweep_duals(
     groups: dict = {}
     for r in realizations:
         groups.setdefault(_structure(r), []).append(r)
-    for group in groups.values():
+    for structure, group in groups.items():
         todo = [(_dual_key(r, xb), r, x) for xb, x in points.items() for r in group]
         todo = [member for member in todo if member[0] not in pool.memo]
         if not todo:
             continue
         eq_rhs = np.array([r.b - r.B @ x for _, r, x in todo])
         lp = stage_lp(group[0], todo[0][2], pool)
-        for (key, _, _), res in zip(todo, solve_dual_batch(lp, eq_rhs)):
+        records = _phase1(pool, "dual", structure)
+        for (key, _, _), res in zip(todo, solve_dual_batch(lp, eq_rhs, records)):
             if not isinstance(res, LpError):
                 res = _KernelResult(res.status, None, res.obj, None, None, res.pivots, res.trail)
             pool.memo[key] = (lp, res)

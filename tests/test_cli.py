@@ -50,6 +50,26 @@ class TestGen:
         rc = main(["gen", "--T", "1", "--n", "2", "--out", str(tmp_path / "x.json")])
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("rate", ["-2", "nan", "inf"])
+    def test_risk_free_rate_without_a_finite_gross_return_exits_one(self, rate, tmp_path,
+                                                                    capsys):
+        # 1 + r must be a finite gross return >= 0, as in a returns CSV
+        out = tmp_path / "p.json"
+        rc = main(["gen", "--T", "3", "--n", "2", "--M", "2", "--risk-free", rate,
+                   "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert "--risk-free" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_risk_free_rate_of_minus_one_is_allowed(self, tmp_path, capsys):
+        # a gross cash return of 0, like a zero entry in a returns CSV
+        out = str(tmp_path / "p.json")
+        assert main(["gen", "--T", "3", "--n", "2", "--M", "2", "--risk-free", "-1",
+                     "--out", out]) == EXIT_OK
+        assert main(["oracle", "--instance", out]) == EXIT_OK
+        v_star = json.loads(capsys.readouterr().out.splitlines()[-1])["v_star"]
+        assert np.isfinite(v_star)
+
 
 def write_returns_csv(path, row3):
     # five rows, as T=3 with M=2 needs; the third is the one under test
@@ -295,8 +315,8 @@ class TestSolve:
             pools[id(lp)] = pool
             return lp
 
-        def violating(lp, eq_rhs):
-            outcomes = real_batch(lp, eq_rhs)
+        def violating(lp, eq_rhs, phase1=None):
+            outcomes = real_batch(lp, eq_rhs, phase1)
             if pools[id(lp)].stage == 4 and lp.num_cuts > 1:  # stage 3's LPs
                 for sol, _trail in outcomes:
                     sol.obj -= 1.0

@@ -16,9 +16,12 @@ tests/test_golden.py`` rewrites them) and says so.  Three runs:
 import csv
 import os
 
+import numpy as np
 import pytest
 
+from isddp import stage_solver
 from isddp.cli import EXIT_OK, main
+from isddp.lp_core import _standard_primal
 
 from conftest import save_chain
 
@@ -70,6 +73,32 @@ def test_solve_log_matches_golden(name, tmp_path, capsys):
     assert len(got) == len(want)
     for k, (a, b) in enumerate(zip(got, want), start=1):
         assert a == b, f"iteration {k}"
+
+
+@pytest.mark.parametrize("name", ["portfolio_isddp1", "portfolio_bench"])
+def test_portfolio_runs_replay_phase_1(name, tmp_path, capsys, monkeypatch):
+    # once a pool holds still, a later batch at a stage finds the phase-1
+    # record of an earlier one in the pool's memo: a forward batch when some
+    # member's rhs has the record's signs, a dual batch whenever one is there
+    replays = {"forward": 0, "dual": 0}
+    primal, dual = stage_solver.solve_primal_batch, stage_solver.solve_dual_batch
+
+    def counting_primal(lp, eq_rhs, phase1):
+        _, B, _ = _standard_primal(lp, eq_rhs)
+        keys = {np.where(b < 0, -1.0, 1.0).tobytes() for b in B}
+        replays["forward"] += bool(keys & phase1.keys())
+        return primal(lp, eq_rhs, phase1)
+
+    def counting_dual(lp, eq_rhs, phase1):
+        replays["dual"] += bool(phase1)
+        return dual(lp, eq_rhs, phase1)
+
+    monkeypatch.setattr(stage_solver, "solve_primal_batch", counting_primal)
+    monkeypatch.setattr(stage_solver, "solve_dual_batch", counting_dual)
+    out = str(tmp_path / "run.csv")
+    _solve(name, str(tmp_path), out)
+    capsys.readouterr()
+    assert replays["forward"] >= 1 and replays["dual"] >= 1
 
 
 if __name__ == "__main__":

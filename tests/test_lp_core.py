@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _reference_kernel
@@ -23,6 +23,7 @@ from isddp.lp_core import (
     solve_exact,
     solve_primal_batch,
     solve_with_primal_trail,
+    _KernelResult,
     _explicit_duals,
     _simplex_batch,
     _simplex_standard_form,
@@ -346,6 +347,7 @@ HIGHS_STATUS = {0: SolveStatus.OPTIMAL, 2: SolveStatus.INFEASIBLE, 3: SolveStatu
 
 @pytest.mark.skipif(importlib.util.find_spec("scipy") is None, reason="needs scipy")
 @given(st.integers(min_value=0, max_value=2**31 - 1))
+@example(151883216)  # without row 0: an optimum near x = (16531, 7306)
 @settings(max_examples=40, deadline=None)
 def test_kernel_matches_highs_on_conftest_lps(seed):
     from scipy.optimize import linprog
@@ -371,7 +373,10 @@ def test_kernel_matches_highs_on_conftest_lps(seed):
         assert sol.status is HIGHS_STATUS[ref.status]
         if sol.status is SolveStatus.OPTIMAL:
             assert abs(sol.obj - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
-            assert max(solution_residuals(lp, sol)) <= 1e-9
+            primal, dual, comp = solution_residuals(lp, sol)
+            assert max(primal, dual) <= 1e-9
+            # x_j times its reduced cost: the reduced costs' rounding scales with x
+            assert comp <= 1e-9 * max(1.0, float(np.abs(sol.x).max(initial=0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -626,23 +631,25 @@ def test_members_on_one_path_share_their_trail_points():
 
 
 def test_captured_backward_batches_match_lone_solves(monkeypatch):
-    # the backward duals of a real run: the isddp1 preset on the u=0.2 family
+    # the backward duals of a real run: the isddp1 preset on the u=0.2 family,
+    # each batch with the phase-1 records it was handed
     calls = []
     orig = lp_core._simplex_batch
 
-    def capture(A, b, C, **kwargs):
+    def capture(A, b, C, phase1=None, **kwargs):
         if len(C) > 1:
-            calls.append((A.copy(), b.copy(), C.copy(), kwargs))
-        return orig(A, b, C, **kwargs)
+            calls.append((A.copy(), b.copy(), C.copy(), kwargs, dict(phase1 or {})))
+        return orig(A, b, C, phase1=phase1, **kwargs)
 
     monkeypatch.setattr(lp_core, "_simplex_batch", capture)
     model = generate_instance(PortfolioSpec(T=4, n=8, M=10, u=0.2, seed=0))
     schedule = ScheduleSpec(eps_bar=0.1, eps0=1e-12, mode=ScheduleMode.RELATIVE)
     run_isddp(model, schedule, n_paths=10, gap_tol=1e-9, max_iter=2, seed=9)
     monkeypatch.undo()
-    assert sum(len(C) for _, _, C, _ in calls) > 100
-    for A, b, C, kwargs in calls:
-        got = _simplex_batch(A, b, C, **kwargs)
+    assert sum(len(C) for _, _, C, _, _ in calls) > 100
+    assert any(records for *_, records in calls)  # some batches replay phase 1
+    for A, b, C, kwargs, records in calls:
+        got = _simplex_batch(A, b, C, **kwargs, phase1=records)
         for k, (c, out) in enumerate(zip(C, got)):
             assert _outcome_bits(out) == _outcome_bits(_lone(A, b, c, **kwargs)), f"member {k}"
 
@@ -690,9 +697,9 @@ def _captured_forward_batches(monkeypatch, model, schedule, n_paths, max_iter):
     calls = []
     batch = stage_solver.solve_primal_batch
 
-    def capture(lp, eq_rhs):
+    def capture(lp, eq_rhs, phase1):
         calls.append((lp, eq_rhs.copy()))
-        return batch(lp, eq_rhs)
+        return batch(lp, eq_rhs, phase1)
 
     monkeypatch.setattr(stage_solver, "solve_primal_batch", capture)
     run_isddp(model, schedule, n_paths=n_paths, gap_tol=1e-9, max_iter=max_iter, seed=9)
@@ -806,3 +813,152 @@ def test_rhs_batch_matches_lone_solves_on_edge_lps(name):
     A, b, c = _standard_primal(EDGE_LPS[name]())
     B = np.array([b, 2.0 * b, -b, b + (np.arange(len(b)) % 2)])
     _assert_rhs_batch_matches_lone(A, B, c)
+
+
+# ---------------------------------------------------------------------------
+# Phase-1 records: a batch replays the phase 1 of an earlier batch of the
+# same standard form; every member still equals its lone solve, bit for bit.
+
+
+@given(st.integers(min_value=0, max_value=2**31 - 1), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_leaving_rows_is_leaving_row_per_column(seed, bland):
+    # entries drawn from a few values, so ratios tie exactly and within 1e-9
+    rng = np.random.default_rng(seed)
+    m, g = int(rng.integers(0, 7)), int(rng.integers(1, 6))
+    colv = rng.choice([-1.0, 0.0, 1e-12, 0.5, 1.0, 2.0, 2.0 + 1e-10], size=m)
+    rhs = rng.choice([0.0, 1.0, 2.0, 4.0, 4.0 + 1e-9], size=(m, g))
+    basis = rng.permutation(2 * m + 1)[:m]
+    got = lp_core._leaving_rows(colv, rhs, basis, bland)
+    want = [lp_core._leaving_row(colv, rhs[:, j], basis, bland, np.empty(m)) for j in range(g)]
+    assert got.tolist() == want
+
+
+def _sign_keys(B):
+    """The phase-1 record keys of the rows of ``B``: their sign patterns."""
+    return {np.where(row < 0, -1.0, 1.0).tobytes() for row in B}
+
+
+@pytest.mark.parametrize("K", [2, 5, 25])
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=8, deadline=None)
+def test_dual_batch_replays_the_phase_1_of_an_earlier_batch(K, seed):
+    rng = np.random.default_rng(seed)
+    lp, eq_rhs = _dual_members(rng, 2 * K)
+    D, rhs, costs = _explicit_duals(lp, eq_rhs)
+    records = {}
+    first = _simplex_batch(D, rhs, costs[:K], trail_len=D.shape[1], phase1=records)
+    if not records:  # phase 1 failed, or ran into Bland's rule
+        assert not all(isinstance(out, _KernelResult) and out.status is SolveStatus.OPTIMAL
+                       for out in first)
+        return
+    kept = dict(records)
+    got = _simplex_batch(D, rhs, costs[K:], trail_len=D.shape[1], phase1=records)
+    assert records == kept  # a record is made once
+    for k, (c, out) in enumerate(zip(costs[K:], got)):
+        want = _lone(D, rhs, c, trail_len=D.shape[1])
+        assert _outcome_bits(out) == _outcome_bits(want), f"member {k}"
+
+
+def _assert_rhs_replay_matches_lone(A, b0, B, c):
+    """Record phase 1 on two copies of ``b0``, then solve ``B`` with the
+    record; every member equals its lone solve.  Returns the record (or
+    None) and the members' outcomes."""
+    records = {}
+    _simplex_batch(A, np.array([b0, b0]), c[None], trail_len=A.shape[1], phase1=records)
+    kept = dict(records)
+    got = _simplex_batch(A, B, c[None], trail_len=A.shape[1], phase1=records)
+    for k, (b, out) in enumerate(zip(B, got)):
+        want = _lone(A, b, c, trail_len=A.shape[1])
+        assert _outcome_bits(out) == _outcome_bits(want), f"member {k}"
+    assert all(records[key] is rec for key, rec in kept.items())
+    return next(iter(kept.values()), None), got
+
+
+def _follows(A, b, c, rec):
+    """Whether ``b``'s own phase 1 takes the steps of ``rec``."""
+    records = {}
+    _simplex_batch(A, np.array([b, b]), c[None], phase1=records)
+    return bool(records) and [s[:2] for s in next(iter(records.values())).steps] == [
+        s[:2] for s in rec.steps]
+
+
+def test_rhs_batch_members_that_follow_or_leave_a_record(rng):
+    # right-hand sides A @ x of random x >= 0 share their signs; some take
+    # the recorded phase-1 pivots and some leave them at a phase-1 step
+    followed = left = 0
+    for _ in range(40):
+        A, B, c = _rhs_members(rng, 9)
+        B = np.abs(B)
+        rec, _ = _assert_rhs_replay_matches_lone(A, B[0], B[1:], c)
+        if rec is None or not rec.phase1_steps:
+            continue
+        follows = [_follows(A, b, c, rec) for b in B[1:]]
+        followed += sum(follows)
+        left += len(follows) - sum(follows)
+    assert followed and left
+
+
+def test_rhs_batch_member_infeasible_at_the_end_of_a_recorded_phase_1():
+    # the LP of test_primal_batch_with_an_infeasible_member: member 1 has the
+    # signs of the record but no feasible point
+    lp = LinearProgram(cost=[1.0, 2.0, 0.5], eq_matrix=[[1.0, -1.0, 0.0], [1.0, 1.0, 1.0]],
+                       eq_rhs=[1.0, 3.0], cut_beta=[[0.0, 0.0, 0.0], [0.5, -1.0, 0.2]],
+                       cut_theta=[-5.0, 0.3])
+    eq_rhs = np.array([[1.0, 3.0], [1.0, 0.5], [0.5, 2.0], [2.0, 2.5]])
+    A, B, c = _standard_primal(lp, eq_rhs)
+    rec, got = _assert_rhs_replay_matches_lone(A, B[0], B, c)
+    assert rec is not None and rec.phase1_steps
+    assert [res.status for res in got] == [SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE,
+                                           SolveStatus.OPTIMAL, SolveStatus.OPTIMAL]
+
+
+def test_rhs_batch_members_of_another_sign_class_start_afresh(rng):
+    for _ in range(10):
+        A, B, c = _rhs_members(rng, 8)
+        B = np.abs(B)
+        B[::2, 0] = -1.0 - B[::2, 0]  # half the members flip the sign of row 0
+        _assert_rhs_replay_matches_lone(A, B[1], B, c)
+        _assert_rhs_replay_matches_lone(A, B[0], B, c)
+
+
+@pytest.mark.parametrize("name", list(EDGE_LPS))
+def test_rhs_batch_replays_on_edge_lps(name):
+    A, b, c = _standard_primal(EDGE_LPS[name]())
+    B = np.array([b, 2.0 * b, -b, b + (np.arange(len(b)) % 2)])
+    _assert_rhs_replay_matches_lone(A, b, B, c)
+
+
+@pytest.mark.parametrize("K", [2, 7])
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=8, deadline=None)
+def test_rhs_batch_replays_match_lone_solves(K, seed):
+    A, B, c = _rhs_members(np.random.default_rng(seed), K + 1)
+    _assert_rhs_replay_matches_lone(A, B[0], B[1:], c)
+
+
+def test_captured_forward_batches_replay_and_match_lone_solves(monkeypatch):
+    # the forward batches of the T=6 benchmark instance, each with the
+    # phase-1 records it was handed
+    calls = []
+    batch = stage_solver.solve_primal_batch
+
+    def capture(lp, eq_rhs, phase1):
+        calls.append((lp, eq_rhs.copy(), dict(phase1)))
+        return batch(lp, eq_rhs, phase1)
+
+    monkeypatch.setattr(stage_solver, "solve_primal_batch", capture)
+    model = generate_instance(PortfolioSpec(T=6, n=4, M=5, seed=0))
+    schedule = ScheduleSpec(eps_bar=0.1, eps0=1e-12, mode=ScheduleMode.RELATIVE)
+    run_isddp(model, schedule, n_paths=5, gap_tol=1e-9, max_iter=6, seed=9)
+    monkeypatch.undo()
+    replayed = 0
+    for lp, eq_rhs, records in calls:
+        A, B, c = _standard_primal(lp, eq_rhs)
+        replayed += bool(records.keys() & _sign_keys(B))
+        got = _simplex_batch(A, B, c[None], trail_len=lp.num_vars, phase1=records)
+        for k, (b, out) in enumerate(zip(B, got)):
+            want = _lone(A, b, c, trail_len=lp.num_vars)
+            assert _outcome_bits(out) == _outcome_bits(want), f"member {k}"
+    assert replayed
+

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -95,7 +96,8 @@ class TestFromFile:
 
     def test_rows_beyond_the_horizon_are_ignored(self, tmp_path):
         # rows 5 and 6 hold the largest returns; they reach neither a stage
-        # nor the floors.  The digest pins the generated model byte for byte.
+        # nor the floors.  The digest pins the generated model byte for byte,
+        # in one fixed layout whatever layout the instance files use.
         rows = [[1.0 + 0.01 * j, 1.0 - 0.005 * j] for j in range(7)]
         long_path, short_path = tmp_path / "long.csv", tmp_path / "short.csv"
         write_returns(long_path, rows)
@@ -104,7 +106,8 @@ class TestFromFile:
             PortfolioSpec(T=3, n=2, M=2, seed=0, returns_path=str(long_path))))
         assert text == model_to_json(generate_instance(
             PortfolioSpec(T=3, n=2, M=2, seed=0, returns_path=str(short_path))))
-        assert hashlib.sha256(text.encode()).hexdigest() == (
+        fixed = json.dumps(json.loads(text), sort_keys=True, indent=1)
+        assert hashlib.sha256(fixed.encode()).hexdigest() == (
             "1598759ab4f0c77328488258475d14a78b00c0e5b65f5b4ae84ac54a8c0955c1"
         )
 

@@ -7,7 +7,7 @@ import pytest
 from isddp import lp_core, oracle
 from isddp import sddp_engine
 from isddp import stage_solver
-from isddp.cuts import CutPool, build_middle_cut, build_terminal_cut
+from isddp.cuts import Cut, CutPool, build_middle_cut, build_terminal_cut
 from isddp.ddp_engine import run_iddp
 from isddp.portfolio import PortfolioSpec, generate_instance
 from isddp.schedules import (
@@ -250,9 +250,9 @@ class TestBackwardPassSddp:
         sizes = []
         batch = stage_solver.solve_dual_batch
 
-        def counting_batch(lp, eq_rhs):
+        def counting_batch(lp, eq_rhs, phase1):
             sizes.append(len(eq_rhs))
-            return batch(lp, eq_rhs)
+            return batch(lp, eq_rhs, phase1)
 
         asked = set()
 
@@ -319,15 +319,15 @@ class TestStoreEachCutOnce:
             lp_stage_calls.append(pool.stage - 1)
             return lp
 
-        monkeypatch.setattr(stage_solver, "solve_dual_batch",
-                            lambda lp, eq_rhs: batched.append(len(eq_rhs)) or batch(lp, eq_rhs))
+        monkeypatch.setattr(stage_solver, "solve_dual_batch", lambda lp, eq_rhs, phase1: (
+            batched.append(len(eq_rhs)) or batch(lp, eq_rhs, phase1)))
         # the engine sweeps through its own binding; this one is the
         # certificate's own batch of one on a memo miss
         monkeypatch.setattr(stage_solver, "sweep_duals",
                             lambda *args: lone.append(args) or sweep(*args))
         monkeypatch.setattr(stage_solver, "stage_lp", recording_lp)
-        monkeypatch.setattr(stage_solver, "solve_primal_batch", lambda lp, eq_rhs: (
-            primal_stages.append(lp_stage[id(lp)]) or primal(lp, eq_rhs)))
+        monkeypatch.setattr(stage_solver, "solve_primal_batch", lambda lp, eq_rhs, phase1: (
+            primal_stages.append(lp_stage[id(lp)]) or primal(lp, eq_rhs, phase1)))
         monkeypatch.setattr(stage_solver, "solve_with_primal_trail", lambda lp: (
             primal_stages.append(lp_stage[id(lp)]) or lone_primal(lp)))
         paths = sample_paths(m, 1, 1, seed=9)
@@ -369,17 +369,17 @@ class TestStoreEachCutOnce:
                                       stage_solver.solve_dual_batch, sddp_engine.stage_value_exact)
         lone_primal = stage_solver.solve_with_primal_trail
 
-        def counting_primal(lp, eq_rhs):
+        def counting_primal(lp, eq_rhs, phase1):
             solved["lb" if in_lb else "forward"] += len(eq_rhs)
-            return primal(lp, eq_rhs)
+            return primal(lp, eq_rhs, phase1)
 
         def counting_lone_primal(lp):
             solved["lb" if in_lb else "forward"] += 1
             return lone_primal(lp)
 
-        def counting_batch(lp, eq_rhs):
+        def counting_batch(lp, eq_rhs, phase1):
             solved["dual"] += len(eq_rhs)
-            return batch(lp, eq_rhs)
+            return batch(lp, eq_rhs, phase1)
 
         def flagged_lower_bound(*args, **kwargs):
             in_lb.append(True)
@@ -688,8 +688,8 @@ class TestForwardBatchFaults:
             sweeps.append((stages, x_prevs))
             return sweep(stages, x_prevs, pool)
 
-        def faulty_batch(lp, eq_rhs):
-            outcomes = batch(lp, eq_rhs)
+        def faulty_batch(lp, eq_rhs, phase1):
+            outcomes = batch(lp, eq_rhs, phase1)
             if faulty or lp.cut_theta is not pools[4].thetas_with_floor() or lp.num_cuts < 2:
                 return outcomes
             faulty.append(eq_rhs[-1].tobytes())
@@ -714,3 +714,36 @@ class TestForwardBatchFaults:
         assert (err.value.stage, err.value.path) == (3, path)
         assert f"stage 3 (path {path}){message}" in str(err.value)
         assert [r.k for r in err.value.partial_log.records] == [1]
+
+
+def test_a_cut_drops_the_phase_1_records_of_its_pool():
+    # phase-1 records live in the pool's memo, under what fixes the standard
+    # form; a cut changes the form and empties the memo, so no record made
+    # before it is read after it
+    m = generate_instance(PortfolioSpec(T=3, n=2, M=3, seed=4))
+    pools = make_pools(m)
+    fwd = forward_pass_sddp(m, pools, sample_paths(m, 1, 1, seed=9), [ErrorBudget()] * 3)
+    x1 = fwd.trajectories[0][0]
+    xs = [x1, 0.5 * x1, 1.5 * x1]
+    realizations, pool = m.stages[0].realizations, pools[3]
+
+    def sweep():
+        stage_solver.sweep_duals(realizations, xs, pool)
+        stage_solver.sweep_forward([realizations[0]] * 3, xs, pool)
+        return {key[1] for key, records in pool.memo.items() if key[0] == "phase 1" and records}
+
+    assert sweep() == {"dual", "forward"}
+    pool.add(Cut(theta=-20.0, beta=np.full(len(x1), -0.2), stage=3, iteration=1))
+    assert not any(key[0] == "phase 1" for key in pool.memo)
+    assert sweep() == {"dual", "forward"}
+    fresh = CutPool.from_dict(pool.to_dict())
+    for x in xs:
+        for r in realizations:
+            got, want = (stage_solver.solve_backward_stage(r, x, p, ErrorBudget())
+                         for p in (pool, fresh))
+            assert got[0].lam.tobytes() == want[0].lam.tobytes()
+            assert got[0].mu.tobytes() == want[0].mu.tobytes()
+            assert got[1].hex() == want[1].hex()
+        got, want = (stage_solver.solve_forward_stage(realizations[0], x, p, ErrorBudget())
+                     for p in (pool, fresh))
+        assert got.x.tobytes() == want.x.tobytes() and got.value.hex() == want.value.hex()
