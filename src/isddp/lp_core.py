@@ -49,10 +49,10 @@ more than one LP whose LPs end phase 1 as one group hands back, in the
 phase-1 and drive-out pivot (its pivot column and normalized row), and the
 tableau and basis where phase 2 starts.  A later batch with the same
 standard form, handed the same dict, applies the recorded steps to its own
-cost rows (duals) or to each LP's rhs column while that LP's own ratio test
-picks the recorded rows (primals), and starts phase 2 from the recorded
-end, with the float operations of a fresh solve.  The kernel keeps no
-record itself: the caller decides how long a record holds.
+cost rows (duals) or to the rhs columns of a sign class whose every LP's
+own ratio test picks the recorded rows (primals), and starts phase 2 from
+the recorded end, with the float operations of a fresh solve.  The kernel
+keeps no record itself: the caller decides how long a record holds.
 
 Dual convention for cut rows: weights mu >= 0 with sum(mu) == 1, entering
 the variable-wise constraint as  eq_matrix.T @ lam - sum_i mu_i * beta_i <= c.
@@ -256,23 +256,6 @@ class Phase1Record:
     count: int
 
 
-def _simplex_standard_form(
-    A: np.ndarray,
-    b: np.ndarray,
-    c: np.ndarray,
-    *,
-    max_pivots: Optional[int] = None,
-    trail_len: Optional[int] = None,
-) -> _KernelResult:
-    """Two-phase tableau simplex for  min c.z  s.t. A z = b, z >= 0 (see ``_simplex_batch``)."""
-    (out,) = _simplex_batch(
-        A, b, np.asarray(c)[None, :], max_pivots=max_pivots, trail_len=trail_len
-    )
-    if isinstance(out, LpError):
-        raise out
-    return out
-
-
 def _leaving_row(colv: np.ndarray, rhs: np.ndarray, basis: np.ndarray, bland: bool,
                  ratios: np.ndarray) -> int:
     """The row that leaves when the column ``colv`` enters, by the ratio test
@@ -373,12 +356,13 @@ def _simplex_batch(
       rows take the recorded crash price-outs and pivots (the same float
       operations as on the full tableau) and go on in phase 2 from the
       recorded end.
-    * A member with its own rhs column follows the record while its own
-      ratio test (``_leaving_rows``, the rule of the group loop) picks the
-      recorded row at each phase-1 step, and it must end phase 1 feasible.
-      Its column takes the recorded crash scalings, pivots and drive-outs,
-      and the members that follow go on together in phase 2.  The others
-      start afresh, as an ordinary batch.
+    * Members with rhs columns of their own share phase 1 whole when each
+      member's own ratio test (``_leaving_rows``, the rule of the group
+      loop) picks the recorded row at every phase-1 step and each ends
+      phase 1 feasible.  Their columns take the recorded crash scalings,
+      pivots and drive-outs and go on in phase 2 from the recorded end.  A
+      sign class with a member that does not follow starts afresh, as an
+      ordinary batch.
 
     A multi-member class without a record that ends phase 1 as one whole
     group, without a restricted update and in too few steps for any
@@ -490,7 +474,7 @@ def _simplex_batch(
         for i in range(len(ks)) if idx is None else idx:
             k = int(ks[i])
             c, j = (m, ncols + i) if own_rhs else (m + i, ncols)
-            rhs, obj = live[:m, j], -live[c, j]
+            rhs, obj = live[:m, j], float(-live[c, j])
             if how == "optimal":
                 out[k] = _KernelResult(
                     SolveStatus.OPTIMAL, _vertex(basis, rhs, n)[:n], obj,
@@ -562,10 +546,10 @@ def _simplex_batch(
                    ks: np.ndarray) -> None:
         """Finish the infeasible members of a group at the end of phase 1; go on in phase 2."""
         nonlocal steps
-        infeasible = [-live[-1, j] > FEAS_TOL * (1.0 + np.abs(live[:m, j]).sum())
-                      for j in range(ncols, live.shape[1])]
-        if any(infeasible):
-            bad = np.array(infeasible * (1 if own_rhs else len(ks)))
+        bad = _phase1_infeasible(live[-1, ncols:], live[:m, ncols:])
+        if bad.any():
+            if not own_rhs:  # one rhs column for every member
+                bad = bad.repeat(len(ks))
             settle("infeasible", live, basis, count, sign, ks, bad.nonzero()[0].tolist())
             if bad.all():
                 return
@@ -591,9 +575,10 @@ def _simplex_batch(
         steps = None
         go_on(live, basis, count, 2, sign, ks)
 
-    def replay(rec: Phase1Record, members: list, sign: np.ndarray) -> list:
-        """Replay ``rec`` on the members of one sign class; returns those it does not fit."""
-        if not own_rhs:  # phase 1 reads no cost row: every member fits
+    def replay(rec: Phase1Record, members: list, sign: np.ndarray) -> bool:
+        """Replay ``rec`` on the members of one sign class if all of them
+        follow it; returns whether it ran."""
+        if not own_rhs:  # phase 1 reads no cost row: every member follows
             costs = np.zeros((K, ncols + 1))
             costs[:, :n] = C
             priced = costs[:, [pc for _, pc, _, _, _ in rec.crash]].any(axis=0).tolist()
@@ -604,36 +589,34 @@ def _simplex_batch(
                 _price_out(costs, pc, row)
             go_on(np.concatenate((rec.tableau[:m], costs)), rec.basis.copy(), rec.count, 2,
                   sign, np.arange(K))
-            return []
+            return True
         # each member's rhs column, then its cost and r1 entries
-        ks = np.array(members)
-        R = np.zeros((m + 2, len(ks)))
-        R[:m] = (B[ks] * sign).T
+        R = np.zeros((m + 2, len(members)))
+        R[:m] = (B[members] * sign).T
         for pr, _, divisor, price, _ in rec.crash:
             if divisor != 1.0:
                 R[pr] /= divisor
             if price is not None:
                 R[m] -= price[0] * R[pr]
-        for j in range(len(ks)):
+        for j in range(len(members)):
             R[-1, j] = -R[:m, j][rec.keep].sum()
         for pr, pc, piv, colv, _ in rec.steps[: rec.phase1_steps]:
             col = colv[:m].copy()
             col[pr] = piv
-            fits = _leaving_rows(col, R[:m], None, False) == pr  # Dantzig's rule reads no basis
-            if not fits.all():
-                R, ks = R[:, fits], ks[fits]
+            # Dantzig's rule reads no basis
+            if (_leaving_rows(col, R[:m], None, False) != pr).any():
+                return False
             R[pr] /= piv
             R -= colv[:, None] * R[pr]
-        fits = np.array([not -R[-1, j] > FEAS_TOL * (1.0 + np.abs(R[:m, j]).sum())
-                         for j in range(len(ks))], dtype=bool)
-        R, ks = R[:-1, fits], ks[fits]
+        if _phase1_infeasible(R[-1], R[:m]).any():
+            return False
+        R = R[:-1]
         for pr, _, piv, colv, _ in rec.steps[rec.phase1_steps :]:
             R[pr] /= piv
             R -= colv[:, None] * R[pr]
-        if len(ks):
-            go_on(np.concatenate((rec.tableau[:, :ncols], R), axis=1), rec.basis.copy(),
-                  rec.count, 2, sign, ks)
-        return sorted(set(members) - set(ks.tolist()))
+        go_on(np.concatenate((rec.tableau[:, :ncols], R), axis=1), rec.basis.copy(),
+              rec.count, 2, sign, np.array(members))
+        return True
 
     # One tableau per rhs sign pattern, whose LPs all get the same crash
     # start, since the crash depends on the signed A only.
@@ -643,9 +626,9 @@ def _simplex_batch(
     if phase1:
         for key, members in list(classes.items()):
             rec = phase1.get(key)
-            if rec is not None and rec.count <= max_pivots:
-                classes[key] = replay(rec, members, signs[members[0]])
-        classes = {key: members for key, members in classes.items() if members}
+            if rec is not None and rec.count <= max_pivots and replay(
+                    rec, members, signs[members[0]]):
+                del classes[key]
     for key, members in classes.items():
         ks = np.array(members) if own_rhs else np.arange(K)
         if (len(ks) > 1 and phase1 is not None and len(classes) == 1 and not restricted
@@ -779,6 +762,13 @@ def _price_out(rows: np.ndarray, pc: int, row: np.ndarray) -> np.ndarray:
     rows -= colv[:, None] * row
     rows[:, pc] = 0.0
     return colv
+
+
+def _phase1_infeasible(r1: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Per rhs column: whether phase 1 ended with the artificials above zero,
+    read off the phase-1 row ``r1`` at that column."""
+    return np.array([-r1[j] > FEAS_TOL * (1.0 + np.abs(rhs[:, j]).sum())
+                     for j in range(len(r1))], dtype=bool)
 
 
 def _vertex(basis: np.ndarray, rhs: np.ndarray, n: int) -> np.ndarray:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -261,7 +260,7 @@ class IterationRecord:
     ub: float
     gap: float
     wall_ms: float
-    n_paths: Optional[int] = None
+    n_paths: int
     eps_used: tuple = ()
     delta_used: tuple = ()
 
@@ -295,31 +294,13 @@ class RunLog:
         return sum(r.wall_ms for r in self.records)
 
     def csv_header(self) -> list[str]:
-        if self.algorithm in ("sddp", "isddp"):
-            return ["iter", "lb", "ub", "gap", "n_paths", "wall_ms", "eps_bar", "eps0"]
-        return ["iter", "lb", "ub", "gap", "wall_ms"]
+        return ["iter", "lb", "ub", "gap", "n_paths", "wall_ms", "eps_bar", "eps0"]
 
     def csv_rows(self) -> list[list]:
-        rows = []
-        for r in self.records:
-            if self.algorithm in ("sddp", "isddp"):
-                rows.append(
-                    [
-                        r.k,
-                        repr(float(r.lb)),
-                        repr(float(r.ub)),
-                        repr(float(r.gap)),
-                        r.n_paths,
-                        repr(float(r.wall_ms)),
-                        repr(float(self.meta.get("eps_bar", 0.0))),
-                        repr(float(self.meta.get("eps0", 0.0))),
-                    ]
-                )
-            else:
-                rows.append(
-                    [r.k, repr(float(r.lb)), repr(float(r.ub)), repr(float(r.gap)), repr(float(r.wall_ms))]
-                )
-        return rows
+        eps_bar = repr(float(self.meta.get("eps_bar", 0.0)))
+        eps0 = repr(float(self.meta.get("eps0", 0.0)))
+        return [[r.k, repr(float(r.lb)), repr(float(r.ub)), repr(float(r.gap)), r.n_paths,
+                 repr(float(r.wall_ms)), eps_bar, eps0] for r in self.records]
 
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:

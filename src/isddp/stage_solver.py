@@ -25,9 +25,9 @@ The memo also keeps the kernel's phase-1 records (``lp_core.Phase1Record``),
 one dict per kind of batch and stage structure (``A`` and ``c``), since the
 pool fixes the rest of the standard form.  The first multi-LP batch of a
 structure that ends phase 1 as one group makes its record; each later batch
-of that structure replays it, until ``CutPool.add`` drops the memo with the
-records in it.  The memo is the only place a solve or a record is kept
-between calls.
+of that structure replays it (a forward batch on a sign class whose LPs all
+follow it), until ``CutPool.add`` drops the memo with the records in it.
+The memo is the only place a solve or a record is kept between calls.
 """
 
 from __future__ import annotations

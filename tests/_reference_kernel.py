@@ -4,8 +4,9 @@ Test-only reference: ``_simplex_standard_form`` below is the kernel that
 kept the constraint rows and the two reduced-cost rows in separate arrays
 and updated the whole tableau with ``np.outer`` at every pivot, with the
 crash start of unit columns written here on its own.  The tests
-check that ``isddp.lp_core._simplex_standard_form`` returns the same result
-bit for bit (up to the sign of an exact zero).
+check that ``isddp.lp_core._simplex_batch``, given one LP or a batch of
+LPs that share ``(A, b)``, returns the same result for each LP bit for bit
+(up to the sign of an exact zero).
 """
 
 from __future__ import annotations

@@ -133,7 +133,19 @@ class TestSolve:
         assert rc == EXIT_OK
         with open(out) as fh:
             header = fh.readline().strip().split(",")
-        assert header == ["iter", "lb", "ub", "gap", "wall_ms"]
+        assert header == ["iter", "lb", "ub", "gap", "n_paths", "wall_ms", "eps_bar", "eps0"]
+
+    def test_iddp_log_names_its_schedule(self, det_instance, tmp_path, capsys):
+        # ddp and iddp write the log format of sddp and isddp
+        out = str(tmp_path / "iddp.csv")
+        rc = main(["solve", "--instance", det_instance, "--algo", "iddp", "--preset", "isddp1",
+                   "--tol", "1e-7", "--max-iter", "50", "--out", out])
+        assert rc == EXIT_OK
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["iter", "lb", "ub", "gap", "n_paths", "wall_ms",
+                                 "eps_bar", "eps0"]
+        assert {(r["n_paths"], r["eps_bar"], r["eps0"]) for r in rows} == {("1", "0.1", "1e-12")}
 
     def test_sddp_on_deterministic_matches_ddp(self, det_instance, tmp_path):
         out_d = str(tmp_path / "d.csv")
@@ -336,6 +348,7 @@ class TestSolve:
         assert rc == EXIT_SOLVER
         err = capsys.readouterr().err
         assert "stage 3 (path 0): the kernel's optimum violates one of its own cut rows" in err
+        assert "np.float64(" not in err  # the kernel's objectives are plain floats
         rows = list(csv.DictReader(open(out)))
         assert [r["iter"] for r in rows] == ["1"]
 

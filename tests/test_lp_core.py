@@ -26,7 +26,6 @@ from isddp.lp_core import (
     _KernelResult,
     _explicit_duals,
     _simplex_batch,
-    _simplex_standard_form,
     _standard_primal,
 )
 from isddp.oracle import _assemble_tree_lp
@@ -321,7 +320,7 @@ def test_crash_start_with_a_unit_column_in_every_row_takes_no_phase1_pivot():
     # row 1 (b < 0) holds column 3 once its sign is flipped
     A = np.array([[2.0, 1.0, 1.0, 0.0], [0.0, 1.0, 0.0, -1.0]])
     b = np.array([4.0, -2.0])
-    res = _simplex_standard_form(A, b, np.zeros(4))
+    (res,) = _simplex_batch(A, b, np.zeros((1, 4)))
     assert res.pivots == 0
     assert res.basis.tolist() == [0, 3]
     assert res.z.tolist() == [2.0, 0.0, 0.0, 2.0]
@@ -332,7 +331,7 @@ def test_crash_start_skips_a_unit_column_with_a_negative_entry(entry, pivots):
     # column 2 is row 1's only unit column; negative, it leaves row 1 its
     # artificial, which phase 1 pivots out
     A = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, entry]])
-    res = _simplex_standard_form(A, np.array([2.0, 1.0]), np.zeros(3))
+    (res,) = _simplex_batch(A, np.array([2.0, 1.0]), np.zeros((1, 3)))
     assert res.status is SolveStatus.OPTIMAL
     assert res.pivots == pivots
     assert res.basis.tolist() == [1, 0 if entry < 0 else 2]
@@ -410,7 +409,7 @@ def _explicit_dual(lp):
 def _assert_matches_reference(A, b, c):
     for kwargs in _kernel_calls(A.shape[1]):
         ref = _reference_kernel._simplex_standard_form(A, b, c, **kwargs)
-        got = _simplex_standard_form(A, b, c, **kwargs)
+        (got,) = _simplex_batch(A, b, c[None], **kwargs)
         assert _result_bits(got) == _result_bits(ref)
 
 
@@ -500,10 +499,9 @@ def _outcome_bits(out):
 
 
 def _lone(A, b, c, **kwargs):
-    try:
-        return _simplex_standard_form(A, b, c, **kwargs)
-    except LpError as exc:
-        return exc
+    """The outcome of the LP ``min c.z  s.t. A z = b, z >= 0`` solved alone."""
+    (out,) = _simplex_batch(A, b, c[None], **kwargs)
+    return out
 
 
 def _assert_batch_matches_lone(A, b, C, **extra):
@@ -579,9 +577,9 @@ def test_batch_members_that_switch_to_blands_rule(rng):
     with mock.patch.object(lp_core, "BLAND_STREAK", 0):
         for A, b, C in groups:
             _assert_batch_matches_lone(A, b, C)
-            bland = [_result_bits(_simplex_standard_form(A, b, c)) for c in C]
+            bland = [_result_bits(_lone(A, b, c)) for c in C]
             with mock.patch.object(lp_core, "BLAND_STREAK", 50):
-                dantzig = [_result_bits(_simplex_standard_form(A, b, c)) for c in C]
+                dantzig = [_result_bits(_lone(A, b, c)) for c in C]
             switched += sum(x != y for x, y in zip(bland, dantzig))
     assert switched  # some member's path did change under Bland's rule
 
@@ -885,7 +883,8 @@ def _follows(A, b, c, rec):
 
 def test_rhs_batch_members_that_follow_or_leave_a_record(rng):
     # right-hand sides A @ x of random x >= 0 share their signs; some take
-    # the recorded phase-1 pivots and some leave them at a phase-1 step
+    # the recorded phase-1 pivots and some leave them at a phase-1 step, so
+    # their class is solved afresh
     followed = left = 0
     for _ in range(40):
         A, B, c = _rhs_members(rng, 9)
@@ -901,7 +900,7 @@ def test_rhs_batch_members_that_follow_or_leave_a_record(rng):
 
 def test_rhs_batch_member_infeasible_at_the_end_of_a_recorded_phase_1():
     # the LP of test_primal_batch_with_an_infeasible_member: member 1 has the
-    # signs of the record but no feasible point
+    # signs of the record but no feasible point, so its class is solved afresh
     lp = LinearProgram(cost=[1.0, 2.0, 0.5], eq_matrix=[[1.0, -1.0, 0.0], [1.0, 1.0, 1.0]],
                        eq_rhs=[1.0, 3.0], cut_beta=[[0.0, 0.0, 0.0], [0.5, -1.0, 0.2]],
                        cut_theta=[-5.0, 0.3])

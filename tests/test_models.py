@@ -72,13 +72,17 @@ class TestJsonRoundTrip:
 
 class TestRunLogCsv:
     def test_deterministic_schema(self, tmp_path):
-        log = RunLog(algorithm="iddp")
-        log.records.append(IterationRecord(k=1, lb=-1.0, ub=0.5, gap=3.0, wall_ms=1.25))
+        # one format for the four algorithms: a one-path log names its schedule too
+        log = RunLog(algorithm="iddp", meta={"eps_bar": 0.1, "eps0": 1e-12})
+        log.records.append(
+            IterationRecord(k=1, lb=-1.0, ub=0.5, gap=3.0, wall_ms=1.25, n_paths=1)
+        )
         path = tmp_path / "log.csv"
         log.write_csv(path)
         header, row = path.read_text().strip().split("\n")
-        assert header == "iter,lb,ub,gap,wall_ms"
-        assert row.startswith("1,-1.0,0.5,3.0,")
+        assert header == "iter,lb,ub,gap,n_paths,wall_ms,eps_bar,eps0"
+        assert row.startswith("1,-1.0,0.5,3.0,1,")
+        assert row.endswith(",0.1,1e-12")
 
     def test_sampled_schema(self, tmp_path):
         log = RunLog(algorithm="isddp", meta={"eps_bar": 0.1, "eps0": 1e-12})
