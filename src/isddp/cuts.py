@@ -71,9 +71,9 @@ class CutPool:
     ``memo`` holds results of stage solves against this pool, which depend
     only on the stage, the trial point and the pool's contents: each forward
     solve with its evaluated vertex trail (the lower bound is one of them),
-    each backward dual's trimmed kernel result, and the kernel's phase-1
-    records of the batches solved against it; ``add`` replaces it with an
-    empty dict.
+    each backward dual's trimmed kernel result, and the optimal bases of the
+    explicit duals solved against it; ``add`` replaces it with an empty
+    dict.
     """
 
     def __init__(

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .cuts import CutPool
 from .models import RunLog, StochasticModel
 from .schedules import ErrorBudget, ScheduleSpec

@@ -42,17 +42,14 @@ group share one tableau and take the same pivots; a group splits where its
 LPs pivot differently.  Every result is bit-identical to a lone solve (see
 ``_simplex_batch``).
 
-Phase 1 depends on neither the cost rows nor, in its pricing, the
-right-hand sides, so it can be run once for several batches.  A batch of
-more than one LP whose LPs end phase 1 as one group hands back, in the
-``phase1`` dict that the caller passes, a ``Phase1Record``: the crash, each
-phase-1 and drive-out pivot (its pivot column and normalized row), and the
-tableau and basis where phase 2 starts.  A later batch with the same
-standard form, handed the same dict, applies the recorded steps to its own
-cost rows (duals) or to the rhs columns of a sign class whose every LP's
-own ratio test picks the recorded rows (primals), and starts phase 2 from
-the recorded end, with the float operations of a fresh solve.  The kernel
-keeps no record itself: the caller decides how long a record holds.
+Since explicit duals that share their constraints differ only in their
+cost, a basis that is optimal for one of them is optimal for every other
+whose cost row prices out at it (bunching: Wets 1988; Gassmann, Math.
+Programming 47, 1990).  ``solve_dual_batch`` takes a list of such bases,
+which the caller keeps for as long as the constraints hold, answers each
+member that prices out at one of them with that basis's vertex, and adds
+the optimal bases of the members it solves.  The kernel keeps nothing
+itself.
 
 Dual convention for cut rows: weights mu >= 0 with sum(mu) == 1, entering
 the variable-wise constraint as  eq_matrix.T @ lam - sum_i mu_i * beta_i <= c.
@@ -226,36 +223,6 @@ class _KernelResult:
     trail: list = field(default_factory=list)
 
 
-@dataclass
-class Phase1Record:
-    """Phase 1 of one batch, for later batches of the same standard form.
-
-    A batch whose members end phase 1 together (one rhs sign class, none
-    finished or split off, too few steps to reach Bland's rule, no
-    restricted update) records it; ``_simplex_batch`` replays it on the cost rows or the
-    right-hand sides of a later batch (see there).  ``crash`` holds one
-    ``(pr, pc, divisor, price, row)`` per crash row in crash order: the
-    entry the row was divided by (1.0 if it was not), the cost rows'
-    entries in column ``pc`` that multiplied the row when they were priced
-    out (``None`` if they were not) and the scaled row.  ``steps`` holds
-    one ``(pr, pc, piv, colv, row)`` per pivot, the first ``phase1_steps``
-    of phase 1 and the rest driving artificials out: the pivot entry, the
-    pivot column before the step with a zero in row ``pr``, and the
-    normalized pivot row.  Only a replay on cost rows reads the rows, so a
-    record of members with rhs columns of their own keeps ``None``.  ``tableau`` holds the constraint rows and the
-    first cost row at the end, up to and including the first rhs column,
-    with ``basis`` and the pivot ``count``.
-    """
-
-    crash: list
-    keep: np.ndarray
-    steps: list
-    phase1_steps: int
-    tableau: np.ndarray
-    basis: np.ndarray
-    count: int
-
-
 def _leaving_row(colv: np.ndarray, rhs: np.ndarray, basis: np.ndarray, bland: bool,
                  ratios: np.ndarray) -> int:
     """The row that leaves when the column ``colv`` enters, by the ratio test
@@ -281,7 +248,7 @@ def _leaving_row(colv: np.ndarray, rhs: np.ndarray, basis: np.ndarray, bland: bo
     return int(tie[colv[tie].argmax()])
 
 
-def _leaving_rows(colv: np.ndarray, rhs: np.ndarray, basis: Optional[np.ndarray],
+def _leaving_rows(colv: np.ndarray, rhs: np.ndarray, basis: np.ndarray,
                   bland: bool) -> np.ndarray:
     """``_leaving_row`` for each column of ``rhs`` (m, g) at once."""
     if not len(colv):
@@ -304,7 +271,6 @@ def _simplex_batch(
     *,
     max_pivots: Optional[int] = None,
     trail_len: Optional[int] = None,
-    phase1: Optional[dict] = None,
 ) -> list:
     """Two-phase tableau simplex for  min C[k].z  s.t. A z = b[k], z >= 0,  per member k.
 
@@ -344,31 +310,9 @@ def _simplex_batch(
     every member thus gets the float operations of its lone solve.  A trail
     snapshot is taken once per group step and rhs column, so members that
     share their rhs share its vertex arrays.  Only structural columns enter.
-
-    ``phase1`` maps the bytes of an rhs sign pattern to the
-    ``Phase1Record`` of an earlier batch with this ``A`` whose members
-    shared what these share: ``b``, or the cost row ``C``.  Phase 1 and the
-    drive-out read
-    neither the cost rows nor, in their pricing, the rhs columns, so a
-    record stands in for them:
-
-    * Members with cost rows of their own share phase 1 whole: their cost
-      rows take the recorded crash price-outs and pivots (the same float
-      operations as on the full tableau) and go on in phase 2 from the
-      recorded end.
-    * Members with rhs columns of their own share phase 1 whole when each
-      member's own ratio test (``_leaving_rows``, the rule of the group
-      loop) picks the recorded row at every phase-1 step and each ends
-      phase 1 feasible.  Their columns take the recorded crash scalings,
-      pivots and drive-outs and go on in phase 2 from the recorded end.  A
-      sign class with a member that does not follow starts afresh, as an
-      ordinary batch.
-
-    A multi-member class without a record that ends phase 1 as one whole
-    group, without a restricted update and in too few steps for any
-    degenerate streak to reach Bland's rule, adds its record to
-    ``phase1``; a class with a record keeps it.  So a replayed member gets
-    the float operations of its lone solve too.
+    A call keeps nothing for later calls: ``solve_dual_batch`` hands it only
+    the duals that no cached basis answers, and caches the optimal bases
+    of the outcomes.
 
     When a lone solve's tableau (``m + 2`` rows) has at least
     ``RESTRICTED_UPDATE_CELLS`` cells, a pivot touches only the rows where
@@ -399,9 +343,6 @@ def _simplex_batch(
     # the groups still to run, depth first: (tableau, basis, pivot count,
     # phase, row signs, members, their Bland flags, their degenerate streaks)
     groups: list = []
-    # the phase 1 being recorded: its steps, and (sign key, crash, keep)
-    steps: Optional[list] = None
-    making: tuple = ()
 
     def pivot(live: np.ndarray, basis: np.ndarray, pr: int, pc: int) -> None:
         """Pivot on (pr, pc): ``live`` holds the m constraint rows, then cost rows."""
@@ -410,8 +351,6 @@ def _simplex_batch(
         row /= piv
         colv = live[:, pc].copy()
         colv[pr] = 0.0
-        if steps is not None:  # a replay on rhs columns reads no pivot row
-            steps.append((pr, pc, piv, colv, None if own_rhs else row.copy()))
         if restricted:
             rows = colv.nonzero()[0]
             cols = row.nonzero()[0]
@@ -469,8 +408,6 @@ def _simplex_batch(
     def settle(how: str, live: np.ndarray, basis: np.ndarray, count: int, sign: np.ndarray,
                ks: np.ndarray, idx: Optional[list] = None) -> None:
         """Record outcome ``how`` of the members ``ks[i]``, i in ``idx`` (all by default)."""
-        nonlocal steps
-        steps = None  # a member finished: no group ends phase 1 whole
         for i in range(len(ks)) if idx is None else idx:
             k = int(ks[i])
             c, j = (m, ncols + i) if own_rhs else (m + i, ncols)
@@ -524,7 +461,7 @@ def _simplex_batch(
         how, count = run_phase(live[-1] if phase == 1 else live[m], live, basis, count, trail,
                                False if fresh else bool(bland[0]), 0 if fresh else int(streak[0]))
         if phase == 1 and how == "optimal":
-            end_phase1(live, basis, count, sign, ks)
+            to_phase2(live, basis, count, sign, ks)
         else:
             settle("phase-1 unbounded" if phase == 1 and how == "unbounded" else how,
                    live, basis, count, sign, ks)
@@ -542,11 +479,16 @@ def _simplex_batch(
         s = np.where(np.abs(obj - prev) <= 1e-13 * (1.0 + np.abs(prev)), streak + 1, 0)
         go_on(live, basis, count + 1, phase, sign, ks, bland | (s > bland_after), s)
 
-    def end_phase1(live: np.ndarray, basis: np.ndarray, count: int, sign: np.ndarray,
+    def to_phase2(live: np.ndarray, basis: np.ndarray, count: int, sign: np.ndarray,
                    ks: np.ndarray) -> None:
-        """Finish the infeasible members of a group at the end of phase 1; go on in phase 2."""
-        nonlocal steps
-        bad = _phase1_infeasible(live[-1, ncols:], live[:m, ncols:])
+        """Finish the infeasible members of a group at the end of phase 1; go on in phase 2.
+
+        A member is infeasible when phase 1 ended with its artificials above
+        zero, read off the phase-1 row at its rhs column.
+        """
+        r1, rhs = live[-1, ncols:], live[:m, ncols:]
+        bad = np.array([-r1[j] > FEAS_TOL * (1.0 + np.abs(rhs[:, j]).sum())
+                        for j in range(len(r1))], dtype=bool)
         if bad.any():
             if not own_rhs:  # one rhs column for every member
                 bad = bad.repeat(len(ks))
@@ -556,7 +498,6 @@ def _simplex_batch(
             live = narrow(live, (~bad).nonzero()[0], True)
             ks = ks[~bad]
         live = live[:-1]
-        phase1_steps = len(steps) if steps is not None else 0
         # Drive leftover artificials out of the basis where a structural pivot
         # exists; rows without one are redundant and keep a zero-level artificial.
         for pr in range(m):
@@ -565,77 +506,15 @@ def _simplex_batch(
                 if cand.size:
                     pivot(live, basis, pr, int(cand[0]))
                     count += 1
-        # a degenerate streak needs more steps than a record holds to reach
-        # Bland's rule before phase 1 ends, so a member that follows a
-        # record prices by Dantzig's rule throughout
-        if steps is not None and phase1_steps <= bland_after + 1:
-            key, crash, keep = making
-            phase1[key] = Phase1Record(crash, keep, steps, phase1_steps,
-                                       live[: m + 1, : ncols + 1].copy(), basis.copy(), count)
-        steps = None
         go_on(live, basis, count, 2, sign, ks)
-
-    def replay(rec: Phase1Record, members: list, sign: np.ndarray) -> bool:
-        """Replay ``rec`` on the members of one sign class if all of them
-        follow it; returns whether it ran."""
-        if not own_rhs:  # phase 1 reads no cost row: every member follows
-            costs = np.zeros((K, ncols + 1))
-            costs[:, :n] = C
-            priced = costs[:, [pc for _, pc, _, _, _ in rec.crash]].any(axis=0).tolist()
-            for (_, pc, _, _, row), price in zip(rec.crash, priced):
-                if price:
-                    _price_out(costs, pc, row)
-            for _, pc, _, _, row in rec.steps:
-                _price_out(costs, pc, row)
-            go_on(np.concatenate((rec.tableau[:m], costs)), rec.basis.copy(), rec.count, 2,
-                  sign, np.arange(K))
-            return True
-        # each member's rhs column, then its cost and r1 entries
-        R = np.zeros((m + 2, len(members)))
-        R[:m] = (B[members] * sign).T
-        for pr, _, divisor, price, _ in rec.crash:
-            if divisor != 1.0:
-                R[pr] /= divisor
-            if price is not None:
-                R[m] -= price[0] * R[pr]
-        for j in range(len(members)):
-            R[-1, j] = -R[:m, j][rec.keep].sum()
-        for pr, pc, piv, colv, _ in rec.steps[: rec.phase1_steps]:
-            col = colv[:m].copy()
-            col[pr] = piv
-            # Dantzig's rule reads no basis
-            if (_leaving_rows(col, R[:m], None, False) != pr).any():
-                return False
-            R[pr] /= piv
-            R -= colv[:, None] * R[pr]
-        if _phase1_infeasible(R[-1], R[:m]).any():
-            return False
-        R = R[:-1]
-        for pr, _, piv, colv, _ in rec.steps[rec.phase1_steps :]:
-            R[pr] /= piv
-            R -= colv[:, None] * R[pr]
-        go_on(np.concatenate((rec.tableau[:, :ncols], R), axis=1), rec.basis.copy(),
-              rec.count, 2, sign, np.array(members))
-        return True
 
     # One tableau per rhs sign pattern, whose LPs all get the same crash
     # start, since the crash depends on the signed A only.
     classes: dict = {}
     for k in range(len(B)):
         classes.setdefault(signs[k].tobytes(), []).append(k)
-    if phase1:
-        for key, members in list(classes.items()):
-            rec = phase1.get(key)
-            if rec is not None and rec.count <= max_pivots and replay(
-                    rec, members, signs[members[0]]):
-                del classes[key]
-    for key, members in classes.items():
+    for members in classes.values():
         ks = np.array(members) if own_rhs else np.arange(K)
-        if (len(ks) > 1 and phase1 is not None and len(classes) == 1 and not restricted
-                and key not in phase1):
-            steps, rec_crash = [], []
-        else:
-            rec_crash = None
         tab = np.zeros((m + len(C) + 1, ncols + len(members)))
         body, costs, r1 = tab[:m], tab[m:-1], tab[-1]
         sign = signs[members[0]]
@@ -665,22 +544,18 @@ def _simplex_batch(
         priced = costs[:, cols].any(axis=0).tolist()
         for pr, pc, scale, price in zip(rows, cols, scaled, priced):
             row = body[pr]
-            divisor = 1.0
             if scale:
-                divisor = row[pc]
-                row /= divisor
+                row /= row[pc]
             basis[pr] = pc
-            # price the cost rows out against the crash column
-            colv = _price_out(costs, pc, row) if price else None
-            if rec_crash is not None:
-                rec_crash.append((pr, pc, divisor, colv, None if own_rhs else row.copy()))
+            if price:  # price the cost rows out against the crash column
+                colv = costs[:, pc].copy()
+                costs -= colv[:, None] * row
+                costs[:, pc] = 0.0
         # the phase-1 row sums the rows that keep their artificial
         keep = basis >= n
         r1[:n] = -structural[keep].sum(axis=0)
         for j in range(ncols, tab.shape[1]):
             r1[j] = -body[:, j][keep].sum()
-        if rec_crash is not None:
-            making = key, rec_crash, keep
         go_on(tab, basis, 0, 1, sign, ks)
 
     while groups:
@@ -703,7 +578,7 @@ def _simplex_batch(
             pc = int(pcs[0])
             moving = price[:, pc] < -FEAS_TOL  # per pricing row
             if phase == 1 and not moving[0]:  # r1 prices alike for every member
-                end_phase1(live, basis, count, sign, ks)
+                to_phase2(live, basis, count, sign, ks)
                 continue
             prs = (_leaving_rows(body[:, pc], rhs, basis, False).tolist() if rhs.shape[1] > 1
                    else [_leaving_row(body[:, pc], rhs[:, 0], basis, False, ratios)])
@@ -720,7 +595,7 @@ def _simplex_batch(
                 pcs[i] = (price[i if len(price) > 1 else 0] < -FEAS_TOL).argmax()
             moving = price[np.arange(g) if len(price) > 1 else 0, pcs] < -FEAS_TOL
             if phase == 1 and not moving[0]:
-                end_phase1(live, basis, count, sign, ks)
+                to_phase2(live, basis, count, sign, ks)
                 continue
             pcs, moves, leaving, prs = pcs.tolist(), moving.tolist(), {}, []
             for i, (move, pc, bl) in enumerate(zip(moves, pcs, bland.tolist())):
@@ -729,7 +604,6 @@ def _simplex_batch(
                     leaving[test] = _leaving_row(body[:, pc], live[:m, test[2]], basis, bl,
                                                  ratios)
                 prs.append(leaving[test] if move else -1)
-        steps = None  # the group splits or loses members, or a member is on Bland's rule
         # members that pivot alike go on together; the others are done
         by_step: dict = {}
         done = []
@@ -753,22 +627,6 @@ def _simplex_batch(
                 go_on_step(narrow(live, sel, last), basis if last else basis.copy(), count,
                            phase, sign, ks[sel], bland[sel], streak[sel], pr, pc)
     return out
-
-
-def _price_out(rows: np.ndarray, pc: int, row: np.ndarray) -> np.ndarray:
-    """Zero column ``pc`` of ``rows`` with multiples of ``row`` (``row[pc]`` is 1),
-    as a pivot updates its cost rows; returns the multiples."""
-    colv = rows[:, pc].copy()
-    rows -= colv[:, None] * row
-    rows[:, pc] = 0.0
-    return colv
-
-
-def _phase1_infeasible(r1: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Per rhs column: whether phase 1 ended with the artificials above zero,
-    read off the phase-1 row ``r1`` at that column."""
-    return np.array([-r1[j] > FEAS_TOL * (1.0 + np.abs(rhs[:, j]).sum())
-                     for j in range(len(r1))], dtype=bool)
 
 
 def _vertex(basis: np.ndarray, rhs: np.ndarray, n: int) -> np.ndarray:
@@ -856,13 +714,12 @@ def _dual_point(lp: LinearProgram, z: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def _solve_primal(
     lp: LinearProgram, eq_rhs: Optional[np.ndarray], trail_len: Optional[int],
-    max_pivots: Optional[int] = None, phase1: Optional[dict] = None,
+    max_pivots: Optional[int] = None,
 ) -> list:
     """Outcomes of ``lp`` with each row of ``eq_rhs`` (its own ``eq_rhs`` if
     none is given): (solution, trail) pairs or ``LpError``s."""
     A, b, c = _standard_primal(lp, eq_rhs)
-    outcomes = _simplex_batch(A, b, c[None], max_pivots=max_pivots, trail_len=trail_len,
-                              phase1=phase1)
+    outcomes = _simplex_batch(A, b, c[None], max_pivots=max_pivots, trail_len=trail_len)
     for k, res in enumerate(outcomes):
         if isinstance(res, LpError):
             continue
@@ -908,8 +765,7 @@ def solve_with_primal_trail(
     return _lone(_solve_primal(lp, None, lp.num_vars))
 
 
-def solve_primal_batch(lp: LinearProgram, eq_rhs: np.ndarray,
-                       phase1: Optional[dict] = None) -> list:
+def solve_primal_batch(lp: LinearProgram, eq_rhs: np.ndarray) -> list:
     """``solve_with_primal_trail`` of ``lp`` with each row of ``eq_rhs``, as one batch.
 
     LPs that differ only in ``eq_rhs`` share their standard form but its
@@ -917,28 +773,79 @@ def solve_primal_batch(lp: LinearProgram, eq_rhs: np.ndarray,
     shared tableaux, one rhs column each, in groups of members that pivot
     alike.  Outcome ``i`` is the ``(solution, trail)`` pair of a lone solve
     of member ``i``, bit for bit, or the ``LpError`` that solve raises.
-    ``phase1``, if given, holds the phase-1 records of earlier primal
-    batches of LPs with ``lp``'s matrices and cost, and gets this batch's.
     """
-    return _solve_primal(lp, eq_rhs, lp.num_vars, phase1=phase1)
+    return _solve_primal(lp, eq_rhs, lp.num_vars)
 
 
-def solve_dual_batch(lp: LinearProgram, eq_rhs: np.ndarray,
-                     phase1: Optional[dict] = None) -> list:
+def solve_dual_batch(lp: LinearProgram, eq_rhs: np.ndarray, bases: list) -> list:
     """Kernel outcomes of the explicit duals of ``lp`` with each row of ``eq_rhs``.
 
     LPs that differ only in ``eq_rhs`` have explicit duals that share their
     constraints ``(D, rhs)``, which depend on ``eq_matrix``, ``cost`` and the
     cut slopes, and differ only in their cost row
-    ``[-eq_rhs | eq_rhs | -thetas | 0]``.  They are solved as one batch
-    (``_simplex_batch``): phase 1 once, then phase 2 in groups of members
-    that pivot alike.  Outcome ``i`` is a ``_KernelResult``, or the
-    ``LpError`` that a lone solve of member ``i`` raises.  ``phase1``, if
-    given, holds the phase-1 record of an earlier dual batch of LPs with
-    ``lp``'s matrices and cost, and gets this batch's.
+    ``[-eq_rhs | eq_rhs | -thetas | 0]``.  Outcome ``i`` is a
+    ``_KernelResult``, or the ``LpError`` that a lone solve of member ``i``
+    raises.
+
+    ``bases`` holds optimal bases of earlier duals with these constraints,
+    as ``[key, basis, structural basics, vertex, tableau rows]`` entries:
+    the vertex is the ``z`` the kernel returned there, and ``key`` the
+    sorted basis, which keeps each basis once.  A basis is optimal for
+    every member whose cost row prices out at it: each structural reduced
+    cost is at least ``-FEAS_TOL``, the kernel's own test, read off the
+    basis's tableau rows, which are computed when the basis is first tested.
+    Such a member, tested against the bases in their order, is answered
+    without a kernel solve by that vertex's bits, as a one-entry trail: its
+    certificate is exact.  A hit carries no ``y`` and no pivots.  The other
+    members are solved as one batch (``_simplex_batch``) from the crash
+    start, so each equals its lone solve bit for bit, and their optimal
+    bases join ``bases``.
     """
     D, rhs, costs = _explicit_duals(lp, eq_rhs)
-    return _simplex_batch(D, rhs, costs, trail_len=2 * lp.num_eq + lp.num_cuts, phase1=phase1)
+    trail_len = 2 * lp.num_eq + lp.num_cuts
+    out: list = [None] * len(costs)
+    todo = np.arange(len(costs))
+    for entry in bases:
+        if not len(todo):
+            break
+        _, basis, cols, z, rows = entry
+        if rows is None:
+            rows = entry[-1] = _tableau_rows(D, basis)
+        C = costs[todo]
+        hit = ((C - C[:, cols] @ rows) >= -FEAS_TOL).all(axis=1)
+        for k, c in zip(todo[hit].tolist(), C[hit]):
+            obj = float(c @ z)
+            out[k] = _KernelResult(SolveStatus.OPTIMAL, z, obj, None, basis, 0,
+                                   [(obj, z[:trail_len])])
+        todo = todo[~hit]
+    if not len(todo):
+        return out
+    seen = {entry[0] for entry in bases}
+    for k, res in zip(todo.tolist(), _simplex_batch(D, rhs, costs[todo], trail_len=trail_len)):
+        out[k] = res
+        if isinstance(res, LpError) or res.status is not SolveStatus.OPTIMAL:
+            continue
+        key = np.sort(res.basis).tobytes()
+        if key not in seen:
+            seen.add(key)
+            bases.append([key, res.basis, res.basis[res.basis < D.shape[1]], res.z, None])
+    return out
+
+
+def _tableau_rows(D: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The rows of ``B^-1 D`` at the structural columns of ``basis``.
+
+    An artificial that stays basic at zero level is a unit column of ``B``.
+    The sign its row takes in the kernel would scale only that artificial's
+    own row of ``B^-1 D``, which is not returned.  A singular basis gets
+    rows of NaN, at which no cost row prices out.
+    """
+    full = np.concatenate((D, np.eye(len(D))), axis=1)
+    structural = basis < D.shape[1]
+    try:
+        return np.linalg.solve(full[:, basis], D)[structural]
+    except np.linalg.LinAlgError:
+        return np.full((np.count_nonzero(structural), D.shape[1]), np.nan)
 
 
 def solve_dual_inexact(
@@ -960,7 +867,7 @@ def solve_dual_inexact(
     ``lp``'s row counts.  An ``LpError`` outcome is raised.
     """
     if result is None:
-        (result,) = solve_dual_batch(lp, lp.eq_rhs[None])
+        (result,) = solve_dual_batch(lp, lp.eq_rhs[None], [])
     if isinstance(result, LpError):
         raise result
     _check_dual_solvable(result)

@@ -177,19 +177,15 @@ def _stage_matrices(
     return StageModel(A=A, B=B, b=b, c=c)
 
 
-def generate_instance(
-    spec: PortfolioSpec, costs: Optional[TransactionCosts] = None
-) -> StochasticModel:
+def generate_instance(spec: PortfolioSpec) -> StochasticModel:
     """Deterministic construction of the benchmark instance from its spec."""
     rng = np.random.default_rng(spec.seed)
-    sampled_costs = sample_transaction_costs(spec, rng)
+    costs = sample_transaction_costs(spec, rng)
     x0 = rng.uniform(0.0, 10.0, size=spec.n + 1)
     if spec.returns_path is None:
         returns = sample_synthetic_returns(spec, rng)
     else:
         returns = load_returns_csv(spec)
-    if costs is None:
-        costs = sampled_costs
 
     n, T, M = spec.n, spec.T, spec.M
     var_dim = 4 * n + 1

@@ -21,13 +21,13 @@ gets a cut.  A stage LP is built only where a kernel runs: once per forward
 batch and once per dual batch, whose LP the memo keeps for the certificates
 to read.
 
-The memo also keeps the kernel's phase-1 records (``lp_core.Phase1Record``),
-one dict per kind of batch and stage structure (``A`` and ``c``), since the
-pool fixes the rest of the standard form.  The first multi-LP batch of a
-structure that ends phase 1 as one group makes its record; each later batch
-of that structure replays it (a forward batch on a sign class whose LPs all
-follow it), until ``CutPool.add`` drops the memo with the records in it.
-The memo is the only place a solve or a record is kept between calls.
+The memo also keeps the optimal bases of the backward duals, one list per
+stage structure (``A`` and ``c``), since the pool fixes the rest of the
+explicit dual's constraints.  ``solve_dual_batch`` answers a dual from them
+when its cost prices out at one, and adds the bases of the duals it solves,
+until ``CutPool.add`` drops the memo with the bases in it.  Forward batches
+are always solved afresh.  The memo is the only place a solve or a basis is
+kept between calls.
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ def sweep_forward(
         lp = stage_lp(first, x_first, pool)
         if len(members) > 1:
             eq_rhs = np.array([stage.b - stage.B @ x for _, (stage, x) in members])
-            outcomes = solve_primal_batch(lp, eq_rhs, _phase1(pool, "forward", structure))
+            outcomes = solve_primal_batch(lp, eq_rhs)
         else:
             try:
                 outcomes = [solve_with_primal_trail(lp)]
@@ -176,11 +176,6 @@ def _forward_key(stage: StageModel, x_bytes: bytes) -> tuple:
 def _structure(stage: StageModel) -> tuple:
     """What a stage LP's batch shares: ``A`` and ``c``."""
     return stage.A.shape, stage.A.tobytes(), stage.c.tobytes()
-
-
-def _phase1(pool: CutPool, kind: str, structure: tuple) -> dict:
-    """The phase-1 records of ``kind`` batches of one ``_structure`` against ``pool``."""
-    return pool.memo.setdefault(("phase 1", kind, *structure), {})
 
 
 def _fault(detail: str, cause: Optional[Exception] = None) -> StageSolveError:
@@ -224,7 +219,9 @@ def sweep_duals(
     to what the certificate scan reads, beside its batch's LP: the scan reads
     only the LP's row counts, which every member shares.  A member whose
     outcome is an ``LpError`` keeps the error there, and
-    ``solve_backward_stage`` raises it with stage and path.
+    ``solve_backward_stage`` raises it with stage and path.  The group's
+    optimal bases are kept in the memo too, under ``("bases", *structure)``,
+    for ``solve_dual_batch`` to answer later duals of the group with.
     """
     points = {x.tobytes(): x for x in x_prevs}
     groups: dict = {}
@@ -237,8 +234,8 @@ def sweep_duals(
             continue
         eq_rhs = np.array([r.b - r.B @ x for _, r, x in todo])
         lp = stage_lp(group[0], todo[0][2], pool)
-        records = _phase1(pool, "dual", structure)
-        for (key, _, _), res in zip(todo, solve_dual_batch(lp, eq_rhs, records)):
+        bases = pool.memo.setdefault(("bases", *structure), [])
+        for (key, _, _), res in zip(todo, solve_dual_batch(lp, eq_rhs, bases)):
             if not isinstance(res, LpError):
                 res = _KernelResult(res.status, None, res.obj, None, None, res.pivots, res.trail)
             pool.memo[key] = (lp, res)

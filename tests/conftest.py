@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from isddp.lp_core import LinearProgram
+from isddp.lp_core import LinearProgram, SolveStatus, _KernelResult
 from isddp.models import StochasticModel, save_model
 from isddp.portfolio import PortfolioSpec, generate_instance
 
@@ -23,6 +23,12 @@ def random_feasible_bounded_lp(rng: np.random.Generator) -> LinearProgram:
     b = A @ xhat
     c = rng.normal(size=n).round(3)
     return LinearProgram(cost=c, eq_matrix=A, eq_rhs=b)
+
+
+def cache_hit(out) -> bool:
+    """Whether a ``solve_dual_batch`` outcome was answered from a cached
+    basis: an optimum that carries no kernel duals ``y``."""
+    return isinstance(out, _KernelResult) and out.status is SolveStatus.OPTIMAL and out.y is None
 
 
 def chain_model(T: int, n: int, seed: int) -> StochasticModel:

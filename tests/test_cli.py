@@ -327,8 +327,8 @@ class TestSolve:
             pools[id(lp)] = pool
             return lp
 
-        def violating(lp, eq_rhs, phase1=None):
-            outcomes = real_batch(lp, eq_rhs, phase1)
+        def violating(lp, eq_rhs):
+            outcomes = real_batch(lp, eq_rhs)
             if pools[id(lp)].stage == 4 and lp.num_cuts > 1:  # stage 3's LPs
                 for sol, _trail in outcomes:
                     sol.obj -= 1.0

@@ -23,15 +23,15 @@ def test_t48_chain_solves_to_the_oracle_value(seed, tmp_path, capsys):
     assert abs(lb - v_star) <= 1e-9 * abs(v_star)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: at 50 paths iteration 10 exits 2, "
-                   "stage 3 (path 34): phase-1 subproblem unbounded")
-def test_binding_limit_portfolio_with_50_paths_runs_10_iterations(tmp_path, capsys):
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: at 100 paths iteration 8 exits 2, "
+                   "stage 3 (path 49): phase-1 subproblem unbounded")
+def test_binding_limit_portfolio_with_100_paths_runs_10_iterations(tmp_path, capsys):
     # the u=0.3 family of ROADMAP finding 1, whose pools change every iteration
     inst = str(tmp_path / "u03.json")
     assert main(["gen", "--T", "6", "--n", "4", "--M", "10", "--u", "0.3", "--seed", "2024",
                  "--out", inst]) == EXIT_OK
     out = tmp_path / "run.csv"
-    rc = main(["solve", "--instance", inst, "--preset", "sddp", "--paths", "50",
+    rc = main(["solve", "--instance", inst, "--preset", "sddp", "--paths", "100",
                "--gap-tol", "1e-9", "--max-iter", "10", "--seed", "9", "--out", str(out)])
     assert rc == EXIT_OK
     assert len(out.read_text().splitlines()) == 1 + 10

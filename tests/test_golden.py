@@ -5,25 +5,23 @@ alters solver output on purpose regenerates them (``PYTHONPATH=src python
 tests/test_golden.py`` rewrites them) and says so.  Three runs:
 
 * a portfolio with ``--preset isddp1``: several paths and realizations, so
-  the backward sweeps solve batches of duals that share phase 1;
+  the backward sweeps solve batches of duals that share their constraints;
 * a deterministic chain with ``--algo ddp``: one path and one realization,
   so every backward dual is solved alone;
 * the ``portfolio-isddp1`` benchmark solve (T=6, n=4, M=5, 5 paths, 14
-  iterations), whose cut pools stop changing early, so later forward and
-  dual batches repeat the structure of earlier ones.
+  iterations), whose cut pools stop changing early, so the optimal bases
+  of earlier duals answer most later ones.
 """
 
 import csv
 import os
 
-import numpy as np
 import pytest
 
 from isddp import stage_solver
 from isddp.cli import EXIT_OK, main
-from isddp.lp_core import _standard_primal
 
-from conftest import save_chain
+from conftest import cache_hit, save_chain
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -76,29 +74,24 @@ def test_solve_log_matches_golden(name, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name", ["portfolio_isddp1", "portfolio_bench"])
-def test_portfolio_runs_replay_phase_1(name, tmp_path, capsys, monkeypatch):
-    # once a pool holds still, a later batch at a stage finds the phase-1
-    # record of an earlier one in the pool's memo: a forward batch when some
-    # member's rhs has the record's signs, a dual batch whenever one is there
-    replays = {"forward": 0, "dual": 0}
-    primal, dual = stage_solver.solve_primal_batch, stage_solver.solve_dual_batch
+def test_portfolio_runs_answer_duals_from_cached_bases(name, tmp_path, capsys, monkeypatch):
+    # once a pool holds still, a later dual batch at a stage finds the
+    # optimal bases of earlier ones in the pool's memo, and some of its
+    # members price out at one: they are answered without a kernel solve
+    answered = {"cache": 0, "kernel": 0}
+    dual = stage_solver.solve_dual_batch
 
-    def counting_primal(lp, eq_rhs, phase1):
-        _, B, _ = _standard_primal(lp, eq_rhs)
-        keys = {np.where(b < 0, -1.0, 1.0).tobytes() for b in B}
-        replays["forward"] += bool(keys & phase1.keys())
-        return primal(lp, eq_rhs, phase1)
+    def counting_dual(lp, eq_rhs, bases):
+        outcomes = dual(lp, eq_rhs, bases)
+        for out in outcomes:
+            answered["cache" if cache_hit(out) else "kernel"] += 1
+        return outcomes
 
-    def counting_dual(lp, eq_rhs, phase1):
-        replays["dual"] += bool(phase1)
-        return dual(lp, eq_rhs, phase1)
-
-    monkeypatch.setattr(stage_solver, "solve_primal_batch", counting_primal)
     monkeypatch.setattr(stage_solver, "solve_dual_batch", counting_dual)
     out = str(tmp_path / "run.csv")
     _solve(name, str(tmp_path), out)
     capsys.readouterr()
-    assert replays["forward"] >= 1 and replays["dual"] >= 1
+    assert answered["cache"] >= 1 and answered["kernel"] >= 1
 
 
 if __name__ == "__main__":

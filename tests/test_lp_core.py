@@ -34,7 +34,7 @@ from isddp.portfolio import PortfolioSpec, generate_instance
 from isddp.schedules import EXACT_SCHEDULE, ScheduleMode, ScheduleSpec
 from isddp.sddp_engine import run_isddp
 
-from conftest import enumerate_vertices, random_feasible_bounded_lp
+from conftest import cache_hit, enumerate_vertices, random_feasible_bounded_lp
 
 
 def single_var_lp():
@@ -302,7 +302,7 @@ def test_dual_batch_certificates_match_lone_solves(seed):
         dataclasses.replace(lp, eq_rhs=base.eq_matrix @ rng.uniform(0.0, 2.0, size=n).round(3))
         for _ in range(3)
     ]
-    batch = solve_dual_batch(lp, np.array([member.eq_rhs for member in lps]))
+    batch = solve_dual_batch(lp, np.array([member.eq_rhs for member in lps]), [])
     budgets = [ErrorBudget(), ErrorBudget(absolute=0.05), ErrorBudget(relative=0.01)]
     for i, lp in enumerate(lps):
         for budget in budgets:
@@ -601,11 +601,11 @@ def test_dual_batch_is_one_kernel_call(monkeypatch):
 
     lp, eq_rhs = _dual_members(np.random.default_rng(3), 130)
     monkeypatch.setattr(lp_core, "_simplex_batch", counting)
-    outcomes = solve_dual_batch(lp, eq_rhs)
+    outcomes = solve_dual_batch(lp, eq_rhs, [])
     assert calls == [130]
     monkeypatch.undo()
     assert [_outcome_bits(out) for out in outcomes] == [
-        _outcome_bits(solve_dual_batch(lp, row[None])[0]) for row in eq_rhs]
+        _outcome_bits(solve_dual_batch(lp, row[None], [])[0]) for row in eq_rhs]
 
 
 def test_batch_whose_members_split_matches_lone_solves():
@@ -629,25 +629,24 @@ def test_members_on_one_path_share_their_trail_points():
 
 
 def test_captured_backward_batches_match_lone_solves(monkeypatch):
-    # the backward duals of a real run: the isddp1 preset on the u=0.2 family,
-    # each batch with the phase-1 records it was handed
+    # the backward duals of a real run that the kernel solves: the isddp1
+    # preset on the u=0.2 family
     calls = []
     orig = lp_core._simplex_batch
 
-    def capture(A, b, C, phase1=None, **kwargs):
+    def capture(A, b, C, **kwargs):
         if len(C) > 1:
-            calls.append((A.copy(), b.copy(), C.copy(), kwargs, dict(phase1 or {})))
-        return orig(A, b, C, phase1=phase1, **kwargs)
+            calls.append((A.copy(), b.copy(), C.copy(), kwargs))
+        return orig(A, b, C, **kwargs)
 
     monkeypatch.setattr(lp_core, "_simplex_batch", capture)
     model = generate_instance(PortfolioSpec(T=4, n=8, M=10, u=0.2, seed=0))
     schedule = ScheduleSpec(eps_bar=0.1, eps0=1e-12, mode=ScheduleMode.RELATIVE)
     run_isddp(model, schedule, n_paths=10, gap_tol=1e-9, max_iter=2, seed=9)
     monkeypatch.undo()
-    assert sum(len(C) for _, _, C, _, _ in calls) > 100
-    assert any(records for *_, records in calls)  # some batches replay phase 1
-    for A, b, C, kwargs, records in calls:
-        got = _simplex_batch(A, b, C, **kwargs, phase1=records)
+    assert sum(len(C) for _, _, C, _ in calls) > 100
+    for A, b, C, kwargs in calls:
+        got = _simplex_batch(A, b, C, **kwargs)
         for k, (c, out) in enumerate(zip(C, got)):
             assert _outcome_bits(out) == _outcome_bits(_lone(A, b, c, **kwargs)), f"member {k}"
 
@@ -695,9 +694,9 @@ def _captured_forward_batches(monkeypatch, model, schedule, n_paths, max_iter):
     calls = []
     batch = stage_solver.solve_primal_batch
 
-    def capture(lp, eq_rhs, phase1):
+    def capture(lp, eq_rhs):
         calls.append((lp, eq_rhs.copy()))
-        return batch(lp, eq_rhs, phase1)
+        return batch(lp, eq_rhs)
 
     monkeypatch.setattr(stage_solver, "solve_primal_batch", capture)
     run_isddp(model, schedule, n_paths=n_paths, gap_tol=1e-9, max_iter=max_iter, seed=9)
@@ -813,11 +812,6 @@ def test_rhs_batch_matches_lone_solves_on_edge_lps(name):
     _assert_rhs_batch_matches_lone(A, B, c)
 
 
-# ---------------------------------------------------------------------------
-# Phase-1 records: a batch replays the phase 1 of an earlier batch of the
-# same standard form; every member still equals its lone solve, bit for bit.
-
-
 @given(st.integers(min_value=0, max_value=2**31 - 1), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_leaving_rows_is_leaving_row_per_column(seed, bland):
@@ -832,132 +826,100 @@ def test_leaving_rows_is_leaving_row_per_column(seed, bland):
     assert got.tolist() == want
 
 
-def _sign_keys(B):
-    """The phase-1 record keys of the rows of ``B``: their sign patterns."""
-    return {np.where(row < 0, -1.0, 1.0).tobytes() for row in B}
+def test_rhs_batch_members_of_another_sign_class_start_afresh(rng):
+    # each rhs sign pattern starts on a tableau and crash of its own
+    for _ in range(10):
+        A, B, c = _rhs_members(rng, 8)
+        B = np.abs(B)
+        B[::2, 0] = -1.0 - B[::2, 0]  # half the members flip the sign of row 0
+        _assert_rhs_batch_matches_lone(A, B, c)
+
+
+# ---------------------------------------------------------------------------
+# Cached bases: a dual batch answers a member whose cost prices out at the
+# optimal basis of an earlier dual with the same constraints by that basis's
+# vertex; every other member equals its lone solve, bit for bit.
+
+
+def _assert_hits_exact_and_misses_lone(lp, eq_rhs, bases):
+    """``solve_dual_batch`` of ``lp`` with ``eq_rhs`` against ``bases``.
+
+    A member answered from a cached basis gets that basis's vertex, bit for
+    bit, and an exact certificate: dual feasible within 1e-9 and worth its
+    lone kernel solve within 1e-9 relative.  Every other member is its lone
+    kernel solve, bit for bit.  Returns the counts of hits and misses.
+    """
+    vertices = [entry[3] for entry in bases]
+    got = solve_dual_batch(lp, eq_rhs, bases)
+    D, rhs, costs = _explicit_duals(lp, eq_rhs)
+    trail_len = 2 * lp.num_eq + lp.num_cuts
+    hits = 0
+    for k, (row, c, out) in enumerate(zip(eq_rhs, costs, got)):
+        want = _lone(D, rhs, c, trail_len=trail_len)
+        if cache_hit(out):
+            hits += 1
+            assert any(out.z is z for z in vertices), f"member {k}"
+            member = dataclasses.replace(lp, eq_rhs=row)
+            cert = solve_dual_inexact(member, ErrorBudget(), result=out)
+            assert cert.eps_certified == 0.0 and cert.dual_obj == -out.obj
+            assert dual_feasibility_residual(member, cert.lam, cert.mu) <= 1e-9, f"member {k}"
+            assert abs(out.obj - want.obj) <= 1e-9 * max(1.0, abs(want.obj)), f"member {k}"
+        else:
+            assert _outcome_bits(out) == _outcome_bits(want), f"member {k}"
+    return hits, len(got) - hits
 
 
 @pytest.mark.parametrize("K", [2, 5, 25])
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=8, deadline=None)
-def test_dual_batch_replays_the_phase_1_of_an_earlier_batch(K, seed):
-    rng = np.random.default_rng(seed)
-    lp, eq_rhs = _dual_members(rng, 2 * K)
-    D, rhs, costs = _explicit_duals(lp, eq_rhs)
-    records = {}
-    first = _simplex_batch(D, rhs, costs[:K], trail_len=D.shape[1], phase1=records)
-    if not records:  # phase 1 failed, or ran into Bland's rule
-        assert not all(isinstance(out, _KernelResult) and out.status is SolveStatus.OPTIMAL
-                       for out in first)
-        return
-    kept = dict(records)
-    got = _simplex_batch(D, rhs, costs[K:], trail_len=D.shape[1], phase1=records)
-    assert records == kept  # a record is made once
-    for k, (c, out) in enumerate(zip(costs[K:], got)):
-        want = _lone(D, rhs, c, trail_len=D.shape[1])
-        assert _outcome_bits(out) == _outcome_bits(want), f"member {k}"
+def test_dual_batch_answers_from_the_bases_of_an_earlier_batch(K, seed):
+    lp, eq_rhs = _dual_members(np.random.default_rng(seed), 2 * K)
+    bases = []
+    assert _assert_hits_exact_and_misses_lone(lp, eq_rhs[:K], bases)[0] == 0
+    kept = list(bases)
+    _assert_hits_exact_and_misses_lone(lp, eq_rhs[K:], bases)
+    assert all(a is b for a, b in zip(bases, kept)) and len(bases) >= len(kept)
 
 
-def _assert_rhs_replay_matches_lone(A, b0, B, c):
-    """Record phase 1 on two copies of ``b0``, then solve ``B`` with the
-    record; every member equals its lone solve.  Returns the record (or
-    None) and the members' outcomes."""
-    records = {}
-    _simplex_batch(A, np.array([b0, b0]), c[None], trail_len=A.shape[1], phase1=records)
-    kept = dict(records)
-    got = _simplex_batch(A, B, c[None], trail_len=A.shape[1], phase1=records)
-    for k, (b, out) in enumerate(zip(B, got)):
-        want = _lone(A, b, c, trail_len=A.shape[1])
-        assert _outcome_bits(out) == _outcome_bits(want), f"member {k}"
-    assert all(records[key] is rec for key, rec in kept.items())
-    return next(iter(kept.values()), None), got
+def test_dual_batch_answers_some_members_from_cache_and_solves_the_rest():
+    # of 35 members, some price out at one of the bases that 5 others found
+    # and some at none of them
+    lp, eq_rhs = _dual_members(np.random.default_rng(0), 40)
+    bases = []
+    _assert_hits_exact_and_misses_lone(lp, eq_rhs[:5], bases)
+    hits, misses = _assert_hits_exact_and_misses_lone(lp, eq_rhs[5:], bases)
+    assert hits and misses
 
 
-def _follows(A, b, c, rec):
-    """Whether ``b``'s own phase 1 takes the steps of ``rec``."""
-    records = {}
-    _simplex_batch(A, np.array([b, b]), c[None], phase1=records)
-    return bool(records) and [s[:2] for s in next(iter(records.values())).steps] == [
-        s[:2] for s in rec.steps]
-
-
-def test_rhs_batch_members_that_follow_or_leave_a_record(rng):
-    # right-hand sides A @ x of random x >= 0 share their signs; some take
-    # the recorded phase-1 pivots and some leave them at a phase-1 step, so
-    # their class is solved afresh
-    followed = left = 0
-    for _ in range(40):
-        A, B, c = _rhs_members(rng, 9)
-        B = np.abs(B)
-        rec, _ = _assert_rhs_replay_matches_lone(A, B[0], B[1:], c)
-        if rec is None or not rec.phase1_steps:
-            continue
-        follows = [_follows(A, b, c, rec) for b in B[1:]]
-        followed += sum(follows)
-        left += len(follows) - sum(follows)
-    assert followed and left
-
-
-def test_rhs_batch_member_infeasible_at_the_end_of_a_recorded_phase_1():
-    # the LP of test_primal_batch_with_an_infeasible_member: member 1 has the
-    # signs of the record but no feasible point, so its class is solved afresh
-    lp = LinearProgram(cost=[1.0, 2.0, 0.5], eq_matrix=[[1.0, -1.0, 0.0], [1.0, 1.0, 1.0]],
-                       eq_rhs=[1.0, 3.0], cut_beta=[[0.0, 0.0, 0.0], [0.5, -1.0, 0.2]],
-                       cut_theta=[-5.0, 0.3])
-    eq_rhs = np.array([[1.0, 3.0], [1.0, 0.5], [0.5, 2.0], [2.0, 2.5]])
-    A, B, c = _standard_primal(lp, eq_rhs)
-    rec, got = _assert_rhs_replay_matches_lone(A, B[0], B, c)
-    assert rec is not None and rec.phase1_steps
-    assert [res.status for res in got] == [SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE,
-                                           SolveStatus.OPTIMAL, SolveStatus.OPTIMAL]
-
-
-def test_rhs_batch_members_of_another_sign_class_start_afresh(rng):
-    for _ in range(10):
-        A, B, c = _rhs_members(rng, 8)
-        B = np.abs(B)
-        B[::2, 0] = -1.0 - B[::2, 0]  # half the members flip the sign of row 0
-        _assert_rhs_replay_matches_lone(A, B[1], B, c)
-        _assert_rhs_replay_matches_lone(A, B[0], B, c)
-
-
-@pytest.mark.parametrize("name", list(EDGE_LPS))
-def test_rhs_batch_replays_on_edge_lps(name):
+@pytest.mark.parametrize("name", ["dependent_rows", "duplicated_row"])
+@pytest.mark.parametrize("flip", [1.0, -1.0])
+def test_tableau_rows_of_a_basis_that_keeps_an_artificial(name, flip):
+    # a redundant row keeps a zero-level artificial basic, whichever sign the
+    # row takes; the basis's tableau rows still price the kernel's optimum
+    # out and give its basic values
     A, b, c = _standard_primal(EDGE_LPS[name]())
-    B = np.array([b, 2.0 * b, -b, b + (np.arange(len(b)) % 2)])
-    _assert_rhs_replay_matches_lone(A, b, B, c)
+    A, b = A.copy(), b.copy()
+    A[-1] *= flip
+    b[-1] *= flip
+    res = _lone(A, b, c)
+    n = A.shape[1]
+    assert (res.basis >= n).any()
+    cols = res.basis[res.basis < n]
+    rows = lp_core._tableau_rows(A, res.basis)
+    assert np.allclose(rows[:, cols], np.eye(len(cols)))
+    assert ((c - c[cols] @ rows) >= -lp_core.FEAS_TOL).all()
+    assert np.allclose(rows @ res.z, res.z[cols])
 
 
-@pytest.mark.parametrize("K", [2, 7])
-@given(st.integers(min_value=0, max_value=2**31 - 1))
-@settings(max_examples=8, deadline=None)
-def test_rhs_batch_replays_match_lone_solves(K, seed):
-    A, B, c = _rhs_members(np.random.default_rng(seed), K + 1)
-    _assert_rhs_replay_matches_lone(A, B[0], B[1:], c)
+def test_dual_batch_answers_no_member_from_a_singular_basis(monkeypatch):
+    # the members that the bases of 5 others answer above, with every
+    # basis matrix singular
+    lp, eq_rhs = _dual_members(np.random.default_rng(0), 40)
+    bases = []
+    solve_dual_batch(lp, eq_rhs[:5], bases)
 
+    def singular(*args):
+        raise np.linalg.LinAlgError("singular matrix")
 
-def test_captured_forward_batches_replay_and_match_lone_solves(monkeypatch):
-    # the forward batches of the T=6 benchmark instance, each with the
-    # phase-1 records it was handed
-    calls = []
-    batch = stage_solver.solve_primal_batch
-
-    def capture(lp, eq_rhs, phase1):
-        calls.append((lp, eq_rhs.copy(), dict(phase1)))
-        return batch(lp, eq_rhs, phase1)
-
-    monkeypatch.setattr(stage_solver, "solve_primal_batch", capture)
-    model = generate_instance(PortfolioSpec(T=6, n=4, M=5, seed=0))
-    schedule = ScheduleSpec(eps_bar=0.1, eps0=1e-12, mode=ScheduleMode.RELATIVE)
-    run_isddp(model, schedule, n_paths=5, gap_tol=1e-9, max_iter=6, seed=9)
-    monkeypatch.undo()
-    replayed = 0
-    for lp, eq_rhs, records in calls:
-        A, B, c = _standard_primal(lp, eq_rhs)
-        replayed += bool(records.keys() & _sign_keys(B))
-        got = _simplex_batch(A, B, c[None], trail_len=lp.num_vars, phase1=records)
-        for k, (b, out) in enumerate(zip(B, got)):
-            want = _lone(A, b, c, trail_len=lp.num_vars)
-            assert _outcome_bits(out) == _outcome_bits(want), f"member {k}"
-    assert replayed
-
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    assert _assert_hits_exact_and_misses_lone(lp, eq_rhs[5:], bases)[0] == 0

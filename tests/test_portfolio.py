@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from isddp import oracle
+from isddp import oracle, portfolio
 from isddp.lp_core import LinearProgram, SolveStatus, solve_exact
 from isddp.models import model_from_json, model_to_json
 from isddp.portfolio import (
@@ -112,6 +112,19 @@ class TestFromFile:
         )
 
 
+def _zero_trading_costs(monkeypatch):
+    """``generate_instance`` builds its stages with zero transaction costs;
+    the sampled costs are still drawn, so the rest of the instance keeps its
+    draws."""
+    sample = portfolio.sample_transaction_costs
+
+    def zero(spec, rng):
+        sample(spec, rng)
+        return TransactionCosts(nu=np.zeros(spec.n), mu_cost=np.zeros(spec.n))
+
+    monkeypatch.setattr(portfolio, "sample_transaction_costs", zero)
+
+
 class TestGenerateInstance:
     def test_deterministic_given_seed(self):
         spec = PortfolioSpec(T=6, n=4, M=10, seed=9)
@@ -121,26 +134,26 @@ class TestGenerateInstance:
         c = model_from_json(model_to_json(a))
         assert model_to_json(c) == model_to_json(a)
 
-    def test_wealth_conserved_degenerate(self, tmp_path):
+    def test_wealth_conserved_degenerate(self, tmp_path, monkeypatch):
         path = tmp_path / "ones.csv"
         write_returns(path, [[1.0]] * 3)
         spec = PortfolioSpec(
             T=3, n=1, M=1, seed=2, risk_free_return=0.0,
             returns_path=str(path),
         )
-        zero = TransactionCosts(nu=np.zeros(1), mu_cost=np.zeros(1))
-        m = generate_instance(spec, costs=zero)
+        _zero_trading_costs(monkeypatch)
+        m = generate_instance(spec)
         assert oracle.extensive_form(m) == pytest.approx(-float(m.x0.sum()), abs=1e-7)
 
-    def test_full_risky_allocation_when_dominant(self, tmp_path):
+    def test_full_risky_allocation_when_dominant(self, tmp_path, monkeypatch):
         path = tmp_path / "growth.csv"
         write_returns(path, [[1.1]] * 3)
         spec = PortfolioSpec(
             T=3, n=1, M=1, seed=2,
             returns_path=str(path),
         )
-        zero = TransactionCosts(nu=np.zeros(1), mu_cost=np.zeros(1))
-        m = generate_instance(spec, costs=zero)
+        _zero_trading_costs(monkeypatch)
+        m = generate_instance(spec)
         x0 = m.x0
         # stage-1 returns apply to the initial split, then everything rides
         # the risky asset at zero cost

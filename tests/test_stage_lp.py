@@ -155,7 +155,7 @@ def test_one_budget_resolves_alike_forward_and_backward():
         fwd = solve_forward_stage(stage, x, pools[3], budget)
         assert fwd.budget_resolved == budget.resolve(fwd.optimum)
         lp = stage_lp(stage, x, pools[3])
-        (kernel,) = solve_dual_batch(lp, lp.eq_rhs[None])
+        (kernel,) = solve_dual_batch(lp, lp.eq_rhs[None], [])
         allowed = budget.resolve(-kernel.obj)
         cert = solve_dual_inexact(lp, budget)
         same = solve_dual_inexact(lp, ErrorBudget(absolute=allowed))
