@@ -23,7 +23,6 @@ from isddp.lp_core import (
     solve_exact,
     solve_primal_batch,
     solve_with_primal_trail,
-    _KernelResult,
     _explicit_duals,
     _simplex_batch,
     _standard_primal,
