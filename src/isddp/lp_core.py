@@ -480,7 +480,7 @@ def _simplex_batch(
         go_on(live, basis, count + 1, phase, sign, ks, bland | (s > bland_after), s)
 
     def to_phase2(live: np.ndarray, basis: np.ndarray, count: int, sign: np.ndarray,
-                   ks: np.ndarray) -> None:
+                  ks: np.ndarray) -> None:
         """Finish the infeasible members of a group at the end of phase 1; go on in phase 2.
 
         A member is infeasible when phase 1 ended with its artificials above
