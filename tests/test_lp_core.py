@@ -834,6 +834,56 @@ def test_rhs_batch_members_of_another_sign_class_start_afresh(rng):
         _assert_rhs_batch_matches_lone(A, B, c)
 
 
+def _assert_rhs_replay_matches_lone(A, b0, B, c):
+    """Solve two copies of ``b0``, then ``B``, then ``B`` again, all of one
+    standard form: the kernel carries nothing from one batch to the next, so
+    every member of ``B`` equals its lone solve both times."""
+    _simplex_batch(A, np.array([b0, b0]), c[None], trail_len=A.shape[1])
+    got = _simplex_batch(A, B, c[None], trail_len=A.shape[1])
+    again = _simplex_batch(A, B, c[None], trail_len=A.shape[1])
+    for k, (b, out, rerun) in enumerate(zip(B, got, again)):
+        want = _outcome_bits(_lone(A, b, c, trail_len=A.shape[1]))
+        assert _outcome_bits(out) == want and _outcome_bits(rerun) == want, f"member {k}"
+
+
+@pytest.mark.parametrize("name", list(EDGE_LPS))
+def test_rhs_batch_replays_on_edge_lps(name):
+    A, b, c = _standard_primal(EDGE_LPS[name]())
+    B = np.array([b, 2.0 * b, -b, b + (np.arange(len(b)) % 2)])
+    _assert_rhs_replay_matches_lone(A, b, B, c)
+
+
+@pytest.mark.parametrize("K", [2, 7])
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=8, deadline=None)
+def test_rhs_batch_replays_match_lone_solves(K, seed):
+    A, B, c = _rhs_members(np.random.default_rng(seed), K + 1)
+    _assert_rhs_replay_matches_lone(A, B[0], B[1:], c)
+
+
+def test_captured_forward_batches_replay_and_match_lone_solves(monkeypatch):
+    # the forward batches of the T=6 benchmark instance with the outcomes the
+    # run got: each batch, solved again outside the run, gets them again, and
+    # each member equals its lone solve
+    calls = []
+    batch = stage_solver.solve_primal_batch
+
+    def capture(lp, eq_rhs):
+        outs = batch(lp, eq_rhs)
+        calls.append((lp, eq_rhs.copy(), [_primal_bits(out) for out in outs]))
+        return outs
+
+    monkeypatch.setattr(stage_solver, "solve_primal_batch", capture)
+    model = generate_instance(PortfolioSpec(T=6, n=4, M=5, seed=0))
+    schedule = ScheduleSpec(eps_bar=0.1, eps0=1e-12, mode=ScheduleMode.RELATIVE)
+    run_isddp(model, schedule, n_paths=5, gap_tol=1e-9, max_iter=6, seed=9)
+    monkeypatch.undo()
+    assert sum(len(eq_rhs) for _, eq_rhs, _ in calls) > 50
+    for lp, eq_rhs, seen in calls:
+        assert [_primal_bits(out) for out in solve_primal_batch(lp, eq_rhs)] == seen
+        _assert_primal_batch_matches_lone(lp, eq_rhs)
+
+
 # ---------------------------------------------------------------------------
 # Cached bases: a dual batch answers a member whose cost prices out at the
 # optimal basis of an earlier dual with the same constraints by that basis's
