@@ -72,8 +72,8 @@ class CutPool:
     only on the stage, the trial point and the pool's contents: each forward
     solve with its evaluated vertex trail (the lower bound is one of them),
     each backward dual's trimmed kernel result, and the optimal bases of the
-    explicit duals solved against it; ``add`` replaces it with an empty
-    dict.
+    stage LPs and of the explicit duals solved against it; ``add`` replaces
+    it with an empty dict.
     """
 
     def __init__(

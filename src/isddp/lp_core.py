@@ -42,14 +42,17 @@ group share one tableau and take the same pivots; a group splits where its
 LPs pivot differently.  Every result is bit-identical to a lone solve (see
 ``_simplex_batch``).
 
-Since explicit duals that share their constraints differ only in their
-cost, a basis that is optimal for one of them is optimal for every other
-whose cost row prices out at it (bunching: Wets 1988; Gassmann, Math.
-Programming 47, 1990).  ``solve_dual_batch`` takes a list of such bases,
-which the caller keeps for as long as the constraints hold, answers each
-member that prices out at one of them with that basis's vertex, and adds
-the optimal bases of the members it solves.  The kernel keeps nothing
-itself.
+Batches that share their constraints also share optimal bases (bunching:
+Wets 1988; Gassmann, Math. Programming 47, 1990).  A primal basis's
+reduced costs do not depend on the right-hand side, so a basis that is
+optimal for one primal LP is optimal for every other at which it is primal
+feasible; and explicit duals that share their constraints differ only in
+their cost, so a basis that is optimal for one of them is optimal for
+every other whose cost row prices out at it.  ``solve_primal_batch`` and
+``solve_dual_batch`` each take a list of such bases, which the caller
+keeps for as long as the constraints hold, answer each member that one of
+them fits without a kernel solve, and add the optimal bases of the
+members they solve (``keep_bases``).  The kernel keeps nothing itself.
 
 Dual convention for cut rows: weights mu >= 0 with sum(mu) == 1, entering
 the variable-wise constraint as  eq_matrix.T @ lam - sum_i mu_i * beta_i <= c.
@@ -310,9 +313,9 @@ def _simplex_batch(
     every member thus gets the float operations of its lone solve.  A trail
     snapshot is taken once per group step and rhs column, so members that
     share their rhs share its vertex arrays.  Only structural columns enter.
-    A call keeps nothing for later calls: ``solve_dual_batch`` hands it only
-    the duals that no cached basis answers, and caches the optimal bases
-    of the outcomes.
+    A call keeps nothing for later calls: ``solve_primal_batch`` and
+    ``solve_dual_batch`` hand it only the members that no cached basis
+    answers, and cache the optimal bases of the outcomes.
 
     When a lone solve's tableau (``m + 2`` rows) has at least
     ``RESTRICTED_UPDATE_CELLS`` cells, a pivot touches only the rows where
@@ -713,12 +716,12 @@ def _dual_point(lp: LinearProgram, z: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _solve_primal(
-    lp: LinearProgram, eq_rhs: Optional[np.ndarray], trail_len: Optional[int],
-    max_pivots: Optional[int] = None,
+    lp: LinearProgram, A: np.ndarray, b: np.ndarray, c: np.ndarray,
+    trail_len: Optional[int], max_pivots: Optional[int] = None,
 ) -> list:
-    """Outcomes of ``lp`` with each row of ``eq_rhs`` (its own ``eq_rhs`` if
-    none is given): (solution, trail) pairs or ``LpError``s."""
-    A, b, c = _standard_primal(lp, eq_rhs)
+    """Outcomes of ``lp``'s standard form ``(A, c)`` with each right-hand
+    side in ``b`` (one, or one per row): (solution, trail) pairs or
+    ``LpError``s."""
     outcomes = _simplex_batch(A, b, c[None], max_pivots=max_pivots, trail_len=trail_len)
     for k, res in enumerate(outcomes):
         if isinstance(res, LpError):
@@ -750,7 +753,7 @@ def solve_exact(
     lp: LinearProgram, *, max_pivots: Optional[int] = None
 ) -> PrimalDualSolution:
     """Solve to optimality, returning a vertex solution with exact duals."""
-    return _lone(_solve_primal(lp, None, None, max_pivots))[0]
+    return _lone(_solve_primal(lp, *_standard_primal(lp), None, max_pivots))[0]
 
 
 def solve_with_primal_trail(
@@ -762,19 +765,85 @@ def solve_with_primal_trail(
     final entry is the optimum.  Used for certified delta-suboptimal forward
     solves: pick the earliest iterate whose value is within budget.
     """
-    return _lone(_solve_primal(lp, None, lp.num_vars))
+    return _lone(_solve_primal(lp, *_standard_primal(lp), lp.num_vars))
 
 
-def solve_primal_batch(lp: LinearProgram, eq_rhs: np.ndarray) -> list:
+def keep_bases(bases: list, found) -> None:
+    """Add each ``(basis, vertex)`` pair of ``found`` to the cache ``bases``, once.
+
+    ``bases`` holds optimal bases of LPs that share their standard form but
+    their right-hand side, or of explicit duals that share their
+    constraints, as ``[key, basis, vertex, factor]`` entries.  ``key`` is
+    the sorted basis, which keeps each basis once; ``vertex`` is the ``z``
+    the kernel returned where it found the basis, which a dual hit returns
+    (a primal entry keeps none); ``factor`` is what a test of the basis
+    reads, computed when the basis is first tested.
+    """
+    seen = {entry[0] for entry in bases}
+    for basis, vertex in found:
+        key = np.sort(basis).tobytes()
+        if key not in seen:
+            seen.add(key)
+            bases.append([key, basis, vertex, None])
+
+
+def solve_primal_batch(lp: LinearProgram, eq_rhs: np.ndarray, bases: list) -> list:
     """``solve_with_primal_trail`` of ``lp`` with each row of ``eq_rhs``, as one batch.
 
     LPs that differ only in ``eq_rhs`` share their standard form but its
-    right-hand side, and are solved as one batch (``_simplex_batch``): on
-    shared tableaux, one rhs column each, in groups of members that pivot
-    alike.  Outcome ``i`` is the ``(solution, trail)`` pair of a lone solve
-    of member ``i``, bit for bit, or the ``LpError`` that solve raises.
+    right-hand side.  ``bases`` holds optimal bases of earlier LPs with this
+    standard form (``keep_bases``).  A basis's reduced costs do not depend
+    on the right-hand side, so it is optimal for every member at which it
+    is primal feasible: each basic value of ``B^-1 b`` is at least
+    ``-FEAS_TOL``, each basic artificial (a redundant row) is within
+    ``FEAS_TOL`` of 0, and the point leaves a primal residual
+    ``|A z - b|_inf`` of at most ``FEAS_TOL * (1 + |b|_inf)``.  ``B^-1`` is
+    computed when the basis is first tested, with a unit column for each
+    basic artificial; a singular basis gets NaN and answers nothing.  A
+    member that one of the bases fits, tested in their order, is answered
+    without a kernel solve by that basis's point: an optimal solution with
+    ``x``, ``obj = c.z`` and the basis but no duals, and the one-entry
+    trail ``[(obj, x)]``.  The other members are solved as one batch
+    (``_simplex_batch``) from the crash start: on shared tableaux, one rhs
+    column each, in groups of members that pivot alike.  Each of their
+    outcomes is the ``(solution, trail)`` pair of a lone solve of that
+    member, bit for bit, or the ``LpError`` that solve raises, and their
+    optimal bases join ``bases``.  With no bases nothing is tested.
     """
-    return _solve_primal(lp, eq_rhs, lp.num_vars)
+    A, b, c = _standard_primal(lp, eq_rhs)
+    nv, n = lp.num_vars, A.shape[1]
+    out: list = [None] * len(b)
+    todo = np.arange(len(b))
+    for entry in bases:
+        if not len(todo):
+            return out
+        _, basis, _, factor = entry
+        if factor is None:
+            factor = entry[-1] = _basis_inverse(A, basis)
+        rhs = b[todo]
+        xb = rhs @ factor.T
+        structural = basis < n
+        z = np.zeros((len(todo), n))
+        z[:, basis[structural]] = xb[:, structural]
+        hit = ((xb >= -FEAS_TOL).all(axis=1)
+               & (np.abs(xb[:, ~structural]) <= FEAS_TOL).all(axis=1)
+               & (np.abs(z @ A.T - rhs).max(axis=1, initial=0.0)
+                  <= FEAS_TOL * (1.0 + np.abs(rhs).max(axis=1, initial=0.0))))
+        if hit.any():
+            named = tuple(basis.tolist())
+            for k, point in zip(todo[hit].tolist(), z[hit]):
+                x, obj = point[:nv].copy(), float(c @ point)
+                sol = PrimalDualSolution(SolveStatus.OPTIMAL, x=x, obj=obj, basis=named)
+                out[k] = sol, [(obj, x)]
+            todo = todo[~hit]
+    if not len(todo):
+        return out
+    solved = _solve_primal(lp, A, b[todo] if len(todo) < len(b) else b, c, nv)
+    for k, res in zip(todo.tolist(), solved):
+        out[k] = res
+    keep_bases(bases, ((np.array(res[0].basis), None) for res in solved
+                       if not isinstance(res, LpError) and res[0].status is SolveStatus.OPTIMAL))
+    return out
 
 
 def solve_dual_batch(lp: LinearProgram, eq_rhs: np.ndarray, bases: list) -> list:
@@ -787,19 +856,17 @@ def solve_dual_batch(lp: LinearProgram, eq_rhs: np.ndarray, bases: list) -> list
     ``_KernelResult``, or the ``LpError`` that a lone solve of member ``i``
     raises.
 
-    ``bases`` holds optimal bases of earlier duals with these constraints,
-    as ``[key, basis, structural basics, vertex, tableau rows]`` entries:
-    the vertex is the ``z`` the kernel returned there, and ``key`` the
-    sorted basis, which keeps each basis once.  A basis is optimal for
-    every member whose cost row prices out at it: each structural reduced
-    cost is at least ``-FEAS_TOL``, the kernel's own test, read off the
-    basis's tableau rows, which are computed when the basis is first tested.
-    Such a member, tested against the bases in their order, is answered
-    without a kernel solve by that vertex's bits, as a one-entry trail: its
-    certificate is exact.  A hit carries no ``y`` and no pivots.  The other
-    members are solved as one batch (``_simplex_batch``) from the crash
-    start, so each equals its lone solve bit for bit, and their optimal
-    bases join ``bases``.
+    ``bases`` holds optimal bases of earlier duals with these constraints
+    (``keep_bases``), each with the vertex the kernel returned there.  A
+    basis is optimal for every member whose cost row prices out at it: each
+    structural reduced cost is at least ``-FEAS_TOL``, the kernel's own
+    test, read off the basis's tableau rows, which are computed when the
+    basis is first tested.  Such a member, tested against the bases in
+    their order, is answered without a kernel solve by that vertex's bits,
+    as a one-entry trail: its certificate is exact.  A hit carries no ``y``
+    and no pivots.  The other members are solved as one batch
+    (``_simplex_batch``) from the crash start, so each equals its lone
+    solve bit for bit, and their optimal bases join ``bases``.
     """
     D, rhs, costs = _explicit_duals(lp, eq_rhs)
     trail_len = 2 * lp.num_eq + lp.num_cuts
@@ -807,10 +874,11 @@ def solve_dual_batch(lp: LinearProgram, eq_rhs: np.ndarray, bases: list) -> list
     todo = np.arange(len(costs))
     for entry in bases:
         if not len(todo):
-            break
-        _, basis, cols, z, rows = entry
-        if rows is None:
-            rows = entry[-1] = _tableau_rows(D, basis)
+            return out
+        _, basis, z, factor = entry
+        if factor is None:
+            factor = entry[-1] = basis[basis < D.shape[1]], _tableau_rows(D, basis)
+        cols, rows = factor
         C = costs[todo]
         hit = ((C - C[:, cols] @ rows) >= -FEAS_TOL).all(axis=1)
         for k, c in zip(todo[hit].tolist(), C[hit]):
@@ -820,16 +888,31 @@ def solve_dual_batch(lp: LinearProgram, eq_rhs: np.ndarray, bases: list) -> list
         todo = todo[~hit]
     if not len(todo):
         return out
-    seen = {entry[0] for entry in bases}
-    for k, res in zip(todo.tolist(), _simplex_batch(D, rhs, costs[todo], trail_len=trail_len)):
+    solved = _simplex_batch(D, rhs, costs[todo], trail_len=trail_len)
+    for k, res in zip(todo.tolist(), solved):
         out[k] = res
-        if isinstance(res, LpError) or res.status is not SolveStatus.OPTIMAL:
-            continue
-        key = np.sort(res.basis).tobytes()
-        if key not in seen:
-            seen.add(key)
-            bases.append([key, res.basis, res.basis[res.basis < D.shape[1]], res.z, None])
+    keep_bases(bases, ((res.basis, res.z) for res in solved
+                       if not isinstance(res, LpError) and res.status is SolveStatus.OPTIMAL))
     return out
+
+
+def _basis_matrix(A: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The columns ``basis`` of ``[A | I]``: an artificial that stays basic
+    at zero level is a unit column."""
+    return np.concatenate((A, np.eye(len(A))), axis=1)[:, basis]
+
+
+def _basis_inverse(A: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The inverse of the matrix of ``basis`` in ``[A | I]``, or NaN if it is singular.
+
+    The sign that an artificial's row takes in the kernel would scale only
+    that artificial's own basic value, which a test reads only as being
+    near zero.
+    """
+    try:
+        return np.linalg.inv(_basis_matrix(A, basis))
+    except np.linalg.LinAlgError:
+        return np.full((len(A), len(A)), np.nan)
 
 
 def _tableau_rows(D: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -840,10 +923,9 @@ def _tableau_rows(D: np.ndarray, basis: np.ndarray) -> np.ndarray:
     own row of ``B^-1 D``, which is not returned.  A singular basis gets
     rows of NaN, at which no cost row prices out.
     """
-    full = np.concatenate((D, np.eye(len(D))), axis=1)
     structural = basis < D.shape[1]
     try:
-        return np.linalg.solve(full[:, basis], D)[structural]
+        return np.linalg.solve(_basis_matrix(D, basis), D)[structural]
     except np.linalg.LinAlgError:
         return np.full((np.count_nonzero(structural), D.shape[1]), np.nan)
 

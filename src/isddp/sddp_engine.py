@@ -13,8 +13,9 @@ share their constraint matrix and cost and differ in their right-hand side,
 and the backward duals (``sweep_duals``), which against the frozen pool
 share one feasible region and differ in their cost.  A path's stage-t LP
 depends only on its own stage t-1 decision, so the paths of a forward pass
-advance together, stage by stage, and each reads exactly what it reads
-alone.  Forward solves and
+advance together, stage by stage; the kernel solves each path's LP bit for
+bit as it would alone, and optimal bases that earlier batches found on an
+unchanged pool answer the LPs they fit.  Forward solves and
 backward kernel results are kept in the pool's memo until the pool gets a
 cut, so a path, a pass or an iteration at a trial point already seen reads
 them instead of solving again; the passes keep no cache of their own.  An

@@ -21,13 +21,13 @@ gets a cut.  A stage LP is built only where a kernel runs: once per forward
 batch and once per dual batch, whose LP the memo keeps for the certificates
 to read.
 
-The memo also keeps the optimal bases of the backward duals, one list per
-stage structure (``A`` and ``c``), since the pool fixes the rest of the
-explicit dual's constraints.  ``solve_dual_batch`` answers a dual from them
-when its cost prices out at one, and adds the bases of the duals it solves,
-until ``CutPool.add`` drops the memo with the bases in it.  Forward batches
-are always solved afresh.  The memo is the only place a solve or a basis is
-kept between calls.
+The memo also keeps optimal bases, one list per stage structure (``A``
+and ``c``) and kind of solve, since the pool fixes the rest of the stage
+LP and of its explicit dual.  ``solve_primal_batch`` answers a forward LP
+from them when one is primal feasible there, and ``solve_dual_batch`` a
+dual when its cost prices out at one; each adds the bases of the members
+it solves, until ``CutPool.add`` drops the memo with the bases in it.  The
+memo is the only place a solve or a basis is kept between calls.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .lp_core import (
     LpError,
     SolveStatus,
     _KernelResult,
+    keep_bases,
     solve_dual_batch,
     solve_dual_inexact,
     solve_primal_batch,
@@ -139,11 +140,14 @@ def sweep_forward(
     Stages that share ``A`` and ``c`` give LPs that differ in
     ``eq_rhs = b - B x_prev`` only.  Each such group is one
     ``solve_primal_batch`` over its (stage, trial point) pairs that the memo
-    does not hold yet, each pair once; a group of one is one
-    ``solve_with_primal_trail``, the kernel's batch of one.  A solve and its
+    does not hold yet, each pair once, against the optimal bases that the
+    memo keeps for the group under ``("primal bases", *structure)``; a
+    group of one with no basis to test is one ``solve_with_primal_trail``,
+    the kernel's batch of one, whose basis joins the list.  A solve and its
     trail, evaluated against the pool, do not depend on the budget: the memo
     keeps the optimal vertex, the optimum, the trail vertices and their
-    values.  A member that faults (a kernel fault, a status other than
+    values.  A member answered from a cached basis has the optimum as its
+    whole trail.  A member that faults (a kernel fault, a status other than
     optimal, or an optimum that violates one of its own cut rows) keeps the
     fault there instead, and ``solve_forward_stage`` raises it with stage
     and path.
@@ -157,14 +161,19 @@ def sweep_forward(
         members = list(todo.items())
         first, x_first = members[0][1]
         lp = stage_lp(first, x_first, pool)
-        if len(members) > 1:
+        bases = pool.memo.setdefault(("primal bases", *structure), [])
+        if len(members) > 1 or bases:
             eq_rhs = np.array([stage.b - stage.B @ x for _, (stage, x) in members])
-            outcomes = solve_primal_batch(lp, eq_rhs)
+            outcomes = solve_primal_batch(lp, eq_rhs, bases)
         else:
             try:
                 outcomes = [solve_with_primal_trail(lp)]
             except LpError as exc:
                 outcomes = [exc]
+            else:
+                sol = outcomes[0][0]
+                if sol.status is SolveStatus.OPTIMAL:
+                    keep_bases(bases, [(np.array(sol.basis), None)])
         for (key, (stage, _)), out in zip(members, outcomes):
             pool.memo[key] = _forward_entry(stage, pool, out)
 

@@ -327,8 +327,8 @@ class TestSolve:
             pools[id(lp)] = pool
             return lp
 
-        def violating(lp, eq_rhs):
-            outcomes = real_batch(lp, eq_rhs)
+        def violating(lp, eq_rhs, bases):
+            outcomes = real_batch(lp, eq_rhs, bases)
             if pools[id(lp)].stage == 4 and lp.num_cuts > 1:  # stage 3's LPs
                 for sol, _trail in outcomes:
                     sol.obj -= 1.0
@@ -337,7 +337,7 @@ class TestSolve:
         monkeypatch.setattr(stage_solver, "stage_lp", recording_lp)
         monkeypatch.setattr(stage_solver, "solve_primal_batch", violating)
         monkeypatch.setattr(stage_solver, "solve_with_primal_trail",
-                            lambda lp: violating(lp, lp.eq_rhs[None])[0])
+                            lambda lp: violating(lp, lp.eq_rhs[None], [])[0])
         inst = str(tmp_path / "u02.json")
         assert main(["gen", "--T", "6", "--n", "8", "--M", "10", "--u", "0.2",
                      "--seed", "0", "--out", inst]) == EXIT_OK

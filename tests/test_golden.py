@@ -10,7 +10,7 @@ tests/test_golden.py`` rewrites them) and says so.  Three runs:
   so every backward dual is solved alone;
 * the ``portfolio-isddp1`` benchmark solve (T=6, n=4, M=5, 5 paths, 14
   iterations), whose cut pools stop changing early, so the optimal bases
-  of earlier duals answer most later ones.
+  of earlier stage LPs and duals answer most later ones.
 """
 
 import csv
@@ -21,7 +21,7 @@ import pytest
 from isddp import stage_solver
 from isddp.cli import EXIT_OK, main
 
-from conftest import cache_hit, save_chain
+from conftest import cache_hit, forward_cache_hit, save_chain
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -88,6 +88,34 @@ def test_portfolio_runs_answer_duals_from_cached_bases(name, tmp_path, capsys, m
         return outcomes
 
     monkeypatch.setattr(stage_solver, "solve_dual_batch", counting_dual)
+    out = str(tmp_path / "run.csv")
+    _solve(name, str(tmp_path), out)
+    capsys.readouterr()
+    assert answered["cache"] >= 1 and answered["kernel"] >= 1
+
+
+@pytest.mark.parametrize("name", ["portfolio_isddp1", "portfolio_bench"])
+def test_portfolio_runs_answer_forward_lps_from_cached_bases(name, tmp_path, capsys,
+                                                             monkeypatch):
+    # once a pool holds still, a later forward batch at a stage finds the
+    # optimal bases of earlier ones in the pool's memo, and some of them are
+    # primal feasible at some of its members: those are answered without a
+    # kernel solve
+    answered = {"cache": 0, "kernel": 0}
+    primal, lone = stage_solver.solve_primal_batch, stage_solver.solve_with_primal_trail
+
+    def counting_primal(lp, eq_rhs, bases):
+        outcomes = primal(lp, eq_rhs, bases)
+        for out in outcomes:
+            answered["cache" if forward_cache_hit(out) else "kernel"] += 1
+        return outcomes
+
+    def counting_lone(lp):
+        answered["kernel"] += 1
+        return lone(lp)
+
+    monkeypatch.setattr(stage_solver, "solve_primal_batch", counting_primal)
+    monkeypatch.setattr(stage_solver, "solve_with_primal_trail", counting_lone)
     out = str(tmp_path / "run.csv")
     _solve(name, str(tmp_path), out)
     capsys.readouterr()

@@ -1,11 +1,13 @@
-"""Backward duals answered from cached optimal bases, checked against HiGHS.
+"""Stage LPs and duals answered from cached optimal bases, checked against HiGHS.
 
 Once a pool holds still, ``solve_dual_batch`` answers a dual whose cost
 prices out at the optimal basis of an earlier dual with that basis's vertex,
-as an exact certificate.  Over iterations where such hits occur, every hit
-must be dual feasible and worth the stage LP's HiGHS optimum, and every cut
-must lie below the stage value within its eps, as in
-``test_highs_portfolio.py``.
+as an exact certificate, and ``solve_primal_batch`` answers a forward LP at
+which the optimal basis of an earlier one is primal feasible with that
+basis's point.  Over iterations where such hits occur, every dual hit must
+be dual feasible and every forward hit primal feasible, each worth the
+stage LP's HiGHS optimum, and every cut must lie below the stage value
+within its eps, as in ``test_highs_portfolio.py``.
 """
 
 import dataclasses
@@ -22,7 +24,7 @@ from isddp.schedules import ErrorBudget
 from isddp.sddp_engine import iterate, make_pools
 from isddp.stage_solver import stage_lp
 
-from conftest import cache_hit
+from conftest import cache_hit, forward_cache_hit
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 PATHS, SEED, ITERATIONS = 5, 9, 4
@@ -48,13 +50,22 @@ def test_every_cache_hit_is_exact_and_every_cut_below_the_stage_value(reference,
     model = generate_instance(PortfolioSpec(T=4, n=3, M=5, u=u, seed=0))
     T = model.horizon
     hits = []  # (the member's LP, its outcome) per dual answered from a cached basis
+    forward_hits = []  # and per forward LP
     batch, backward = stage_solver.solve_dual_batch, sddp_engine.backward_pass_sddp
+    primal = stage_solver.solve_primal_batch
 
     def recording_batch(lp, eq_rhs, bases):
         outcomes = batch(lp, eq_rhs, bases)
         for row, out in zip(eq_rhs, outcomes):
             if cache_hit(out):
                 hits.append((dataclasses.replace(lp, eq_rhs=row), out))
+        return outcomes
+
+    def recording_primal(lp, eq_rhs, bases):
+        outcomes = primal(lp, eq_rhs, bases)
+        for row, out in zip(eq_rhs, outcomes):
+            if forward_cache_hit(out):
+                forward_hits.append((dataclasses.replace(lp, eq_rhs=row), out[0]))
         return outcomes
 
     def check_cuts(model, pools, trajectories, epsilons, **kw):
@@ -74,10 +85,19 @@ def test_every_cache_hit_is_exact_and_every_cut_below_the_stage_value(reference,
         return result
 
     monkeypatch.setattr(stage_solver, "solve_dual_batch", recording_batch)
+    monkeypatch.setattr(stage_solver, "solve_primal_batch", recording_primal)
     monkeypatch.setattr(sddp_engine, "backward_pass_sddp", check_cuts)
     list(itertools.islice(iterate(model, PRESETS[preset], PATHS, SEED, make_pools(model)),
                           ITERATIONS))
-    assert hits
+    assert hits and forward_hits
+    for lp, sol in forward_hits:
+        tol = 1e-9 * (1.0 + abs(lp.eq_rhs).max())
+        assert sol.x.min() >= -1e-9
+        assert abs(lp.eq_matrix @ sol.x - lp.eq_rhs).max() <= tol
+        epigraph = sol.obj - lp.cost @ sol.x
+        assert (epigraph - lp.cut_theta - lp.cut_beta @ sol.x).min() >= -tol
+        v_star = reference.stage_lp_optimum(lp)
+        assert abs(sol.obj - v_star) <= _rel(v_star)
     for lp, out in hits:
         cert = solve_dual_inexact(lp, ErrorBudget(), result=out)
         assert cert.eps_certified == 0.0

@@ -33,7 +33,7 @@ from isddp.portfolio import PortfolioSpec, generate_instance
 from isddp.schedules import EXACT_SCHEDULE, ScheduleMode, ScheduleSpec
 from isddp.sddp_engine import run_isddp
 
-from conftest import cache_hit, enumerate_vertices, random_feasible_bounded_lp
+from conftest import cache_hit, enumerate_vertices, forward_cache_hit, random_feasible_bounded_lp
 
 
 def single_var_lp():
@@ -667,6 +667,14 @@ def _primal_bits(out):
             [(bits(obj), bits(x)) for obj, x in trail])
 
 
+def _lone_primal(lp, row):
+    """``solve_with_primal_trail`` of ``lp`` with ``row``, or the ``LpError`` it raises."""
+    try:
+        return solve_with_primal_trail(dataclasses.replace(lp, eq_rhs=row))
+    except LpError as exc:
+        return exc
+
+
 def _assert_primal_batch_matches_lone(lp, eq_rhs):
     """Every member of ``lp``'s batch over ``eq_rhs``, in the kernel (x, obj,
     duals, basis, pivots and trail) and through ``solve_primal_batch``,
@@ -677,14 +685,9 @@ def _assert_primal_batch_matches_lone(lp, eq_rhs):
     for k, (b, out) in enumerate(zip(B, got)):
         want = _lone(A, b, c, trail_len=lp.num_vars)
         assert _outcome_bits(out) == _outcome_bits(want), f"member {k}"
-    lone = []
-    for row in eq_rhs:
-        try:
-            lone.append(solve_with_primal_trail(dataclasses.replace(lp, eq_rhs=row)))
-        except LpError as exc:
-            lone.append(exc)
-    outs = solve_primal_batch(lp, eq_rhs)
-    assert [_primal_bits(out) for out in outs] == [_primal_bits(out) for out in lone]
+    outs = solve_primal_batch(lp, eq_rhs, [])
+    assert [_primal_bits(out) for out in outs] == [
+        _primal_bits(_lone_primal(lp, row)) for row in eq_rhs]
     return got
 
 
@@ -693,9 +696,9 @@ def _captured_forward_batches(monkeypatch, model, schedule, n_paths, max_iter):
     calls = []
     batch = stage_solver.solve_primal_batch
 
-    def capture(lp, eq_rhs):
+    def capture(lp, eq_rhs, bases):
         calls.append((lp, eq_rhs.copy()))
-        return batch(lp, eq_rhs)
+        return batch(lp, eq_rhs, bases)
 
     monkeypatch.setattr(stage_solver, "solve_primal_batch", capture)
     run_isddp(model, schedule, n_paths=n_paths, gap_tol=1e-9, max_iter=max_iter, seed=9)
@@ -868,8 +871,8 @@ def test_captured_forward_batches_replay_and_match_lone_solves(monkeypatch):
     calls = []
     batch = stage_solver.solve_primal_batch
 
-    def capture(lp, eq_rhs):
-        outs = batch(lp, eq_rhs)
+    def capture(lp, eq_rhs, bases):
+        outs = batch(lp, eq_rhs, [])
         calls.append((lp, eq_rhs.copy(), [_primal_bits(out) for out in outs]))
         return outs
 
@@ -880,7 +883,7 @@ def test_captured_forward_batches_replay_and_match_lone_solves(monkeypatch):
     monkeypatch.undo()
     assert sum(len(eq_rhs) for _, eq_rhs, _ in calls) > 50
     for lp, eq_rhs, seen in calls:
-        assert [_primal_bits(out) for out in solve_primal_batch(lp, eq_rhs)] == seen
+        assert [_primal_bits(out) for out in solve_primal_batch(lp, eq_rhs, [])] == seen
         _assert_primal_batch_matches_lone(lp, eq_rhs)
 
 
@@ -898,7 +901,7 @@ def _assert_hits_exact_and_misses_lone(lp, eq_rhs, bases):
     lone kernel solve within 1e-9 relative.  Every other member is its lone
     kernel solve, bit for bit.  Returns the counts of hits and misses.
     """
-    vertices = [entry[3] for entry in bases]
+    vertices = [entry[2] for entry in bases]
     got = solve_dual_batch(lp, eq_rhs, bases)
     D, rhs, costs = _explicit_duals(lp, eq_rhs)
     trail_len = 2 * lp.num_eq + lp.num_cuts
@@ -972,3 +975,151 @@ def test_dual_batch_answers_no_member_from_a_singular_basis(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", singular)
     assert _assert_hits_exact_and_misses_lone(lp, eq_rhs[5:], bases)[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# Cached primal bases: a forward batch answers a member at which the optimal
+# basis of an earlier LP with the same standard form is primal feasible by
+# that basis's point; every other member equals its lone solve, bit for bit.
+
+
+def _assert_primal_hits_exact_and_misses_lone(lp, eq_rhs, bases):
+    """``solve_primal_batch`` of ``lp`` with ``eq_rhs`` against ``bases``.
+
+    A member answered from a cached basis gets a point of that basis that
+    is primal feasible within 1e-9 and worth its lone kernel solve within
+    1e-9 relative, as its whole trail.  Every other member is its lone
+    kernel solve, bit for bit.  Returns the counts of hits and misses.
+    """
+    keys = {entry[0] for entry in bases}
+    got = solve_primal_batch(lp, eq_rhs, bases)
+    hits = 0
+    for k, (row, out) in enumerate(zip(eq_rhs, got)):
+        want = _lone_primal(lp, row)
+        if not forward_cache_hit(out):
+            assert _primal_bits(out) == _primal_bits(want), f"member {k}"
+            continue
+        hits += 1
+        sol, trail = out
+        assert np.sort(sol.basis).tobytes() in keys, f"member {k}"
+        assert len(trail) == 1 and trail[0][0] == sol.obj and trail[0][1] is sol.x
+        x, tol = sol.x, 1e-9 * (1.0 + np.abs(row).max(initial=0.0))
+        assert x.min(initial=0.0) >= -1e-9, f"member {k}"
+        assert np.abs(lp.eq_matrix @ x - row).max(initial=0.0) <= tol, f"member {k}"
+        if lp.has_epigraph:
+            f = sol.obj - lp.cost @ x
+            assert (f - (lp.cut_theta + lp.cut_beta @ x)).min() >= -tol, f"member {k}"
+        assert want[0].status is SolveStatus.OPTIMAL, f"member {k}"
+        assert abs(sol.obj - want[0].obj) <= 1e-9 * max(1.0, abs(want[0].obj)), f"member {k}"
+    return hits, len(got) - hits
+
+
+@pytest.mark.parametrize("K", [2, 5, 25])
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=8, deadline=None)
+def test_primal_batch_answers_from_the_bases_of_an_earlier_batch(K, seed):
+    lp, eq_rhs = _dual_members(np.random.default_rng(seed), 2 * K)
+    bases = []
+    assert _assert_primal_hits_exact_and_misses_lone(lp, eq_rhs[:K], bases)[0] == 0
+    assert bases
+    kept = list(bases)
+    _assert_primal_hits_exact_and_misses_lone(lp, eq_rhs[K:], bases)
+    assert all(a is b for a, b in zip(bases, kept)) and len(bases) >= len(kept)
+
+
+def test_primal_batch_answers_some_members_from_cache_and_solves_the_rest():
+    # of 35 members, the bases that 5 others found fit some and not others
+    lp, eq_rhs = _dual_members(np.random.default_rng(0), 40)
+    bases = []
+    _assert_primal_hits_exact_and_misses_lone(lp, eq_rhs[:5], bases)
+    hits, misses = _assert_primal_hits_exact_and_misses_lone(lp, eq_rhs[5:], bases)
+    assert hits and misses
+
+
+def test_primal_batch_answered_by_hits_makes_no_kernel_call(monkeypatch):
+    # each member's own optimal basis fits it again
+    lp, eq_rhs = _dual_members(np.random.default_rng(0), 20)
+    bases = []
+    solve_primal_batch(lp, eq_rhs, bases)
+    calls = []
+    batch = lp_core._simplex_batch
+    monkeypatch.setattr(lp_core, "_simplex_batch", lambda *args, **kwargs: (
+        calls.append(args) or batch(*args, **kwargs)))
+    got = solve_primal_batch(lp, eq_rhs, bases)
+    assert calls == [] and all(forward_cache_hit(out) for out in got)
+    monkeypatch.undo()
+    assert _assert_primal_hits_exact_and_misses_lone(lp, eq_rhs, bases) == (20, 0)
+
+
+def test_primal_batch_answers_no_member_from_a_singular_basis(monkeypatch):
+    # the members that the bases of 5 others answer above, with every
+    # basis matrix singular
+    lp, eq_rhs = _dual_members(np.random.default_rng(0), 40)
+    bases = []
+    solve_primal_batch(lp, eq_rhs[:5], bases)
+    cached = list(bases)
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    assert _assert_primal_hits_exact_and_misses_lone(lp, eq_rhs[5:], bases)[0] == 0
+    assert all(np.isnan(entry[3]).all() for entry in cached)
+
+
+def test_primal_batch_turns_away_a_point_that_misses_its_right_hand_side():
+    # an inverse off by a relative 1e-6, as that of an ill-conditioned basis
+    # may be, keeps every basic value nonnegative but misses b: the primal
+    # residual check sends each member to the kernel
+    lp, eq_rhs = _dual_members(np.random.default_rng(0), 20)
+    bases = []
+    solve_primal_batch(lp, eq_rhs, bases)
+    A, _, _ = _standard_primal(lp)
+    for entry in bases:
+        entry[3] = lp_core._basis_inverse(A, entry[1]) * (1.0 + 1e-6)
+    assert _assert_primal_hits_exact_and_misses_lone(lp, eq_rhs, bases)[0] == 0
+
+
+@pytest.mark.parametrize("name", ["dependent_rows", "duplicated_row"])
+@pytest.mark.parametrize("flip", [1.0, -1.0])
+def test_primal_basis_that_keeps_an_artificial(name, flip):
+    # a redundant row keeps a zero-level artificial basic, whichever sign the
+    # row takes; the basis answers the scaled right-hand sides, and not one
+    # that breaks the redundancy, where the LP is infeasible
+    base = EDGE_LPS[name]()
+    A, b = base.eq_matrix.copy(), base.eq_rhs.copy()
+    A[-1] *= flip
+    b[-1] *= flip
+    lp = dataclasses.replace(base, eq_matrix=A, eq_rhs=b)
+    bases = []
+    solve_primal_batch(lp, b[None], bases)
+    ((_, basis, _, _),) = bases
+    assert (basis >= A.shape[1]).any()
+    broken = b + np.eye(len(b))[-1]
+    hits, _ = _assert_primal_hits_exact_and_misses_lone(lp, np.array([b, 2.0 * b, 0.5 * b,
+                                                                      broken]), bases)
+    assert hits == 3
+    assert _lone_primal(lp, broken)[0].status is SolveStatus.INFEASIBLE
+
+
+def test_member_infeasible_at_every_cached_basis_goes_to_the_kernel(monkeypatch):
+    # x0 - x1 = b0, x0 + x1 + x2 = b1: the optimal basis at b0 > 0 holds x0
+    # and is infeasible at b0 < 0, where x1 must be positive
+    lp = LinearProgram(cost=[1.0, 2.0, 0.5], eq_matrix=[[1.0, -1.0, 0.0], [1.0, 1.0, 1.0]],
+                       eq_rhs=[1.0, 3.0], cut_beta=[[0.0, 0.0, 0.0], [0.5, -1.0, 0.2]],
+                       cut_theta=[-5.0, 0.3])
+    bases = []
+    solve_primal_batch(lp, np.array([[1.0, 3.0], [2.0, 2.5]]), bases)
+    assert bases
+    handed = []
+    batch = lp_core._simplex_batch
+    monkeypatch.setattr(lp_core, "_simplex_batch", lambda A, b, C, **kwargs: (
+        handed.append(b.copy()) or batch(A, b, C, **kwargs)))
+    eq_rhs = np.array([[1.0, 3.0], [-1.0, 3.0], [0.5, 2.0]])
+    got = solve_primal_batch(lp, eq_rhs, bases)
+    assert [forward_cache_hit(out) for out in got] == [True, False, True]
+    A, b, _ = _standard_primal(lp, eq_rhs[1:2])
+    assert len(handed) == 1 and handed[0].tobytes() == b.tobytes()
+    for entry in bases[:1]:
+        assert (np.linalg.inv(lp_core._basis_matrix(A, entry[1])) @ b[0]).min() < -1e-3
+    assert _primal_bits(got[1]) == _primal_bits(_lone_primal(lp, eq_rhs[1]))

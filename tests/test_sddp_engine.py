@@ -331,8 +331,8 @@ class TestStoreEachCutOnce:
         monkeypatch.setattr(stage_solver, "sweep_duals",
                             lambda *args: lone.append(args) or sweep(*args))
         monkeypatch.setattr(stage_solver, "stage_lp", recording_lp)
-        monkeypatch.setattr(stage_solver, "solve_primal_batch", lambda lp, eq_rhs: (
-            primal_stages.append(lp_stage[id(lp)]) or primal(lp, eq_rhs)))
+        monkeypatch.setattr(stage_solver, "solve_primal_batch", lambda lp, eq_rhs, bases: (
+            primal_stages.append(lp_stage[id(lp)]) or primal(lp, eq_rhs, bases)))
         monkeypatch.setattr(stage_solver, "solve_with_primal_trail", lambda lp: (
             primal_stages.append(lp_stage[id(lp)]) or lone_primal(lp)))
         paths = sample_paths(m, 1, 1, seed=9)
@@ -374,9 +374,9 @@ class TestStoreEachCutOnce:
                                       stage_solver.solve_dual_batch, sddp_engine.stage_value_exact)
         lone_primal = stage_solver.solve_with_primal_trail
 
-        def counting_primal(lp, eq_rhs):
+        def counting_primal(lp, eq_rhs, bases):
             solved["lb" if in_lb else "forward"] += len(eq_rhs)
-            return primal(lp, eq_rhs)
+            return primal(lp, eq_rhs, [])
 
         def counting_lone_primal(lp):
             solved["lb" if in_lb else "forward"] += 1
@@ -441,16 +441,19 @@ class TestStoreEachCutOnce:
         # may also change which delta-suboptimal trail vertex the forward
         # pass picks, so there only Lb is compared.  There a cached basis
         # also answers a dual exactly where a kernel solve gives a
-        # retrospective certificate, and only pools that hold still keep
-        # their bases, which a pool that takes every copy never does: so the
-        # inexact runs solve every dual without cached bases.
+        # retrospective certificate, and a forward LP by its optimum where a
+        # kernel solve gives an earlier trail vertex, and only pools that
+        # hold still keep their bases, which a pool that takes every copy
+        # never does: so the inexact runs solve every stage LP without
+        # cached bases.
         exact = case in ("chain-ddp", "u0.2-sddp")
         sched = EXACT_SCHEDULE if exact else ScheduleSpec(
             eps_bar=0.1, eps0=1e-12, mode=ScheduleMode.RELATIVE)
         if not exact:
-            batch = stage_solver.solve_dual_batch
-            monkeypatch.setattr(stage_solver, "solve_dual_batch",
-                                lambda lp, eq_rhs, bases: batch(lp, eq_rhs, []))
+            for name in ("solve_primal_batch", "solve_dual_batch"):
+                batch = getattr(stage_solver, name)
+                monkeypatch.setattr(stage_solver, name,
+                                    lambda lp, eq_rhs, bases, batch=batch: batch(lp, eq_rhs, []))
         if case.startswith("chain"):
             model = chain_model(20, 6, 2024)
 
@@ -643,7 +646,15 @@ class TestEvaluatePolicy:
 
 class TestStageMajorForwardPass:
     """The forward pass solves the LPs of one stage, all paths, as kernel
-    batches; every path must read exactly what it reads when it runs alone."""
+    batches; every path must read exactly what it reads when it runs alone.
+    Bit identity holds for kernel solves; a cached basis answers a forward
+    LP with a point of its own, so both sides solve without cached bases."""
+
+    @pytest.fixture(autouse=True)
+    def _no_cached_bases(self, monkeypatch):
+        batch = stage_solver.solve_primal_batch
+        monkeypatch.setattr(stage_solver, "solve_primal_batch",
+                            lambda lp, eq_rhs, bases: batch(lp, eq_rhs, []))
 
     @staticmethod
     def _trained():
@@ -701,8 +712,8 @@ class TestForwardBatchFaults:
             sweeps.append((stages, x_prevs))
             return sweep(stages, x_prevs, pool)
 
-        def faulty_batch(lp, eq_rhs):
-            outcomes = batch(lp, eq_rhs)
+        def faulty_batch(lp, eq_rhs, bases):
+            outcomes = batch(lp, eq_rhs, bases)
             if faulty or lp.cut_theta is not pools[4].thetas_with_floor() or lp.num_cuts < 2:
                 return outcomes
             faulty.append(eq_rhs[-1].tobytes())
@@ -731,29 +742,39 @@ class TestForwardBatchFaults:
 
 def test_a_cut_drops_the_cached_bases_of_its_pool():
     # cached bases live in the pool's memo, under the stage structure; a cut
-    # changes the explicit duals' constraints and empties the memo, so no
-    # basis cached before it answers a dual after it
+    # changes the stage LPs and their explicit duals and empties the memo,
+    # so no basis cached before it answers a forward LP or a dual after it
     m = generate_instance(PortfolioSpec(T=3, n=2, M=3, seed=4))
     pools = make_pools(m)
     fwd = forward_pass_sddp(m, pools, sample_paths(m, 1, 1, seed=9), [ErrorBudget()] * 3)
     x1 = fwd.trajectories[0][0]
     xs = [x1, 0.5 * x1, 1.5 * x1]
     realizations, pool = m.stages[0].realizations, pools[3]
+    stages = [r for _ in xs for r in realizations]
+    x_prevs = [x for x in xs for _ in realizations]
 
-    def cached():
-        return [bases for key, bases in pool.memo.items() if key[0] == "bases"]
+    def cached(kind):
+        return [bases for key, bases in pool.memo.items() if key[0] == kind]
 
-    stage_solver.sweep_duals(realizations, xs, pool)
-    assert len(cached()) == 1 and cached()[0]
+    def sweep():
+        stage_solver.sweep_forward(stages, x_prevs, pool)
+        stage_solver.sweep_duals(realizations, xs, pool)
+        for kind in ("primal bases", "bases"):
+            assert len(cached(kind)) == 1 and cached(kind)[0], kind
+
+    sweep()
     pool.add(Cut(theta=-20.0, beta=np.full(len(x1), -0.2), stage=3, iteration=1))
     assert pool.memo == {}
-    stage_solver.sweep_duals(realizations, xs, pool)
-    assert len(cached()) == 1 and cached()[0]
+    sweep()
     for x in xs:
         for r in realizations:
-            # a copy of the pool without a memo solves the dual alone
+            # a copy of the pool without a memo solves each LP alone
             got, want = (stage_solver.solve_backward_stage(r, x, p, ErrorBudget())
                          for p in (pool, CutPool.from_dict(pool.to_dict())))
             assert got[0].lam.tobytes() == want[0].lam.tobytes()
             assert got[0].mu.tobytes() == want[0].mu.tobytes()
             assert got[1].hex() == want[1].hex()
+            got, want = (stage_solver.solve_forward_stage(r, x, p, ErrorBudget())
+                         for p in (pool, CutPool.from_dict(pool.to_dict())))
+            assert got.x.tobytes() == want.x.tobytes()
+            assert got.optimum.hex() == want.optimum.hex()
