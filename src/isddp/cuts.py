@@ -1,11 +1,14 @@
 """Affine minorants of cost-to-go functions and their pools.
 
 A cut is an affine lower bound ``theta + beta . x`` on a stage's expected
-cost-to-go.  A pool is the running outer approximation: the max of all cuts
-collected so far and a constant floor.  When a pool enters a stage LP the
-floor is encoded as cut row 0 (beta = 0, theta = floor) so that the dual
-weight vector covers it uniformly; the pool keeps its rows in that
-floor-first layout as read-only arrays, which stage LPs alias.
+cost-to-go, built from one dual certificate per realization of the stage;
+``build_stage_cuts`` builds the cuts of many trial points of a stage at
+once from their stacked certificates.  A pool is the running outer
+approximation: the max of all cuts collected so far and a constant floor.
+When a pool enters a stage LP the floor is encoded as cut row 0 (beta = 0,
+theta = floor) so that the dual weight vector covers it uniformly; the pool
+keeps its rows in that floor-first layout as read-only arrays, which stage
+LPs alias.
 
 A pool answers ``cut in pool`` for a bitwise copy of a cut it holds, so that
 callers store each cut once.  It also carries ``memo``, the one cache of
@@ -175,6 +178,77 @@ class CutPool:
         )
 
 
+def stack_certificates(
+    rows: Sequence[Sequence[DualCertificate]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``lam`` (D, R, m), ``mu`` (D, R, K + 1) and ``eps_certified`` (D, R)
+    of D rows of R certificates each, as ``build_stage_cuts`` reads them."""
+    try:
+        lam = np.array([[c.lam for c in row] for row in rows], dtype=float)
+        mu = np.array([[c.mu for c in row] for row in rows], dtype=float)
+    except ValueError as exc:  # ragged: certificates of different shapes
+        raise CutDimensionError(f"dual certificates differ in shape: {exc}") from None
+    eps = np.array([[c.eps_certified for c in row] for row in rows], dtype=float)
+    return lam, mu, eps
+
+
+def build_stage_cuts(
+    realizations: StochasticStageModel,
+    lam: np.ndarray,
+    mu: np.ndarray,
+    eps_certified: np.ndarray,
+    next_pool_thetas: np.ndarray,
+    *,
+    stage: int = 0,
+    iteration: int = 0,
+) -> list[Cut]:
+    """Probability-weighted cuts of a stage at D trial points, one per point.
+
+    ``realizations`` is the stage being cut.  Row d of ``lam`` (D, R, m),
+    ``mu`` (D, R, K + 1) and ``eps_certified`` (D, R) holds the certificates
+    at point d, one per realization in its order (``stack_certificates``);
+    ``mu`` carries one weight per entry of ``next_pool_thetas`` (the next
+    pool's intercepts, floor first), in the same order.  The cut at point d
+    has intercept ``sum_j p_j (<b_j, lam_dj> + <mu_dj, next_pool_thetas>)``,
+    slope ``-sum_j p_j B_j.T lam_dj`` and ``eps_used`` its certified gap at
+    the point, ``sum_j p_j eps_dj``.  The sums over j run in realization
+    order and every inner product is taken within its own point, so a
+    point's cut is bit for bit the same whatever points it is built with.
+    The last stage's next pool is the zero pool T+1 (``build_terminal_cut``).
+    """
+    next_pool_thetas = np.asarray(next_pool_thetas, dtype=float)
+    coefficients = realizations.rhs_and_coupling  # (R, m, 1 + n): [b_j, -B_j]
+    R, m = coefficients.shape[:2]
+    if lam.shape[1:2] != (R,):
+        raise CutDimensionError(
+            f"{R} realizations but {lam.shape[1] if lam.ndim > 1 else 0} "
+            f"dual certificates"
+        )
+    if lam.shape[2:] != (m,):
+        raise CutDimensionError("dual lam does not match realization rows")
+    if mu.shape != lam.shape[:2] + next_pool_thetas.shape:
+        raise CutDimensionError(
+            f"dual mu has shape {mu.shape[2:]}, next pool has "
+            f"{next_pool_thetas.shape} intercepts"
+        )
+    if eps_certified.shape != lam.shape[:2]:
+        raise CutDimensionError(
+            f"eps_certified has shape {eps_certified.shape}, expected {lam.shape[:2]}"
+        )
+    # per point and realization: [<b_j, lam> + <mu, thetas>, -B_j' lam, eps];
+    # each product is one matmul per point (and realization) whose shape does
+    # not depend on D, so no point's bits depend on the others
+    terms = (lam[:, :, None, :] @ coefficients)[:, :, 0]
+    terms[..., 0] += mu @ next_pool_thetas
+    terms = np.concatenate([terms, eps_certified[..., None]], axis=2)
+    # a reduction over a middle axis adds its rows in order, from the initial zero
+    total = np.add.reduce(realizations.probs[:, None] * terms, axis=1, initial=0.0)
+    return [
+        Cut(theta=row[0], beta=beta, stage=stage, iteration=iteration, eps_used=row[-1])
+        for row, beta in zip(total.tolist(), total[:, 1:-1])
+    ]
+
+
 def build_middle_cut(
     realizations: StochasticStageModel,
     duals: Sequence[DualCertificate],
@@ -183,37 +257,14 @@ def build_middle_cut(
     stage: int = 0,
     iteration: int = 0,
 ) -> Cut:
-    """Probability-weighted cut of a stage from its realizations' certificates.
+    """The cut of ``build_stage_cuts`` at one trial point.
 
-    ``realizations`` is the stage being cut; ``duals`` holds one certificate
-    per realization, in its order, whose ``mu`` carries one weight per entry
-    of ``next_pool_thetas`` (the next pool's intercepts, floor first), in the
-    same order.  The aggregated intercept is
-    ``sum_j p_j (<b_j, lam_j> + <mu_j, next_pool_thetas>)`` and the slope
-    ``-sum_j p_j B_j.T lam_j``.  The cut's ``eps_used`` is its certified gap
-    at the trial point, ``sum_j p_j eps_certified_j``.  The last stage's next
-    pool is the zero pool T+1 (``build_terminal_cut``).
+    ``duals`` holds one certificate per realization, in its order.
     """
-    if realizations.num_realizations != len(duals):
-        raise CutDimensionError(
-            f"{realizations.num_realizations} realizations but {len(duals)} "
-            f"dual certificates"
-        )
-    next_pool_thetas = np.asarray(next_pool_thetas, dtype=float)
-    theta = eps = 0.0
-    beta = np.zeros(realizations.state_dim)
-    for r, prob, cert in zip(realizations.realizations, realizations.probs.tolist(), duals):
-        if cert.lam.shape != r.b.shape:
-            raise CutDimensionError("dual lam does not match realization rows")
-        if cert.mu.shape != next_pool_thetas.shape:
-            raise CutDimensionError(
-                f"dual mu has shape {cert.mu.shape}, next pool has "
-                f"{next_pool_thetas.shape} intercepts"
-            )
-        theta += prob * (float(r.b @ cert.lam) + float(cert.mu @ next_pool_thetas))
-        beta -= prob * (r.B.T @ cert.lam)
-        eps += prob * cert.eps_certified
-    return Cut(theta=theta, beta=beta, stage=stage, iteration=iteration, eps_used=eps)
+    return build_stage_cuts(
+        realizations, *stack_certificates([duals]), next_pool_thetas,
+        stage=stage, iteration=iteration,
+    )[0]
 
 
 def build_terminal_cut(

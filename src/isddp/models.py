@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -100,6 +101,20 @@ class StochasticStageModel:
     @property
     def num_realizations(self) -> int:
         return len(self.realizations)
+
+    @cached_property
+    def rhs_and_coupling(self) -> np.ndarray:
+        """``[b_j, -B_j]`` of each realization j, in their order: shape
+        (R, m, 1 + n), read-only, stacked on first use.
+
+        Reducing a certificate's ``lam`` against it gives ``b_j . lam`` and
+        ``-B_j' lam`` in one pass, as the cut formula needs them.
+        """
+        b = np.array([r.b for r in self.realizations])
+        B = np.array([r.B for r in self.realizations])
+        stacked = np.concatenate([b[..., None], -B], axis=2)
+        stacked.flags.writeable = False
+        return stacked
 
     @property
     def var_dim(self) -> int:

@@ -2,10 +2,12 @@
 
 Each iteration draws N forward scenario paths, simulates the current policy
 along them stage by stage (budget-suboptimal solves), then sweeps stages
-T..2 building one probability-aggregated cut per (path, stage) from
-certified dual points of all realization subproblems.  Pools are frozen
-while a stage is being processed and cuts are appended in fixed path
-order, so the serial result is what any parallel schedule must reproduce.
+T..2 building one probability-aggregated cut per distinct (trial point,
+budget) of a stage from certified dual points of all realization
+subproblems; the paths that share a trial point and budget share its cut.
+Pools are frozen while a stage is being processed and cuts are appended in
+fixed path order, so the serial result is what any parallel schedule must
+reproduce.
 A pool stores each cut once: a cut that is a bitwise copy of one the pool
 holds is not appended.  The solves of one stage are solved together first,
 in kernel batches: the forward LPs of all paths (``sweep_forward``), which
@@ -42,7 +44,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .cuts import Cut, CutPool, build_middle_cut
+from .cuts import Cut, CutPool, build_stage_cuts, stack_certificates
 from .models import IterationRecord, RunLog, RunStatus, StochasticModel
 from .schedules import ErrorBudget, ScheduleSpec, backward_budgets, forward_budgets
 from .stage_solver import (
@@ -53,8 +55,8 @@ from .stage_solver import (
     sweep_forward,
 )
 
-# Unused here; kept importable because the per-layer tracer wraps it on this module.
-from .cuts import build_terminal_cut  # noqa: F401
+# Unused here; kept importable because the per-layer tracer wraps them on this module.
+from .cuts import build_middle_cut, build_terminal_cut  # noqa: F401
 
 _EVAL_STREAM = 1  # counter word separating policy-evaluation draws from training
 
@@ -169,16 +171,25 @@ def backward_pass_sddp(
     """Stage-major backward sweep: all paths' cuts at stage t are built
     against the frozen pool t+1 (the zero pool when t == T, see
     ``make_pools``), then appended to pool t in path order,
-    each unless pool t already holds a bitwise copy of it.  ``new_cuts``
-    keeps one cut per (path, stage) all the same.  ``sweep_duals`` first
-    puts every dual of stage t that pool t+1's memo lacks there, so each
-    path's certificates read their kernel results from the memo.
+    each unless pool t already holds a bitwise copy of it.
+
+    A cut depends only on the path's trial point and budget, so each
+    distinct (trial point, budget) of a stage is cut once: its first path
+    in path order gets one certificate per realization, and
+    ``build_stage_cuts`` builds the cuts of all of them from the stacked
+    certificates.  ``new_cuts`` keeps one cut per (path, stage), and paths
+    that share a trial point and budget share the cut object.
+    ``sweep_duals`` first puts every dual of stage t that pool t+1's memo
+    lacks there, so the certificates read their kernel results from the
+    memo.
 
     ``epsilons`` has one list per stage 2..T, one budget per path, as
     ``backward_budgets`` returns it.
     """
     T = model.horizon
     n_paths = len(trajectories)
+    if n_paths < 1:
+        raise ValueError("need at least one path")
     if len(epsilons) != max(0, T - 1):
         raise ValueError(f"need {T - 1} epsilon entries, got {len(epsilons)}")
     if any(len(row) != n_paths for row in epsilons):
@@ -189,22 +200,25 @@ def backward_pass_sddp(
     for t in range(T, 1, -1):
         st = model.stages[t - 2]
         pool_next = pools[t + 1]
-        sweep_duals(st.realizations, [traj[t - 2] for traj in trajectories], pool_next)
-        stage_cuts: list[Cut] = []
-        for p in range(n_paths):
-            x_prev = trajectories[p][t - 2]
-            budget = epsilons[t - 2][p]
-            certs = [
-                solve_backward_stage(r, x_prev, pool_next, budget, t=t, path=p)[0]
-                for r in st.realizations
-            ]
-            eps_resolved[t - 2] = max(
-                eps_resolved[t - 2], max(c.eps_certified for c in certs)
-            )
-            stage_cuts.append(build_middle_cut(
-                st, certs, pool_next.thetas_with_floor(),
-                stage=t, iteration=iteration,
-            ))
+        points = [traj[t - 2] for traj in trajectories]
+        sweep_duals(st.realizations, points, pool_next)
+        keys = [(x.tobytes(), budget) for x, budget in zip(points, epsilons[t - 2])]
+        first: dict = {}  # (trial point, budget) -> its first path
+        for p, key in enumerate(keys):
+            first.setdefault(key, p)
+        certs = [
+            [solve_backward_stage(r, points[p], pool_next, budget, t=t, path=p)[0]
+             for r in st.realizations]
+            for (_, budget), p in first.items()
+        ]
+        eps_resolved[t - 2] = max(
+            eps_resolved[t - 2], max(c.eps_certified for row in certs for c in row)
+        )
+        built = dict(zip(first, build_stage_cuts(
+            st, *stack_certificates(certs), pool_next.thetas_with_floor(),
+            stage=t, iteration=iteration,
+        )))
+        stage_cuts = [built[key] for key in keys]
         for cut in stage_cuts:
             if cut not in pools[t]:
                 pools[t].add(cut)

@@ -271,9 +271,11 @@ def solve_backward_stage(
     first, as a batch of one.
     """
     key = _dual_key(stage, x_prev.tobytes())
-    if key not in pool.memo:
+    entry = pool.memo.get(key)
+    if entry is None:
         sweep_duals([stage], [x_prev], pool)
-    lp, result = pool.memo[key]
+        entry = pool.memo[key]
+    lp, result = entry
     try:
         cert = solve_dual_inexact(lp, budget, result=result)
     except LpError as exc:  # kernel faults carry no stage context

@@ -8,7 +8,9 @@ from isddp.cuts import (
     CutDimensionError,
     CutPool,
     build_middle_cut,
+    build_stage_cuts,
     build_terminal_cut,
+    stack_certificates,
 )
 from isddp.lp_core import DualCertificate, LinearProgram, solve_exact
 from isddp.models import StageModel, StochasticStageModel
@@ -93,6 +95,57 @@ class TestBuildMiddleCut:
                 next_pool_thetas=np.array([0.0, 5.0]),
             )
 
+
+class TestBuildStageCuts:
+    def test_points_built_together_match_one_point_builds(self, rng):
+        # each point's products are taken on their own, so building D points
+        # at once gives every cut bit for bit as building it alone does
+        D, m, n, K = 7, 12, 9, 6
+        reals = support(*[(rng.normal(size=m), rng.normal(size=(m, n))) for _ in range(3)],
+                        probs=[0.2, 0.3, 0.5])
+        lam, mu = rng.normal(size=(D, 3, m)), rng.random((D, 3, K))
+        eps, thetas = rng.random((D, 3)), rng.normal(size=K)
+        cuts = build_stage_cuts(reals, lam, mu, eps, thetas, stage=4, iteration=2)
+        assert len(cuts) == D
+        assert [c.theta for c in build_stage_cuts(reals, lam[:3], mu[:3], eps[:3], thetas)] == [
+            c.theta for c in cuts[:3]]
+        for d, cut in enumerate(cuts):
+            one = build_middle_cut(
+                reals, [cert(lam[d, j], mu[d, j], eps=eps[d, j]) for j in range(3)], thetas,
+                stage=4, iteration=2,
+            )
+            assert (cut.theta.hex(), cut.beta.tobytes(), cut.eps_used.hex()) == (
+                one.theta.hex(), one.beta.tobytes(), one.eps_used.hex())
+            assert (cut.stage, cut.iteration) == (one.stage, one.iteration) == (4, 2)
+
+    def test_matches_the_loop_formula(self, rng):
+        # the stacked products may add in another order than one dot product
+        # per realization, so the loop agrees to rounding, not bit for bit
+        D, m, n, K = 5, 12, 9, 6
+        probs = [0.2, 0.3, 0.5]
+        reals = support(*[(rng.normal(size=m), rng.normal(size=(m, n))) for _ in probs],
+                        probs=probs)
+        lam, mu = rng.normal(size=(D, 3, m)), rng.random((D, 3, K))
+        eps, thetas = rng.random((D, 3)), rng.normal(size=K)
+        for d, cut in enumerate(build_stage_cuts(reals, lam, mu, eps, thetas)):
+            theta, beta, gap = 0.0, np.zeros(n), 0.0
+            for j, (r, p) in enumerate(zip(reals.realizations, probs)):
+                theta += p * (r.b @ lam[d, j] + mu[d, j] @ thetas)
+                beta -= p * (r.B.T @ lam[d, j])
+                gap += p * eps[d, j]
+            assert cut.theta == pytest.approx(theta, rel=1e-12, abs=1e-12)
+            assert np.allclose(cut.beta, beta, rtol=1e-12, atol=1e-12)
+            assert cut.eps_used == pytest.approx(gap, rel=1e-15)
+
+    def test_certificates_of_different_shapes(self):
+        with pytest.raises(CutDimensionError, match="differ in shape"):
+            stack_certificates([[cert([1.0]), cert([1.0, 2.0])]])
+
+    def test_eps_shape_mismatch(self):
+        reals = support(([2.0], np.zeros((1, 1))))
+        with pytest.raises(CutDimensionError, match="eps_certified"):
+            build_stage_cuts(reals, np.ones((2, 1, 1)), np.ones((2, 1, 1)), np.zeros((1, 1)),
+                             np.zeros(1))
 
 class TestCutPool:
     def test_floor_only(self):

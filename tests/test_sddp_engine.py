@@ -1,5 +1,5 @@
 import dataclasses
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -116,6 +116,32 @@ class TestForwardPassSddp:
         assert np.isfinite(res.cost_samples).all()
 
 
+def _spy_cut_builds(monkeypatch):
+    """Record what the backward pass asks of ``solve_backward_stage`` and
+    ``build_stage_cuts`` through the engine's bindings.
+
+    Returns two dicts keyed by stage: the certificates, one list per path
+    that was certified (its realizations in order), and one
+    ``(realizations, tags, cut)`` per cut built.
+    """
+    solved, built = defaultdict(dict), defaultdict(list)
+    solve, build = sddp_engine.solve_backward_stage, sddp_engine.build_stage_cuts
+
+    def solve_spy(stage, x_prev, pool, budget, **kwargs):
+        cert, optimum = solve(stage, x_prev, pool, budget, **kwargs)
+        solved[kwargs["t"]].setdefault(kwargs["path"], []).append(cert)
+        return cert, optimum
+
+    def build_spy(realizations, lam, mu, eps, next_thetas, **tags):
+        cuts = build(realizations, lam, mu, eps, next_thetas, **tags)
+        built[tags["stage"]].extend((realizations, tags, cut) for cut in cuts)
+        return cuts
+
+    monkeypatch.setattr(sddp_engine, "solve_backward_stage", solve_spy)
+    monkeypatch.setattr(sddp_engine, "build_stage_cuts", build_spy)
+    return solved, built
+
+
 class TestBackwardPassSddp:
     def test_deterministic_reduction_cuts(self):
         det = toy_det_t3()
@@ -181,27 +207,20 @@ class TestBackwardPassSddp:
         T, n_paths = m.horizon, 3
         pools = make_pools(m)
         assert pools[T + 1].thetas_with_floor().tobytes() == np.zeros(1).tobytes()
-        built = []
-
-        def spy(realizations, certs, next_thetas, **tags):
-            cut = build_middle_cut(realizations, certs, next_thetas, **tags)
-            if tags["stage"] == T:
-                built.append((realizations, certs, tags, cut))
-            return cut
-
-        monkeypatch.setattr(sddp_engine, "build_middle_cut", spy)
+        certs, built = _spy_cut_builds(monkeypatch)
         paths = sample_paths(m, n_paths, iteration=1, seed=9)
         fwd = forward_pass_sddp(m, pools, paths, deltas=[ErrorBudget()] * T)
         backward_pass_sddp(m, pools, fwd.trajectories,
                            epsilons=[[ErrorBudget(absolute=0.05)] * n_paths] * (T - 1), iteration=1)
-        assert len(built) == n_paths
-        for realizations, certs, tags, cut in built:
-            assert all(cert.mu.shape == (1,) for cert in certs)
-            ref = build_terminal_cut(realizations, certs, **tags)
+        points = {traj[T - 2].tobytes() for traj in fwd.trajectories}
+        assert len(built[T]) == len(points)
+        for (realizations, tags, cut), point_certs in zip(built[T], certs[T].values()):
+            assert all(cert.mu.shape == (1,) for cert in point_certs)
+            ref = build_terminal_cut(realizations, point_certs, **tags)
             assert cut.theta.hex() == ref.theta.hex()
             assert cut.beta.tobytes() == ref.beta.tobytes()
             gap = sum(p * cert.eps_certified
-                      for p, cert in zip(realizations.probs.tolist(), certs))
+                      for p, cert in zip(realizations.probs.tolist(), point_certs))
             assert (cut.stage, cut.iteration, cut.eps_used) == (T, 1, gap)
             assert (ref.stage, ref.iteration, ref.eps_used) == (T, 1, gap)
             assert 0.0 <= gap <= 0.05
@@ -218,25 +237,20 @@ class TestBackwardPassSddp:
         # copies without a memo hold no cached basis, which would answer a
         # dual with an exact certificate: these certificates are retrospective
         pools = {t: CutPool.from_dict(p.to_dict()) for t, p in pools.items()}
-        built = []
-
-        def spy(realizations, certs, next_thetas, **tags):
-            cut = build_middle_cut(realizations, certs, next_thetas, **tags)
-            built.append((realizations, certs, cut))
-            return cut
-
-        monkeypatch.setattr(sddp_engine, "build_middle_cut", spy)
+        certs, built = _spy_cut_builds(monkeypatch)
         budget = ErrorBudget(absolute=3.0, relative=0.3)
         fwd = forward_pass_sddp(m, pools, sample_paths(m, n_paths, 5, seed=9), [ErrorBudget()] * T)
         backward_pass_sddp(m, pools, fwd.trajectories, [[budget] * n_paths] * (T - 1))
-        assert len(built) == n_paths * (T - 1)
+        assert sum(map(len, built.values())) == sum(
+            len({traj[t - 2].tobytes() for traj in fwd.trajectories}) for t in range(2, T + 1))
         gaps = []
-        for realizations, certs, cut in built:
-            gaps.append(sum(p * c.eps_certified
-                            for p, c in zip(realizations.probs.tolist(), certs)))
-            assert cut.eps_used == gaps[-1]
-            optima = [c.dual_obj + c.eps_certified for c in certs]
-            assert cut.eps_used <= max(budget.resolve(v) for v in optima)
+        for t in built:
+            for (realizations, _, cut), point_certs in zip(built[t], certs[t].values()):
+                gaps.append(sum(p * c.eps_certified
+                                for p, c in zip(realizations.probs.tolist(), point_certs)))
+                assert cut.eps_used == gaps[-1]
+                optima = [c.dual_obj + c.eps_certified for c in point_certs]
+                assert cut.eps_used <= max(budget.resolve(v) for v in optima)
         assert max(gaps) > 0.0
 
     def test_dual_sweep_leaves_cuts_bit_identical(self, monkeypatch):
@@ -304,6 +318,83 @@ class TestBackwardPassSddp:
         assert 1 in sizes and max(sizes) > 1
         assert served[0] == 0 and max(served[1:]) > 0
 
+
+class TestOneCutPerTrialPoint:
+    """The backward pass certifies and cuts each distinct (trial point,
+    budget) of a stage once, and the paths there share that cut."""
+
+    @staticmethod
+    def _count_certificates(monkeypatch):
+        calls = Counter()
+        solve = sddp_engine.solve_backward_stage
+
+        def counting(stage, x_prev, pool, budget, **kwargs):
+            calls[kwargs["t"], id(stage), x_prev.tobytes(), budget] += 1
+            return solve(stage, x_prev, pool, budget, **kwargs)
+
+        monkeypatch.setattr(sddp_engine, "solve_backward_stage", counting)
+        return calls
+
+    @staticmethod
+    def _check_pass(model, pools, trajectories, eps, k, calls):
+        """Run one backward pass; returns the number of its distinct keys."""
+        T, n_paths = model.horizon, len(trajectories)
+        calls.clear()
+        bwd = backward_pass_sddp(model, pools, trajectories, eps, iteration=k)
+        assert len(bwd.new_cuts) == n_paths * (T - 1)
+        n_keys = 0
+        for i, t in enumerate(range(T, 1, -1)):
+            st, pool_next = model.stages[t - 2], pools[t + 1]
+            keys = [(traj[t - 2].tobytes(), budget) for traj, budget in zip(trajectories, eps[t - 2])]
+            n_keys += len(set(keys))
+            assert {key: n for key, n in calls.items() if key[0] == t} == {
+                (t, id(r), xb, budget): 1 for xb, budget in keys for r in st.realizations}
+            cuts = bwd.new_cuts[i * n_paths:(i + 1) * n_paths]
+            shared: dict = {}
+            for cut, traj, budget, key in zip(cuts, trajectories, eps[t - 2], keys):
+                assert shared.setdefault(key, cut) is cut
+                # pool t+1 has not changed since stage t was cut
+                certs = [stage_solver.solve_backward_stage(r, traj[t - 2], pool_next, budget)[0]
+                         for r in st.realizations]
+                ref = build_middle_cut(st, certs, pool_next.thetas_with_floor(),
+                                       stage=t, iteration=k)
+                assert (cut.theta.hex(), cut.beta.tobytes(), cut.eps_used.hex()) == (
+                    ref.theta.hex(), ref.beta.tobytes(), ref.eps_used.hex())
+                assert (cut.stage, cut.iteration) == (t, k)
+            assert len({id(cut) for cut in cuts}) == len(shared)
+        return n_keys
+
+    def test_paths_at_one_point_share_one_cut(self, monkeypatch):
+        model = generate_instance(PortfolioSpec(T=4, n=4, M=4, u=0.2, seed=0))
+        spec = ScheduleSpec(eps_bar=0.1, eps0=1e-12, mode=ScheduleMode.RELATIVE)
+        T, n_paths = model.horizon, 8
+        pools = make_pools(model)
+        calls = self._count_certificates(monkeypatch)
+        for k in range(1, 5):
+            fwd = forward_pass_sddp(model, pools, sample_paths(model, n_paths, k, seed=9),
+                                    forward_budgets(spec, k, T))
+            eps = backward_budgets(spec, k, fwd.stage_values)
+            n_keys = self._check_pass(model, pools, fwd.trajectories, eps, k, calls)
+            # every path leaves stage 1 at the same point
+            assert n_keys < n_paths * (T - 1)
+
+    def test_absolute_budgets_keep_paths_at_one_point_apart(self, monkeypatch):
+        # in the absolute mode a path's budget at stage t scales with its
+        # stage-t value, so paths that leave stage 1 at one point but draw
+        # different stage-2 realizations get different stage-2 budgets
+        model = generate_instance(PortfolioSpec(T=3, n=2, M=3, seed=4))
+        spec = ScheduleSpec(eps_bar=0.1, eps0=1e-12, mode=ScheduleMode.ABSOLUTE)
+        T = model.horizon
+        pools = make_pools(model)
+        # with cuts in pool 3 the stage-2 values of the two realizations differ
+        run_isddp(model, spec, n_paths=2, gap_tol=1e-9, max_iter=2, seed=9, initial_pools=pools)
+        calls = self._count_certificates(monkeypatch)
+        fwd = forward_pass_sddp(model, pools, [(0, 0), (1, 0)], forward_budgets(spec, 3, T))
+        eps = backward_budgets(spec, 3, fwd.stage_values)
+        x1, y1 = (traj[0] for traj in fwd.trajectories)
+        assert x1.tobytes() == y1.tobytes() and eps[0][0] != eps[0][1]
+        assert self._check_pass(model, pools, fwd.trajectories, eps, 3, calls) == 4
+        assert sum(calls.values()) == 4 * model.stages[0].num_realizations
 
 class TestStoreEachCutOnce:
     def test_duplicate_cuts_are_skipped_before_add(self, monkeypatch):
@@ -547,6 +638,8 @@ class TestBudgetShapes:
         with pytest.raises(ValueError, match="must cover every path"):
             backward_pass_sddp(m, pools, fwd.trajectories, [[ErrorBudget()] * 2, [ErrorBudget()]],
                                iteration=1)
+        with pytest.raises(ValueError, match="need at least one path"):
+            backward_pass_sddp(m, pools, [], [[], []], iteration=1)
         # rejected before any backward solve
         assert not [key for t in (3, 4) for key in pools[t].memo if key[0] == "dual"]
 
