@@ -147,6 +147,7 @@ class TestBuildStageCuts:
             build_stage_cuts(reals, np.ones((2, 1, 1)), np.ones((2, 1, 1)), np.zeros((1, 1)),
                              np.zeros(1))
 
+
 class TestCutPool:
     def test_floor_only(self):
         pool = CutPool(stage=2, state_dim=2, floor=-10.0)

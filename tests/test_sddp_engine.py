@@ -345,7 +345,8 @@ class TestOneCutPerTrialPoint:
         n_keys = 0
         for i, t in enumerate(range(T, 1, -1)):
             st, pool_next = model.stages[t - 2], pools[t + 1]
-            keys = [(traj[t - 2].tobytes(), budget) for traj, budget in zip(trajectories, eps[t - 2])]
+            keys = [(traj[t - 2].tobytes(), budget)
+                    for traj, budget in zip(trajectories, eps[t - 2])]
             n_keys += len(set(keys))
             assert {key: n for key, n in calls.items() if key[0] == t} == {
                 (t, id(r), xb, budget): 1 for xb, budget in keys for r in st.realizations}
@@ -395,6 +396,7 @@ class TestOneCutPerTrialPoint:
         assert x1.tobytes() == y1.tobytes() and eps[0][0] != eps[0][1]
         assert self._check_pass(model, pools, fwd.trajectories, eps, 3, calls) == 4
         assert sum(calls.values()) == 4 * model.stages[0].num_realizations
+
 
 class TestStoreEachCutOnce:
     def test_duplicate_cuts_are_skipped_before_add(self, monkeypatch):
