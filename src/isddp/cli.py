@@ -131,8 +131,9 @@ def _single_instance(args) -> str:
 
 
 def _check_run_flags(args, algorithm: str) -> None:
-    if args.max_iter < 1:
-        raise UsageError(f"--max-iter must be at least 1, got {args.max_iter}")
+    for flag, value in (("--max-iter", args.max_iter), ("--paths", args.paths)):
+        if value < 1:
+            raise UsageError(f"{flag} must be at least 1, got {value}")
     if algorithm in ("ddp", "iddp") and args.paths != 1:
         raise UsageError(f"--algo {algorithm} follows one path, got --paths {args.paths}")
 

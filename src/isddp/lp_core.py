@@ -50,9 +50,11 @@ feasible; and explicit duals that share their constraints differ only in
 their cost, so a basis that is optimal for one of them is optimal for
 every other whose cost row prices out at it.  ``solve_primal_batch`` and
 ``solve_dual_batch`` each take a list of such bases, which the caller
-keeps for as long as the constraints hold, answer each member that one of
-them fits without a kernel solve, and add the optimal bases of the
-members they solve (``keep_bases``).  The kernel keeps nothing itself.
+keeps for as long as the constraints hold, and share one loop
+(``_solve_with_bases``): it answers each member that one of them fits
+without a kernel solve, as a ``_KernelResult`` with no ``y``, solves the
+rest as one batch and adds their optimal bases (``keep_bases``).  The
+kernel keeps nothing itself.
 
 Dual convention for cut rows: weights mu >= 0 with sum(mu) == 1, entering
 the variable-wise constraint as  eq_matrix.T @ lam - sum_i mu_i * beta_i <= c.
@@ -715,32 +717,6 @@ def _dual_point(lp: LinearProgram, z: np.ndarray) -> tuple[np.ndarray, np.ndarra
 # Public operations
 
 
-def _solve_primal(
-    lp: LinearProgram, A: np.ndarray, b: np.ndarray, c: np.ndarray,
-    trail_len: Optional[int], max_pivots: Optional[int] = None,
-) -> list:
-    """Outcomes of ``lp``'s standard form ``(A, c)`` with each right-hand
-    side in ``b`` (one, or one per row): (solution, trail) pairs or
-    ``LpError``s."""
-    outcomes = _simplex_batch(A, b, c[None], max_pivots=max_pivots, trail_len=trail_len)
-    for k, res in enumerate(outcomes):
-        if isinstance(res, LpError):
-            continue
-        if res.status is not SolveStatus.OPTIMAL:
-            outcomes[k] = PrimalDualSolution(status=res.status), []
-            continue
-        sol = PrimalDualSolution(
-            status=SolveStatus.OPTIMAL,
-            x=res.z[: lp.num_vars].copy(),
-            obj=res.obj,
-            lam=res.y[: lp.num_eq].copy(),
-            mu=res.y[lp.num_eq :].copy(),
-            basis=tuple(res.basis.tolist()),
-        )
-        outcomes[k] = sol, res.trail
-    return outcomes
-
-
 def _lone(outcomes: list):
     """The one outcome of a batch of one, raising it if it is an ``LpError``."""
     (out,) = outcomes
@@ -753,75 +729,120 @@ def solve_exact(
     lp: LinearProgram, *, max_pivots: Optional[int] = None
 ) -> PrimalDualSolution:
     """Solve to optimality, returning a vertex solution with exact duals."""
-    return _lone(_solve_primal(lp, *_standard_primal(lp), None, max_pivots))[0]
+    A, b, c = _standard_primal(lp)
+    res = _lone(_simplex_batch(A, b, c[None], max_pivots=max_pivots))
+    if res.status is not SolveStatus.OPTIMAL:
+        return PrimalDualSolution(status=res.status)
+    return PrimalDualSolution(
+        status=SolveStatus.OPTIMAL,
+        x=res.z[: lp.num_vars].copy(),
+        obj=res.obj,
+        lam=res.y[: lp.num_eq].copy(),
+        mu=res.y[lp.num_eq :].copy(),
+        basis=tuple(res.basis.tolist()),
+    )
 
 
-def solve_with_primal_trail(
-    lp: LinearProgram,
-) -> tuple[PrimalDualSolution, list[tuple[float, np.ndarray]]]:
-    """solve_exact plus the phase-2 trail of (objective, x) vertex iterates.
+def solve_with_primal_trail(lp: LinearProgram) -> _KernelResult:
+    """The kernel outcome of ``lp``, with the phase-2 trail of (objective, x) vertex iterates.
 
     Every trail point is primal feasible with a nonincreasing objective; the
-    final entry is the optimum.  Used for certified delta-suboptimal forward
-    solves: pick the earliest iterate whose value is within budget.
+    final entry is the optimum, whose ``x`` is ``z[:num_vars]``.  Used for
+    certified delta-suboptimal forward solves: pick the earliest iterate
+    whose value is within budget.  A kernel fault is raised.
     """
-    return _lone(_solve_primal(lp, *_standard_primal(lp), lp.num_vars))
+    A, b, c = _standard_primal(lp)
+    return _lone(_simplex_batch(A, b, c[None], trail_len=lp.num_vars))
 
 
-def keep_bases(bases: list, found) -> None:
-    """Add each ``(basis, vertex)`` pair of ``found`` to the cache ``bases``, once.
+def keep_bases(bases: list, outcomes: list) -> None:
+    """Add the basis of each optimal kernel outcome in ``outcomes`` to the cache ``bases``, once.
 
     ``bases`` holds optimal bases of LPs that share their standard form but
     their right-hand side, or of explicit duals that share their
     constraints, as ``[key, basis, vertex, factor]`` entries.  ``key`` is
     the sorted basis, which keeps each basis once; ``vertex`` is the ``z``
     the kernel returned where it found the basis, which a dual hit returns
-    (a primal entry keeps none); ``factor`` is what a test of the basis
-    reads, computed when the basis is first tested.
+    (a primal entry keeps its vertex too, but a primal hit reads only the
+    basis); ``factor`` is what a test of the basis reads, computed when the
+    basis is first tested.
     """
     seen = {entry[0] for entry in bases}
-    for basis, vertex in found:
-        key = np.sort(basis).tobytes()
+    for res in outcomes:
+        if isinstance(res, LpError) or res.status is not SolveStatus.OPTIMAL:
+            continue
+        key = np.sort(res.basis).tobytes()
         if key not in seen:
             seen.add(key)
-            bases.append([key, basis, vertex, None])
+            bases.append([key, res.basis, res.z, None])
+
+
+def _cache_hit(z: np.ndarray, obj: float, basis: np.ndarray, trail_len: int) -> _KernelResult:
+    """The outcome of a member that a cached ``basis`` answers at ``z``: an
+    optimum with no ``y`` and no pivots, and ``z`` as its one-entry trail."""
+    return _KernelResult(SolveStatus.OPTIMAL, z, obj, None, basis, 0, [(obj, z[:trail_len])])
+
+
+def _solve_with_bases(count: int, bases: list, factor, fit, solve) -> list:
+    """The outcomes of a batch of ``count`` members: cached bases first, then the kernel.
+
+    The entries of ``bases`` (``keep_bases``) are tested in their order, each
+    against the members that no earlier entry answered; an entry's factor is
+    ``factor(basis)``, computed when the entry is first tested.
+    ``fit(basis, vertex, factor, todo)`` returns which members of ``todo``
+    the entry fits, as a mask, and their outcomes.  ``solve(todo)`` solves
+    the members that no entry fits as one ``_simplex_batch``, and the
+    optimal bases of its outcomes join ``bases``.
+    """
+    out: list = [None] * count
+    todo = np.arange(count)
+    for entry in bases:
+        if not len(todo):
+            break
+        if entry[3] is None:
+            entry[3] = factor(entry[1])
+        hit, answers = fit(*entry[1:], todo)
+        for k, res in zip(todo[hit].tolist(), answers):
+            out[k] = res
+        todo = todo[~hit]
+    if len(todo):
+        solved = solve(todo)
+        for k, res in zip(todo.tolist(), solved):
+            out[k] = res
+        keep_bases(bases, solved)
+    return out
 
 
 def solve_primal_batch(lp: LinearProgram, eq_rhs: np.ndarray, bases: list) -> list:
     """``solve_with_primal_trail`` of ``lp`` with each row of ``eq_rhs``, as one batch.
 
     LPs that differ only in ``eq_rhs`` share their standard form but its
-    right-hand side.  ``bases`` holds optimal bases of earlier LPs with this
-    standard form (``keep_bases``).  A basis's reduced costs do not depend
-    on the right-hand side, so it is optimal for every member at which it
-    is primal feasible: each basic value of ``B^-1 b`` is at least
+    right-hand side.  Outcome ``i`` is a ``_KernelResult``, or the
+    ``LpError`` that a lone solve of member ``i`` raises.
+
+    ``bases`` holds optimal bases of earlier LPs with this standard form
+    (``keep_bases``).  A basis's reduced costs do not depend on the
+    right-hand side, so it is optimal for every member at which it is
+    primal feasible: each basic value of ``B^-1 b`` is at least
     ``-FEAS_TOL``, each basic artificial (a redundant row) is within
     ``FEAS_TOL`` of 0, and the point leaves a primal residual
     ``|A z - b|_inf`` of at most ``FEAS_TOL * (1 + |b|_inf)``.  ``B^-1`` is
     computed when the basis is first tested, with a unit column for each
     basic artificial; a singular basis gets NaN and answers nothing.  A
     member that one of the bases fits, tested in their order, is answered
-    without a kernel solve by that basis's point: an optimal solution with
-    ``x``, ``obj = c.z`` and the basis but no duals, and the one-entry
-    trail ``[(obj, x)]``.  The other members are solved as one batch
-    (``_simplex_batch``) from the crash start: on shared tableaux, one rhs
-    column each, in groups of members that pivot alike.  Each of their
-    outcomes is the ``(solution, trail)`` pair of a lone solve of that
-    member, bit for bit, or the ``LpError`` that solve raises, and their
+    without a kernel solve by that basis's point ``z``, with ``obj = c.z``,
+    no ``y``, no pivots and the one-entry trail ``[(obj, x)]``.  The other
+    members are solved as one batch (``_simplex_batch``) from the crash
+    start: on shared tableaux, one rhs column each, in groups of members
+    that pivot alike.  Each equals its lone solve bit for bit, and their
     optimal bases join ``bases``.  With no bases nothing is tested.
     """
     A, b, c = _standard_primal(lp, eq_rhs)
     nv, n = lp.num_vars, A.shape[1]
-    out: list = [None] * len(b)
-    todo = np.arange(len(b))
-    for entry in bases:
-        if not len(todo):
-            return out
-        _, basis, _, factor = entry
-        if factor is None:
-            factor = entry[-1] = _basis_inverse(A, basis)
+
+    def fit(basis, _z, inverse, todo):
         rhs = b[todo]
-        xb = rhs @ factor.T
+        xb = rhs @ inverse.T
         structural = basis < n
         z = np.zeros((len(todo), n))
         z[:, basis[structural]] = xb[:, structural]
@@ -829,21 +850,11 @@ def solve_primal_batch(lp: LinearProgram, eq_rhs: np.ndarray, bases: list) -> li
                & (np.abs(xb[:, ~structural]) <= FEAS_TOL).all(axis=1)
                & (np.abs(z @ A.T - rhs).max(axis=1, initial=0.0)
                   <= FEAS_TOL * (1.0 + np.abs(rhs).max(axis=1, initial=0.0))))
-        if hit.any():
-            named = tuple(basis.tolist())
-            for k, point in zip(todo[hit].tolist(), z[hit]):
-                x, obj = point[:nv].copy(), float(c @ point)
-                sol = PrimalDualSolution(SolveStatus.OPTIMAL, x=x, obj=obj, basis=named)
-                out[k] = sol, [(obj, x)]
-            todo = todo[~hit]
-    if not len(todo):
-        return out
-    solved = _solve_primal(lp, A, b[todo] if len(todo) < len(b) else b, c, nv)
-    for k, res in zip(todo.tolist(), solved):
-        out[k] = res
-    keep_bases(bases, ((np.array(res[0].basis), None) for res in solved
-                       if not isinstance(res, LpError) and res[0].status is SolveStatus.OPTIMAL))
-    return out
+        return hit, [_cache_hit(point, float(c @ point), basis, nv) for point in z[hit]]
+
+    return _solve_with_bases(
+        len(b), bases, lambda basis: _basis_inverse(A, basis), fit,
+        lambda todo: _simplex_batch(A, b[todo], c[None], trail_len=nv))
 
 
 def solve_dual_batch(lp: LinearProgram, eq_rhs: np.ndarray, bases: list) -> list:
@@ -870,30 +881,17 @@ def solve_dual_batch(lp: LinearProgram, eq_rhs: np.ndarray, bases: list) -> list
     """
     D, rhs, costs = _explicit_duals(lp, eq_rhs)
     trail_len = 2 * lp.num_eq + lp.num_cuts
-    out: list = [None] * len(costs)
-    todo = np.arange(len(costs))
-    for entry in bases:
-        if not len(todo):
-            return out
-        _, basis, z, factor = entry
-        if factor is None:
-            factor = entry[-1] = basis[basis < D.shape[1]], _tableau_rows(D, basis)
+
+    def fit(basis, z, factor, todo):
         cols, rows = factor
         C = costs[todo]
         hit = ((C - C[:, cols] @ rows) >= -FEAS_TOL).all(axis=1)
-        for k, c in zip(todo[hit].tolist(), C[hit]):
-            obj = float(c @ z)
-            out[k] = _KernelResult(SolveStatus.OPTIMAL, z, obj, None, basis, 0,
-                                   [(obj, z[:trail_len])])
-        todo = todo[~hit]
-    if not len(todo):
-        return out
-    solved = _simplex_batch(D, rhs, costs[todo], trail_len=trail_len)
-    for k, res in zip(todo.tolist(), solved):
-        out[k] = res
-    keep_bases(bases, ((res.basis, res.z) for res in solved
-                       if not isinstance(res, LpError) and res.status is SolveStatus.OPTIMAL))
-    return out
+        return hit, [_cache_hit(z, float(c @ z), basis, trail_len) for c in C[hit]]
+
+    return _solve_with_bases(
+        len(costs), bases,
+        lambda basis: (basis[basis < D.shape[1]], _tableau_rows(D, basis)), fit,
+        lambda todo: _simplex_batch(D, rhs, costs[todo], trail_len=trail_len))
 
 
 def _basis_matrix(A: np.ndarray, basis: np.ndarray) -> np.ndarray:

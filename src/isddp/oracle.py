@@ -87,14 +87,15 @@ def extensive_form(model: StochasticModel) -> float:
 def exact_recourse(model: StochasticModel, t: int, x: np.ndarray) -> float:
     """Exact expected cost-to-go entering stage t at state x (0 beyond T)."""
     T = model.horizon
-    if t == T + 1:
-        return 0.0
-    if not (1 <= t <= T):
+    if not (1 <= t <= T + 1):
         raise ValueError(f"stage must be in 1..{T + 1}, got {t}")
     x = np.asarray(x, dtype=float)
-    dim = model.stage(t).state_dim
+    # the state entering stage T + 1 is stage T's decision
+    dim = model.stage(T).var_dim if t == T + 1 else model.stage(t).state_dim
     if x.shape != (dim,):
         raise ValueError(f"stage {t} takes a state of length {dim}, got shape {x.shape}")
+    if t == T + 1:
+        return 0.0
     sol = solve_exact(_assemble_tree_lp(model, t, x))
     if sol.status is not SolveStatus.OPTIMAL:
         raise OracleInfeasibleError(

@@ -143,9 +143,10 @@ def sweep_forward(
     does not hold yet, each pair once, against the optimal bases that the
     memo keeps for the group under ``("primal bases", *structure)``; a
     group of one with no basis to test is one ``solve_with_primal_trail``,
-    the kernel's batch of one, whose basis joins the list.  A solve and its
-    trail, evaluated against the pool, do not depend on the budget: the memo
-    keeps the optimal vertex, the optimum, the trail vertices and their
+    the kernel's batch of one, whose basis joins the list.  Either way a
+    member's outcome is a ``_KernelResult`` or an ``LpError``.  A solve and
+    its trail, evaluated against the pool, do not depend on the budget: the
+    memo keeps the optimal vertex, the optimum, the trail vertices and their
     values.  A member answered from a cached basis has the optimum as its
     whole trail.  A member that faults (a kernel fault, a status other than
     optimal, or an optimum that violates one of its own cut rows) keeps the
@@ -170,10 +171,7 @@ def sweep_forward(
                 outcomes = [solve_with_primal_trail(lp)]
             except LpError as exc:
                 outcomes = [exc]
-            else:
-                sol = outcomes[0][0]
-                if sol.status is SolveStatus.OPTIMAL:
-                    keep_bases(bases, [(np.array(sol.basis), None)])
+            keep_bases(bases, outcomes)
         for (key, (stage, _)), out in zip(members, outcomes):
             pool.memo[key] = _forward_entry(stage, pool, out)
 
@@ -195,24 +193,25 @@ def _fault(detail: str, cause: Optional[Exception] = None) -> StageSolveError:
 
 
 def _forward_entry(stage: StageModel, pool: CutPool, out) -> tuple | StageSolveError:
-    """The memo entry of one forward kernel outcome at ``stage``."""
+    """The memo entry of one forward outcome at ``stage``: a ``_KernelResult``
+    (of the kernel or of a cached basis) or an ``LpError``."""
     if isinstance(out, LpError):  # kernel faults carry no stage context
         return _fault(f" failed in the kernel: {out}", out)
-    sol, trail = out
-    if sol.status is not SolveStatus.OPTIMAL:
-        return _fault(f" is {sol.status.value}")
-    cost = float(stage.c @ sol.x)
-    future = pool.evaluate(sol.x)
-    epigraph = sol.obj - cost
+    if out.status is not SolveStatus.OPTIMAL:
+        return _fault(f" is {out.status.value}")
+    x = out.z[: len(stage.c)].copy()
+    cost = float(stage.c @ x)
+    future = pool.evaluate(x)
+    epigraph = out.obj - cost
     if future > epigraph + 1e-9 * (1.0 + abs(future)):
         return _fault(
             f": the kernel's optimum violates one of its own cut rows "
             f"(pool value {future!r} above epigraph value {epigraph!r})"
         )
     # the trail of an optimal solve ends at the optimum, so it is never empty
-    xs = np.stack([x for _, x in trail])
+    xs = np.stack([point for _, point in out.trail])
     full_vals = xs @ stage.c + pool.evaluate_many(xs)
-    return sol.x, cost + future, xs, full_vals
+    return x, cost + future, xs, full_vals
 
 
 def sweep_duals(

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from isddp.lp_core import LinearProgram, LpError, SolveStatus, _KernelResult
+from isddp.lp_core import LinearProgram, SolveStatus, _KernelResult
 from isddp.models import StochasticModel, save_model
 from isddp.portfolio import PortfolioSpec, generate_instance
 
@@ -26,16 +26,10 @@ def random_feasible_bounded_lp(rng: np.random.Generator) -> LinearProgram:
 
 
 def cache_hit(out) -> bool:
-    """Whether a ``solve_dual_batch`` outcome was answered from a cached
-    basis: an optimum that carries no kernel duals ``y``."""
+    """Whether a ``solve_primal_batch`` or ``solve_dual_batch`` outcome was
+    answered from a cached basis: an optimum that carries no kernel duals
+    ``y``, which every optimum the kernel solves carries."""
     return isinstance(out, _KernelResult) and out.status is SolveStatus.OPTIMAL and out.y is None
-
-
-def forward_cache_hit(out) -> bool:
-    """Whether a ``solve_primal_batch`` outcome was answered from a cached
-    basis: an optimum that carries no kernel duals ``lam``."""
-    return (not isinstance(out, LpError) and out[0].status is SolveStatus.OPTIMAL
-            and out[0].lam is None)
 
 
 def chain_model(T: int, n: int, seed: int) -> StochasticModel:

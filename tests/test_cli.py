@@ -253,6 +253,16 @@ class TestSolve:
         assert "--max-iter must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["solve", "--algo", "sddp"],
+                                         ["compare", "--presets", "sddp,isddp1"]],
+                             ids=["solve", "compare"])
+    def test_paths_below_one_is_usage_error(self, instance, tmp_path, capsys, command):
+        out = tmp_path / "run.csv"
+        rc = main([*command, "--instance", instance, "--paths", "0", "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert "usage error: --paths must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_solver_fault_exits_two(self, tmp_path):
         # stage 2 infeasible for every state: 0 == 1
         from isddp.models import StageModel, StochasticModel
@@ -330,8 +340,8 @@ class TestSolve:
         def violating(lp, eq_rhs, bases):
             outcomes = real_batch(lp, eq_rhs, bases)
             if pools[id(lp)].stage == 4 and lp.num_cuts > 1:  # stage 3's LPs
-                for sol, _trail in outcomes:
-                    sol.obj -= 1.0
+                for out in outcomes:
+                    out.obj -= 1.0
             return outcomes
 
         monkeypatch.setattr(stage_solver, "stage_lp", recording_lp)
@@ -414,16 +424,18 @@ class TestOracleCmd:
         ref = oracle.exact_recourse(toy_sto_t3_m2(), 3, np.array([1.0, 0.5, 0.0]))
         assert out["recourse"] == pytest.approx(ref)
 
-    def test_state_of_the_wrong_length_names_stage_and_length(self, tmp_path, capsys):
-        # a T=40, n=6 chain: stage 2 takes the 25 stage-1 variables
+    @pytest.mark.parametrize("stage", [2, 41])
+    def test_state_of_the_wrong_length_names_stage_and_length(self, tmp_path, capsys, stage):
+        # a T=40, n=6 chain: stage 2 takes the 25 stage-1 variables, and
+        # stage 41, beyond the horizon, the 25 stage-40 variables
         path = str(tmp_path / "chain.json")
         argv = ["gen", "--T", "40", "--n", "6", "--M", "1", "--seed", "2024", "--out", path]
         assert main(argv) == EXIT_OK
         capsys.readouterr()
-        rc = main(["oracle", "--instance", path, "--stage", "2", "--state", "1,2"])
+        rc = main(["oracle", "--instance", path, "--stage", str(stage), "--state", "1,2"])
         assert rc == EXIT_USAGE
         err = capsys.readouterr().err
-        assert "stage 2" in err and "25" in err
+        assert f"stage {stage}" in err and "25" in err
         assert "matmul" not in err
 
     @pytest.mark.parametrize("state, entry", [("a,b", "entry 1 of 2 is 'a'"),

@@ -21,7 +21,7 @@ import pytest
 from isddp import stage_solver
 from isddp.cli import EXIT_OK, main
 
-from conftest import cache_hit, forward_cache_hit, save_chain
+from conftest import cache_hit, save_chain
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -107,7 +107,7 @@ def test_portfolio_runs_answer_forward_lps_from_cached_bases(name, tmp_path, cap
     def counting_primal(lp, eq_rhs, bases):
         outcomes = primal(lp, eq_rhs, bases)
         for out in outcomes:
-            answered["cache" if forward_cache_hit(out) else "kernel"] += 1
+            answered["cache" if cache_hit(out) else "kernel"] += 1
         return outcomes
 
     def counting_lone(lp):

@@ -24,7 +24,7 @@ from isddp.schedules import ErrorBudget
 from isddp.sddp_engine import iterate, make_pools
 from isddp.stage_solver import stage_lp
 
-from conftest import cache_hit, forward_cache_hit
+from conftest import cache_hit
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 PATHS, SEED, ITERATIONS = 5, 9, 4
@@ -64,8 +64,8 @@ def test_every_cache_hit_is_exact_and_every_cut_below_the_stage_value(reference,
     def recording_primal(lp, eq_rhs, bases):
         outcomes = primal(lp, eq_rhs, bases)
         for row, out in zip(eq_rhs, outcomes):
-            if forward_cache_hit(out):
-                forward_hits.append((dataclasses.replace(lp, eq_rhs=row), out[0]))
+            if cache_hit(out):
+                forward_hits.append((dataclasses.replace(lp, eq_rhs=row), out))
         return outcomes
 
     def check_cuts(model, pools, trajectories, epsilons, **kw):
@@ -90,14 +90,15 @@ def test_every_cache_hit_is_exact_and_every_cut_below_the_stage_value(reference,
     list(itertools.islice(iterate(model, PRESETS[preset], PATHS, SEED, make_pools(model)),
                           ITERATIONS))
     assert hits and forward_hits
-    for lp, sol in forward_hits:
+    for lp, out in forward_hits:
         tol = 1e-9 * (1.0 + abs(lp.eq_rhs).max())
-        assert sol.x.min() >= -1e-9
-        assert abs(lp.eq_matrix @ sol.x - lp.eq_rhs).max() <= tol
-        epigraph = sol.obj - lp.cost @ sol.x
-        assert (epigraph - lp.cut_theta - lp.cut_beta @ sol.x).min() >= -tol
+        x = out.z[: lp.num_vars]
+        assert x.min() >= -1e-9
+        assert abs(lp.eq_matrix @ x - lp.eq_rhs).max() <= tol
+        epigraph = out.obj - lp.cost @ x
+        assert (epigraph - lp.cut_theta - lp.cut_beta @ x).min() >= -tol
         v_star = reference.stage_lp_optimum(lp)
-        assert abs(sol.obj - v_star) <= _rel(v_star)
+        assert abs(out.obj - v_star) <= _rel(v_star)
     for lp, out in hits:
         cert = solve_dual_inexact(lp, ErrorBudget(), result=out)
         assert cert.eps_certified == 0.0

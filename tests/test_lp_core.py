@@ -33,7 +33,7 @@ from isddp.portfolio import PortfolioSpec, generate_instance
 from isddp.schedules import EXACT_SCHEDULE, ScheduleMode, ScheduleSpec
 from isddp.sddp_engine import run_isddp
 
-from conftest import cache_hit, enumerate_vertices, forward_cache_hit, random_feasible_bounded_lp
+from conftest import cache_hit, enumerate_vertices, random_feasible_bounded_lp
 
 
 def single_var_lp():
@@ -250,12 +250,12 @@ class TestPrimalTrail:
     def test_trail_monotone_and_feasible(self, rng):
         for _ in range(25):
             lp = random_feasible_bounded_lp(rng)
-            sol, trail = solve_with_primal_trail(lp)
-            assert sol.status is SolveStatus.OPTIMAL
-            objs = [o for o, _ in trail]
+            res = solve_with_primal_trail(lp)
+            assert res.status is SolveStatus.OPTIMAL
+            objs = [o for o, _ in res.trail]
             assert all(objs[i] >= objs[i + 1] - 1e-9 for i in range(len(objs) - 1))
-            assert objs[-1] == pytest.approx(sol.obj)
-            for _, x in trail:
+            assert objs[-1] == pytest.approx(res.obj)
+            for _, x in res.trail:
                 assert np.abs(lp.eq_matrix @ x - lp.eq_rhs).max(initial=0.0) <= 1e-8
                 assert x.min(initial=0.0) >= -1e-9
 
@@ -655,18 +655,6 @@ def test_captured_backward_batches_match_lone_solves(monkeypatch):
 # member against its lone solve, bit for bit.
 
 
-def _primal_bits(out):
-    if isinstance(out, LpError):
-        return (type(out), str(out))
-    sol, trail = out
-
-    def bits(a):
-        return None if a is None else (np.asarray(a, dtype=float) + 0.0).tobytes()
-
-    return (sol.status, bits(sol.x), bits(sol.obj), bits(sol.lam), bits(sol.mu), sol.basis,
-            [(bits(obj), bits(x)) for obj, x in trail])
-
-
 def _lone_primal(lp, row):
     """``solve_with_primal_trail`` of ``lp`` with ``row``, or the ``LpError`` it raises."""
     try:
@@ -686,8 +674,8 @@ def _assert_primal_batch_matches_lone(lp, eq_rhs):
         want = _lone(A, b, c, trail_len=lp.num_vars)
         assert _outcome_bits(out) == _outcome_bits(want), f"member {k}"
     outs = solve_primal_batch(lp, eq_rhs, [])
-    assert [_primal_bits(out) for out in outs] == [
-        _primal_bits(_lone_primal(lp, row)) for row in eq_rhs]
+    assert [_outcome_bits(out) for out in outs] == [
+        _outcome_bits(_lone_primal(lp, row)) for row in eq_rhs]
     return got
 
 
@@ -873,7 +861,7 @@ def test_captured_forward_batches_replay_and_match_lone_solves(monkeypatch):
 
     def capture(lp, eq_rhs, bases):
         outs = batch(lp, eq_rhs, [])
-        calls.append((lp, eq_rhs.copy(), [_primal_bits(out) for out in outs]))
+        calls.append((lp, eq_rhs.copy(), [_outcome_bits(out) for out in outs]))
         return outs
 
     monkeypatch.setattr(stage_solver, "solve_primal_batch", capture)
@@ -883,7 +871,7 @@ def test_captured_forward_batches_replay_and_match_lone_solves(monkeypatch):
     monkeypatch.undo()
     assert sum(len(eq_rhs) for _, eq_rhs, _ in calls) > 50
     for lp, eq_rhs, seen in calls:
-        assert [_primal_bits(out) for out in solve_primal_batch(lp, eq_rhs, [])] == seen
+        assert [_outcome_bits(out) for out in solve_primal_batch(lp, eq_rhs, [])] == seen
         _assert_primal_batch_matches_lone(lp, eq_rhs)
 
 
@@ -996,21 +984,21 @@ def _assert_primal_hits_exact_and_misses_lone(lp, eq_rhs, bases):
     hits = 0
     for k, (row, out) in enumerate(zip(eq_rhs, got)):
         want = _lone_primal(lp, row)
-        if not forward_cache_hit(out):
-            assert _primal_bits(out) == _primal_bits(want), f"member {k}"
+        if not cache_hit(out):
+            assert _outcome_bits(out) == _outcome_bits(want), f"member {k}"
             continue
         hits += 1
-        sol, trail = out
-        assert np.sort(sol.basis).tobytes() in keys, f"member {k}"
-        assert len(trail) == 1 and trail[0][0] == sol.obj and trail[0][1] is sol.x
-        x, tol = sol.x, 1e-9 * (1.0 + np.abs(row).max(initial=0.0))
+        assert np.sort(out.basis).tobytes() in keys, f"member {k}"
+        x, tol = out.z[: lp.num_vars], 1e-9 * (1.0 + np.abs(row).max(initial=0.0))
+        trail = out.trail
+        assert len(trail) == 1 and trail[0][0] == out.obj and trail[0][1].tobytes() == x.tobytes()
         assert x.min(initial=0.0) >= -1e-9, f"member {k}"
         assert np.abs(lp.eq_matrix @ x - row).max(initial=0.0) <= tol, f"member {k}"
         if lp.has_epigraph:
-            f = sol.obj - lp.cost @ x
+            f = out.obj - lp.cost @ x
             assert (f - (lp.cut_theta + lp.cut_beta @ x)).min() >= -tol, f"member {k}"
-        assert want[0].status is SolveStatus.OPTIMAL, f"member {k}"
-        assert abs(sol.obj - want[0].obj) <= 1e-9 * max(1.0, abs(want[0].obj)), f"member {k}"
+        assert want.status is SolveStatus.OPTIMAL, f"member {k}"
+        assert abs(out.obj - want.obj) <= 1e-9 * max(1.0, abs(want.obj)), f"member {k}"
     return hits, len(got) - hits
 
 
@@ -1046,7 +1034,7 @@ def test_primal_batch_answered_by_hits_makes_no_kernel_call(monkeypatch):
     monkeypatch.setattr(lp_core, "_simplex_batch", lambda *args, **kwargs: (
         calls.append(args) or batch(*args, **kwargs)))
     got = solve_primal_batch(lp, eq_rhs, bases)
-    assert calls == [] and all(forward_cache_hit(out) for out in got)
+    assert calls == [] and all(cache_hit(out) for out in got)
     monkeypatch.undo()
     assert _assert_primal_hits_exact_and_misses_lone(lp, eq_rhs, bases) == (20, 0)
 
@@ -1099,7 +1087,7 @@ def test_primal_basis_that_keeps_an_artificial(name, flip):
     hits, _ = _assert_primal_hits_exact_and_misses_lone(lp, np.array([b, 2.0 * b, 0.5 * b,
                                                                       broken]), bases)
     assert hits == 3
-    assert _lone_primal(lp, broken)[0].status is SolveStatus.INFEASIBLE
+    assert _lone_primal(lp, broken).status is SolveStatus.INFEASIBLE
 
 
 def test_member_infeasible_at_every_cached_basis_goes_to_the_kernel(monkeypatch):
@@ -1117,9 +1105,9 @@ def test_member_infeasible_at_every_cached_basis_goes_to_the_kernel(monkeypatch)
         handed.append(b.copy()) or batch(A, b, C, **kwargs)))
     eq_rhs = np.array([[1.0, 3.0], [-1.0, 3.0], [0.5, 2.0]])
     got = solve_primal_batch(lp, eq_rhs, bases)
-    assert [forward_cache_hit(out) for out in got] == [True, False, True]
+    assert [cache_hit(out) for out in got] == [True, False, True]
     A, b, _ = _standard_primal(lp, eq_rhs[1:2])
     assert len(handed) == 1 and handed[0].tobytes() == b.tobytes()
     for entry in bases[:1]:
         assert (np.linalg.inv(lp_core._basis_matrix(A, entry[1])) @ b[0]).min() < -1e-3
-    assert _primal_bits(got[1]) == _primal_bits(_lone_primal(lp, eq_rhs[1]))
+    assert _outcome_bits(got[1]) == _outcome_bits(_lone_primal(lp, eq_rhs[1]))

@@ -96,6 +96,13 @@ class TestExactRecourse:
         m = toy_det_t3()
         assert exact_recourse(m, 4, np.zeros(3)) == 0.0
 
+    def test_beyond_horizon_checks_the_state_length(self):
+        # the state entering stage T + 1 is stage T's decision, of length 3
+        m = toy_det_t3()
+        for x in (np.zeros(1), np.zeros(4), np.zeros((1, 3))):
+            with pytest.raises(ValueError, match=r"stage 4 takes a state of length 3"):
+                exact_recourse(m, 4, x)
+
     def test_ramp_value(self):
         # terminal value max(x, 0) evaluated at 2
         stage1 = StageModel(A=[[1.0, 0.0], [0.0, 1.0]], B=np.zeros((2, 1)), b=[2.0, 0.0], c=[0.0, 0.0])

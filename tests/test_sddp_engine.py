@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -812,13 +813,13 @@ class TestForwardBatchFaults:
             if faulty or lp.cut_theta is not pools[4].thetas_with_floor() or lp.num_cuts < 2:
                 return outcomes
             faulty.append(eq_rhs[-1].tobytes())
-            sol, trail = outcomes[-1]
             if kind == "kernel":
                 outcomes[-1] = lp_core.LpError("injected")
             elif kind == "status":
-                outcomes[-1] = lp_core.PrimalDualSolution(lp_core.SolveStatus.INFEASIBLE), []
+                outcomes[-1] = lp_core._KernelResult(lp_core.SolveStatus.INFEASIBLE, None,
+                                                     math.nan, None, None, 0)
             else:
-                sol.obj -= 1.0
+                outcomes[-1].obj -= 1.0
             return outcomes
 
         monkeypatch.setattr(sddp_engine, "sweep_forward", recording_sweep)
@@ -833,6 +834,48 @@ class TestForwardBatchFaults:
         assert (err.value.stage, err.value.path) == (3, path)
         assert f"stage 3 (path {path}){message}" in str(err.value)
         assert [r.k for r in err.value.partial_log.records] == [1]
+
+
+def _memo_bits(entry):
+    """A forward memo entry, or a ``("primal bases", ...)`` list, as bytes."""
+    if isinstance(entry, stage_solver.StageSolveError):
+        return type(entry), str(entry)
+    if isinstance(entry, list):  # [key, basis, vertex, factor] per cached basis
+        return [(key, basis.tobytes(), vertex.tobytes(), factor)
+                for key, basis, vertex, factor in entry]
+    x, optimum, xs, values = entry
+    return x.tobytes(), optimum.hex(), xs.tobytes(), values.tobytes()
+
+
+@pytest.mark.parametrize("trained", [False, True])
+def test_a_lone_forward_lp_is_a_batch_of_one(trained, monkeypatch):
+    # with no cached basis to test, sweep_forward solves a lone member with
+    # solve_with_primal_trail; it leaves the memo entry and the cached bases
+    # that the member's batch of one leaves, bit for bit
+    model = generate_instance(PortfolioSpec(T=4, n=4, M=4, u=0.2, seed=0))
+    pools = make_pools(model)
+    if trained:
+        run_isddp(model, EXACT_SCHEDULE, n_paths=5, gap_tol=1e-9, max_iter=3, seed=9,
+                  initial_pools=pools)
+    lone = []
+    trail = stage_solver.solve_with_primal_trail
+    monkeypatch.setattr(stage_solver, "solve_with_primal_trail",
+                        lambda lp: lone.append(lp) or trail(lp))
+    members = [(1, model.stage1, model.x0)] + [
+        (t, model.stage(t, j), x) for t in range(2, model.horizon + 1)
+        for x in oracle.sample_reachable_states(model, t, 2, seed=t) for j in (0, 3)]
+    for t, stage, x in members:
+        pool, fresh = (CutPool.from_dict(pools[t + 1].to_dict()) for _ in range(2))
+        stage_solver.sweep_forward([stage], [x], pool)
+        lp = stage_solver.stage_lp(stage, x, fresh)
+        bases = []
+        (out,) = stage_solver.solve_primal_batch(lp, lp.eq_rhs[None], bases)
+        (key,) = (key for key in pool.memo if key[0] == "forward")
+        (cached,) = (key for key in pool.memo if key[0] == "primal bases")
+        assert _memo_bits(pool.memo[key]) == _memo_bits(stage_solver._forward_entry(
+            stage, fresh, out)), (t, x)
+        assert bases and _memo_bits(pool.memo[cached]) == _memo_bits(bases), (t, x)
+    assert len(lone) == len(members)
 
 
 def test_a_cut_drops_the_cached_bases_of_its_pool():
