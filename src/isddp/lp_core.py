@@ -8,19 +8,22 @@ Handles LPs of the form
 
 Exact solves run a two-phase tableau simplex on the nonnegative standard
 form (f split into f+ - f-, one surplus variable per cut row) and return a
-basic (vertex) primal point together with exact row multipliers.  Every
+basic (vertex) primal point and its basis; ``solve_exact`` computes the
+exact row multipliers from that basis when they are first read.  Every
 solve starts from a crash basis (Bixby, ORSA J. Computing 4(3), 1992): a
 row that holds a unit column (one nonzero entry, positive after the rows
 are signed to b >= 0) starts with that column basic, so only the other rows
-carry an artificial into phase 1.  Position-limit slacks, the surpluses of
-cuts with a negative intercept and, in an explicit dual, the slack of every
-row with c_j >= 0 are such columns.  The start also decides which of
-several optimal vertices a degenerate LP returns.  One
-array holds the constraint rows, then the phase-2 and phase-1 reduced-cost
-rows, so a pivot is one rank-1 update; on large tableaux it touches only
-the rows and columns the pivot changes.  Each changed cell gets the same
-float operations either way, so results are bit-identical (see
-``_simplex_batch``).
+carry an artificial into phase 1, which ends once none of them is basic.
+Position-limit slacks, the surpluses of cuts with a negative intercept and,
+in an explicit dual, the slack of every row with c_j >= 0 are such
+columns.  The start also decides which of several optimal vertices a
+degenerate LP returns.  One array holds the constraint rows, then the
+phase-2 and phase-1 reduced-cost rows, over the structural columns and the
+right-hand sides only: no artificial has a column, since none that leaves
+the basis re-enters.  So a pivot is one rank-1 update; on large tableaux
+it touches only the rows and columns the pivot changes.  Each changed cell
+gets the same float operations either way, so results are bit-identical
+(see ``_simplex_batch``).
 
 Certified eps-optimal dual solutions come from solving the *explicit dual*
 with the same kernel: its phase-2 iterates are dual-feasible points of the
@@ -52,7 +55,7 @@ every other whose cost row prices out at it.  ``solve_primal_batch`` and
 ``solve_dual_batch`` each take a list of such bases, which the caller
 keeps for as long as the constraints hold, and share one loop
 (``_solve_with_bases``): it answers each member that one of them fits
-without a kernel solve, as a ``_KernelResult`` with no ``y``, solves the
+without a kernel solve, as a ``_KernelResult`` with no pivots, solves the
 rest as one batch and adds their optimal bases (``keep_bases``).  The
 kernel keeps nothing itself.
 
@@ -188,18 +191,44 @@ class PrimalDualSolution:
     """Basic optimal point plus exact multipliers, or a failure status.
 
     ``x`` includes only the decision variables; the epigraph value (when
-    present) is ``obj - cost.x``.  ``lam`` holds the equality-row multipliers
-    and ``mu`` the cut-row weights.  ``basis`` indexes standard-form columns:
-    entries below ``num_vars`` are decision variables, the rest are internal
-    epigraph-split / surplus columns.
+    present) is ``obj - cost.x``.  ``basis`` indexes standard-form columns:
+    entries below ``num_vars`` are decision variables, the next ones are
+    internal epigraph-split / surplus columns, and ``n + i``, past the ``n``
+    standard-form columns, is row ``i``'s artificial, basic at zero level
+    on a redundant row.  ``lam`` holds the equality-row multipliers and
+    ``mu`` the cut-row weights (None unless optimal).  They are read-only
+    arrays, computed from the basis when first read: ``y`` solves
+    ``B.T y = c_B``, where a basic artificial costs 0.  So a caller that
+    reads only ``x`` and ``obj`` never pays for them.
     """
 
     status: SolveStatus
     x: Optional[np.ndarray] = None
     obj: float = math.nan
-    lam: Optional[np.ndarray] = None
-    mu: Optional[np.ndarray] = None
     basis: tuple[int, ...] = ()
+    _lp: Optional[LinearProgram] = field(default=None, repr=False, compare=False)
+    _y: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def lam(self) -> Optional[np.ndarray]:
+        y = self._multipliers()
+        return None if y is None else y[: self._lp.num_eq]
+
+    @property
+    def mu(self) -> Optional[np.ndarray]:
+        y = self._multipliers()
+        return None if y is None else y[self._lp.num_eq :]
+
+    def _multipliers(self) -> Optional[np.ndarray]:
+        if self._y is None and self.status is SolveStatus.OPTIMAL:
+            A, _, c = _standard_primal(self._lp)
+            basis = np.array(self.basis, dtype=np.intp)
+            structural = basis < len(c)
+            c_basic = np.zeros(len(basis))
+            c_basic[structural] = c[basis[structural]]
+            self._y = np.linalg.solve(_basis_matrix(A, basis).T, c_basic)
+            self._y.flags.writeable = False
+        return self._y
 
 
 @dataclass
@@ -222,7 +251,6 @@ class _KernelResult:
     status: SolveStatus
     z: Optional[np.ndarray]
     obj: float
-    y: Optional[np.ndarray]
     basis: Optional[np.ndarray]
     pivots: int
     trail: list = field(default_factory=list)
@@ -242,12 +270,14 @@ def _leaving_row(colv: np.ndarray, rhs: np.ndarray, basis: np.ndarray, bland: bo
     pos = colv > PIVOT_TOL
     ratios.fill(np.inf)
     np.divide(rhs, colv, out=ratios, where=pos)
-    rmin = ratios[ratios.argmin()]
+    least = int(ratios.argmin())
+    rmin = ratios[least]
     if rmin == np.inf:  # no positive entry in the column
         return -1
-    tie = (ratios <= rmin + 1e-9 * (1.0 + abs(rmin))).nonzero()[0]
-    if tie.size == 1:
-        return int(tie[0])
+    tie = ratios <= rmin + 1e-9 * (1.0 + abs(rmin))
+    if np.count_nonzero(tie) == 1:
+        return least
+    tie = tie.nonzero()[0]
     if bland:
         return int(tie[basis[tie].argmin()])
     return int(tie[colv[tie].argmax()])
@@ -291,8 +321,13 @@ def _simplex_batch(
 
     A tableau holds ``m`` constraint rows, the reduced-cost rows and, in
     phase 1, the phase-1 row ``r1`` last.  Its columns are the ``n``
-    structural and ``m`` artificial ones, then the right-hand sides
-    (``-objective`` in the cost rows).  A member is a (cost row, rhs column)
+    structural ones, then the right-hand sides (``-objective`` in the cost
+    rows).  It holds no artificial column, since nothing would read one:
+    pricing and the ratio tests read structural columns and the rhs, an
+    artificial that leaves the basis never re-enters, and a basic one prices
+    at zero.  ``basis`` names row ``i``'s artificial ``n + i``, and
+    ``solve_exact`` computes multipliers from the basis, not from the
+    tableau.  A member is a (cost row, rhs column)
     pair: each member has a cost row of its own and all share one rhs
     column, or the other way round.  The rows are signed to ``b >= 0``
     before the crash, so members whose rhs signs differ start on separate
@@ -306,28 +341,34 @@ def _simplex_batch(
     same ``(pr, pc)`` share one rank-1 update.  When members pivot
     differently the group splits: each part but the last pivots a copy of
     the constraint rows and of its members' rows or columns, and the parts
-    run depth first.  A member leaves its group when it finishes.  The
-    phase-1 row prices alike for every member of a group, so a group ends
-    phase 1 as a whole: its infeasible members finish, and the others drive
-    the leftover artificials out once and go on in phase 2.  A group whose
-    members share one pricing row and one rhs column (every lone solve, and
-    phase 1 of LPs that share ``b``) runs the scalar loop.  Every cell of
-    every member thus gets the float operations of its lone solve.  A trail
-    snapshot is taken once per group step and rhs column, so members that
-    share their rhs share its vertex arrays.  Only structural columns enter.
-    A call keeps nothing for later calls: ``solve_primal_batch`` and
-    ``solve_dual_batch`` hand it only the members that no cached basis
+    run depth first.  A member leaves its group when it finishes.  Phase 1
+    ends when ``r1`` prices out, or as soon as no artificial is basic: ``r1``
+    is then 0 in exact arithmetic, and a rounding residue in it must not
+    pick a column (whose ratio test may find no row).  Both tests read only
+    what a group shares, so a group ends phase 1 as a whole: its infeasible
+    members finish, and the others drive the leftover artificials out once
+    and go on in phase 2.  A group whose members share one pricing row and
+    one rhs column (every lone solve, and phase 1 of LPs that share ``b``)
+    runs the scalar loop.  Every cell of every member thus gets the float
+    operations of its lone solve.  A trail snapshot is taken once per group
+    step and rhs column, so members that share their rhs share its vertex
+    arrays.  A call keeps nothing for later calls: ``solve_primal_batch``
+    and ``solve_dual_batch`` hand it only the members that no cached basis
     answers, and cache the optimal bases of the outcomes.
 
-    When a lone solve's tableau (``m + 2`` rows) has at least
-    ``RESTRICTED_UPDATE_CELLS`` cells, a pivot touches only the rows where
-    the pivot column is nonzero and the columns where the pivot row is
-    nonzero, in a batch too.  Each cell that changes gets one product
-    ``colv[i] * row[j]`` and one subtraction whichever update runs, so the
-    results would match with either update.  The one exception is the sign
-    of an exact zero in a skipped cell, which only had a zero product to
-    lose (the crash likewise skips a column whose cost is zero in every LP);
-    no comparison, ratio or argmin can see that sign.
+    When ``(m + 2) * (n + m + 1)``, a lone solve's tableau counted with one
+    column per artificial as the break-even was measured, is at least
+    ``RESTRICTED_UPDATE_CELLS``, a pivot touches only the columns where the
+    pivot row is nonzero, in a batch too; of their rows, it takes those
+    where the pivot column is nonzero, or every row when most of them are.
+    Each cell that changes gets one product ``colv[i] * row[j]`` and one
+    subtraction whichever update runs, so the results would match with
+    either update; the pivot column gets no separate zeroing there, since
+    ``row[pc]`` is exactly 1 and each of its cells subtracts itself.  The
+    one exception is the sign of an exact zero, which a cell with a zero
+    product may keep or lose (the crash likewise skips a column whose cost
+    is zero in every LP); no comparison, ratio or argmin can see that
+    sign.
     """
     m, n = A.shape
     B = b[None] if b.ndim == 1 else b
@@ -339,62 +380,78 @@ def _simplex_batch(
     if max_pivots is None:
         max_pivots = 10_000 + 50 * (m + n)
     bland_after = BLAND_STREAK * (n + m)
-    ncols = n + m
-    restricted = (m + 2) * (ncols + 1) >= RESTRICTED_UPDATE_CELLS  # by a lone solve's size
+    # by a lone solve's size, with one column per artificial, as the
+    # break-even was measured
+    restricted = (m + 2) * (n + m + 1) >= RESTRICTED_UPDATE_CELLS
     signs = np.where(B < 0, -1.0, 1.0)
     ratios = np.empty(m)
     out: list = [None] * K
     trails: list[list] = [[] for _ in range(K)]
     # the groups still to run, depth first: (tableau, basis, pivot count,
-    # phase, row signs, members, their Bland flags, their degenerate streaks)
+    # phase, members, their Bland flags, their degenerate streaks)
     groups: list = []
 
-    def pivot(live: np.ndarray, basis: np.ndarray, pr: int, pc: int) -> None:
-        """Pivot on (pr, pc): ``live`` holds the m constraint rows, then cost rows."""
+    def pivot(live: np.ndarray, basis: np.ndarray, pr: int, pc: int,
+              colv: Optional[np.ndarray] = None) -> None:
+        """Pivot on (pr, pc): ``live`` holds the m constraint rows, then cost rows.
+
+        ``colv`` is a copy of column ``pc`` (taken here if not given), which
+        the pivot overwrites.
+        """
+        if colv is None:
+            colv = live[:, pc].copy()
         row = live[pr]
-        piv = row[pc]
-        row /= piv
-        colv = live[:, pc].copy()
+        row /= colv[pr]
         colv[pr] = 0.0
         if restricted:
-            rows = colv.nonzero()[0]
-            cols = row.nonzero()[0]
-            live[np.ix_(rows, cols)] -= colv[rows, None] * row[cols]
+            # row[pc] is now exactly 1, so column pc ends at an exact 0
+            # wherever it changes
+            rows = (colv != 0.0).nonzero()[0]
+            cols = (row != 0.0).nonzero()[0]
+            if 2 * len(rows) > len(colv):  # most rows change: take every row
+                live[:, cols] -= colv[:, None] * row[cols]
+            else:
+                live[rows[:, None], cols] -= colv[rows, None] * row[cols]
         else:
             live -= colv[:, None] * row
-        live[:, pc] = 0.0
-        row[pc] = 1.0
+            live[:, pc] = 0.0
+            row[pc] = 1.0
         basis[pr] = pc
 
     def entering(r: np.ndarray, bland: bool) -> int:
-        # Only structural columns enter: an artificial that left the basis
-        # never re-enters, and one that is basic prices at zero.
         # Bland: the first eligible column; Dantzig: the first of the minima
         price = r[:n]
         pc = int((price < -FEAS_TOL).argmax() if bland else price.argmin())
         return pc if price[pc] < -FEAS_TOL else -1
 
+    def phase1_over(basis: np.ndarray) -> bool:
+        """Whether no artificial is basic, which ends phase 1."""
+        return basis.max(initial=-1) < n
+
     def run_phase(
-        r: np.ndarray, live: np.ndarray, basis: np.ndarray, count: int,
+        r: np.ndarray, live: np.ndarray, basis: np.ndarray, count: int, phase: int,
         trail: Optional[list], bland: bool = False, degenerate: int = 0,
     ) -> tuple[str, int]:
-        """Pivot on ``live`` (one rhs column) until row ``r`` prices out.
+        """Pivot on ``live`` (one rhs column) until row ``r`` prices out, or
+        in phase 1 until ``phase1_over``.
 
         Returns the outcome and the pivot count.
         """
-        body = live[:m]
-        rhs = body[:, -1]
+        rhs = live[:m, -1]
         while True:
             if trail is not None:
                 trail.append((-r[-1], _vertex(basis, rhs, n)[:trail_len].copy()))
+            if phase == 1 and phase1_over(basis):
+                return "optimal", count
             pc = entering(r, bland)
             if pc < 0:
                 return "optimal", count
-            pr = _leaving_row(body[:, pc], rhs, basis, bland, ratios)
+            colv = live[:, pc].copy()
+            pr = _leaving_row(colv[:m], rhs, basis, bland, ratios)
             if pr < 0:
                 return "unbounded", count
             prev = r[-1]
-            pivot(live, basis, pr, pc)
+            pivot(live, basis, pr, pc, colv)
             count += 1
             if count > max_pivots:
                 return "limit", count
@@ -408,25 +465,24 @@ def _simplex_batch(
     def objective(live: np.ndarray, phase: int) -> np.ndarray:
         """Each member's objective: its pricing row (r1 in phase 1, its cost
         row in phase 2) at its rhs column, where one of the two is shared."""
-        return live[-1 if phase == 1 else m, ncols:] if own_rhs else live[m:, ncols]
+        return live[-1 if phase == 1 else m, n:] if own_rhs else live[m:, n]
 
-    def settle(how: str, live: np.ndarray, basis: np.ndarray, count: int, sign: np.ndarray,
-               ks: np.ndarray, idx: Optional[list] = None) -> None:
+    def settle(how: str, live: np.ndarray, basis: np.ndarray, count: int, ks: np.ndarray,
+               idx: Optional[list] = None) -> None:
         """Record outcome ``how`` of the members ``ks[i]``, i in ``idx`` (all by default)."""
         for i in range(len(ks)) if idx is None else idx:
             k = int(ks[i])
-            c, j = (m, ncols + i) if own_rhs else (m + i, ncols)
+            c, j = (m, n + i) if own_rhs else (m + i, n)
             rhs, obj = live[:m, j], float(-live[c, j])
             if how == "optimal":
-                out[k] = _KernelResult(
-                    SolveStatus.OPTIMAL, _vertex(basis, rhs, n)[:n], obj,
-                    -live[c, n:ncols] * sign, basis.copy(), count, trails[k])
+                out[k] = _KernelResult(SolveStatus.OPTIMAL, _vertex(basis, rhs, n)[:n], obj,
+                                       basis.copy(), count, trails[k])
             elif how == "limit":
                 out[k] = _pivot_limit(max_pivots, basis, rhs, n, obj)
             elif how == "phase-1 unbounded":
                 out[k] = LpError("phase-1 subproblem unbounded: numerical failure")
             else:  # "unbounded" or "infeasible"
-                out[k] = _KernelResult(SolveStatus(how), None, math.nan, None, None, count)
+                out[k] = _KernelResult(SolveStatus(how), None, math.nan, None, count)
 
     def narrow(live: np.ndarray, sel: np.ndarray, in_place: bool) -> np.ndarray:
         """``live`` with the rhs columns (or, in phase 2, the cost rows) of members ``sel`` only.
@@ -436,68 +492,67 @@ def _simplex_batch(
         only.
         """
         if own_rhs:
-            cols = ncols + sel
+            cols = n + sel
             if not in_place:
-                return np.concatenate((live[:, :ncols], live[:, cols]), axis=1)
-            live[:, ncols : ncols + len(cols)] = live[:, cols]
-            return live[:, : ncols + len(cols)]
+                return np.concatenate((live[:, :n], live[:, cols]), axis=1)
+            live[:, n : n + len(cols)] = live[:, cols]
+            return live[:, : n + len(cols)]
         rows = m + sel
         if not in_place:
             return np.concatenate((live[:m], live[rows]))
         live[m : m + len(rows)] = live[rows]
         return live[: m + len(rows)]
 
-    def go_on(live: np.ndarray, basis: np.ndarray, count: int, phase: int, sign: np.ndarray,
-              ks: np.ndarray, bland: Optional[np.ndarray] = None,
-              streak: Optional[np.ndarray] = None) -> None:
+    def go_on(live: np.ndarray, basis: np.ndarray, count: int, phase: int, ks: np.ndarray,
+              bland: Optional[np.ndarray] = None, streak: Optional[np.ndarray] = None) -> None:
         """Go on with a group (with fresh pricing rules if no ``bland`` is given).
 
         A group whose members share one pricing row and one rhs column (one
         member in phase 2) runs the scalar loop at once; any other waits in
         ``groups``.
         """
-        if live.shape[1] > ncols + 1 or (phase == 2 and len(live) > m + 1):
+        if live.shape[1] > n + 1 or (phase == 2 and len(live) > m + 1):
             if bland is None:
                 bland, streak = np.zeros(len(ks), dtype=bool), np.zeros(len(ks), dtype=np.int64)
-            groups.append((live, basis, count, phase, sign, ks, bland, streak))
+            groups.append((live, basis, count, phase, ks, bland, streak))
             return
         trail = trails[ks[0]] if phase == 2 and trail_len is not None else None
         fresh = bland is None
-        how, count = run_phase(live[-1] if phase == 1 else live[m], live, basis, count, trail,
-                               False if fresh else bool(bland[0]), 0 if fresh else int(streak[0]))
+        how, count = run_phase(live[-1] if phase == 1 else live[m], live, basis, count, phase,
+                               trail, False if fresh else bool(bland[0]),
+                               0 if fresh else int(streak[0]))
         if phase == 1 and how == "optimal":
-            to_phase2(live, basis, count, sign, ks)
+            to_phase2(live, basis, count, ks)
         else:
             settle("phase-1 unbounded" if phase == 1 and how == "unbounded" else how,
-                   live, basis, count, sign, ks)
+                   live, basis, count, ks)
 
     def go_on_step(live: np.ndarray, basis: np.ndarray, count: int, phase: int,
-                   sign: np.ndarray, ks: np.ndarray, bland: np.ndarray, streak: np.ndarray,
-                   pr: int, pc: int) -> None:
+                   ks: np.ndarray, bland: np.ndarray, streak: np.ndarray,
+                   pr: int, pc: int, colv: Optional[np.ndarray] = None) -> None:
         """Pivot a group on (pr, pc), update its members' streaks and go on."""
         prev = objective(live, phase).copy()
-        pivot(live, basis, pr, pc)
+        pivot(live, basis, pr, pc, colv)
         if count + 1 > max_pivots:
-            settle("limit", live, basis, count + 1, sign, ks)
+            settle("limit", live, basis, count + 1, ks)
             return
         obj = objective(live, phase)
         s = np.where(np.abs(obj - prev) <= 1e-13 * (1.0 + np.abs(prev)), streak + 1, 0)
-        go_on(live, basis, count + 1, phase, sign, ks, bland | (s > bland_after), s)
+        go_on(live, basis, count + 1, phase, ks, bland | (s > bland_after), s)
 
-    def to_phase2(live: np.ndarray, basis: np.ndarray, count: int, sign: np.ndarray,
-                  ks: np.ndarray) -> None:
+    def to_phase2(live: np.ndarray, basis: np.ndarray, count: int, ks: np.ndarray) -> None:
         """Finish the infeasible members of a group at the end of phase 1; go on in phase 2.
 
         A member is infeasible when phase 1 ended with its artificials above
         zero, read off the phase-1 row at its rhs column.
         """
-        r1, rhs = live[-1, ncols:], live[:m, ncols:]
+        r1, rhs = live[-1, n:], live[:m, n:]
         bad = np.array([-r1[j] > FEAS_TOL * (1.0 + np.abs(rhs[:, j]).sum())
                         for j in range(len(r1))], dtype=bool)
         if bad.any():
             if not own_rhs:  # one rhs column for every member
                 bad = bad.repeat(len(ks))
-            settle("infeasible", live, basis, count, sign, ks, bad.nonzero()[0].tolist())
+            settle("infeasible", live, basis, count, ks, bad.nonzero()[0].tolist())
             if bad.all():
                 return
             live = narrow(live, (~bad).nonzero()[0], True)
@@ -511,7 +566,7 @@ def _simplex_batch(
                 if cand.size:
                     pivot(live, basis, pr, int(cand[0]))
                     count += 1
-        go_on(live, basis, count, 2, sign, ks)
+        go_on(live, basis, count, 2, ks)
 
     # One tableau per rhs sign pattern, whose LPs all get the same crash
     # start, since the crash depends on the signed A only.
@@ -520,15 +575,13 @@ def _simplex_batch(
         classes.setdefault(signs[k].tobytes(), []).append(k)
     for members in classes.values():
         ks = np.array(members) if own_rhs else np.arange(K)
-        tab = np.zeros((m + len(C) + 1, ncols + len(members)))
+        tab = np.zeros((m + len(C) + 1, n + len(members)))
         body, costs, r1 = tab[:m], tab[m:-1], tab[-1]
         sign = signs[members[0]]
         body[:, :n] = A * sign[:, None]
-        body[:, n:ncols] = np.eye(m)
-        for j, k in enumerate(members, start=ncols):
-            body[:, j] = B[k] * sign
+        body[:, n:] = B[members].T * sign[:, None]
         costs[:, :n] = C
-        basis = np.arange(n, ncols)
+        basis = np.arange(n, n + m)
         # Crash basis: a row whose structural part holds a unit column (one
         # nonzero entry, and that positive) starts with the lowest-indexed
         # such column basic instead of its artificial.
@@ -559,18 +612,21 @@ def _simplex_batch(
         # the phase-1 row sums the rows that keep their artificial
         keep = basis >= n
         r1[:n] = -structural[keep].sum(axis=0)
-        for j in range(ncols, tab.shape[1]):
+        for j in range(n, tab.shape[1]):
             r1[j] = -body[:, j][keep].sum()
-        go_on(tab, basis, 0, 1, sign, ks)
+        go_on(tab, basis, 0, 1, ks)
 
     while groups:
-        live, basis, count, phase, sign, ks, bland, streak = groups.pop()
+        live, basis, count, phase, ks, bland, streak = groups.pop()
+        if phase == 1 and phase1_over(basis):
+            to_phase2(live, basis, count, ks)
+            continue
         g = len(ks)
-        body, rhs = live[:m], live[:m, ncols:]
+        body, rhs = live[:m], live[:m, n:]
         price = live[-1:, :n] if phase == 1 else live[m:, :n]  # r1, or one cost row per member
         if phase == 2 and trail_len is not None:
             if own_rhs:
-                z = np.zeros((g, ncols))
+                z = np.zeros((g, n + m))
                 z[:, basis] = rhs.T
                 points = list(z[:, :trail_len].copy())
             else:
@@ -583,13 +639,14 @@ def _simplex_batch(
             pc = int(pcs[0])
             moving = price[:, pc] < -FEAS_TOL  # per pricing row
             if phase == 1 and not moving[0]:  # r1 prices alike for every member
-                to_phase2(live, basis, count, sign, ks)
+                to_phase2(live, basis, count, ks)
                 continue
-            prs = (_leaving_rows(body[:, pc], rhs, basis, False).tolist() if rhs.shape[1] > 1
-                   else [_leaving_row(body[:, pc], rhs[:, 0], basis, False, ratios)])
+            colv = live[:, pc].copy()
+            prs = (_leaving_rows(colv[:m], rhs, basis, False).tolist() if rhs.shape[1] > 1
+                   else [_leaving_row(colv[:m], rhs[:, 0], basis, False, ratios)])
             pr = prs[0]
             if pr >= 0 and moving.all() and prs.count(pr) == len(prs):
-                go_on_step(live, basis, count, phase, sign, ks, bland, streak, pr, pc)
+                go_on_step(live, basis, count, phase, ks, bland, streak, pr, pc, colv)
                 continue
             moves = np.broadcast_to(moving, g).tolist()
             prs, pcs = np.where(moving, prs, -1).tolist(), [pc] * g
@@ -600,11 +657,11 @@ def _simplex_batch(
                 pcs[i] = (price[i if len(price) > 1 else 0] < -FEAS_TOL).argmax()
             moving = price[np.arange(g) if len(price) > 1 else 0, pcs] < -FEAS_TOL
             if phase == 1 and not moving[0]:
-                to_phase2(live, basis, count, sign, ks)
+                to_phase2(live, basis, count, ks)
                 continue
             pcs, moves, leaving, prs = pcs.tolist(), moving.tolist(), {}, []
             for i, (move, pc, bl) in enumerate(zip(moves, pcs, bland.tolist())):
-                test = pc, bl, ncols + (i if own_rhs else 0)
+                test = pc, bl, n + (i if own_rhs else 0)
                 if move and test not in leaving:
                     leaving[test] = _leaving_row(body[:, pc], live[:m, test[2]], basis, bl,
                                                  ratios)
@@ -618,19 +675,19 @@ def _simplex_batch(
             else:
                 done.append(i)
         if phase == 1:
-            settle("phase-1 unbounded", live, basis, count, sign, ks, done)
+            settle("phase-1 unbounded", live, basis, count, ks, done)
         else:
-            settle("optimal", live, basis, count, sign, ks, [i for i in done if not moves[i]])
-            settle("unbounded", live, basis, count, sign, ks, [i for i in done if moves[i]])
+            settle("optimal", live, basis, count, ks, [i for i in done if not moves[i]])
+            settle("unbounded", live, basis, count, ks, [i for i in done if moves[i]])
         # every part but the last pivots a copy; the last goes on in place
         for j, ((pr, pc), sel) in enumerate(by_step.items()):
             last = j == len(by_step) - 1
             if len(sel) == g:
-                go_on_step(live, basis, count, phase, sign, ks, bland, streak, pr, pc)
+                go_on_step(live, basis, count, phase, ks, bland, streak, pr, pc)
             else:
                 sel = np.array(sel)
                 go_on_step(narrow(live, sel, last), basis if last else basis.copy(), count,
-                           phase, sign, ks[sel], bland[sel], streak[sel], pr, pc)
+                           phase, ks[sel], bland[sel], streak[sel], pr, pc)
     return out
 
 
@@ -728,19 +785,14 @@ def _lone(outcomes: list):
 def solve_exact(
     lp: LinearProgram, *, max_pivots: Optional[int] = None
 ) -> PrimalDualSolution:
-    """Solve to optimality, returning a vertex solution with exact duals."""
+    """Solve to optimality, returning a vertex solution whose exact
+    multipliers come from its basis when first read."""
     A, b, c = _standard_primal(lp)
     res = _lone(_simplex_batch(A, b, c[None], max_pivots=max_pivots))
     if res.status is not SolveStatus.OPTIMAL:
         return PrimalDualSolution(status=res.status)
-    return PrimalDualSolution(
-        status=SolveStatus.OPTIMAL,
-        x=res.z[: lp.num_vars].copy(),
-        obj=res.obj,
-        lam=res.y[: lp.num_eq].copy(),
-        mu=res.y[lp.num_eq :].copy(),
-        basis=tuple(res.basis.tolist()),
-    )
+    return PrimalDualSolution(SolveStatus.OPTIMAL, res.z[: lp.num_vars].copy(), res.obj,
+                              tuple(res.basis.tolist()), _lp=lp)
 
 
 def solve_with_primal_trail(lp: LinearProgram) -> _KernelResult:
@@ -779,8 +831,9 @@ def keep_bases(bases: list, outcomes: list) -> None:
 
 def _cache_hit(z: np.ndarray, obj: float, basis: np.ndarray, trail_len: int) -> _KernelResult:
     """The outcome of a member that a cached ``basis`` answers at ``z``: an
-    optimum with no ``y`` and no pivots, and ``z`` as its one-entry trail."""
-    return _KernelResult(SolveStatus.OPTIMAL, z, obj, None, basis, 0, [(obj, z[:trail_len])])
+    optimum with no pivots, whose ``basis`` is the cached array itself and
+    whose one-entry trail is ``z``."""
+    return _KernelResult(SolveStatus.OPTIMAL, z, obj, basis, 0, [(obj, z[:trail_len])])
 
 
 def _solve_with_bases(count: int, bases: list, factor, fit, solve) -> list:
@@ -831,7 +884,8 @@ def solve_primal_batch(lp: LinearProgram, eq_rhs: np.ndarray, bases: list) -> li
     basic artificial; a singular basis gets NaN and answers nothing.  A
     member that one of the bases fits, tested in their order, is answered
     without a kernel solve by that basis's point ``z``, with ``obj = c.z``,
-    no ``y``, no pivots and the one-entry trail ``[(obj, x)]``.  The other
+    the cached basis array, no pivots and the one-entry trail
+    ``[(obj, x)]``.  The other
     members are solved as one batch (``_simplex_batch``) from the crash
     start: on shared tableaux, one rhs column each, in groups of members
     that pivot alike.  Each equals its lone solve bit for bit, and their
@@ -874,10 +928,10 @@ def solve_dual_batch(lp: LinearProgram, eq_rhs: np.ndarray, bases: list) -> list
     test, read off the basis's tableau rows, which are computed when the
     basis is first tested.  Such a member, tested against the bases in
     their order, is answered without a kernel solve by that vertex's bits,
-    as a one-entry trail: its certificate is exact.  A hit carries no ``y``
-    and no pivots.  The other members are solved as one batch
-    (``_simplex_batch``) from the crash start, so each equals its lone
-    solve bit for bit, and their optimal bases join ``bases``.
+    as a one-entry trail: its certificate is exact.  A hit carries the
+    cached basis array and no pivots.  The other members are solved as one
+    batch (``_simplex_batch``) from the crash start, so each equals its
+    lone solve bit for bit, and their optimal bases join ``bases``.
     """
     D, rhs, costs = _explicit_duals(lp, eq_rhs)
     trail_len = 2 * lp.num_eq + lp.num_cuts

@@ -13,8 +13,9 @@ import numpy as np
 from .lp_core import LinearProgram, SolveStatus, solve_exact
 from .models import StochasticModel
 
-# Cap on the kernel's dense tableau, rows x (cols + rows + 1) float64 cells
-# (256 MiB); the tree LP's own matrix is smaller.
+# Cap on the tree LP, counted as rows x (cols + rows + 1) float64 cells
+# (256 MiB): a dense tableau with one artificial column per row, more than
+# the kernel's tableau, which holds none; the tree LP's own matrix is smaller.
 TABLEAU_CELL_GUARD = 2**25
 
 

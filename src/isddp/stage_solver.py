@@ -43,7 +43,6 @@ from .lp_core import (
     LinearProgram,
     LpError,
     SolveStatus,
-    _KernelResult,
     keep_bases,
     solve_dual_batch,
     solve_dual_inexact,
@@ -223,11 +222,11 @@ def sweep_duals(
     their constraints at every trial point.  Each such group is one
     ``solve_dual_batch`` over the (trial point, realization) pairs whose
     kernel result the memo does not hold yet; they differ in
-    ``eq_rhs = b - B x_prev`` only.  Each result goes into the memo, trimmed
-    to what the certificate scan reads, beside its batch's LP: the scan reads
-    only the LP's row counts, which every member shares.  A member whose
-    outcome is an ``LpError`` keeps the error there, and
-    ``solve_backward_stage`` raises it with stage and path.  The group's
+    ``eq_rhs = b - B x_prev`` only.  Each result goes into the memo beside
+    its batch's LP: the certificate scan reads only the LP's row counts,
+    which every member shares.  A member whose outcome is an ``LpError``
+    keeps the error there, and ``solve_backward_stage`` raises it with stage
+    and path.  The group's
     optimal bases are kept in the memo too, under ``("bases", *structure)``,
     for ``solve_dual_batch`` to answer later duals of the group with.
     """
@@ -244,8 +243,6 @@ def sweep_duals(
         lp = stage_lp(group[0], todo[0][2], pool)
         bases = pool.memo.setdefault(("bases", *structure), [])
         for (key, _, _), res in zip(todo, solve_dual_batch(lp, eq_rhs, bases)):
-            if not isinstance(res, LpError):
-                res = _KernelResult(res.status, None, res.obj, None, None, res.pivots, res.trail)
             pool.memo[key] = (lp, res)
 
 

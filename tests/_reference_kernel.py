@@ -6,12 +6,15 @@ and updated the whole tableau with ``np.outer`` at every pivot, with the
 crash start of unit columns written here on its own.  The tests
 check that ``isddp.lp_core._simplex_batch``, given one LP or a batch of
 LPs that share ``(A, b)``, returns the same result for each LP bit for bit
-(up to the sign of an exact zero).
+(up to the sign of an exact zero).  Its tableau keeps the m artificial
+columns, and an optimum carries the row multipliers ``y`` read off them,
+against which the tests check ``solve_exact``'s multipliers.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,6 +29,13 @@ from isddp.lp_core import (
 )
 
 
+@dataclass
+class ReferenceResult(_KernelResult):
+    """A kernel result with the row multipliers of the tableau's cost row."""
+
+    y: Optional[np.ndarray] = None
+
+
 def _simplex_standard_form(
     A: np.ndarray,
     b: np.ndarray,
@@ -33,12 +43,14 @@ def _simplex_standard_form(
     *,
     max_pivots: Optional[int] = None,
     trail_len: Optional[int] = None,
-) -> _KernelResult:
+) -> ReferenceResult:
     """Two-phase tableau simplex for  min c.z  s.t. A z = b, z >= 0.
 
     Dantzig pricing with an automatic switch to Bland's rule after a long
     degenerate streak.  With a ``trail_len``, phase-2 iterates are appended
     to the trail as ``(obj, z[:trail_len])`` snapshots, the optimum included.
+    Phase 1 ends once no artificial is basic, whatever its row's rounding
+    residue prices.
     """
     m, n = A.shape
     if max_pivots is None:
@@ -127,6 +139,8 @@ def _simplex_standard_form(
             if phase == 2:
                 if trail_len is not None:
                     trail.append((obj, snapshot()))
+            if phase == 1 and (basis < n).all():
+                return "optimal"
             pc = entering(r, bland)
             if pc < 0:
                 return "optimal"
@@ -169,7 +183,7 @@ def _simplex_standard_form(
 
     run_phase(1)
     if -r1[-1] > FEAS_TOL * (1.0 + np.abs(body[:, -1]).sum()):
-        return _KernelResult(SolveStatus.INFEASIBLE, None, math.nan, None, None, pivots)
+        return ReferenceResult(SolveStatus.INFEASIBLE, None, math.nan, None, pivots)
 
     # Drive leftover artificials out of the basis where a structural pivot
     # exists; rows without one are redundant and keep a zero-level artificial.
@@ -183,17 +197,10 @@ def _simplex_standard_form(
 
     outcome = run_phase(2)
     if outcome == "unbounded":
-        return _KernelResult(SolveStatus.UNBOUNDED, None, math.nan, None, None, pivots)
+        return ReferenceResult(SolveStatus.UNBOUNDED, None, math.nan, None, pivots)
 
     z = np.zeros(ncols)
     z[basis] = body[:, -1]
     y = -r2[n:ncols] * sign
-    return _KernelResult(
-        SolveStatus.OPTIMAL,
-        z[:n],
-        -r2[-1],
-        y,
-        basis.copy(),
-        pivots,
-        trail=trail,
-    )
+    return ReferenceResult(
+        SolveStatus.OPTIMAL, z[:n], -r2[-1], basis.copy(), pivots, trail=trail, y=y)

@@ -25,11 +25,14 @@ def random_feasible_bounded_lp(rng: np.random.Generator) -> LinearProgram:
     return LinearProgram(cost=c, eq_matrix=A, eq_rhs=b)
 
 
-def cache_hit(out) -> bool:
+def cache_hit(out, cached: list) -> bool:
     """Whether a ``solve_primal_batch`` or ``solve_dual_batch`` outcome was
-    answered from a cached basis: an optimum that carries no kernel duals
-    ``y``, which every optimum the kernel solves carries."""
-    return isinstance(out, _KernelResult) and out.status is SolveStatus.OPTIMAL and out.y is None
+    answered from a cached basis.  ``cached`` holds the entries of the
+    call's basis list as they were before the call: a hit's basis is one
+    of their arrays itself, where a kernel solve returns an array of its own
+    (which the call may then add to the list)."""
+    return (isinstance(out, _KernelResult) and out.status is SolveStatus.OPTIMAL
+            and any(out.basis is entry[1] for entry in cached))
 
 
 def chain_model(T: int, n: int, seed: int) -> StochasticModel:

@@ -82,9 +82,10 @@ def test_portfolio_runs_answer_duals_from_cached_bases(name, tmp_path, capsys, m
     dual = stage_solver.solve_dual_batch
 
     def counting_dual(lp, eq_rhs, bases):
+        cached = list(bases)
         outcomes = dual(lp, eq_rhs, bases)
         for out in outcomes:
-            answered["cache" if cache_hit(out) else "kernel"] += 1
+            answered["cache" if cache_hit(out, cached) else "kernel"] += 1
         return outcomes
 
     monkeypatch.setattr(stage_solver, "solve_dual_batch", counting_dual)
@@ -105,9 +106,10 @@ def test_portfolio_runs_answer_forward_lps_from_cached_bases(name, tmp_path, cap
     primal, lone = stage_solver.solve_primal_batch, stage_solver.solve_with_primal_trail
 
     def counting_primal(lp, eq_rhs, bases):
+        cached = list(bases)
         outcomes = primal(lp, eq_rhs, bases)
         for out in outcomes:
-            answered["cache" if cache_hit(out) else "kernel"] += 1
+            answered["cache" if cache_hit(out, cached) else "kernel"] += 1
         return outcomes
 
     def counting_lone(lp):

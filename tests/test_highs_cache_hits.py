@@ -55,16 +55,18 @@ def test_every_cache_hit_is_exact_and_every_cut_below_the_stage_value(reference,
     primal = stage_solver.solve_primal_batch
 
     def recording_batch(lp, eq_rhs, bases):
+        cached = list(bases)
         outcomes = batch(lp, eq_rhs, bases)
         for row, out in zip(eq_rhs, outcomes):
-            if cache_hit(out):
+            if cache_hit(out, cached):
                 hits.append((dataclasses.replace(lp, eq_rhs=row), out))
         return outcomes
 
     def recording_primal(lp, eq_rhs, bases):
+        cached = list(bases)
         outcomes = primal(lp, eq_rhs, bases)
         for row, out in zip(eq_rhs, outcomes):
-            if cache_hit(out):
+            if cache_hit(out, cached):
                 forward_hits.append((dataclasses.replace(lp, eq_rhs=row), out))
         return outcomes
 

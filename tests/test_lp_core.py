@@ -389,8 +389,7 @@ def _result_bits(res):
         return None if a is None else (np.asarray(a, dtype=float) + 0.0).tobytes()
 
     basis = None if res.basis is None else res.basis.tobytes()
-    return (res.status, bits(res.z), bits(res.obj), bits(res.y), basis,
-            res.pivots,
+    return (res.status, bits(res.z), bits(res.obj), basis, res.pivots,
             [(bits(obj), bits(point)) for obj, point in res.trail])
 
 
@@ -421,9 +420,9 @@ def _assert_batch_matches_reference(A, b, C):
             assert _result_bits(res) == _result_bits(ref)
 
 
-def _chain_tree_lp():
-    """Tree LP of a T=14, n=3 chain: a tableau above the restricted-update size."""
-    model = generate_instance(PortfolioSpec(T=14, n=3, M=1, seed=0))
+def _chain_tree_lp(T=14):
+    """Tree LP of a T-stage, n=3 chain: a tableau above the restricted-update size."""
+    model = generate_instance(PortfolioSpec(T=T, n=3, M=1, seed=0))
     return _assemble_tree_lp(model, 1, model.x0)
 
 
@@ -467,6 +466,7 @@ EDGE_LPS = {
         eq_matrix=[[1.0, 1.0], [1.0, 1.0]], eq_rhs=[1.0, 1.0],
     ),
     "chain_tree": _chain_tree_lp,
+    "chain_tree_t20": lambda: _chain_tree_lp(20),
 }
 
 
@@ -480,9 +480,53 @@ def test_kernel_matches_reference_on_edge_lps(name, threshold):
 
 
 def test_chain_tree_lp_takes_the_restricted_update():
-    A, _, _ = _standard_primal(_chain_tree_lp())
-    m, n = A.shape
-    assert (m + 2) * (n + m + 1) >= lp_core.RESTRICTED_UPDATE_CELLS
+    for T in (14, 20):
+        A, _, _ = _standard_primal(_chain_tree_lp(T))
+        m, n = A.shape
+        assert (m + 2) * (n + m + 1) >= lp_core.RESTRICTED_UPDATE_CELLS
+
+
+# solve_exact's multipliers come from its optimal basis; the reference
+# kernel reads them off its tableau's artificial columns.
+
+
+def _assert_multipliers_match_reference(lp):
+    sol = solve_exact(lp)
+    ref = _reference_kernel._simplex_standard_form(*_standard_primal(lp))
+    assert sol.status is ref.status
+    if sol.status is not SolveStatus.OPTIMAL:
+        assert sol.lam is None and sol.mu is None
+        return
+    y = np.concatenate((sol.lam, sol.mu))
+    assert y.shape == ref.y.shape
+    assert np.abs(y - ref.y).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(ref.y).max(initial=0.0))
+    assert max(solution_residuals(lp, sol)) <= 1e-9
+
+
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=20, deadline=None)
+def test_multipliers_match_the_reference_tableau_on_random_lps(seed):
+    rng = np.random.default_rng(seed)
+    base = random_feasible_bounded_lp(rng)
+    n = base.num_vars
+    betas = rng.normal(size=(3, n)).round(2)
+    _assert_multipliers_match_reference(base)
+    for _ in range(3):
+        xhat = rng.uniform(0.0, 2.0, size=n).round(3)
+        _assert_multipliers_match_reference(_floor_and_cuts_lp(base, base.cost, xhat, betas, rng))
+
+
+@pytest.mark.parametrize("name", list(EDGE_LPS))
+def test_multipliers_match_the_reference_tableau_on_edge_lps(name):
+    _assert_multipliers_match_reference(EDGE_LPS[name]())
+
+
+def test_multipliers_are_read_only():
+    sol = solve_exact(single_var_lp())
+    with pytest.raises(ValueError):
+        sol.lam[0] = 0.0
+    with pytest.raises(AttributeError):
+        sol.lam = np.zeros(1)
 
 
 # ---------------------------------------------------------------------------
@@ -889,16 +933,16 @@ def _assert_hits_exact_and_misses_lone(lp, eq_rhs, bases):
     lone kernel solve within 1e-9 relative.  Every other member is its lone
     kernel solve, bit for bit.  Returns the counts of hits and misses.
     """
-    vertices = [entry[2] for entry in bases]
+    cached = list(bases)
     got = solve_dual_batch(lp, eq_rhs, bases)
     D, rhs, costs = _explicit_duals(lp, eq_rhs)
     trail_len = 2 * lp.num_eq + lp.num_cuts
     hits = 0
     for k, (row, c, out) in enumerate(zip(eq_rhs, costs, got)):
         want = _lone(D, rhs, c, trail_len=trail_len)
-        if cache_hit(out):
+        if cache_hit(out, cached):
             hits += 1
-            assert any(out.z is z for z in vertices), f"member {k}"
+            assert any(out.z is entry[2] for entry in cached), f"member {k}"
             member = dataclasses.replace(lp, eq_rhs=row)
             cert = solve_dual_inexact(member, ErrorBudget(), result=out)
             assert cert.eps_certified == 0.0 and cert.dual_obj == -out.obj
@@ -979,16 +1023,15 @@ def _assert_primal_hits_exact_and_misses_lone(lp, eq_rhs, bases):
     1e-9 relative, as its whole trail.  Every other member is its lone
     kernel solve, bit for bit.  Returns the counts of hits and misses.
     """
-    keys = {entry[0] for entry in bases}
+    cached = list(bases)
     got = solve_primal_batch(lp, eq_rhs, bases)
     hits = 0
     for k, (row, out) in enumerate(zip(eq_rhs, got)):
         want = _lone_primal(lp, row)
-        if not cache_hit(out):
+        if not cache_hit(out, cached):
             assert _outcome_bits(out) == _outcome_bits(want), f"member {k}"
             continue
         hits += 1
-        assert np.sort(out.basis).tobytes() in keys, f"member {k}"
         x, tol = out.z[: lp.num_vars], 1e-9 * (1.0 + np.abs(row).max(initial=0.0))
         trail = out.trail
         assert len(trail) == 1 and trail[0][0] == out.obj and trail[0][1].tobytes() == x.tobytes()
@@ -1033,8 +1076,9 @@ def test_primal_batch_answered_by_hits_makes_no_kernel_call(monkeypatch):
     batch = lp_core._simplex_batch
     monkeypatch.setattr(lp_core, "_simplex_batch", lambda *args, **kwargs: (
         calls.append(args) or batch(*args, **kwargs)))
+    cached = list(bases)
     got = solve_primal_batch(lp, eq_rhs, bases)
-    assert calls == [] and all(cache_hit(out) for out in got)
+    assert calls == [] and all(cache_hit(out, cached) for out in got)
     monkeypatch.undo()
     assert _assert_primal_hits_exact_and_misses_lone(lp, eq_rhs, bases) == (20, 0)
 
@@ -1104,8 +1148,9 @@ def test_member_infeasible_at_every_cached_basis_goes_to_the_kernel(monkeypatch)
     monkeypatch.setattr(lp_core, "_simplex_batch", lambda A, b, C, **kwargs: (
         handed.append(b.copy()) or batch(A, b, C, **kwargs)))
     eq_rhs = np.array([[1.0, 3.0], [-1.0, 3.0], [0.5, 2.0]])
+    cached = list(bases)
     got = solve_primal_batch(lp, eq_rhs, bases)
-    assert [cache_hit(out) for out in got] == [True, False, True]
+    assert [cache_hit(out, cached) for out in got] == [True, False, True]
     A, b, _ = _standard_primal(lp, eq_rhs[1:2])
     assert len(handed) == 1 and handed[0].tobytes() == b.tobytes()
     for entry in bases[:1]:

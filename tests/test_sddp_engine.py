@@ -817,7 +817,7 @@ class TestForwardBatchFaults:
                 outcomes[-1] = lp_core.LpError("injected")
             elif kind == "status":
                 outcomes[-1] = lp_core._KernelResult(lp_core.SolveStatus.INFEASIBLE, None,
-                                                     math.nan, None, None, 0)
+                                                     math.nan, None, 0)
             else:
                 outcomes[-1].obj -= 1.0
             return outcomes
