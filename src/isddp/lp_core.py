@@ -618,9 +618,6 @@ def _simplex_batch(
 
     while groups:
         live, basis, count, phase, ks, bland, streak = groups.pop()
-        if phase == 1 and phase1_over(basis):
-            to_phase2(live, basis, count, ks)
-            continue
         g = len(ks)
         body, rhs = live[:m], live[:m, n:]
         price = live[-1:, :n] if phase == 1 else live[m:, :n]  # r1, or one cost row per member
@@ -634,13 +631,15 @@ def _simplex_batch(
             for k, obj, point in zip(ks.tolist(), -objective(live, 2), points):
                 trails[k].append((obj, point))
         pcs = price.argmin(axis=1)  # Dantzig, per pricing row
+        # r1 is one row that every member prices: under either rule a column
+        # enters if and only if its least price is below -FEAS_TOL
+        if phase == 1 and (phase1_over(basis) or price[0, pcs[0]] >= -FEAS_TOL):
+            to_phase2(live, basis, count, ks)
+            continue
         if not np.count_nonzero(bland) and (len(pcs) == 1 or (pcs == pcs[0]).all()):
             # the common step: one entering column
             pc = int(pcs[0])
             moving = price[:, pc] < -FEAS_TOL  # per pricing row
-            if phase == 1 and not moving[0]:  # r1 prices alike for every member
-                to_phase2(live, basis, count, ks)
-                continue
             colv = live[:, pc].copy()
             prs = (_leaving_rows(colv[:m], rhs, basis, False).tolist() if rhs.shape[1] > 1
                    else [_leaving_row(colv[:m], rhs[:, 0], basis, False, ratios)])
@@ -656,9 +655,6 @@ def _simplex_batch(
             for i in bland.nonzero()[0]:
                 pcs[i] = (price[i if len(price) > 1 else 0] < -FEAS_TOL).argmax()
             moving = price[np.arange(g) if len(price) > 1 else 0, pcs] < -FEAS_TOL
-            if phase == 1 and not moving[0]:
-                to_phase2(live, basis, count, ks)
-                continue
             pcs, moves, leaving, prs = pcs.tolist(), moving.tolist(), {}, []
             for i, (move, pc, bl) in enumerate(zip(moves, pcs, bland.tolist())):
                 test = pc, bl, n + (i if own_rhs else 0)

@@ -63,6 +63,12 @@ class StageModel:
     def state_dim(self) -> int:
         return self.B.shape[1]
 
+    @cached_property
+    def structure(self) -> tuple:
+        """What the stage LPs of a kernel batch share: ``(A.shape,
+        A.tobytes(), c.tobytes())``, serialized on first use."""
+        return self.A.shape, self.A.tobytes(), self.c.tobytes()
+
     def to_dict(self) -> dict:
         return {
             "A": self.A.tolist(),

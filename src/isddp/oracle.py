@@ -3,7 +3,7 @@
 Assembles the full scenario-tree LP (deterministic equivalent) and solves it
 exactly; also evaluates exact expected cost-to-go at an arbitrary state via
 the same construction restricted to a subtree.  Oracles never approximate:
-trees whose dense tableau exceeds the size guard are a hard fault.
+trees whose dense arrays exceed the size guard are a hard fault.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ import numpy as np
 from .lp_core import LinearProgram, SolveStatus, solve_exact
 from .models import StochasticModel
 
-# Cap on the tree LP, counted as rows x (cols + rows + 1) float64 cells
-# (256 MiB): a dense tableau with one artificial column per row, more than
-# the kernel's tableau, which holds none; the tree LP's own matrix is smaller.
+# Cap on the float64 cells (256 MiB) that a tree solve holds at once: the
+# tree matrix (rows x cols), the crash's signed copy of it (rows x cols) and
+# the kernel's tableau ((rows + 2) x (cols + 1)).
 TABLEAU_CELL_GUARD = 2**25
 
 
@@ -34,7 +34,7 @@ def _assemble_tree_lp(
 
     ``state`` is the decision vector entering ``from_stage``.  Node costs are
     weighted by path probabilities so the optimal value is the exact expected
-    cost-to-go.  A subtree whose dense tableau would exceed the guard is
+    cost-to-go.  A subtree whose dense arrays would exceed the guard is
     rejected from its level sizes (every realization of a stage shares its
     dimensions), before anything is allocated.
     """
@@ -47,11 +47,11 @@ def _assemble_tree_lp(
         nodes *= len(reals)
         rows += nodes * reals[0].num_eq
         cols += nodes * reals[0].var_dim
-    cells = rows * (cols + rows + 1)
+    cells = 2 * rows * cols + (rows + 2) * (cols + 1)
     if cells > TABLEAU_CELL_GUARD:
         raise OracleGuardError(
-            f"scenario-tree LP is {rows} x {cols}: its tableau needs {cells} "
-            f"dense cells, oracle guard is {TABLEAU_CELL_GUARD}"
+            f"scenario-tree LP is {rows} x {cols}: its matrix, the crash's signed copy and "
+            f"the tableau need {cells} dense cells, oracle guard is {TABLEAU_CELL_GUARD}"
         )
 
     A = np.zeros((rows, cols))

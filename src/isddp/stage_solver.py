@@ -3,37 +3,36 @@
 Forward (primal) solves solve the stage LP against the full pool, the LP
 the backward pass also builds.  The trail of that solve yields certified
 delta-suboptimal vertices.  The exact stage value of the lower bound is the
-zero-budget case.  ``sweep_forward`` solves the forward LPs of one stage in
-kernel batches: stages that share ``A`` and ``c`` give LPs that differ only
-in their right-hand side, at every trial point.
-
-Backward (dual) solves hand the full pool to the kernel's explicit-dual
-path, which scales with the number of cuts only through matrix columns.
-``sweep_duals`` solves the backward duals of one stage against its frozen
-pool in kernel batches: realizations that share ``A`` and ``c`` give duals
-that share their constraints, at every trial point.
+zero-budget case.  Backward (dual) solves hand the full pool to the
+kernel's explicit-dual path, which scales with the number of cuts only
+through matrix columns.
 
 A stage solve depends only on the stage, the trial point and the pool's
 contents, and the kernel is deterministic, so both kinds of solve are kept
-in ``pool.memo`` (keyed on the stage object, which hashes by identity, and
-the trial point's bytes) and read from there, bit-identical, until the pool
-gets a cut.  A stage LP is built only where a kernel runs: once per forward
-batch and once per dual batch, whose LP the memo keeps for the certificates
-to read.
+in ``pool.memo`` under ``(kind, stage, x.tobytes())`` (the stage object
+hashes by identity) and read from there, bit-identical, until the pool gets
+a cut.  ``sweep_forward`` and ``sweep_duals`` solve the forward LPs and the
+backward duals of one stage into the memo.  Both take their work from one
+generator, ``_misses``: the pairs the memo lacks, each once, in kernel
+batches of stages that share ``StageModel.structure`` (``A`` and ``c``),
+whose LPs differ in their right-hand side only.  A stage LP is built only
+where a kernel runs, once per batch; the memo keeps a dual batch's LP for
+the certificates to read.
 
-The memo also keeps optimal bases, one list per stage structure (``A``
-and ``c``) and kind of solve, since the pool fixes the rest of the stage
-LP and of its explicit dual.  ``solve_primal_batch`` answers a forward LP
-from them when one is primal feasible there, and ``solve_dual_batch`` a
-dual when its cost prices out at one; each adds the bases of the members
-it solves, until ``CutPool.add`` drops the memo with the bases in it.  The
-memo is the only place a solve or a basis is kept between calls.
+The memo also keeps optimal bases, one list per kind of solve and stage
+structure, under ``("forward bases", *structure)`` and ``("dual bases",
+*structure)``, since the pool fixes the rest of the stage LP and of its
+explicit dual.  ``solve_primal_batch`` answers a forward LP from them when
+one is primal feasible there, and ``solve_dual_batch`` a dual when its cost
+prices out at one; each adds the bases of the members it solves, until
+``CutPool.add`` drops the memo with the bases in it.  The memo is the only
+place a solve or a basis is kept between calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -106,16 +105,17 @@ def solve_forward_stage(
     The stage LP's optimum and its trail of vertices, each evaluated against
     the pool, come from ``pool.memo``; on a miss, ``sweep_forward`` puts
     them there first, as a batch of one.  The earliest trail vertex within
-    budget of the optimum is returned.  A fault kept in the memo is raised
-    with stage and path.
+    budget of the optimum is returned, or else the last one, the optimal
+    vertex, at the optimum.  A fault kept in the memo is raised with stage
+    and path.
     """
-    key = _forward_key(stage, x_prev.tobytes())
+    key = "forward", stage, x_prev.tobytes()
     if key not in pool.memo:
         sweep_forward([stage], [x_prev], pool)
     hit = pool.memo[key]
     if isinstance(hit, StageSolveError):
         raise StageSolveError(f"{_where(t, path)}{hit}", stage=t, path=path) from hit.__cause__
-    x_star, optimum, xs, full_vals = hit
+    optimum, xs, full_vals = hit
     resolved = budget.resolve(optimum)
     slack = 1e-12 * (1.0 + abs(optimum))
     for i in range(len(xs)):
@@ -127,8 +127,32 @@ def solve_forward_stage(
                 budget_resolved=resolved,
             )
     return ForwardStageResult(
-        x=x_star.copy(), value=optimum, optimum=optimum, budget_resolved=resolved
+        x=xs[-1].copy(), value=optimum, optimum=optimum, budget_resolved=resolved
     )
+
+
+def _misses(kind: str, pairs: Iterable[tuple], pool: CutPool) -> Iterator[tuple]:
+    """The ``kind`` solves of ``(stage, trial point)`` pairs that ``pool.memo`` lacks, in batches.
+
+    Each missing pair is taken once, in first-seen order, under the memo key
+    ``(kind, stage, x.tobytes())``.  The pairs are grouped by
+    ``stage.structure``: their stage LPs differ in ``eq_rhs = b - B x``
+    only.  Yields per group the stage LP at its first pair, the members as
+    ``(memo key, stage)``, their ``eq_rhs`` rows, and the list of optimal
+    bases that the memo keeps for the group under
+    ``(f"{kind} bases", *structure)``.
+    """
+    groups: dict = {}
+    for stage, x in pairs:
+        key = kind, stage, x.tobytes()
+        if key not in pool.memo:
+            groups.setdefault(stage.structure, {}).setdefault(key, (stage, x))
+    for structure, todo in groups.items():
+        first, x_first = next(iter(todo.values()))
+        yield (stage_lp(first, x_first, pool),
+               [(key, stage) for key, (stage, _) in todo.items()],
+               np.array([stage.b - stage.B @ x for stage, x in todo.values()]),
+               pool.memo.setdefault((f"{kind} bases", *structure), []))
 
 
 def sweep_forward(
@@ -136,34 +160,20 @@ def sweep_forward(
 ) -> None:
     """Solve the forward LPs of one stage into ``pool.memo``: ``stages[i]`` at ``x_prevs[i]``.
 
-    Stages that share ``A`` and ``c`` give LPs that differ in
-    ``eq_rhs = b - B x_prev`` only.  Each such group is one
-    ``solve_primal_batch`` over its (stage, trial point) pairs that the memo
-    does not hold yet, each pair once, against the optimal bases that the
-    memo keeps for the group under ``("primal bases", *structure)``; a
-    group of one with no basis to test is one ``solve_with_primal_trail``,
-    the kernel's batch of one, whose basis joins the list.  Either way a
-    member's outcome is a ``_KernelResult`` or an ``LpError``.  A solve and
-    its trail, evaluated against the pool, do not depend on the budget: the
-    memo keeps the optimal vertex, the optimum, the trail vertices and their
-    values.  A member answered from a cached basis has the optimum as its
-    whole trail.  A member that faults (a kernel fault, a status other than
-    optimal, or an optimum that violates one of its own cut rows) keeps the
-    fault there instead, and ``solve_forward_stage`` raises it with stage
-    and path.
+    Each batch of ``_misses`` is one ``solve_primal_batch`` against the
+    group's cached bases; a batch of one with no basis to test is one
+    ``solve_with_primal_trail``, the kernel's batch of one, whose basis
+    joins the list.  Either way a member's outcome is a ``_KernelResult``
+    or an ``LpError``.  A solve and its trail, evaluated against the pool,
+    do not depend on the budget: the memo keeps the optimum, the trail
+    vertices and their values.  A member answered from a cached basis has
+    the optimum as its whole trail.  A member that faults (a kernel fault,
+    a status other than optimal, or an optimum that violates one of its
+    own cut rows) keeps the fault there instead, and
+    ``solve_forward_stage`` raises it with stage and path.
     """
-    groups: dict = {}
-    for stage, x in zip(stages, x_prevs):
-        key = _forward_key(stage, x.tobytes())
-        if key not in pool.memo:
-            groups.setdefault(_structure(stage), {})[key] = stage, x
-    for structure, todo in groups.items():
-        members = list(todo.items())
-        first, x_first = members[0][1]
-        lp = stage_lp(first, x_first, pool)
-        bases = pool.memo.setdefault(("primal bases", *structure), [])
+    for lp, members, eq_rhs, bases in _misses("forward", zip(stages, x_prevs), pool):
         if len(members) > 1 or bases:
-            eq_rhs = np.array([stage.b - stage.B @ x for _, (stage, x) in members])
             outcomes = solve_primal_batch(lp, eq_rhs, bases)
         else:
             try:
@@ -171,17 +181,8 @@ def sweep_forward(
             except LpError as exc:
                 outcomes = [exc]
             keep_bases(bases, outcomes)
-        for (key, (stage, _)), out in zip(members, outcomes):
+        for (key, stage), out in zip(members, outcomes):
             pool.memo[key] = _forward_entry(stage, pool, out)
-
-
-def _forward_key(stage: StageModel, x_bytes: bytes) -> tuple:
-    return "forward", stage, x_bytes
-
-
-def _structure(stage: StageModel) -> tuple:
-    """What a stage LP's batch shares: ``A`` and ``c``."""
-    return stage.A.shape, stage.A.tobytes(), stage.c.tobytes()
 
 
 def _fault(detail: str, cause: Optional[Exception] = None) -> StageSolveError:
@@ -198,7 +199,7 @@ def _forward_entry(stage: StageModel, pool: CutPool, out) -> tuple | StageSolveE
         return _fault(f" failed in the kernel: {out}", out)
     if out.status is not SolveStatus.OPTIMAL:
         return _fault(f" is {out.status.value}")
-    x = out.z[: len(stage.c)].copy()
+    x = out.z[: len(stage.c)]
     cost = float(stage.c @ x)
     future = pool.evaluate(x)
     epigraph = out.obj - cost
@@ -207,10 +208,10 @@ def _forward_entry(stage: StageModel, pool: CutPool, out) -> tuple | StageSolveE
             f": the kernel's optimum violates one of its own cut rows "
             f"(pool value {future!r} above epigraph value {epigraph!r})"
         )
-    # the trail of an optimal solve ends at the optimum, so it is never empty
+    # the trail of an optimal solve ends at its vertex x, so it is never empty
     xs = np.stack([point for _, point in out.trail])
     full_vals = xs @ stage.c + pool.evaluate_many(xs)
-    return x, cost + future, xs, full_vals
+    return cost + future, xs, full_vals
 
 
 def sweep_duals(
@@ -218,36 +219,20 @@ def sweep_duals(
 ) -> None:
     """Solve the backward duals of one stage at its trial points into ``pool.memo``.
 
-    Realizations that share ``A`` and ``c`` give explicit duals that share
-    their constraints at every trial point.  Each such group is one
-    ``solve_dual_batch`` over the (trial point, realization) pairs whose
-    kernel result the memo does not hold yet; they differ in
-    ``eq_rhs = b - B x_prev`` only.  Each result goes into the memo beside
-    its batch's LP: the certificate scan reads only the LP's row counts,
-    which every member shares.  A member whose outcome is an ``LpError``
-    keeps the error there, and ``solve_backward_stage`` raises it with stage
-    and path.  The group's
-    optimal bases are kept in the memo too, under ``("bases", *structure)``,
-    for ``solve_dual_batch`` to answer later duals of the group with.
+    The trial points are taken once each, then crossed with the
+    realizations.  Each batch of ``_misses`` is one ``solve_dual_batch``
+    against the group's cached bases: LPs that differ in ``eq_rhs`` only
+    have explicit duals that share their constraints.  Each result goes into
+    the memo beside its batch's LP: the certificate scan reads only the
+    LP's row counts, which every member shares.  A member whose outcome is
+    an ``LpError`` keeps the error there, and ``solve_backward_stage``
+    raises it with stage and path.
     """
-    points = {x.tobytes(): x for x in x_prevs}
-    groups: dict = {}
-    for r in realizations:
-        groups.setdefault(_structure(r), []).append(r)
-    for structure, group in groups.items():
-        todo = [(_dual_key(r, xb), r, x) for xb, x in points.items() for r in group]
-        todo = [member for member in todo if member[0] not in pool.memo]
-        if not todo:
-            continue
-        eq_rhs = np.array([r.b - r.B @ x for _, r, x in todo])
-        lp = stage_lp(group[0], todo[0][2], pool)
-        bases = pool.memo.setdefault(("bases", *structure), [])
-        for (key, _, _), res in zip(todo, solve_dual_batch(lp, eq_rhs, bases)):
-            pool.memo[key] = (lp, res)
-
-
-def _dual_key(stage: StageModel, x_bytes: bytes) -> tuple:
-    return "dual", stage, x_bytes
+    points = {x.tobytes(): x for x in x_prevs}.values()
+    pairs = [(r, x) for x in points for r in realizations]
+    for lp, members, eq_rhs, bases in _misses("dual", pairs, pool):
+        for (key, _), res in zip(members, solve_dual_batch(lp, eq_rhs, bases)):
+            pool.memo[key] = lp, res
 
 
 def solve_backward_stage(
@@ -266,7 +251,7 @@ def solve_backward_stage(
     come from ``pool.memo``; on a miss, ``sweep_duals`` puts them there
     first, as a batch of one.
     """
-    key = _dual_key(stage, x_prev.tobytes())
+    key = "dual", stage, x_prev.tobytes()
     entry = pool.memo.get(key)
     if entry is None:
         sweep_duals([stage], [x_prev], pool)

@@ -1156,3 +1156,59 @@ def test_member_infeasible_at_every_cached_basis_goes_to_the_kernel(monkeypatch)
     for entry in bases[:1]:
         assert (np.linalg.inv(lp_core._basis_matrix(A, entry[1])) @ b[0]).min() < -1e-3
     assert _outcome_bits(got[1]) == _outcome_bits(_lone_primal(lp, eq_rhs[1]))
+
+
+# ---------------------------------------------------------------------------
+# The trail of an optimal outcome ends at its vertex, bit for bit: the
+# forward memo keeps the trail and reads the optimal vertex off its end.
+
+
+def _assert_trails_end_at_their_vertex(outs, trail_len):
+    """Every optimal outcome in ``outs`` has ``trail[-1][1] == z[:trail_len]``
+    bit for bit; returns the optimal outcomes."""
+    optimal = [out for out in outs
+               if not isinstance(out, LpError) and out.status is SolveStatus.OPTIMAL]
+    for k, out in enumerate(optimal):
+        assert out.trail[-1][1].tobytes() == out.z[:trail_len].tobytes(), f"member {k}"
+    return optimal
+
+
+def test_optimal_trails_of_captured_forward_batches_end_at_their_vertex(monkeypatch):
+    # the run's own outcomes (kernel solves and cache hits), then each batch
+    # again without bases, where every member is a kernel solve in a group
+    calls = []
+    batch = stage_solver.solve_primal_batch
+
+    def capture(lp, eq_rhs, bases):
+        cached = list(bases)
+        outs = batch(lp, eq_rhs, bases)
+        calls.append((lp, eq_rhs.copy(), outs, cached))
+        return outs
+
+    monkeypatch.setattr(stage_solver, "solve_primal_batch", capture)
+    model = generate_instance(PortfolioSpec(T=6, n=4, M=5, seed=0))
+    schedule = ScheduleSpec(eps_bar=0.1, eps0=1e-12, mode=ScheduleMode.RELATIVE)
+    run_isddp(model, schedule, n_paths=5, gap_tol=1e-9, max_iter=6, seed=9)
+    monkeypatch.undo()
+    hits = grouped = 0
+    for lp, eq_rhs, outs, cached in calls:
+        optimal = _assert_trails_end_at_their_vertex(outs, lp.num_vars)
+        hits += sum(cache_hit(out, cached) for out in optimal)
+        again = _assert_trails_end_at_their_vertex(solve_primal_batch(lp, eq_rhs, []),
+                                                   lp.num_vars)
+        grouped += len(again) if len(eq_rhs) > 1 else 0
+    assert hits and grouped
+
+
+@pytest.mark.parametrize("K", [1, 5, 25])
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=4, deadline=None)
+def test_optimal_trails_of_random_groups_end_at_their_vertex(K, seed):
+    # a first batch of kernel solves, then a second one against its bases,
+    # of the forward LPs and of their explicit duals
+    lp, eq_rhs = _dual_members(np.random.default_rng(seed), 2 * K)
+    for solve, trail_len in ((solve_primal_batch, lp.num_vars),
+                             (solve_dual_batch, 2 * lp.num_eq + lp.num_cuts)):
+        bases = []
+        for rows in (eq_rhs[:K], eq_rhs[K:]):
+            _assert_trails_end_at_their_vertex(solve(lp, rows, bases), trail_len)

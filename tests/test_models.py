@@ -55,6 +55,12 @@ class TestValidation:
         with pytest.raises(ModelError):
             StochasticModel.chain([s], x0=np.array([0.0]), floors=np.array([1.0]))
 
+    def test_structure_is_a_and_c_serialized_once(self):
+        s = StageModel(A=[[1.0, 2.0], [0.0, 3.0]], B=[[1.0], [0.5]], b=[1.0, 2.0], c=[4.0, 5.0])
+        structure = s.structure
+        assert structure == (s.A.shape, s.A.tobytes(), s.c.tobytes())
+        assert s.structure is structure
+
 
 class TestJsonRoundTrip:
     @pytest.mark.parametrize("name", sorted(TOYS))

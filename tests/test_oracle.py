@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from isddp import oracle
 from isddp.cli import EXIT_GUARD, main
 from isddp.models import StageModel, StochasticModel, StochasticStageModel, save_model
 from isddp.oracle import (
@@ -74,6 +75,17 @@ class TestExtensiveForm:
                    "--state", ",".join(str(v) for v in x)])
         assert rc == EXIT_GUARD
         assert "oracle guard: scenario-tree LP is" in capsys.readouterr().err
+
+    def test_size_guard_counts_the_matrix_its_signed_copy_and_the_tableau(self, monkeypatch):
+        # the sto_t3_m2 tree is 14 x 21: a solve holds its matrix, the crash's
+        # signed copy and the (14 + 2) x (21 + 1) tableau, 940 cells, more
+        # than the 504 of a tableau with one artificial column per row
+        m = toy_sto_t3_m2()
+        monkeypatch.setattr(oracle, "TABLEAU_CELL_GUARD", 504)
+        with pytest.raises(OracleGuardError, match="need 940 dense cells"):
+            extensive_form(m)
+        monkeypatch.setattr(oracle, "TABLEAU_CELL_GUARD", 940)
+        assert extensive_form(m) == pytest.approx(exact_recourse(m, 1, m.x0))
 
     @pytest.mark.parametrize("t, digest", [
         (1, "c5ed8ce61b51c002fba940a7839fa0846553b87f38ff5d09e8fc04b8b67926b1"),

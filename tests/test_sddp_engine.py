@@ -837,14 +837,14 @@ class TestForwardBatchFaults:
 
 
 def _memo_bits(entry):
-    """A forward memo entry, or a ``("primal bases", ...)`` list, as bytes."""
+    """A forward memo entry, or a ``("forward bases", ...)`` list, as bytes."""
     if isinstance(entry, stage_solver.StageSolveError):
         return type(entry), str(entry)
     if isinstance(entry, list):  # [key, basis, vertex, factor] per cached basis
         return [(key, basis.tobytes(), vertex.tobytes(), factor)
                 for key, basis, vertex, factor in entry]
-    x, optimum, xs, values = entry
-    return x.tobytes(), optimum.hex(), xs.tobytes(), values.tobytes()
+    optimum, xs, values = entry
+    return optimum.hex(), xs.tobytes(), values.tobytes()
 
 
 @pytest.mark.parametrize("trained", [False, True])
@@ -871,7 +871,7 @@ def test_a_lone_forward_lp_is_a_batch_of_one(trained, monkeypatch):
         bases = []
         (out,) = stage_solver.solve_primal_batch(lp, lp.eq_rhs[None], bases)
         (key,) = (key for key in pool.memo if key[0] == "forward")
-        (cached,) = (key for key in pool.memo if key[0] == "primal bases")
+        (cached,) = (key for key in pool.memo if key[0] == "forward bases")
         assert _memo_bits(pool.memo[key]) == _memo_bits(stage_solver._forward_entry(
             stage, fresh, out)), (t, x)
         assert bases and _memo_bits(pool.memo[cached]) == _memo_bits(bases), (t, x)
@@ -897,7 +897,7 @@ def test_a_cut_drops_the_cached_bases_of_its_pool():
     def sweep():
         stage_solver.sweep_forward(stages, x_prevs, pool)
         stage_solver.sweep_duals(realizations, xs, pool)
-        for kind in ("primal bases", "bases"):
+        for kind in ("forward bases", "dual bases"):
             assert len(cached(kind)) == 1 and cached(kind)[0], kind
 
     sweep()
@@ -916,3 +916,31 @@ def test_a_cut_drops_the_cached_bases_of_its_pool():
                          for p in (pool, CutPool.from_dict(pool.to_dict())))
             assert got.x.tobytes() == want.x.tobytes()
             assert got.optimum.hex() == want.optimum.hex()
+
+
+def test_realizations_that_share_a_and_c_are_one_dual_batch(monkeypatch):
+    # a sweep hands solve_dual_batch one batch per stage structure, with
+    # each (realization, distinct trial point) once, in point-major order
+    m = generate_instance(PortfolioSpec(T=3, n=2, M=3, seed=4))
+    pools = make_pools(m)
+    fwd = forward_pass_sddp(m, pools, sample_paths(m, 1, 1, seed=9), [ErrorBudget()] * 3)
+    x1 = fwd.trajectories[0][0]
+    shared = m.stages[0].realizations
+    other = [dataclasses.replace(r, c=r.c + 1.0) for r in shared]
+    realizations = [r for pair in zip(shared, other) for r in pair]
+    assert len({r.structure for r in shared}) == len({r.structure for r in other}) == 1
+    pool, calls = pools[3], []
+    batch = stage_solver.solve_dual_batch
+    monkeypatch.setattr(stage_solver, "solve_dual_batch", lambda lp, eq_rhs, bases: (
+        calls.append(eq_rhs.copy()) or batch(lp, eq_rhs, bases)))
+    points = [x1, 0.5 * x1]
+    stage_solver.sweep_duals(realizations, [x1, 0.5 * x1, x1.copy(), 0.5 * x1], pool)
+    assert [rows.tobytes() for rows in calls] == [
+        np.array([r.b - r.B @ x for x in points for r in group]).tobytes()
+        for group in (shared, other)]
+    assert sum(key[0] == "dual" for key in pool.memo) == len(points) * len(realizations)
+    # a later sweep batches only the duals that the memo lacks
+    del calls[:]
+    stage_solver.sweep_duals(realizations, [x1, 1.5 * x1, 1.5 * x1], pool)
+    assert [rows.tobytes() for rows in calls] == [
+        np.array([r.b - r.B @ (1.5 * x1) for r in group]).tobytes() for group in (shared, other)]
