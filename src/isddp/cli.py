@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 solver fault, 3 oracle guard.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -48,7 +49,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser of every command, built once per process: ``parse_args``
+    keeps no state in it, so calls share it."""
     p = _Parser(prog="isddp", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

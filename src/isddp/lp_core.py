@@ -69,6 +69,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -79,8 +80,10 @@ FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-11
 # Tableaux with at least this many cells update, at each pivot, only the
 # rows and columns the pivot changes; below it one dense update costs fewer
-# numpy calls.  Measured break-even on chain tree LPs: 5k-9k cells for primal
-# forms, 34k-53k for their denser explicit duals.
+# numpy calls.  Either gives the same values (see ``_simplex_batch``).
+# Break-even of one solve on chain tree LPs: about 7k cells for primal
+# forms, 11k for explicit duals.  Over whole binding-limit runs (u=0.3, 20
+# paths, 25 iterations) a bound of 7k or 11k was no faster than this one.
 RESTRICTED_UPDATE_CELLS = 20_000
 # A phase switches from Dantzig's to Bland's rule after more than this many
 # degenerate pivots in a row, per row and column of the standard form.
@@ -127,6 +130,11 @@ class LinearProgram:
     ``c.x + f``, exactly when it has a cut row.  The arrays are kept as
     given, not copied or reshaped, and nothing writes to them: stage LPs
     alias their pool's read-only arrays.
+
+    The constraints of its standard form, ``primal_form``, and of its
+    explicit dual, ``dual_form``, do not depend on ``eq_rhs``.  Each is
+    built on first read and kept as read-only arrays, so every batch of LPs
+    that differ from this one in ``eq_rhs`` only reads them from here.
     """
 
     cost: np.ndarray
@@ -184,6 +192,45 @@ class LinearProgram:
 
     def cut_thetas(self) -> np.ndarray:
         return self.cut_theta
+
+    @cached_property
+    def primal_form(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(A, c)`` of the standard form, columns ``[x | f+ f- | cut
+        surpluses]`` (epigraph parts only when present); read-only."""
+        if not self.has_epigraph:
+            return _read_only(self.eq_matrix.view(), self.cost.view())
+        nv, m, K = self.num_vars, self.num_eq, self.num_cuts
+        A = np.zeros((m + K, nv + 2 + K))
+        A[:m, :nv] = self.eq_matrix
+        A[m:, :nv] = -self.cut_beta
+        A[m:, nv] = 1.0
+        A[m:, nv + 1] = -1.0
+        A[m:, nv + 2 :] = -np.eye(K)
+        return _read_only(A, np.concatenate([self.cost, [1.0, -1.0], np.zeros(K)]))
+
+    @cached_property
+    def dual_form(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(D, rhs)``, the constraints of the explicit dual in standard
+        form, columns ``[lam+ | lam- | mu | slacks]``; read-only."""
+        nv, m, K = self.num_vars, self.num_eq, self.num_cuts
+        nrows = nv + (1 if self.has_epigraph else 0)
+        D = np.zeros((nrows, 2 * m + K + nv))
+        rhs = np.zeros(nrows)
+        D[:nv, :m] = self.eq_matrix.T
+        D[:nv, m : 2 * m] = -self.eq_matrix.T
+        D[:nv, 2 * m : 2 * m + K] = -self.cut_beta.T
+        D[:nv, 2 * m + K :] = np.eye(nv)
+        rhs[:nv] = self.cost
+        if self.has_epigraph:
+            D[nv, 2 * m : 2 * m + K] = 1.0
+            rhs[nv] = 1.0
+        return _read_only(D, rhs)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 @dataclass
@@ -709,24 +756,19 @@ def _pivot_limit(
 def _standard_primal(
     lp: LinearProgram, eq_rhs: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Columns: [x | f+ f- | cut surpluses] (epigraph parts only when present).
+    """``(A, b, c)``: ``lp.primal_form`` and the right-hand side of its rows.
 
-    The right-hand side is ``lp``'s own, or one row per row of ``eq_rhs``.
+    The right-hand side is ``lp``'s own, or one row per row of ``eq_rhs``:
+    the equality rows take it, the cut rows the intercepts.  Only ``b`` is
+    built here.
     """
+    A, c = lp.primal_form
     rhs = lp.eq_rhs if eq_rhs is None else eq_rhs
     if not lp.has_epigraph:  # uncopied: the kernel never writes to its inputs
-        return lp.eq_matrix, rhs, lp.cost
-    nv, m, K = lp.num_vars, lp.num_eq, lp.num_cuts
-    A = np.zeros((m + K, nv + 2 + K))
-    A[:m, :nv] = lp.eq_matrix
-    A[m:, :nv] = -lp.cut_beta
-    A[m:, nv] = 1.0
-    A[m:, nv + 1] = -1.0
-    A[m:, nv + 2 :] = -np.eye(K)
-    b = np.empty(rhs.shape[:-1] + (m + K,))
-    b[..., :m] = rhs
-    b[..., m:] = lp.cut_theta
-    c = np.concatenate([lp.cost, [1.0, -1.0], np.zeros(K)])
+        return A, rhs, c
+    b = np.empty(rhs.shape[:-1] + (len(A),))
+    b[..., : lp.num_eq] = rhs
+    b[..., lp.num_eq :] = lp.cut_theta
     return A, b, c
 
 
@@ -735,24 +777,13 @@ def _explicit_duals(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Explicit duals of ``lp`` with each row of ``eq_rhs``, in standard form.
 
-    Returns their shared constraints ``(D, rhs)``, with columns
-    ``[lam+ | lam- | mu | slacks]``, and one cost row per row of
-    ``eq_rhs``: ``[-eq_rhs | eq_rhs | -thetas | 0]``.
+    Returns their shared constraints ``(D, rhs)``, ``lp.dual_form``, and
+    one cost row per row of ``eq_rhs``: ``[-eq_rhs | eq_rhs | -thetas | 0]``.
+    Only the cost rows are built here.
     """
-    nv, m, K = lp.num_vars, lp.num_eq, lp.num_cuts
-    nrows = nv + (1 if lp.has_epigraph else 0)
-    ncols = 2 * m + K + nv
-    D = np.zeros((nrows, ncols))
-    rhs = np.zeros(nrows)
-    D[:nv, :m] = lp.eq_matrix.T
-    D[:nv, m : 2 * m] = -lp.eq_matrix.T
-    D[:nv, 2 * m : 2 * m + K] = -lp.cut_beta.T
-    D[:nv, 2 * m + K :] = np.eye(nv)
-    rhs[:nv] = lp.cost
-    if lp.has_epigraph:
-        D[nv, 2 * m : 2 * m + K] = 1.0
-        rhs[nv] = 1.0
-    costs = np.zeros((len(eq_rhs), ncols))
+    D, rhs = lp.dual_form
+    m, K = lp.num_eq, lp.num_cuts
+    costs = np.zeros((len(eq_rhs), D.shape[1]))
     costs[:, :m] = -eq_rhs
     costs[:, m : 2 * m] = eq_rhs
     costs[:, 2 * m : 2 * m + K] = -lp.cut_theta

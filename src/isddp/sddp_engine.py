@@ -91,20 +91,20 @@ def sample_paths(
 ) -> list[tuple[int, ...]]:
     """N independent scenario paths; deterministic given (seed, iteration, stream).
 
-    A path is its realization indices for stages 2..T; path p is drawn from
-    its own counter ``(seed, iteration, p, stream)``.
+    A path is its realization indices for stages 2..T; path p draws one
+    uniform per stage from its own counter ``(seed, iteration, p, stream)``.
+    Each stage then maps the uniforms of all paths to realizations in one
+    ``searchsorted`` on its cumulative probabilities.
     """
     if n < 1:
         raise ValueError("need at least one path")
-    cum = [np.cumsum(st.probs) for st in model.stages]
-    paths = []
-    for p in range(n):
-        rng = _path_rng(seed, iteration, p, stream)
-        u = rng.random(len(model.stages))
-        paths.append(tuple(
-            min(int(np.searchsorted(c, ui, side="right")), len(c) - 1) for c, ui in zip(cum, u)
-        ))
-    return paths
+    T1 = len(model.stages)
+    u = np.array([_path_rng(seed, iteration, p, stream).random(T1) for p in range(n)])
+    picks = np.empty((n, T1), dtype=np.intp)
+    for t, st in enumerate(model.stages):
+        cum = np.cumsum(st.probs)
+        picks[:, t] = np.minimum(np.searchsorted(cum, u[:, t], side="right"), len(cum) - 1)
+    return list(map(tuple, picks.tolist()))
 
 
 @dataclass

@@ -15,18 +15,20 @@ a cut.  ``sweep_forward`` and ``sweep_duals`` solve the forward LPs and the
 backward duals of one stage into the memo.  Both take their work from one
 generator, ``_misses``: the pairs the memo lacks, each once, in kernel
 batches of stages that share ``StageModel.structure`` (``A`` and ``c``),
-whose LPs differ in their right-hand side only.  A stage LP is built only
-where a kernel runs, once per batch; the memo keeps a dual batch's LP for
-the certificates to read.
+whose LPs differ in their right-hand side only.
 
-The memo also keeps optimal bases, one list per kind of solve and stage
-structure, under ``("forward bases", *structure)`` and ``("dual bases",
-*structure)``, since the pool fixes the rest of the stage LP and of its
-explicit dual.  ``solve_primal_batch`` answers a forward LP from them when
-one is primal feasible there, and ``solve_dual_batch`` a dual when its cost
-prices out at one; each adds the bases of the members it solves, until
-``CutPool.add`` drops the memo with the bases in it.  The memo is the only
-place a solve or a basis is kept between calls.
+The pool fixes the rest of the stage LP and of its explicit dual, so the
+memo keeps, per stage structure, one stage LP under ``("lp", *structure)``,
+built at the first pair that misses, whose constraint forms
+(``LinearProgram.primal_form`` and ``dual_form``) every batch of the
+structure reads, and which the dual certificates read too.  Beside it, it
+keeps optimal bases, one list per kind of solve, under ``("forward bases",
+*structure)`` and ``("dual bases", *structure)``.  ``solve_primal_batch``
+answers a forward LP from them when one is primal feasible there, and
+``solve_dual_batch`` a dual when its cost prices out at one; each adds the
+bases of the members it solves, until ``CutPool.add`` drops the memo with
+the LPs and bases in it.  The memo is the only place a solve, a stage LP or
+a basis is kept between calls.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ class StageSolveError(RuntimeError):
 @dataclass
 class ForwardStageResult:
     x: np.ndarray        # chosen (possibly suboptimal) basic decision
-    value: float         # cost.x + pool value at x
     optimum: float       # exact optimum of the stage problem
     budget_resolved: float
 
@@ -102,11 +103,12 @@ def solve_forward_stage(
 ) -> ForwardStageResult:
     """Budget-suboptimal basic decision for one forward stage.
 
-    The stage LP's optimum and its trail of vertices, each evaluated against
-    the pool, come from ``pool.memo``; on a miss, ``sweep_forward`` puts
-    them there first, as a batch of one.  The earliest trail vertex within
-    budget of the optimum is returned, or else the last one, the optimal
-    vertex, at the optimum.  A fault kept in the memo is raised with stage
+    The stage LP's optimum and its trail of vertices come from
+    ``pool.memo``; on a miss, ``sweep_forward`` puts them there first, as a
+    batch of one.  The earliest trail vertex whose value against the pool
+    is within budget of the optimum is returned, or else the last one, the
+    optimal vertex.  A one-point trail is that vertex alone, so it is
+    returned unevaluated.  A fault kept in the memo is raised with stage
     and path.
     """
     key = "forward", stage, x_prev.tobytes()
@@ -118,17 +120,9 @@ def solve_forward_stage(
     optimum, xs, full_vals = hit
     resolved = budget.resolve(optimum)
     slack = 1e-12 * (1.0 + abs(optimum))
-    for i in range(len(xs)):
-        if full_vals[i] <= optimum + resolved + slack:
-            return ForwardStageResult(
-                x=xs[i].copy(),
-                value=float(full_vals[i]),
-                optimum=optimum,
-                budget_resolved=resolved,
-            )
-    return ForwardStageResult(
-        x=xs[-1].copy(), value=optimum, optimum=optimum, budget_resolved=resolved
-    )
+    x = next((x for x, value in zip(xs, full_vals) if value <= optimum + resolved + slack),
+             xs[-1])
+    return ForwardStageResult(x=x.copy(), optimum=optimum, budget_resolved=resolved)
 
 
 def _misses(kind: str, pairs: Iterable[tuple], pool: CutPool) -> Iterator[tuple]:
@@ -137,9 +131,11 @@ def _misses(kind: str, pairs: Iterable[tuple], pool: CutPool) -> Iterator[tuple]
     Each missing pair is taken once, in first-seen order, under the memo key
     ``(kind, stage, x.tobytes())``.  The pairs are grouped by
     ``stage.structure``: their stage LPs differ in ``eq_rhs = b - B x``
-    only.  Yields per group the stage LP at its first pair, the members as
-    ``(memo key, stage)``, their ``eq_rhs`` rows, and the list of optimal
-    bases that the memo keeps for the group under
+    only.  Yields per group the stage LP that the memo keeps for the
+    structure under ``("lp", *structure)`` (built at the group's first pair
+    if the memo lacks it, so its ``eq_rhs`` may be another pair's), the
+    members as ``(memo key, stage, x)``, their ``eq_rhs`` rows, and the
+    list of optimal bases that the memo keeps for the group under
     ``(f"{kind} bases", *structure)``.
     """
     groups: dict = {}
@@ -148,9 +144,11 @@ def _misses(kind: str, pairs: Iterable[tuple], pool: CutPool) -> Iterator[tuple]
         if key not in pool.memo:
             groups.setdefault(stage.structure, {}).setdefault(key, (stage, x))
     for structure, todo in groups.items():
-        first, x_first = next(iter(todo.values()))
-        yield (stage_lp(first, x_first, pool),
-               [(key, stage) for key, (stage, _) in todo.items()],
+        lp = pool.memo.get(("lp", *structure))
+        if lp is None:
+            lp = pool.memo["lp", *structure] = stage_lp(*next(iter(todo.values())), pool)
+        yield (lp,
+               [(key, stage, x) for key, (stage, x) in todo.items()],
                np.array([stage.b - stage.B @ x for stage, x in todo.values()]),
                pool.memo.setdefault((f"{kind} bases", *structure), []))
 
@@ -160,28 +158,32 @@ def sweep_forward(
 ) -> None:
     """Solve the forward LPs of one stage into ``pool.memo``: ``stages[i]`` at ``x_prevs[i]``.
 
-    Each batch of ``_misses`` is one ``solve_primal_batch`` against the
-    group's cached bases; a batch of one with no basis to test is one
-    ``solve_with_primal_trail``, the kernel's batch of one, whose basis
-    joins the list.  Either way a member's outcome is a ``_KernelResult``
-    or an ``LpError``.  A solve and its trail, evaluated against the pool,
-    do not depend on the budget: the memo keeps the optimum, the trail
-    vertices and their values.  A member answered from a cached basis has
-    the optimum as its whole trail.  A member that faults (a kernel fault,
-    a status other than optimal, or an optimum that violates one of its
-    own cut rows) keeps the fault there instead, and
-    ``solve_forward_stage`` raises it with stage and path.
+    Each batch of ``_misses`` is one ``solve_primal_batch`` of the memo's
+    stage LP against the group's cached bases; a batch of one with no basis
+    to test is one ``solve_with_primal_trail`` of the member's own stage LP,
+    the kernel's batch of one, whose basis joins the list.  That LP is the
+    memo's when its ``eq_rhs`` is the member's bit for bit, and otherwise
+    ``stage_lp`` at the member.  Either way a member's outcome is a
+    ``_KernelResult`` or an ``LpError``.  A solve and its trail do not
+    depend on the budget, so the memo keeps them as ``_forward_entry``
+    makes them.  A member that faults (a kernel fault, a status other than
+    optimal, or an optimum that violates one of its own cut rows) keeps the
+    fault there instead, and ``solve_forward_stage`` raises it with stage
+    and path.
     """
     for lp, members, eq_rhs, bases in _misses("forward", zip(stages, x_prevs), pool):
         if len(members) > 1 or bases:
             outcomes = solve_primal_batch(lp, eq_rhs, bases)
         else:
+            ((_, stage, x),) = members
+            if lp.eq_rhs.tobytes() != eq_rhs[0].tobytes():
+                lp = stage_lp(stage, x, pool)
             try:
                 outcomes = [solve_with_primal_trail(lp)]
             except LpError as exc:
                 outcomes = [exc]
             keep_bases(bases, outcomes)
-        for (key, stage), out in zip(members, outcomes):
+        for (key, stage, _), out in zip(members, outcomes):
             pool.memo[key] = _forward_entry(stage, pool, out)
 
 
@@ -194,7 +196,15 @@ def _fault(detail: str, cause: Optional[Exception] = None) -> StageSolveError:
 
 def _forward_entry(stage: StageModel, pool: CutPool, out) -> tuple | StageSolveError:
     """The memo entry of one forward outcome at ``stage``: a ``_KernelResult``
-    (of the kernel or of a cached basis) or an ``LpError``."""
+    (of the kernel or of a cached basis) or an ``LpError``.
+
+    The entry of an optimum is ``(optimum, xs, values)``: the stage value at
+    the optimal vertex, the trail's vertices and their values ``c.x`` plus
+    the pool's value at ``x``, which ``solve_forward_stage`` compares with
+    the budget.  A one-point trail, as every member answered from a cached
+    basis has, is the optimal vertex alone, the pick at every budget: its
+    ``values`` is empty, and the pool is not evaluated there again.
+    """
     if isinstance(out, LpError):  # kernel faults carry no stage context
         return _fault(f" failed in the kernel: {out}", out)
     if out.status is not SolveStatus.OPTIMAL:
@@ -209,9 +219,10 @@ def _forward_entry(stage: StageModel, pool: CutPool, out) -> tuple | StageSolveE
             f"(pool value {future!r} above epigraph value {epigraph!r})"
         )
     # the trail of an optimal solve ends at its vertex x, so it is never empty
+    if len(out.trail) == 1:
+        return cost + future, [out.trail[0][1]], ()
     xs = np.stack([point for _, point in out.trail])
-    full_vals = xs @ stage.c + pool.evaluate_many(xs)
-    return cost + future, xs, full_vals
+    return cost + future, xs, xs @ stage.c + pool.evaluate_many(xs)
 
 
 def sweep_duals(
@@ -223,15 +234,15 @@ def sweep_duals(
     realizations.  Each batch of ``_misses`` is one ``solve_dual_batch``
     against the group's cached bases: LPs that differ in ``eq_rhs`` only
     have explicit duals that share their constraints.  Each result goes into
-    the memo beside its batch's LP: the certificate scan reads only the
-    LP's row counts, which every member shares.  A member whose outcome is
-    an ``LpError`` keeps the error there, and ``solve_backward_stage``
-    raises it with stage and path.
+    the memo beside the stage LP of its structure: the certificate scan
+    reads only the LP's row counts, which every member shares.  A member
+    whose outcome is an ``LpError`` keeps the error there, and
+    ``solve_backward_stage`` raises it with stage and path.
     """
     points = {x.tobytes(): x for x in x_prevs}.values()
     pairs = [(r, x) for x in points for r in realizations]
     for lp, members, eq_rhs, bases in _misses("dual", pairs, pool):
-        for (key, _), res in zip(members, solve_dual_batch(lp, eq_rhs, bases)):
+        for (key, _, _), res in zip(members, solve_dual_batch(lp, eq_rhs, bases)):
             pool.memo[key] = lp, res
 
 
@@ -247,9 +258,9 @@ def solve_backward_stage(
     """Budget-certified dual point of one backward stage, plus its optimum.
 
     The certificate's ``mu`` covers the pool rows floor-first, matching
-    ``pool.thetas_with_floor()``.  The kernel outcome and its batch's LP
-    come from ``pool.memo``; on a miss, ``sweep_duals`` puts them there
-    first, as a batch of one.
+    ``pool.thetas_with_floor()``.  The kernel outcome and the stage LP of
+    its structure come from ``pool.memo``; on a miss, ``sweep_duals`` puts
+    them there first, as a batch of one.
     """
     key = "dual", stage, x_prev.tobytes()
     entry = pool.memo.get(key)

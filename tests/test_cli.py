@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from isddp import stage_solver
+from isddp import cli, stage_solver
 from isddp.cli import EXIT_GUARD, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main
 from isddp.models import load_model, model_to_json, save_model
 from isddp.toys import toy_det_t3, toy_sto_t3_m2
@@ -404,6 +404,33 @@ class TestCompare:
             "--instance", instance, "--instance", det_instance,
         ])
         assert rc == EXIT_USAGE
+
+
+class TestParser:
+    def test_calls_share_no_parsed_state(self, instance, det_instance, monkeypatch):
+        # the parser is built once per process; a flag that appends, given
+        # twice in one call, appends nothing to the next call's list
+        seen = []
+        monkeypatch.setattr(cli, "cmd_solve", lambda args: seen.append(args) or EXIT_OK)
+        assert main(["solve", "--instance", instance, "--instance", det_instance]) == EXIT_OK
+        assert main(["solve", "--instance", instance]) == EXIT_OK
+        assert [args.instance for args in seen] == [[instance, det_instance], [instance]]
+        assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize("bad", [
+        ["--instance", "{instance}", "--seed", "5", "--paths", "x"],  # not an int
+        ["--instance", "{instance}", "--seed", "5", "--bogus"],       # unknown flag
+        ["--seed", "5"],                                              # no --instance
+    ])
+    def test_a_usage_error_leaves_the_next_call_unaffected(self, bad, instance, capsys,
+                                                           monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_solve", lambda args: seen.append(vars(args)) or EXIT_OK)
+        assert main(["solve", "--instance", instance]) == EXIT_OK
+        assert main(["solve", *(a.format(instance=instance) for a in bad)]) == EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
+        assert main(["solve", "--instance", instance]) == EXIT_OK
+        assert len(seen) == 2 and seen[1] == seen[0] and seen[1]["seed"] == 0
 
 
 class TestOracleCmd:

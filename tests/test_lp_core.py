@@ -1212,3 +1212,56 @@ def test_optimal_trails_of_random_groups_end_at_their_vertex(K, seed):
         bases = []
         for rows in (eq_rhs[:K], eq_rhs[K:]):
             _assert_trails_end_at_their_vertex(solve(lp, rows, bases), trail_len)
+
+
+# ---------------------------------------------------------------------------
+# Constraint forms, built once per LP.
+
+
+def _fresh_forms(lp):
+    """``(A, c)`` and ``(D, rhs)`` of ``lp``, assembled block by block."""
+    n, m, K = lp.num_vars, lp.num_eq, lp.num_cuts
+    E, beta = lp.eq_matrix, lp.cut_beta
+    if lp.has_epigraph:
+        A = np.block([[E, np.zeros((m, 2 + K))],
+                      [-beta, np.ones((K, 1)), -np.ones((K, 1)), -np.eye(K)]])
+        c = np.concatenate([lp.cost, [1.0, -1.0], np.zeros(K)])
+        D = np.block([[E.T, -E.T, -beta.T, np.eye(n)],
+                      [np.zeros((1, 2 * m)), np.ones((1, K)), np.zeros((1, n))]])
+        rhs = np.concatenate([lp.cost, [1.0]])
+    else:
+        A, c = E, lp.cost
+        D, rhs = np.hstack([E.T, -E.T, np.eye(n)]), lp.cost
+    return (A, c), (D, rhs)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("cuts", [0, 1, 4])
+def test_constraint_forms_are_built_once_and_read_only(seed, cuts):
+    rng = np.random.default_rng(seed)
+    base = random_feasible_bounded_lp(rng)
+    betas = rng.normal(size=(cuts - 1, base.num_vars)).round(2) if cuts else None
+    lp = (_floor_and_cuts_lp(base, base.cost, np.ones(base.num_vars), betas, rng)
+          if cuts else base)
+    eq_rhs = np.vstack([lp.eq_rhs, 2.0 * lp.eq_rhs])
+    for got, want in zip((lp.primal_form, lp.dual_form), _fresh_forms(lp)):
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert [a.shape for a in got] == [a.shape for a in want]
+        for a in got:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+    # read again, and by every standard form the LP takes part in
+    A, c = lp.primal_form
+    D, rhs = lp.dual_form
+    assert lp.primal_form[0] is A and lp.primal_form[1] is c
+    assert lp.dual_form[0] is D and lp.dual_form[1] is rhs
+    for args in ((lp,), (lp, eq_rhs)):
+        got_A, _, got_c = _standard_primal(*args)
+        assert got_A is A and got_c is c
+    got_D, got_rhs, costs = _explicit_duals(lp, eq_rhs)
+    assert got_D is D and got_rhs is rhs
+    assert costs.tobytes() == np.hstack([
+        -eq_rhs, eq_rhs, np.tile(-lp.cut_theta, (2, 1)), np.zeros((2, lp.num_vars))]).tobytes()
+    # the LP's own arrays keep their flags
+    assert lp.eq_matrix.flags.writeable and lp.cost.flags.writeable

@@ -58,6 +58,31 @@ class TestSamplePaths:
         b = sample_paths(m, 20, iteration=2, seed=31)
         assert a != b
 
+    @pytest.mark.parametrize("model", [
+        toy_sto_t4_m3(),
+        generate_instance(PortfolioSpec(T=6, n=2, M=10, seed=3)),
+        chain_model(6, 2, 0),
+        dataclasses.replace(toy_det_t3(), stages=[], floors=[]),  # T = 1
+    ], ids=["toy", "portfolio", "chain", "T1"])
+    @pytest.mark.parametrize("n", [1, 5, 20])
+    @pytest.mark.parametrize("stream", [0, 1])
+    def test_one_draw_per_stage_matches_the_per_path_loop(self, model, n, stream):
+        def per_path(iteration, seed):
+            # one scalar searchsorted per (path, stage), as paths were once drawn
+            cum = [np.cumsum(st.probs) for st in model.stages]
+            paths = []
+            for p in range(n):
+                u = sddp_engine._path_rng(seed, iteration, p, stream).random(len(model.stages))
+                paths.append(tuple(min(int(np.searchsorted(c, ui, side="right")), len(c) - 1)
+                                   for c, ui in zip(cum, u)))
+            return paths
+
+        for iteration, seed in [(1, 0), (4, 31), (2, 2**40 + 3)]:
+            got = sample_paths(model, n, iteration, seed, stream=stream)
+            assert got == per_path(iteration, seed)
+            assert all(type(j) is int for path in got for j in path)
+            assert len(got) == n and {len(path) for path in got} == {model.horizon - 1}
+
     def test_draws_are_pinned(self):
         # the counter-based streams, and how a draw maps to an index, are
         # part of every recorded run
@@ -437,8 +462,11 @@ class TestStoreEachCutOnce:
         # two paths at one trial point: the second path's cuts are copies
         del lp_stage_calls[:]
         bwd = backward_pass_sddp(m, pools, [traj, traj], [[ErrorBudget()] * 2] * 2, iteration=1)
-        # a stage LP is built once per dual batch, then once for the lower bound
-        assert len(lp_stage_calls) == len(batched) + 1 and lp_stage_calls[-1] == 1
+        # a stage LP is built once per structure and pool: stage 3's duals
+        # read the LP the forward pass left in pool 4's memo, while a cut
+        # emptied pool 3's memo for stage 2's duals and pool 2's for the
+        # lower bound
+        assert len(batched) == 2 and lp_stage_calls == [2, 1]
         assert len(bwd.new_cuts) == 4
         assert bwd.new_cuts[0].theta == bwd.new_cuts[1].theta
         assert len(added) == 2 and len(pools[3]) == len(pools[2]) == 1
@@ -843,8 +871,8 @@ def _memo_bits(entry):
     if isinstance(entry, list):  # [key, basis, vertex, factor] per cached basis
         return [(key, basis.tobytes(), vertex.tobytes(), factor)
                 for key, basis, vertex, factor in entry]
-    optimum, xs, values = entry
-    return optimum.hex(), xs.tobytes(), values.tobytes()
+    optimum, xs, values = entry  # a one-point trail has no values
+    return optimum.hex(), [x.tobytes() for x in xs], np.asarray(values).tobytes()
 
 
 @pytest.mark.parametrize("trained", [False, True])
@@ -916,6 +944,71 @@ def test_a_cut_drops_the_cached_bases_of_its_pool():
                          for p in (pool, CutPool.from_dict(pool.to_dict())))
             assert got.x.tobytes() == want.x.tobytes()
             assert got.optimum.hex() == want.optimum.hex()
+
+
+def test_the_memo_keeps_one_stage_lp_per_structure_until_a_cut():
+    # the forward LPs and the duals of a structure read one stage LP, the
+    # memo's, until a cut empties the memo
+    m = generate_instance(PortfolioSpec(T=3, n=2, M=3, seed=4))
+    pools = make_pools(m)
+    fwd = forward_pass_sddp(m, pools, sample_paths(m, 1, 1, seed=9), [ErrorBudget()] * 3)
+    x1 = fwd.trajectories[0][0]
+    shared = m.stages[0].realizations
+    realizations = shared + [dataclasses.replace(r, c=r.c + 1.0) for r in shared]
+    pool, xs = pools[3], [x1, 0.5 * x1]
+
+    def lps():
+        return {key[1:]: lp for key, lp in pool.memo.items() if key[0] == "lp"}
+
+    before = {}
+    for cut in (None, Cut(theta=-20.0, beta=np.full(len(x1), -0.2), stage=3, iteration=1)):
+        if cut is not None:
+            pool.add(cut)
+            assert pool.memo == {}
+        stage_solver.sweep_forward([r for x in xs for r in realizations],
+                                   [x for x in xs for _ in realizations], pool)
+        kept = lps()
+        stage_solver.sweep_duals(realizations, xs + [1.5 * x1], pool)
+        assert set(kept) == set(lps()) == {r.structure for r in realizations}
+        assert len(kept) == 2 and all(lps()[key] is lp for key, lp in kept.items())
+        assert not any(before.get(key) is lp for key, lp in kept.items())
+        for r in realizations:
+            lp = kept[r.structure]
+            assert lp.cut_beta is pool.betas_with_floor()
+            assert lp.cut_theta is pool.thetas_with_floor()
+            assert (lp.cost.tobytes(), lp.eq_matrix.tobytes()) == (r.c.tobytes(), r.A.tobytes())
+            for x in xs + [1.5 * x1]:
+                assert pool.memo["dual", r, x.tobytes()][0] is lp
+        before = kept
+
+
+def test_a_one_point_trail_is_picked_without_evaluating_the_pool(monkeypatch):
+    # a forward LP that a cached basis answers has its vertex as its whole
+    # trail, the pick at every budget: the pool is not evaluated there, and
+    # the pick is the vertex, at the optimum
+    m = generate_instance(PortfolioSpec(T=3, n=2, M=3, seed=4))
+    pools = make_pools(m)
+    run_isddp(m, EXACT_SCHEDULE, n_paths=3, gap_tol=1e-9, max_iter=3, seed=9, initial_pools=pools)
+    fwd = forward_pass_sddp(m, pools, sample_paths(m, 1, 4, seed=9), [ErrorBudget()] * 3)
+    x1, pool = fwd.trajectories[0][0], pools[3]
+    fresh = CutPool.from_dict(pool.to_dict())
+    assert any(key[0] == "forward bases" for key in pool.memo)
+
+    def refuse(*_):
+        raise AssertionError("the pool was evaluated")
+
+    monkeypatch.setattr(CutPool, "evaluate_many", refuse)
+    for x in (0.9 * x1, 1.1 * x1):
+        for r in m.stages[0].realizations:
+            for budget in (ErrorBudget(), ErrorBudget(absolute=1e6)):
+                res = stage_solver.solve_forward_stage(r, x, pool, budget)
+                optimum, trail, values = pool.memo["forward", r, x.tobytes()]
+                assert len(trail) == 1 and len(values) == 0
+                assert res.x.tobytes() == trail[0].tobytes() and res.optimum == optimum
+                ref = lp_core.solve_exact(stage_solver.stage_lp(r, x, fresh)).obj
+                assert optimum == pytest.approx(ref, rel=1e-9, abs=1e-9)
+                assert float(r.c @ res.x) + pool.evaluate(res.x) == pytest.approx(
+                    optimum, rel=1e-12, abs=1e-12)
 
 
 def test_realizations_that_share_a_and_c_are_one_dual_batch(monkeypatch):
