@@ -30,7 +30,11 @@ def _arr(v, dtype=float) -> np.ndarray:
 
 @dataclass(eq=False)
 class StageModel:
-    """One stage's data, hashed by identity: solve memos key on the stage."""
+    """One stage's data, hashed by identity: solve memos key on the stage.
+
+    Its LP at a state ``x_prev`` is ``A x = rhs(x_prev)``, ``x >= 0``, with
+    cost ``c``; stage LPs that share ``structure`` differ in ``rhs`` only.
+    """
 
     A: np.ndarray
     B: np.ndarray
@@ -62,6 +66,11 @@ class StageModel:
     @property
     def state_dim(self) -> int:
         return self.B.shape[1]
+
+    def rhs(self, x_prev: np.ndarray) -> np.ndarray:
+        """The right-hand side ``b - B @ x_prev`` of the stage's rows at the
+        state ``x_prev``: the only part of a stage LP that the state sets."""
+        return self.b - self.B @ x_prev
 
     @cached_property
     def structure(self) -> tuple:

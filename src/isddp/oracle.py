@@ -70,7 +70,7 @@ def _assemble_tree_lp(
                 A[rs, cs] = r.A
                 cost[cs] = prob * r.c
                 if pcols is None:
-                    rhs[rs] = r.b - r.B @ state
+                    rhs[rs] = r.rhs(state)
                 else:
                     A[rs, pcols] = r.B
                     rhs[rs] = r.b
@@ -127,7 +127,7 @@ def sample_reachable_states(
             lp = LinearProgram(
                 cost=rng.normal(size=stage.var_dim),
                 eq_matrix=stage.A,
-                eq_rhs=stage.b - stage.B @ x,
+                eq_rhs=stage.rhs(x),
             )
             sol = solve_exact(lp)
             if sol.status is not SolveStatus.OPTIMAL:

@@ -40,6 +40,7 @@ import numpy as np
 
 from .cuts import CutPool
 from .lp_core import (
+    FEAS_TOL,
     DualCertificate,
     LinearProgram,
     LpError,
@@ -81,7 +82,7 @@ def stage_lp(stage: StageModel, x_prev: np.ndarray, pool: CutPool) -> LinearProg
     return LinearProgram(
         cost=stage.c,
         eq_matrix=stage.A,
-        eq_rhs=stage.b - stage.B @ x_prev,
+        eq_rhs=stage.rhs(x_prev),
         cut_beta=pool.betas_with_floor(),
         cut_theta=pool.thetas_with_floor(),
     )
@@ -128,15 +129,16 @@ def solve_forward_stage(
 def _misses(kind: str, pairs: Iterable[tuple], pool: CutPool) -> Iterator[tuple]:
     """The ``kind`` solves of ``(stage, trial point)`` pairs that ``pool.memo`` lacks, in batches.
 
-    Each missing pair is taken once, in first-seen order, under the memo key
-    ``(kind, stage, x.tobytes())``.  The pairs are grouped by
-    ``stage.structure``: their stage LPs differ in ``eq_rhs = b - B x``
-    only.  Yields per group the stage LP that the memo keeps for the
-    structure under ``("lp", *structure)`` (built at the group's first pair
-    if the memo lacks it, so its ``eq_rhs`` may be another pair's), the
-    members as ``(memo key, stage, x)``, their ``eq_rhs`` rows, and the
-    list of optimal bases that the memo keeps for the group under
-    ``(f"{kind} bases", *structure)``.
+    This is the one place that dedupes the stage solves of a sweep and
+    builds stage LPs: each missing pair is taken once, in first-seen order,
+    under the memo key ``(kind, stage, x.tobytes())``.  The pairs are
+    grouped by ``stage.structure``: their stage LPs differ in
+    ``stage.rhs(x)`` only.  Yields per group the stage LP that the memo
+    keeps for the structure under ``("lp", *structure)`` (built at the
+    group's first pair if the memo lacks it, so its ``eq_rhs`` may be
+    another pair's), the members as ``(memo key, stage)``, their ``eq_rhs``
+    rows, and the list of optimal bases that the memo keeps for the group
+    under ``(f"{kind} bases", *structure)``.
     """
     groups: dict = {}
     for stage, x in pairs:
@@ -148,8 +150,8 @@ def _misses(kind: str, pairs: Iterable[tuple], pool: CutPool) -> Iterator[tuple]
         if lp is None:
             lp = pool.memo["lp", *structure] = stage_lp(*next(iter(todo.values())), pool)
         yield (lp,
-               [(key, stage, x) for key, (stage, x) in todo.items()],
-               np.array([stage.b - stage.B @ x for stage, x in todo.values()]),
+               [(key, stage) for key, (stage, _) in todo.items()],
+               np.array([stage.rhs(x) for stage, x in todo.values()]),
                pool.memo.setdefault((f"{kind} bases", *structure), []))
 
 
@@ -159,12 +161,12 @@ def sweep_forward(
     """Solve the forward LPs of one stage into ``pool.memo``: ``stages[i]`` at ``x_prevs[i]``.
 
     Each batch of ``_misses`` is one ``solve_primal_batch`` of the memo's
-    stage LP against the group's cached bases; a batch of one with no basis
-    to test is one ``solve_with_primal_trail`` of the member's own stage LP,
-    the kernel's batch of one, whose basis joins the list.  That LP is the
-    memo's when its ``eq_rhs`` is the member's bit for bit, and otherwise
-    ``stage_lp`` at the member.  Either way a member's outcome is a
-    ``_KernelResult`` or an ``LpError``.  A solve and its trail do not
+    stage LP with the members' ``eq_rhs`` against the group's cached bases;
+    a batch of one with no bases is the kernel's lone solve, bit for bit.
+    Only a lone member with no bases at which the memo's LP was built (its
+    ``eq_rhs`` is the member's bit for bit) is one ``solve_with_primal_trail``
+    of that LP, whose basis joins the list.  Either way a member's outcome
+    is a ``_KernelResult`` or an ``LpError``.  A solve and its trail do not
     depend on the budget, so the memo keeps them as ``_forward_entry``
     makes them.  A member that faults (a kernel fault, a status other than
     optimal, or an optimum that violates one of its own cut rows) keeps the
@@ -172,18 +174,15 @@ def sweep_forward(
     and path.
     """
     for lp, members, eq_rhs, bases in _misses("forward", zip(stages, x_prevs), pool):
-        if len(members) > 1 or bases:
+        if len(members) > 1 or bases or lp.eq_rhs.tobytes() != eq_rhs[0].tobytes():
             outcomes = solve_primal_batch(lp, eq_rhs, bases)
         else:
-            ((_, stage, x),) = members
-            if lp.eq_rhs.tobytes() != eq_rhs[0].tobytes():
-                lp = stage_lp(stage, x, pool)
             try:
                 outcomes = [solve_with_primal_trail(lp)]
             except LpError as exc:
                 outcomes = [exc]
             keep_bases(bases, outcomes)
-        for (key, stage, _), out in zip(members, outcomes):
+        for (key, stage), out in zip(members, outcomes):
             pool.memo[key] = _forward_entry(stage, pool, out)
 
 
@@ -213,7 +212,7 @@ def _forward_entry(stage: StageModel, pool: CutPool, out) -> tuple | StageSolveE
     cost = float(stage.c @ x)
     future = pool.evaluate(x)
     epigraph = out.obj - cost
-    if future > epigraph + 1e-9 * (1.0 + abs(future)):
+    if future > epigraph + FEAS_TOL * (1.0 + abs(future)):
         return _fault(
             f": the kernel's optimum violates one of its own cut rows "
             f"(pool value {future!r} above epigraph value {epigraph!r})"
@@ -230,8 +229,8 @@ def sweep_duals(
 ) -> None:
     """Solve the backward duals of one stage at its trial points into ``pool.memo``.
 
-    The trial points are taken once each, then crossed with the
-    realizations.  Each batch of ``_misses`` is one ``solve_dual_batch``
+    The trial points are crossed with the realizations, and ``_misses``
+    takes each pair once.  Each batch of it is one ``solve_dual_batch``
     against the group's cached bases: LPs that differ in ``eq_rhs`` only
     have explicit duals that share their constraints.  Each result goes into
     the memo beside the stage LP of its structure: the certificate scan
@@ -239,10 +238,9 @@ def sweep_duals(
     whose outcome is an ``LpError`` keeps the error there, and
     ``solve_backward_stage`` raises it with stage and path.
     """
-    points = {x.tobytes(): x for x in x_prevs}.values()
-    pairs = [(r, x) for x in points for r in realizations]
+    pairs = [(r, x) for x in x_prevs for r in realizations]
     for lp, members, eq_rhs, bases in _misses("dual", pairs, pool):
-        for (key, _, _), res in zip(members, solve_dual_batch(lp, eq_rhs, bases)):
+        for (key, _), res in zip(members, solve_dual_batch(lp, eq_rhs, bases)):
             pool.memo[key] = lp, res
 
 

@@ -290,20 +290,30 @@ class TestSolve:
         import isddp.stage_solver as ss
         from isddp.lp_core import LpError
 
-        real, lower_bound = ss.solve_with_primal_trail, engine.stage_value_exact
+        lone, batch = ss.solve_with_primal_trail, ss.solve_primal_batch
+        lower_bound = engine.stage_value_exact
         calls, in_lb = [], []
+        fault = LpError("phase-1 subproblem unbounded: numerical failure")
 
-        def fails_in_iteration_two(lp):
-            # iteration 1 runs against empty pools: one forward solve per
-            # stage, so call T + 1 outside the lower bound is in iteration 2.
-            # The lower bound of iteration 1 fills the memo entry of stage 1,
-            # so that call is stage 2's.  One path makes every forward batch
-            # a batch of one.
+        def in_iteration_two(lp):
+            # iteration 1 runs against empty pools: one forward kernel call
+            # per stage, so call T + 1 outside the lower bound is in
+            # iteration 2.  The lower bound of iteration 1 fills the memo
+            # entry of stage 1, so that call is stage 2's.  One path makes
+            # every forward batch a batch of one, through either entry.
             if not in_lb:
                 calls.append(lp)
-            if len(calls) > toy_det_t3().horizon:
-                raise LpError("phase-1 subproblem unbounded: numerical failure")
-            return real(lp)
+            return len(calls) > toy_det_t3().horizon
+
+        def fails_in_iteration_two(lp):
+            if in_iteration_two(lp):
+                raise fault
+            return lone(lp)
+
+        def batch_fails_in_iteration_two(lp, eq_rhs, bases):
+            if in_iteration_two(lp):
+                return [fault] * len(eq_rhs)
+            return batch(lp, eq_rhs, bases)
 
         def flagged_lower_bound(*args, **kwargs):
             in_lb.append(True)
@@ -313,6 +323,7 @@ class TestSolve:
                 in_lb.pop()
 
         monkeypatch.setattr(ss, "solve_with_primal_trail", fails_in_iteration_two)
+        monkeypatch.setattr(ss, "solve_primal_batch", batch_fails_in_iteration_two)
         monkeypatch.setattr(engine, "stage_value_exact", flagged_lower_bound)
         out = str(tmp_path / "fault.csv")
         rc = main(["solve", "--instance", det_instance, "--algo", "ddp",

@@ -906,6 +906,41 @@ def test_a_lone_forward_lp_is_a_batch_of_one(trained, monkeypatch):
     assert len(lone) == len(members)
 
 
+@pytest.mark.parametrize("trained", [False, True])
+def test_a_lone_forward_miss_reads_the_memo_lp_built_at_another_pair(trained, monkeypatch):
+    # the dual sweep builds the memo's stage LP at its own trial point; a
+    # lone forward LP of that structure at another point is a batch of one
+    # of the memo's LP with its own eq_rhs, and no stage LP is built for it.
+    # Its memo entry is a lone solve of its own stage LP, bit for bit
+    model = generate_instance(PortfolioSpec(T=4, n=4, M=4, u=0.2, seed=0))
+    pools = make_pools(model)
+    if trained:
+        run_isddp(model, EXACT_SCHEDULE, n_paths=5, gap_tol=1e-9, max_iter=3, seed=9,
+                  initial_pools=pools)
+    built, batched, lone = [], [], []
+    real_lp, primal = stage_solver.stage_lp, stage_solver.solve_primal_batch
+    trail = stage_solver.solve_with_primal_trail
+    monkeypatch.setattr(stage_solver, "stage_lp",
+                        lambda *args: built.append(args) or real_lp(*args))
+    monkeypatch.setattr(stage_solver, "solve_primal_batch", lambda lp, eq_rhs, bases: (
+        batched.append((len(eq_rhs), len(bases))) or primal(lp, eq_rhs, bases)))
+    monkeypatch.setattr(stage_solver, "solve_with_primal_trail",
+                        lambda lp: lone.append(lp) or trail(lp))
+    for t in range(2, model.horizon + 1):
+        (x,) = oracle.sample_reachable_states(model, t, 1, seed=t)
+        y = 0.5 * x + 1.0  # a nonnegative state: every portfolio stage LP is feasible there
+        stage = model.stage(t, 1)
+        pool, fresh = (CutPool.from_dict(pools[t + 1].to_dict()) for _ in range(2))
+        stage_solver.sweep_duals([stage], [x], pool)
+        assert len(built) == 1
+        del built[:]
+        stage_solver.sweep_forward([stage], [y], pool)
+        assert built == [] and lone == [] and batched == [(1, 0)], t
+        del batched[:]
+        want = stage_solver._forward_entry(stage, fresh, trail(real_lp(stage, y, fresh)))
+        assert _memo_bits(pool.memo["forward", stage, y.tobytes()]) == _memo_bits(want), t
+
+
 def test_a_cut_drops_the_cached_bases_of_its_pool():
     # cached bases live in the pool's memo, under the stage structure; a cut
     # changes the stage LPs and their explicit duals and empties the memo,
