@@ -19,7 +19,7 @@ import numpy as np
 from . import portfolio as pf
 from .ddp_engine import run_iddp
 from .lp_core import LpError
-from .models import RunLog, StochasticModel, load_model, save_model
+from .models import RunLog, StochasticModel, load_model, save_model, write_csv
 from .oracle import OracleGuardError, OracleInfeasibleError, exact_recourse, extensive_form
 from .schedules import EXACT_SCHEDULE, ScheduleMode, ScheduleSpec
 from .sddp_engine import run_isddp
@@ -78,10 +78,10 @@ def _build_parser() -> _Parser:
                             help="free-form schedules only; default 0.1")
             sp.add_argument("--eps0", type=float, default=None,
                             help="free-form schedules only; default 1e-12")
+            sp.add_argument("--tol", type=float, default=1e-6,
+                            help="absolute bound tolerance for ddp/iddp")
         sp.add_argument("--paths", type=int, default=1)
         sp.add_argument("--gap-tol", type=float, default=0.05)
-        sp.add_argument("--tol", type=float, default=1e-6,
-                        help="absolute bound tolerance for ddp/iddp")
         sp.add_argument("--max-iter", type=int, default=50)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--instance", required=True, action="append")
@@ -242,10 +242,7 @@ def cmd_compare(args) -> int:
                 base.iterations,
             ]
         )
-    with open(out_csv, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+    write_csv(out_csv, header, rows)
     print(f"baseline {names[0]}: {base.iterations} iterations, "
           f"{base.total_wall_ms():.0f} ms")
     for row in rows:

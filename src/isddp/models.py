@@ -278,6 +278,14 @@ def load_model(path) -> StochasticModel:
 # Run logs
 
 
+def write_csv(path, header: list[str], rows: list[list]) -> None:
+    """Write ``header`` and ``rows`` to ``path`` as comma-separated lines, each value by ``str``."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(str(v) for v in row) + "\n")
+
+
 class RunStatus(str, enum.Enum):
     CONVERGED = "converged"
     ITER_LIMIT = "iter_limit"
@@ -333,10 +341,7 @@ class RunLog:
                  repr(float(r.wall_ms)), eps_bar, eps0] for r in self.records]
 
     def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(",".join(self.csv_header()) + "\n")
-            for row in self.csv_rows():
-                fh.write(",".join(str(v) for v in row) + "\n")
+        write_csv(path, self.csv_header(), self.csv_rows())
 
     def summary(self) -> dict:
         return {

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import itertools
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -228,13 +227,16 @@ def backward_pass_sddp(
 
 
 def upper_bound_ci(cost_samples: np.ndarray, z: float = 1.96) -> float:
-    """Upper end of the one-sided normal confidence interval on the mean."""
+    """Upper end of the one-sided normal confidence interval on the mean.
+
+    One sample has no spread to estimate, so it is returned as it is: the
+    cost of a deterministic model's one path is its policy's exact cost.
+    """
     cost_samples = np.asarray(cost_samples, dtype=float)
     n = cost_samples.shape[0]
     if n == 0:
         raise ValueError("need at least one cost sample")
     if n == 1:
-        warnings.warn("single cost sample: returning it without a CI margin")
         return float(cost_samples[0])
     mean = float(cost_samples.mean())
     std = float(cost_samples.std(ddof=1))
@@ -250,15 +252,14 @@ def iterate(
 ) -> Iterator[IterationRecord]:
     """Forward/backward iterations k = 1, 2, ... on ``pools``; the caller stops.
 
-    Ub is the one path's cost when ``n_paths == 1`` (exact for a
-    deterministic model) and the confidence bound otherwise.
+    Ub is ``upper_bound_ci`` of the paths' costs.
     """
     T = model.horizon
     for k in itertools.count(1):
         t_start = time.perf_counter()
         paths = sample_paths(model, n_paths, k, seed)
         fwd = forward_pass_sddp(model, pools, paths, forward_budgets(schedule, k, T))
-        ub = upper_bound_ci(fwd.cost_samples) if n_paths > 1 else float(fwd.cost_samples[0])
+        ub = upper_bound_ci(fwd.cost_samples)
         lb, eps_resolved = ub, ()
         if T > 1:
             eps = backward_budgets(schedule, k, fwd.stage_values)

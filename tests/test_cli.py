@@ -409,6 +409,14 @@ class TestCompare:
     def test_needs_two_presets(self, instance):
         assert main(["compare", "--instance", instance, "--presets", "sddp"]) == EXIT_USAGE
 
+    def test_takes_no_tol(self, instance, tmp_path, capsys):
+        # compare runs isddp, which stops on --gap-tol; --tol is the
+        # ddp/iddp stop rule, so compare has no such flag
+        rc = main(["compare", "--instance", instance, "--presets", "sddp,isddp1",
+                   "--tol", "1e-3", "--out", str(tmp_path / "cmp.csv")])
+        assert rc == EXIT_USAGE
+        assert "--tol" in capsys.readouterr().err
+
     def test_mismatched_instances_rejected(self, instance, det_instance):
         rc = main([
             "compare", "--presets", "sddp,isddp1",

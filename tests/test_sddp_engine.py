@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -687,8 +688,9 @@ class TestUpperBoundCi:
             3.131607, abs=1e-5
         )
 
-    def test_single_sample_warns(self):
-        with pytest.warns(UserWarning):
+    def test_single_sample_is_returned(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert upper_bound_ci(np.array([5.0])) == 5.0
 
     def test_coverage(self, rng):
