@@ -17,6 +17,8 @@ from isddp.portfolio import (
     sample_synthetic_returns,
     sample_transaction_costs,
 )
+from isddp.schedules import EXACT_SCHEDULE
+from isddp.sddp_engine import run_isddp
 
 
 def write_returns(path, rows):
@@ -97,7 +99,8 @@ class TestFromFile:
     def test_rows_beyond_the_horizon_are_ignored(self, tmp_path):
         # rows 5 and 6 hold the largest returns; they reach neither a stage
         # nor the floors.  The digest pins the generated model byte for byte,
-        # in one fixed layout whatever layout the instance files use.
+        # in one fixed layout whatever layout the instance files use; the
+        # floors in it are -sum(x0) * rho_max**T, compounded once.
         rows = [[1.0 + 0.01 * j, 1.0 - 0.005 * j] for j in range(7)]
         long_path, short_path = tmp_path / "long.csv", tmp_path / "short.csv"
         write_returns(long_path, rows)
@@ -108,7 +111,7 @@ class TestFromFile:
             PortfolioSpec(T=3, n=2, M=2, seed=0, returns_path=str(short_path))))
         fixed = json.dumps(json.loads(text), sort_keys=True, indent=1)
         assert hashlib.sha256(fixed.encode()).hexdigest() == (
-            "1598759ab4f0c77328488258475d14a78b00c0e5b65f5b4ae84ac54a8c0955c1"
+            "c07f80aaf53b24f44676e70f6c0a07dcfbe039584d13bf82a171beeba24d8c75"
         )
 
 
@@ -185,3 +188,15 @@ class TestGenerateInstance:
             for x in states:
                 q = oracle.exact_recourse(m, t, x)
                 assert q >= m.floors[t - 2] - 1e-9
+
+    def test_lower_bound_stays_below_the_optimum_when_wealth_shrinks(self, tmp_path):
+        # every gross return, cash included, is 0.95, so wealth shrinks at
+        # each stage; a floor that compounds rho_max twice lies above v*,
+        # and so did the first Lb of an exact run
+        path = tmp_path / "shrink.csv"
+        write_returns(path, [[0.95]] * 5)
+        m = generate_instance(PortfolioSpec(T=3, n=1, M=2, risk_free_return=-0.05,
+                                            returns_path=str(path)))
+        v_star = oracle.extensive_form(m)
+        log = run_isddp(m, EXACT_SCHEDULE, n_paths=2, gap_tol=1e-9, max_iter=10, seed=0)
+        assert all(r.lb <= v_star + 1e-9 * max(1.0, abs(v_star)) for r in log.records)
