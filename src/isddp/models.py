@@ -32,8 +32,7 @@ def _arr(v, dtype=float) -> np.ndarray:
 class StageModel:
     """One stage's data, hashed by identity: solve memos key on the stage.
 
-    Its LP at a state ``x_prev`` is ``A x = rhs(x_prev)``, ``x >= 0``, with
-    cost ``c``; stage LPs that share ``structure`` differ in ``rhs`` only.
+    Its LP at a state is ``A x = rhs(state)``, ``x >= 0``, with cost ``c``.
     """
 
     A: np.ndarray
@@ -68,8 +67,7 @@ class StageModel:
         return self.B.shape[1]
 
     def rhs(self, x_prev: np.ndarray) -> np.ndarray:
-        """The right-hand side ``b - B @ x_prev`` of the stage's rows at the
-        state ``x_prev``: the only part of a stage LP that the state sets."""
+        """``b - B @ x_prev``: the one part of the stage's LP that the state sets."""
         return self.b - self.B @ x_prev
 
     @cached_property
@@ -279,7 +277,7 @@ def load_model(path) -> StochasticModel:
 
 
 def write_csv(path, header: list[str], rows: list[list]) -> None:
-    """Write ``header`` and ``rows`` to ``path`` as comma-separated lines, each value by ``str``."""
+    """Write ``header`` and ``rows`` to ``path`` as CSV lines, each value by ``str``."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:

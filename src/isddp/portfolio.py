@@ -180,13 +180,11 @@ def _stage_matrices(
 def generate_instance(spec: PortfolioSpec) -> StochasticModel:
     """Deterministic construction of the benchmark instance from its spec.
 
-    Every floor is ``-sum(x0) * rho_max**T``, with ``rho_max`` the largest
-    gross return of any asset or cash at any stage.  Holdings and returns
-    are nonnegative and trades only pay costs, so each stage's holdings sum
-    to at most ``rho_max`` times the previous stage's (``x0`` before stage
-    1).  From every state reachable from ``x0`` the final wealth is thus at
-    most ``sum(x0) * rho_max**T``, and its negative, the only cost, bounds
-    each stage's cost-to-go there from below, for ``rho_max < 1`` too.
+    Every floor is ``-sum(x0) * rho_max**T``, ``rho_max`` the largest gross
+    return.  Holdings and returns are nonnegative and trades only pay costs,
+    so wealth grows at most ``rho_max``-fold per stage: from every reachable
+    state the final wealth, whose negative is the only cost, is at most
+    ``sum(x0) * rho_max**T``, for ``rho_max < 1`` too.
     """
     rng = np.random.default_rng(spec.seed)
     costs = sample_transaction_costs(spec, rng)
@@ -212,6 +210,5 @@ def generate_instance(spec: PortfolioSpec) -> StochasticModel:
             StochasticStageModel(realizations=mats, probs=np.full(M, 1.0 / M))
         )
 
-    rho_max = float(returns.max())
-    floors = np.full(T - 1, -float(x0.sum()) * rho_max**T)
+    floors = np.full(T - 1, -float(x0.sum()) * float(returns.max()) ** T)
     return StochasticModel(stage1=stage1, stages=stages, x0=x0, floors=floors)

@@ -227,11 +227,7 @@ def backward_pass_sddp(
 
 
 def upper_bound_ci(cost_samples: np.ndarray, z: float = 1.96) -> float:
-    """Upper end of the one-sided normal confidence interval on the mean.
-
-    One sample has no spread to estimate, so it is returned as it is: the
-    cost of a deterministic model's one path is its policy's exact cost.
-    """
+    """Upper end of the one-sided normal confidence interval on the mean; one sample is itself."""
     cost_samples = np.asarray(cost_samples, dtype=float)
     n = cost_samples.shape[0]
     if n == 0:

@@ -129,16 +129,15 @@ def solve_forward_stage(
 def _misses(kind: str, pairs: Iterable[tuple], pool: CutPool) -> Iterator[tuple]:
     """The ``kind`` solves of ``(stage, trial point)`` pairs that ``pool.memo`` lacks, in batches.
 
-    This is the one place that dedupes the stage solves of a sweep and
-    builds stage LPs: each missing pair is taken once, in first-seen order,
-    under the memo key ``(kind, stage, x.tobytes())``.  The pairs are
-    grouped by ``stage.structure``: their stage LPs differ in
-    ``stage.rhs(x)`` only.  Yields per group the stage LP that the memo
-    keeps for the structure under ``("lp", *structure)`` (built at the
-    group's first pair if the memo lacks it, so its ``eq_rhs`` may be
-    another pair's), the members as ``(memo key, stage)``, their ``eq_rhs``
-    rows, and the list of optimal bases that the memo keeps for the group
-    under ``(f"{kind} bases", *structure)``.
+    The one dedupe of stage solves and builder of stage LPs: each missing
+    pair is taken once, in first-seen order, under the memo key ``(kind,
+    stage, x.tobytes())``, and the pairs are grouped by ``stage.structure``,
+    whose stage LPs differ in ``stage.rhs(x)`` only.  Yields per group the
+    stage LP that the memo keeps for the structure under ``("lp",
+    *structure)`` (built at the group's first pair if the memo lacks it),
+    the members as ``(memo key, stage)``, their ``eq_rhs`` rows, and the
+    list of optimal bases that the memo keeps for the group under
+    ``(f"{kind} bases", *structure)``.
     """
     groups: dict = {}
     for stage, x in pairs:
@@ -161,17 +160,16 @@ def sweep_forward(
     """Solve the forward LPs of one stage into ``pool.memo``: ``stages[i]`` at ``x_prevs[i]``.
 
     Each batch of ``_misses`` is one ``solve_primal_batch`` of the memo's
-    stage LP with the members' ``eq_rhs`` against the group's cached bases;
-    a batch of one with no bases is the kernel's lone solve, bit for bit.
-    Only a lone member with no bases at which the memo's LP was built (its
-    ``eq_rhs`` is the member's bit for bit) is one ``solve_with_primal_trail``
-    of that LP, whose basis joins the list.  Either way a member's outcome
-    is a ``_KernelResult`` or an ``LpError``.  A solve and its trail do not
-    depend on the budget, so the memo keeps them as ``_forward_entry``
-    makes them.  A member that faults (a kernel fault, a status other than
-    optimal, or an optimum that violates one of its own cut rows) keeps the
-    fault there instead, and ``solve_forward_stage`` raises it with stage
-    and path.
+    stage LP with the members' ``eq_rhs`` against the group's cached bases,
+    which with no bases is the kernel's lone solve, bit for bit.  A lone
+    member with no bases at which that LP was built is one
+    ``solve_with_primal_trail`` of it, whose basis joins the list.  Either
+    way a member's outcome is a ``_KernelResult`` or an ``LpError``.  A
+    solve and its trail do not depend on the budget, so the memo keeps them
+    as ``_forward_entry`` makes them.  A member that faults (a kernel fault,
+    a status other than optimal, or an optimum that violates one of its own
+    cut rows) keeps the fault there instead, and ``solve_forward_stage``
+    raises it with stage and path.
     """
     for lp, members, eq_rhs, bases in _misses("forward", zip(stages, x_prevs), pool):
         if len(members) > 1 or bases or lp.eq_rhs.tobytes() != eq_rhs[0].tobytes():
